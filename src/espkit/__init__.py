@@ -7,7 +7,6 @@ including detection of sudden death, sudden birth and finite-duration
 transitions.
 """
 
-from ._accel import NUMBA_ENABLED
 from .densemat import HermitianSpectrum, hermitian_eig, kron, spectral_exp_skew
 from .dynamics import (
     EvolutionSpec,
@@ -54,7 +53,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "HermitianSpectrum",
     "hermitian_eig",
     "kron",

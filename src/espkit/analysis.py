@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .densemat import as_complex_matrix
 from .dynamics import (
     EvolutionSpec,
@@ -36,9 +35,9 @@ from .dynamics import (
     time_reversed_state,
 )
 from .errors import GuardViolation, ResolutionError, WindowError
-from .hilbert import DensityOperator, Ket, SpinMagnitude, SystemDims, basis_ket_c
+from .hilbert import DensityOperator, Ket, SpinMagnitude, SystemDims, basis_ket_c, partial_trace_c_matrix
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
-from .monotones import ENTANGLED_THRESHOLD
+from .monotones import ENTANGLED_THRESHOLD, cne, negativity
 from .states import (
     BellKind,
     bell_ket,
@@ -233,10 +232,7 @@ def exact_cne_function(h, initial) -> Callable[[float], float]:
     dim_c = initial.dims.dim_c
 
     def cne_at(dt: float) -> float:
-        rho_t = prop.evolve_matrix(rho0, dt)
-        red = _kernels.reduce_to_pair(np.ascontiguousarray(rho_t), dim_c)
-        lam, _, _ = _kernels.pair_pt_stats(red)
-        return float(lam)
+        return cne(partial_trace_c_matrix(prop.evolve_matrix(rho0, dt), dim_c))[0]
 
     return cne_at
 
@@ -249,10 +245,7 @@ def truncated_cne_function(h, initial, order: int) -> Callable[[float], float]:
     h = as_complex_matrix(h)
 
     def cne_at(dt: float) -> float:
-        rho_t = evolve_series(h, initial, float(dt), order)
-        red = _kernels.reduce_to_pair(np.ascontiguousarray(rho_t), dim_c)
-        lam, _, _ = _kernels.pair_pt_stats(red)
-        return float(lam)
+        return cne(partial_trace_c_matrix(evolve_series(h, initial, float(dt), order), dim_c))[0]
 
     return cne_at
 
@@ -740,11 +733,9 @@ def symmetry_suite(
     rho_t = prop.evolve_matrix(initial.matrix, closure_time)
     reversed_state = time_reversed_state(DensityOperator(rho_t, initial.dims, validate=False), s)
     rho_back = prop.evolve_matrix(reversed_state.matrix, closure_time)
-    red0 = _kernels.reduce_to_pair(np.ascontiguousarray(initial.matrix), initial.dims.dim_c)
-    red_back = _kernels.reduce_to_pair(np.ascontiguousarray(rho_back), initial.dims.dim_c)
-    _, n0, _ = _kernels.pair_pt_stats(red0)
-    _, n_back, _ = _kernels.pair_pt_stats(red_back)
-    closure_dev = abs(float(n0) - float(n_back))
+    n0 = negativity(partial_trace_c_matrix(initial.matrix, initial.dims.dim_c))
+    n_back = negativity(partial_trace_c_matrix(rho_back, initial.dims.dim_c))
+    closure_dev = abs(n0 - n_back)
 
     dt2_dev = 0.0
     cne_fn = exact_cne_function(h, initial)

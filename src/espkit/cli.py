@@ -271,7 +271,10 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     if not rows:
         raise ConfigError(f"{path}: no samples")
     arr = np.array(rows, dtype=np.float64)
-    return Trajectory(arr[:, 0], arr[:, 3], arr[:, 1], arr[:, 2], arr[:, 4].astype(np.int64))
+    try:
+        return Trajectory(arr[:, 0], arr[:, 3], arr[:, 1], arr[:, 2], arr[:, 4].astype(np.int64))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _json_default(obj):

@@ -1,9 +1,8 @@
 """Minimal dense complex-matrix layer for operators up to 32x32.
 
-Provides the Hermitian eigendecomposition (cyclic Jacobi, high relative
-accuracy for the small eigenvalues the entanglement monotones depend on),
-spectral evolution operators exp(-iHt), Kronecker products and norms.
-Matrices are plain contiguous ``complex128`` arrays.
+Provides the Hermitian eigendecomposition (LAPACK through
+``np.linalg.eigh``), spectral evolution operators exp(-iHt), Kronecker
+products and norms.  Matrices are plain contiguous ``complex128`` arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionError, NumericalError
 
 HERMITICITY_RTOL = 1e-12
@@ -54,7 +52,7 @@ def hermiticity_defect(a) -> float:
 
 
 def hermitian_eig(a, *, check: bool = True) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix via ``np.linalg.eigh``.
 
     The input is symmetrized to (A + A†)/2 before diagonalization.  With
     ``check`` (default) the Hermiticity defect must stay below
@@ -65,7 +63,7 @@ def hermitian_eig(a, *, check: bool = True) -> HermitianSpectrum:
     DimensionError
         If the input is not square.
     NumericalError
-        If the sweep cap is reached before convergence.
+        If the LAPACK eigensolver fails or returns non-finite eigenvalues.
     """
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -75,9 +73,12 @@ def hermitian_eig(a, *, check: bool = True) -> HermitianSpectrum:
         if defect > HERMITICITY_RTOL * max(1.0, frobenius(m)):
             raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
     sym = np.ascontiguousarray((m + m.conj().T) / 2.0)
-    w, v, sweeps, converged = _kernels.jacobi_eigh(sym)
-    if not converged:
-        raise NumericalError(f"Jacobi eigensolver did not converge in {sweeps} sweeps")
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from None
+    if not np.all(np.isfinite(w)):
+        raise NumericalError("Hermitian eigensolver returned non-finite eigenvalues")
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
 
@@ -88,7 +89,8 @@ def hermitian_eigvals(a, *, check: bool = True) -> np.ndarray:
 
 def propagator(spectrum: HermitianSpectrum, t: float) -> np.ndarray:
     """exp(-iHt) from a precomputed spectrum of H."""
-    return _kernels.unitary_from_spectrum(spectrum.eigenvalues, spectrum.eigenvectors, float(t))
+    v = spectrum.eigenvectors
+    return (v * np.exp(-1j * spectrum.eigenvalues * float(t))) @ v.conj().T
 
 
 def spectral_exp_skew(h, t: float) -> np.ndarray:

@@ -5,6 +5,10 @@ for every sample time; the commutator-series truncation feeds the analytic
 short-time validators; a fourth-order one-step integrator provides an
 independent cross-check.  Negative sample times run the exact propagator
 backwards.
+
+Trajectory sampling is batched: each method turns the time grid into a
+(T, 4, 4) stack of reduced A-B states, and one call of
+:func:`espkit.monotones.pair_monotones` evaluates the whole stack.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from typing import Union
 
 import numpy as np
 
-from . import _kernels
 from .densemat import (
     HermitianSpectrum,
     as_complex_matrix,
@@ -22,7 +25,7 @@ from .densemat import (
     kron_all,
 )
 from .densemat import propagator as _propagator_from_spectrum
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError
 from .hilbert import (
     PAULI_Y,
     DensityOperator,
@@ -30,8 +33,9 @@ from .hilbert import (
     SpinMagnitude,
     SystemDims,
     spin_operators,
+    trace_out_c,
 )
-from .monotones import CLIP_BUDGET, MonotoneSample
+from .monotones import CHUNK, MonotoneSample, batches, pair_monotones
 
 INTEGRATOR_STEP = 1e-4
 
@@ -121,11 +125,24 @@ class SpectralPropagator:
             return np.eye(self.dim, dtype=np.complex128)
         return _propagator_from_spectrum(self.spectrum, t)
 
+    def evolve_stack(self, rho: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """rho(t) = V (Φ(t) ∘ R0) V† for every t, as a (T, n, n) stack.
+
+        R0 = V† rho V is rho in the eigenbasis and Φ_ab = e^{-i(w_a - w_b)t}.
+        At t = 0 the stack holds ``rho`` itself.
+        """
+        v = self.spectrum.eigenvectors
+        vh = v.conj().T
+        r0 = vh @ rho @ v
+        phases = np.exp(-1j * np.multiply.outer(times, self.spectrum.eigenvalues))
+        out = phases[:, :, None] * r0
+        out *= phases.conj()[:, None, :]
+        np.matmul(v @ out, vh, out=out)  # one (T, n, n) temporary at a time
+        out[times == 0.0] = rho
+        return out
+
     def evolve_matrix(self, rho: np.ndarray, t: float) -> np.ndarray:
-        if t == 0.0:
-            return rho.copy()
-        u = self.unitary(t)
-        return u @ rho @ u.conj().T
+        return self.evolve_stack(rho, np.array([float(t)]))[0]
 
 
 def _initial_matrix(state: InitialState) -> tuple[np.ndarray, SystemDims]:
@@ -149,6 +166,26 @@ def evolve_exact(h, rho0: InitialState, t: float) -> DensityOperator:
     return DensityOperator(prop.evolve_matrix(m, t), dims, validate=False)
 
 
+def _series_terms(h: np.ndarray, m: np.ndarray, order: int) -> list[np.ndarray]:
+    """rho0, -i[H, rho0] and -(1/2)[H, [H, rho0]]: the dt^k coefficients, k < order."""
+    terms = [m.astype(np.complex128, copy=True)]
+    if order >= 2:
+        comm1 = h @ m - m @ h
+        terms.append(-1j * comm1)
+        if order >= 3:
+            terms.append(-0.5 * (h @ comm1 - comm1 @ h))
+    return terms
+
+
+def _series_stack(terms: list[np.ndarray], times: np.ndarray) -> np.ndarray:
+    """sum_k t^k term_k for every t, as a (T, n, n) stack."""
+    t = times[:, None, None]
+    out = np.repeat(terms[0][None], times.shape[0], axis=0)
+    for k, term in enumerate(terms[1:], start=1):
+        out = out + t**k * term
+    return out
+
+
 def evolve_series(h, rho0: InitialState, dt: float, order: int = 3) -> np.ndarray:
     """Commutator-series truncation of the equation of motion.
 
@@ -164,14 +201,30 @@ def evolve_series(h, rho0: InitialState, dt: float, order: int = 3) -> np.ndarra
     h = as_complex_matrix(h)
     if h.shape != m.shape:
         raise DimensionError(f"Hamiltonian shape {h.shape} does not match state shape {m.shape}")
-    out = m.astype(np.complex128, copy=True)
-    if order >= 2:
-        comm1 = h @ m - m @ h
-        out = out + (-1j * dt) * comm1
-        if order >= 3:
-            comm2 = h @ comm1 - comm1 @ h
-            out = out + (-0.5 * dt * dt) * comm2
-    return out
+    return _series_stack(_series_terms(h, m, order), np.array([float(dt)]))[0]
+
+
+def _rk4(h: np.ndarray, rho0: np.ndarray, t_final: float, max_step: float) -> np.ndarray:
+    """Fourth-order one-step integration of d(rho)/dt = -i[h, rho].
+
+    Fixed step of magnitude at most ``max_step``, adjusted to land exactly
+    on ``t_final``.
+    """
+    rho = rho0.copy()
+    if t_final == 0.0:
+        return rho
+    n_steps = int(np.ceil(abs(t_final) / max_step))
+    dt = t_final / n_steps
+    for _ in range(n_steps):
+        k1 = -1j * (h @ rho - rho @ h)
+        r = rho + (0.5 * dt) * k1
+        k2 = -1j * (h @ r - r @ h)
+        r = rho + (0.5 * dt) * k2
+        k3 = -1j * (h @ r - r @ h)
+        r = rho + dt * k3
+        k4 = -1j * (h @ r - r @ h)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
 
 
 def integrate_vonneumann(h, rho0: InitialState, t: float, max_step: float = INTEGRATOR_STEP) -> DensityOperator:
@@ -184,8 +237,7 @@ def integrate_vonneumann(h, rho0: InitialState, t: float, max_step: float = INTE
     h = as_complex_matrix(h)
     if h.shape != m.shape:
         raise DimensionError(f"Hamiltonian shape {h.shape} does not match state shape {m.shape}")
-    out = _kernels.rk4_commutator_evolve(h, m, float(t), float(max_step))
-    return DensityOperator(out, dims, validate=False)
+    return DensityOperator(_rk4(h, m, float(t), float(max_step)), dims, validate=False)
 
 
 def time_reversal_unitary(s: SpinMagnitude) -> np.ndarray:
@@ -206,11 +258,31 @@ def time_reversed_state(rho: DensityOperator, s: SpinMagnitude) -> DensityOperat
     return DensityOperator(theta @ rho.matrix.conj() @ theta.conj().T, rho.dims, validate=False)
 
 
+def _reduced_stack(states_at, times: np.ndarray, dim_c: int) -> np.ndarray:
+    """Tr_C of ``states_at(chunk)`` for the whole grid, CHUNK sample times per batch."""
+    red = np.empty((times.shape[0], 4, 4), dtype=np.complex128)
+    for lo in range(0, times.shape[0], CHUNK):
+        red[lo:lo + CHUNK] = trace_out_c(states_at(times[lo:lo + CHUNK]), dim_c)
+    return red
+
+
+def _integrator_pairs(h: np.ndarray, m: np.ndarray, dim_c: int, times: np.ndarray) -> np.ndarray:
+    """Reduced RK4 states, stepped sequentially from t = 0 through the grid."""
+    red = np.empty((times.shape[0], 4, 4), dtype=np.complex128)
+    rho, t_prev = m, 0.0
+    for k, t in enumerate(times):
+        rho = _rk4(h, rho, float(t - t_prev), INTEGRATOR_STEP)
+        t_prev = float(t)
+        red[k] = trace_out_c(rho, dim_c)
+    return red
+
+
 def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajectory:
     """Evolve, trace out the environment and record the monotones per time.
 
     Metadata records the maximum trace/Hermiticity deviations of the
-    reduced matrices and the largest PSD clip spent by the concurrence.
+    reduced matrices and the largest negative eigenvalue mass the
+    concurrence factor dropped.
     """
     m, dims = _initial_matrix(initial)
     h = as_complex_matrix(h)
@@ -221,41 +293,18 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
 
     if spec.method == "exact":
         prop = SpectralPropagator(h)
-        out = _kernels.trajectory_monotones(
-            prop.spectrum.eigenvalues, prop.spectrum.eigenvectors, m, dim_c, times
-        )
-        cne_arr, neg, conc, ncount, trace_dev, herm_dev, clip_max, ok = out
+        red = _reduced_stack(lambda ts: prop.evolve_stack(m, ts), times, dim_c)
+    elif spec.method == "series":
+        terms = _series_terms(h, m, spec.series_order)
+        red = _reduced_stack(lambda ts: _series_stack(terms, ts), times, dim_c)
     else:
-        nt = times.shape[0]
-        cne_arr = np.empty(nt)
-        neg = np.empty(nt)
-        conc = np.empty(nt)
-        ncount = np.empty(nt, dtype=np.int64)
-        trace_dev = herm_dev = clip_max = 0.0
-        ok = True
-        rho_prev = m
-        t_prev = 0.0
-        for k, t in enumerate(times):
-            if spec.method == "series":
-                rho_t = evolve_series(h, initial, float(t), spec.series_order)
-            else:
-                rho_t = _kernels.rk4_commutator_evolve(h, rho_prev, float(t - t_prev), INTEGRATOR_STEP)
-                rho_prev, t_prev = rho_t, float(t)
-            red = _kernels.reduce_to_pair(np.ascontiguousarray(rho_t), dim_c)
-            trace_dev = max(trace_dev, abs(np.trace(red).real - 1.0))
-            herm_dev = max(herm_dev, float(np.max(np.abs(red - red.conj().T))))
-            lam, ns, nc = _kernels.pair_pt_stats(red)
-            cv, clip = _kernels.pair_concurrence(red)
-            if np.isnan(lam) or np.isnan(cv):
-                ok = False
-                break
-            clip_max = max(clip_max, clip)
-            cne_arr[k], neg[k], conc[k], ncount[k] = lam, ns, cv, nc
-
-    if not ok:
-        raise NumericalError("monotone evaluation failed during trajectory sampling")
-    if clip_max > CLIP_BUDGET:
-        raise NumericalError(f"PSD repair clipped {clip_max:.3e} of spectral mass during sampling")
+        red = _integrator_pairs(h, m, dim_c, times)
+    mono = pair_monotones(red)
+    drift = [
+        (np.max(np.abs(np.trace(c, axis1=1, axis2=2).real - 1.0)), np.max(np.abs(c - c.conj().swapaxes(1, 2))))
+        for c in batches(red)
+    ]
+    trace_dev, herm_dev = np.max(drift, axis=0)
 
     meta = {
         "method": spec.method,
@@ -263,6 +312,6 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
         "dim_c": dim_c,
         "max_trace_deviation": float(trace_dev),
         "max_hermiticity_deviation": float(herm_dev),
-        "max_psd_clip": float(clip_max),
+        "max_psd_clip": mono.max_clip,
     }
-    return Trajectory(times, cne_arr, neg, conc, ncount, meta)
+    return Trajectory(times, mono.cne, mono.negativity, mono.concurrence, mono.negative_count, meta)

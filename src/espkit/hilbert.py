@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .densemat import as_complex_matrix, kron_all, max_abs
 from .errors import DimensionError
 
@@ -208,7 +207,37 @@ def partial_trace_c_matrix(m: np.ndarray, dim_c: int) -> np.ndarray:
     m = as_complex_matrix(m)
     if m.shape != (4 * dim_c, 4 * dim_c):
         raise DimensionError(f"matrix shape {m.shape} does not match dim_c={dim_c}")
-    return _kernels.reduce_to_pair(m, dim_c)
+    return trace_out_c(m, dim_c)
+
+
+def trace_out_c(stack: np.ndarray, dim_c: int) -> np.ndarray:
+    """Batched partial trace: (..., 4*dim_c, 4*dim_c) -> (..., 4, 4).
+
+    The leading dim_c-dimensional factor is summed out by reshape; no
+    shape checks, the per-matrix wrappers own those.
+    """
+    lead = stack.shape[:-2]
+    return np.einsum("...mimj->...ij", stack.reshape(*lead, dim_c, 4, dim_c, 4))
+
+
+def transpose_b(stack: np.ndarray) -> np.ndarray:
+    """Batched partial transpose on qubit B: out[ab, a'b'] = in[ab', a'b]."""
+    lead = stack.shape[:-2]
+    return stack.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
+
+
+def transpose_a(stack: np.ndarray) -> np.ndarray:
+    """Batched partial transpose on qubit A: out[ab, a'b'] = in[a'b, ab']."""
+    lead = stack.shape[:-2]
+    return stack.reshape(*lead, 2, 2, 2, 2).swapaxes(-4, -2).reshape(*lead, 4, 4)
+
+
+def as_pair_matrix(rho) -> np.ndarray:
+    """A 4x4 A-B matrix from a DensityOperator or array, shape-checked."""
+    m = as_complex_matrix(rho.matrix if isinstance(rho, DensityOperator) else rho)
+    if m.shape != (4, 4):
+        raise DimensionError(f"expected a 4x4 A-B matrix, got {m.shape}")
+    return m
 
 
 def partial_transpose_b(rho) -> np.ndarray:
@@ -217,18 +246,12 @@ def partial_transpose_b(rho) -> np.ndarray:
     A linear, trace-preserving, Hermiticity-preserving involution; its
     spectrum equals that of the A-side transpose.
     """
-    m = as_complex_matrix(rho.matrix if isinstance(rho, DensityOperator) else rho)
-    if m.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 A-B matrix, got {m.shape}")
-    return _kernels.transpose_second_qubit(m)
+    return transpose_b(as_pair_matrix(rho))
 
 
 def partial_transpose_a(rho) -> np.ndarray:
     """Partial transpose on qubit A (spectrum-equivalent to the B side)."""
-    m = as_complex_matrix(rho.matrix if isinstance(rho, DensityOperator) else rho)
-    if m.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 A-B matrix, got {m.shape}")
-    return _kernels.transpose_second_qubit(m.T).T
+    return transpose_a(as_pair_matrix(rho))
 
 
 def qubit_ket(theta: float, phi: float) -> np.ndarray:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import espkit
 
 from espkit.cli import (
     CSV_HEADER,
@@ -123,6 +129,21 @@ def test_detect_malformed_csv(tmp_path, capsys):
     path.write_text(CSV_HEADER + "\n0.0,0.0,0.0,0.0,0\nnot,a,row\n")
     assert main(["detect", "--traj", str(path)]) == 2
     assert ":3:" in capsys.readouterr().err
+
+
+def test_detect_non_increasing_times_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "back.csv"
+    path.write_text(CSV_HEADER + "\n0.0,0.0,0.0,0.1,0\n0.1,0.0,0.0,0.1,0\n0.1,0.0,0.0,0.1,0\n")
+    src = str(Path(espkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "espkit.cli", "detect", "--traj", str(path)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and str(path) in lines[0] and "increasing" in lines[0]
 
 
 def test_csv_roundtrip(tmp_path):

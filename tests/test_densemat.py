@@ -10,7 +10,7 @@ from espkit.densemat import (
     propagator,
     spectral_exp_skew,
 )
-from espkit.errors import DimensionError
+from espkit.errors import DimensionError, NumericalError
 from espkit.hilbert import PAULI_Y, PAULI_Z, SpinMagnitude
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 
@@ -63,6 +63,18 @@ def test_eig_zero_matrix():
     spec = hermitian_eig(np.zeros((5, 5)))
     assert np.allclose(spec.eigenvalues, 0.0)
     assert np.allclose(spec.eigenvectors, np.eye(5))
+
+
+def test_eig_failures_are_numerical_errors(monkeypatch):
+    with pytest.raises(NumericalError):
+        hermitian_eig(np.full((3, 3), np.nan))
+
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(NumericalError, match="did not converge"):
+        hermitian_eig(np.eye(3))
 
 
 def test_exp_at_zero_is_identity(rng):

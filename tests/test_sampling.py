@@ -1,0 +1,143 @@
+"""The batched sampling path against the per-matrix chain and a 50-digit oracle."""
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from espkit.cli import main
+from espkit.dynamics import (
+    EvolutionSpec,
+    SpectralPropagator,
+    evolve_series,
+    integrate_vonneumann,
+    sample_trajectory,
+)
+from espkit.hilbert import Ket, SpinMagnitude, partial_trace_c_matrix
+from espkit.model import ExchangeCoupling, spin_star_hamiltonian
+from espkit.monotones import CHUNK, cne, concurrence, monotone_sample, negativity
+from espkit.states import esp_weighting, mixed_initial, product_basis_initial, pure_initial
+
+MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
+CHAIN_TOL = 1e-14
+ORACLE_TOL = 1e-14
+
+
+def state_case(kind):
+    if kind == "product":
+        s = SpinMagnitude(2)
+        return spin_star_hamiltonian(ExchangeCoupling(1.0, 0.5, 1.0), s), product_basis_initial("uud", s)
+    if kind == "mixed":
+        s = SpinMagnitude(1)
+        return spin_star_hamiltonian(MIXED_J, s), mixed_initial(esp_weighting("W9", 0.01), s)
+    w = esp_weighting("W13", -0.01)
+    s = w.matched_spin()
+    return spin_star_hamiltonian(MIXED_J, s), pure_initial(w, s)
+
+
+def chain_states(h, initial, spec):
+    """Full states at every grid time, one public per-matrix call each."""
+    rho0 = initial.to_density() if isinstance(initial, Ket) else initial
+    times = spec.time_grid()
+    if spec.method == "exact":
+        prop = SpectralPropagator(h)
+        return [prop.evolve_matrix(rho0.matrix, float(t)) for t in times]
+    if spec.method == "series":
+        return [evolve_series(h, rho0, float(t), spec.series_order) for t in times]
+    out, rho, t_prev = [], rho0, 0.0
+    for t in times:
+        rho = integrate_vonneumann(h, rho, float(t) - t_prev)
+        t_prev = float(t)
+        out.append(rho.matrix)
+    return out
+
+
+@pytest.mark.parametrize("n_samples", [255, 256, 257, 513])  # around multiples of the batch size
+@pytest.mark.parametrize("kind", ["product", "mixed", "pure"])
+@pytest.mark.parametrize("method", ["exact", "series", "integrator"])
+def test_batched_path_matches_per_matrix_chain(method, kind, n_samples):
+    assert 256 % CHUNK == 0
+    h, initial = state_case(kind)
+    t_max = {"exact": 2.0, "series": 0.002, "integrator": 0.01}[method]
+    spec = EvolutionSpec(t_max=t_max, n_steps=n_samples - 1, method=method, emit_negative_times=True)
+    traj = sample_trajectory(h, initial, spec)
+    assert len(traj) == n_samples
+    dim_c = h.shape[0] // 4
+    for k, rho in enumerate(chain_states(h, initial, spec)):
+        red = partial_trace_c_matrix(rho, dim_c)
+        lam, count = cne(red)
+        assert abs(traj.cne[k] - lam) <= CHAIN_TOL
+        assert traj.negative_count[k] == count
+        assert abs(traj.negativity[k] - negativity(red)) <= CHAIN_TOL
+        assert abs(traj.concurrence[k] - concurrence(red)) <= CHAIN_TOL
+        sample = monotone_sample(red)
+        assert abs(traj.cne[k] - sample.cne) <= CHAIN_TOL
+        assert abs(traj.concurrence[k] - sample.concurrence) <= CHAIN_TOL
+
+
+# (state kind, id, epsilon, environment 2S, coupling, t): next to the 1e-9
+# threshold, and the generic uud point where a square-root concurrence
+# loses ~9 digits
+ORACLE_SAMPLES = [
+    ("product", "uud", None, 2, MIXED_J, -0.995),
+    ("product", "uuu", None, 2, ExchangeCoupling(1.0, 0.5, 1.0), 4.29),
+    ("pure", "W9", 0.01, 2, MIXED_J, 0.955),
+    ("pure", "W9", 0.01, 2, MIXED_J, 0.965),
+    ("pure", "W13", 0.01, 3, MIXED_J, 0.06),
+    ("mixed", "W9", 0.01, 2, MIXED_J, -0.11),
+    ("mixed", "W6", -0.01, 2, MIXED_J, 0.25),
+]
+
+
+def oracle_monotones(h, rho0, dim_c, t):
+    """lambda*, negativity and concurrence at 50 digits for the given double inputs.
+
+    Concurrence from the eigenvalues of rho (σy⊗σy) rho* (σy⊗σy), whose
+    square roots are exact at this precision even where rho_AB is rank
+    deficient.
+    """
+    with mp.workdps(50):
+        w, v = mp.eighe(mp.matrix(h.tolist()))
+        phases = mp.diag([mp.exp(-1j * w[k] * mp.mpf(t)) for k in range(h.shape[0])])
+        u = v * phases * v.H
+        rho = u * mp.matrix(rho0.tolist()) * u.H
+        red = mp.zeros(4, 4)
+        for c in range(dim_c):
+            for a in range(4):
+                for b in range(4):
+                    red[a, b] += rho[4 * c + a, 4 * c + b]
+        pt = mp.matrix(4, 4)
+        for a in range(4):
+            for b in range(4):
+                pt[a, b] = red[(a & 2) | (b & 1), (b & 2) | (a & 1)]
+        lam = sorted(mp.re(x) for x in mp.eighe(pt, eigvals_only=True))
+        flip = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        r = red * flip * red.conjugate() * flip
+        gammas = sorted((mp.sqrt(max(mp.re(x), 0)) for x in mp.eig(r, left=False, right=False)), reverse=True)
+        conc = max(mp.mpf(0), gammas[0] - gammas[1] - gammas[2] - gammas[3])
+        return float(lam[0]), float(-sum(x for x in lam if x < 0)), float(conc)
+
+
+@pytest.mark.parametrize("kind,ident,eps,two_s,j,t", ORACLE_SAMPLES)
+def test_monotones_match_50_digit_oracle(kind, ident, eps, two_s, j, t):
+    s = SpinMagnitude(two_s)
+    if kind == "product":
+        rho0 = product_basis_initial(ident, s)
+    elif kind == "mixed":
+        rho0 = mixed_initial(esp_weighting(ident, eps), s)
+    else:
+        rho0 = pure_initial(esp_weighting(ident, eps), s).to_density()
+    h = spin_star_hamiltonian(j, s)
+    traj = sample_trajectory(h, rho0, EvolutionSpec(t_max=t + 1.0, n_steps=2, t_min=t))
+    exact = oracle_monotones(h, rho0.matrix, s.dim, t)
+    got = (traj.cne[0], traj.negativity[0], traj.concurrence[0])
+    assert np.max(np.abs(np.array(got) - exact)) <= ORACLE_TOL
+
+
+def test_fig2_rows_keep_twice_negativity_below_concurrence(tmp_path):
+    out = tmp_path / "fig2"
+    assert main(["repro", "fig2", "--out", str(out)]) == 0
+    csvs = [p for p in sorted(out.glob("fig2_*.csv")) if not p.name.endswith("_coefficients.csv")]
+    assert csvs
+    for path in csvs:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(2.0 * data[:, 1] <= data[:, 2] + 1e-14), path.name
