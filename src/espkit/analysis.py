@@ -35,12 +35,12 @@ from .dynamics import (
     time_reversed_state,
 )
 from .errors import GuardViolation, ResolutionError, WindowError
-from .hilbert import DensityOperator, Ket, SpinMagnitude, SystemDims, basis_ket_c, partial_trace_c_matrix
+from .hilbert import DensityOperator, Ket, SpinMagnitude, partial_trace_c_matrix
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from .monotones import ENTANGLED_THRESHOLD, cne, negativity
 from .states import (
     BellKind,
-    bell_ket,
+    bell_initial,
     esp_weighting,
     mixed_initial,
     product_basis_initial,
@@ -200,7 +200,7 @@ def fit_short_time(
     points raises :class:`WindowError`.
     """
     lo, hi = window
-    if not 0 < lo < hi:
+    if not 0 < lo < hi < np.inf:
         raise WindowError(f"invalid window [{lo}, {hi}]")
     if n_points < MIN_FIT_POINTS:
         raise WindowError(f"need at least {MIN_FIT_POINTS} points, got {n_points}")
@@ -439,9 +439,7 @@ def _build_bell_pair(family: str):
     def build(params: dict):
         j, s = params["j"], params["s"]
         kind = BellKind(family, params.get("sign", +1), params["p"])
-        pair = bell_ket(kind)
-        amps = np.kron(basis_ket_c(s, s.s), pair.amplitudes)
-        return spin_star_hamiltonian(j, s), Ket(amps, SystemDims.for_spin(s))
+        return spin_star_hamiltonian(j, s), bell_initial(kind, s)
 
     return build
 

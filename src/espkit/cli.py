@@ -2,11 +2,12 @@
 
 Subcommands
 -----------
-``espkit evolve --config cfg.json --out DIR``
+``espkit evolve --config cfg.json [--set SECTION.KEY=VALUE] --out DIR``
     Sample one trajectory; writes ``trajectory.csv`` (header
     ``t,negativity,concurrence,cne,negative_count``) plus a ``manifest.json``
-    with the fully resolved configuration and the run's invariant
-    deviations.  Byte-identical outputs for identical configs.
+    with the run's invariant deviations and its ``config``: every setting,
+    defaults included, itself a runnable config.  Byte-identical outputs
+    for identical configs.
 
 ``espkit repro TARGET --out DIR [--tol-rel X] [--gnuplot-script]``
     Regression targets ``table1``/``table2`` (fitted-versus-analytic
@@ -21,6 +22,12 @@ Subcommands
 ``espkit fit --config cfg.json [--window LO:HI] [--parity even|full]``
     Short-time polynomial fit of the smallest partial-transpose eigenvalue.
 
+A run config has the sections ``model`` (``j``, ``s_c``), ``state``
+(``kind`` plus that kind's keys), ``evolution`` and optionally
+``detection``.  :func:`resolve_config` checks keys and JSON types and hands
+the values to the package's constructors, which own every default and
+range check.
+
 Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 3 numerics error.
 """
@@ -28,15 +35,17 @@ Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import math
 import sys
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
-    TransitionEvent,
     WEIGHTING_LABELS,
     WEIGHTING_TABLE_SIGNS,
     build_mixed_trajectory,
@@ -51,177 +60,206 @@ from .analysis import (
 )
 from .dynamics import EvolutionSpec, Trajectory, sample_trajectory
 from .errors import ConfigError, EspkitError, GuardViolation, NumericalError
-from .hilbert import SpinMagnitude
+from .hilbert import DensityOperator, Ket, SpinMagnitude
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from .monotones import ENTANGLED_THRESHOLD
 from .states import (
     BellKind,
-    bell_ket,
+    EspWeighting,
+    bell_initial,
     esp_weighting,
     mixed_initial,
     product_basis_initial,
     product_initial,
     pure_initial,
 )
-from .hilbert import Ket, SystemDims, basis_ket_c
 
 CSV_HEADER = "t,negativity,concurrence,cne,negative_count"
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
+MIXED_SPEC = EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True)  # classification window
 FIG2_COUPLINGS = ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 0.5, 1.0), (1.0, -0.5, 1.0))
 PURE_RECIPE_SIGNS = {"W7": -1, "W8": -1, "W9": +1, "W10": -1, "W11": -1, "W12": -1, "W13": +1, "W14": -1}
 
 
 # ---------------------------------------------------------------------------
-# configuration handling
+# run configuration: the keys and JSON types of each section are checked here;
+# defaults and value ranges belong to the constructors that consume them
 
-_SCHEMA = {
-    "model": {"j": list, "s_c": (int, float)},
-    "state": {
-        "kind": str,
-        "theta_a": (int, float),
-        "phi_a": (int, float),
-        "theta_b": (int, float),
-        "phi_b": (int, float),
-        "env": (list, type(None)),
-        "family": str,
-        "sign": str,
-        "p": (int, float),
-        "weighting_id": str,
-        "epsilon": (int, float),
-    },
+_NUMBER = (float, int)  # exact JSON types: a boolean is not a number
+_OPTIONAL_NUMBER = (float, int, type(None))
+_WEIGHTING_KEYS = {"weighting_id": (str,), "epsilon": _NUMBER}
+_KEYS = {
+    "model": {"j": (list,), "s_c": _NUMBER},
+    "product": {"theta_a": _NUMBER, "phi_a": _NUMBER, "theta_b": _NUMBER, "phi_b": _NUMBER, "env": (list, type(None))},
+    "bell": {"family": (str,), "sign": (str,), "p": _NUMBER},
+    "mixed_weighting": _WEIGHTING_KEYS,
+    "pure_weighting": _WEIGHTING_KEYS,
     "evolution": {
-        "t_min": (int, float, type(None)),
-        "t_max": (int, float),
-        "n_steps": int,
-        "method": str,
-        "series_order": int,
-        "emit_negative_times": bool,
+        "t_min": _OPTIONAL_NUMBER,
+        "t_max": _NUMBER,
+        "n_steps": (int,),
+        "method": (str,),
+        "series_order": (int,),
+        "emit_negative_times": (bool,),
     },
-    "detection": {"threshold": (int, float), "min_duration": (int, float, type(None))},
-    "output": {"formats": list},
+    "detection": {"threshold": _NUMBER, "min_duration": _OPTIONAL_NUMBER},
+}
+_SECTIONS = dict.fromkeys(("model", "state", "evolution", "detection"), (dict,))
+_JSON_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string", list: "array of numbers", dict: "object"}
+# state kind: (spec constructor, initial-state constructor)
+_STATES = {
+    "product": (ProductSpinSpec, product_initial),
+    "bell": (BellKind, bell_initial),
+    "mixed_weighting": (esp_weighting, mixed_initial),
+    "pure_weighting": (esp_weighting, pure_initial),
 }
 
-_DEFAULTS = {
-    "state": {"theta_a": 0.0, "phi_a": 0.0, "theta_b": 0.0, "phi_b": 0.0, "env": None, "p": 0.0, "sign": "+"},
-    "evolution": {"t_min": None, "method": "exact", "series_order": 3, "emit_negative_times": False},
-    "detection": {"threshold": ENTANGLED_THRESHOLD, "min_duration": None},
-    "output": {"formats": ["csv", "json"]},
-}
 
-_REQUIRED = {"model": ("j", "s_c"), "state": ("kind",), "evolution": ("t_max", "n_steps")}
+def _section(raw, path: str, types: dict, required=()) -> dict:
+    """``raw`` as a JSON object holding only keys of ``types``, each of its JSON type.
 
-
-def _check_section(name: str, section: dict) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name}: expected an object")
-    allowed = _SCHEMA[name]
-    out = dict(_DEFAULTS.get(name, {}))
-    for key, value in section.items():
-        if key not in allowed:
-            raise ConfigError(f"{name}.{key}: unknown key")
-        if not isinstance(value, allowed[key]):
-            raise ConfigError(f"{name}.{key}: expected {allowed[key]}, got {type(value).__name__}")
-        out[key] = value
-    for key in _REQUIRED.get(name, ()):
-        if key not in out:
-            raise ConfigError(f"{name}.{key}: required")
-    return out
+    ``required`` names keys that no constructor asks for by itself.
+    """
+    if type(raw) is not dict:
+        raise ConfigError(f"{path or 'configuration'}: expected object")
+    for key, value in raw.items():
+        where = f"{path}.{key}" if path else key
+        if key not in types:
+            raise ConfigError(f"{json.dumps(where)[1:-1]}: unknown {'key' if path else 'section'}")
+        if type(value) not in types[key] or (type(value) is list and any(type(x) not in _NUMBER for x in value)):
+            expected = " or ".join(_JSON_NAMES.get(t, "null") for t in types[key])
+            raise ConfigError(f"{where}: expected {expected}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{path}.{key}: required" if path else f"{key}: required")
+    return raw
 
 
-def resolve_config(raw: dict) -> dict:
-    """Validate a run configuration and fill in the defaults."""
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be an object")
-    for key in raw:
-        if key not in _SCHEMA:
-            raise ConfigError(f"{key}: unknown section")
-    for required in ("model", "state", "evolution"):
-        if required not in raw:
-            raise ConfigError(f"{required}: required section")
-    cfg = {name: _check_section(name, raw.get(name, {})) for name in _SCHEMA}
-
-    j = cfg["model"]["j"]
-    if len(j) != 3 or not all(isinstance(x, (int, float)) for x in j):
-        raise ConfigError("model.j: expected three numbers")
+def _build(path: str, ctor, **fields):
+    """``ctor(**fields)``, with a missing argument or a rejected value reported at ``path``."""
+    for name, param in inspect.signature(ctor).parameters.items():
+        if param.default is param.empty and name not in fields:
+            raise ConfigError(f"{path}.{name}: required")
     try:
-        SpinMagnitude.from_s(float(cfg["model"]["s_c"]))
-    except ValueError as exc:
-        raise ConfigError(f"model.s_c: {exc}") from None
+        return ctor(**fields)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
-    kind = cfg["state"]["kind"]
-    if kind not in ("product", "bell", "mixed_weighting", "pure_weighting"):
-        raise ConfigError(f"state.kind: unknown kind {kind!r}")
-    if kind in ("mixed_weighting", "pure_weighting"):
-        if "weighting_id" not in cfg["state"]:
-            raise ConfigError("state.weighting_id: required for weighting states")
-        if "epsilon" not in cfg["state"]:
-            raise ConfigError("state.epsilon: required for weighting states")
-    if kind == "bell" and "family" not in cfg["state"]:
-        raise ConfigError("state.family: required for bell states")
-    return cfg
+
+def detection_threshold(value) -> float:
+    """A finite threshold >= 0, from a number or the ``--threshold`` text."""
+    x = float(value)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {value}")
+    return x
+
+
+def dwell_time(value) -> float:
+    """A finite dwell time > 0, from a number or the ``--min-duration`` text."""
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"min_duration must be finite and > 0, got {value}")
+    return x
+
+
+def fit_window(text: str) -> tuple[float, float]:
+    """The ``--window LO:HI`` text as two numbers."""
+    lo, hi = map(float, text.split(":"))
+    return lo, hi
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A parsed run configuration: coupling, environment spin, initial state, sampling plan, detection."""
+
+    j: ExchangeCoupling
+    s: SpinMagnitude
+    kind: str
+    state: ProductSpinSpec | BellKind | EspWeighting
+    initial: Ket | DensityOperator
+    evolution: EvolutionSpec
+    threshold: float = ENTANGLED_THRESHOLD
+    min_duration: float | None = None
+
+    def __post_init__(self):
+        detection_threshold(self.threshold)
+        if self.min_duration is not None:
+            dwell_time(self.min_duration)
+
+    def to_json(self) -> dict:
+        """Every setting, defaults included, as a config that parses back to this one."""
+        st = self.state
+        if self.kind == "product":
+            state = {"theta_a": st.theta_a, "phi_a": st.phi_a, "theta_b": st.theta_b, "phi_b": st.phi_b}
+            state["env"] = st.env_weights
+        elif self.kind == "bell":
+            state = {"family": st.family, "sign": "+" if st.sign > 0 else "-", "p": st.p}
+        else:
+            state = {"weighting_id": st.id, "epsilon": st.epsilon}
+        return {
+            "model": {"j": [self.j.jx, self.j.jy, self.j.jz], "s_c": self.s.s},
+            "state": {"kind": self.kind, **state},
+            "evolution": asdict(self.evolution),
+            "detection": {"threshold": self.threshold, "min_duration": self.min_duration},
+        }
+
+
+def resolve_config(raw) -> RunConfig:
+    """Parse a JSON run configuration into the objects it names.
+
+    A key a constructor needs but the section lacks, or a value it rejects,
+    becomes a :class:`ConfigError` naming the config path.
+    """
+    cfg = _section(raw, "", _SECTIONS, ("model", "state", "evolution"))
+    model = _section(cfg["model"], "model", _KEYS["model"], ("j", "s_c"))
+    j = _build("model.j", ExchangeCoupling.from_sequence, seq=model["j"])
+    s = _build("model.s_c", SpinMagnitude.from_s, s=model["s_c"])
+
+    kind = cfg["state"].get("kind")
+    if type(kind) is not str or kind not in _STATES:
+        raise ConfigError(f"state.kind: expected one of {', '.join(_STATES)}, got {json.dumps(kind)}")
+    state = _section(cfg["state"], "state", {"kind": (str,), **_KEYS[kind]})
+    fields = {key: value for key, value in state.items() if key != "kind"}
+    if "env" in fields:
+        env = fields.pop("env")
+        fields["env_weights"] = None if env is None else tuple(env)
+    if "sign" in fields:
+        if fields["sign"] not in ("+", "-"):
+            raise ConfigError(f'state.sign: expected "+" or "-", got {json.dumps(fields["sign"])}')
+        fields["sign"] = +1 if fields["sign"] == "+" else -1
+    make_spec, make_initial = _STATES[kind]
+    spec = _build("state", make_spec, **fields)
+    initial = _build("state", lambda: make_initial(spec, s))
+
+    evolution = _build("evolution", EvolutionSpec, **_section(cfg["evolution"], "evolution", _KEYS["evolution"]))
+    detection = _section(cfg.get("detection", {}), "detection", _KEYS["detection"])
+    return _build("detection", RunConfig, j=j, s=s, kind=kind, state=spec, initial=initial, evolution=evolution, **detection)
 
 
 def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
     """Apply dotted ``section.key=value`` overrides (values parsed as JSON)."""
-    out = json.loads(json.dumps(cfg))
+    out = json.loads(json.dumps(_section(cfg, "", _SECTIONS)))
     for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set {pair!r}: expected path=value")
-        path, _, text = pair.partition("=")
+        path, eq, text = pair.partition("=")
         keys = path.split(".")
-        if len(keys) != 2:
-            raise ConfigError(f"--set {path!r}: expected section.key")
+        if not eq or len(keys) != 2:
+            raise ConfigError(f"--set {pair!r}: expected section.key=value")
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        node = out.setdefault(keys[0], {})
-        node[keys[1]] = value
+        out.setdefault(keys[0], {})[keys[1]] = value
     return out
 
 
-def build_initial(cfg: dict):
-    """Hamiltonian and initial state from a resolved configuration."""
-    s = SpinMagnitude.from_s(float(cfg["model"]["s_c"]))
-    j = ExchangeCoupling.from_sequence(cfg["model"]["j"])
-    h = spin_star_hamiltonian(j, s)
-    state = cfg["state"]
-    kind = state["kind"]
+def load_config(path: str, overrides: list[str]) -> RunConfig:
+    """Read a JSON run configuration, apply ``--set`` overrides and parse it."""
     try:
-        if kind == "product":
-            env = state["env"]
-            spec = ProductSpinSpec(
-                theta_a=float(state["theta_a"]),
-                phi_a=float(state["phi_a"]),
-                theta_b=float(state["theta_b"]),
-                phi_b=float(state["phi_b"]),
-                env_weights=None if env is None else tuple(float(x) for x in env),
-            )
-            return h, product_initial(spec, s)
-        if kind == "bell":
-            kindspec = BellKind(state["family"], +1 if state["sign"] == "+" else -1, float(state["p"]))
-            pair = bell_ket(kindspec)
-            amps = np.kron(basis_ket_c(s, s.s), pair.amplitudes)
-            return h, Ket(amps, SystemDims.for_spin(s))
-        w = esp_weighting(state["weighting_id"], float(state["epsilon"]))
-        if kind == "mixed_weighting":
-            return h, mixed_initial(w, s)
-        return h, pure_initial(w, s)
-    except ValueError as exc:
-        raise ConfigError(f"state: {exc}") from None
-
-
-def evolution_spec(cfg: dict) -> EvolutionSpec:
-    ev = cfg["evolution"]
-    return EvolutionSpec(
-        t_max=float(ev["t_max"]),
-        n_steps=int(ev["n_steps"]),
-        method=ev["method"],
-        series_order=int(ev["series_order"]),
-        emit_negative_times=bool(ev["emit_negative_times"]),
-        t_min=None if ev["t_min"] is None else float(ev["t_min"]),
-    )
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"{path}: {exc}") from None
+    return resolve_config(apply_overrides(raw, overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -250,27 +288,25 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
+    try:
+        header, *lines = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if header.strip() != CSV_HEADER:
+        raise ConfigError(f"{path}:1: expected header {CSV_HEADER!r}, got {header.strip()!r}")
     rows = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"{path}:1: expected header {CSV_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ConfigError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-            try:
-                rows.append(
-                    (float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), int(parts[4]))
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise ConfigError(f"{path}: no samples")
-    arr = np.array(rows, dtype=np.float64)
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ConfigError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+        try:
+            rows.append((float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), int(parts[4])))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    arr = np.array(rows, dtype=np.float64).reshape(-1, 5)
     try:
         return Trajectory(arr[:, 0], arr[:, 3], arr[:, 1], arr[:, 2], arr[:, 4].astype(np.int64))
     except ValueError as exc:
@@ -283,20 +319,13 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n", encoding="utf-8"
-    )
-
-
-def event_payload(ev: TransitionEvent) -> dict:
-    return {
-        "kind": ev.kind,
-        "t_death": ev.t_death,
-        "t_birth": ev.t_birth,
-        "duration": ev.duration,
-        "trajectory_label": ev.trajectory_label,
-    }
+def write_json(path: Path | str | None, payload: dict) -> None:
+    """Sorted, indented JSON to ``path``, or to stdout when no path is given."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    if path:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +333,15 @@ def event_payload(ev: TransitionEvent) -> dict:
 
 
 def cmd_evolve(args) -> int:
-    cfg = resolve_config(apply_overrides(json.loads(Path(args.config).read_text(encoding="utf-8")), args.set or []))
-    h, initial = build_initial(cfg)
-    traj = sample_trajectory(h, initial, evolution_spec(cfg))
+    cfg = load_config(args.config, args.set or [])
+    traj = sample_trajectory(spin_star_hamiltonian(cfg.j, cfg.s), cfg.initial, cfg.evolution)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", traj)
     manifest = {
         "tool": "espkit",
         "version": __version__,
-        "config": cfg,
+        "config": cfg.to_json(),
         "invariants": {
             "max_trace_deviation": traj.meta["max_trace_deviation"],
             "max_hermiticity_deviation": traj.meta["max_hermiticity_deviation"],
@@ -331,45 +359,33 @@ def cmd_detect(args) -> int:
     label = None
     if traj.times[0] < 0 < traj.times[-1]:
         label = classify_trajectory(traj, threshold=args.threshold, min_duration=args.min_duration).label
-    rows = [event_payload(ev) for ev in events]
-    for row in rows:
-        row["trajectory_label"] = label
+    rows = [asdict(replace(ev, trajectory_label=label)) for ev in events]
     payload = {
         "events": rows,
         "trajectory_label": label,
         "threshold": args.threshold,
         "min_duration": args.min_duration,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    write_json(args.out, payload)
     return 0
 
 
 def cmd_fit(args) -> int:
-    cfg = resolve_config(apply_overrides(json.loads(Path(args.config).read_text(encoding="utf-8")), args.set or []))
-    h, initial = build_initial(cfg)
-    lo, _, hi = args.window.partition(":")
+    cfg = load_config(args.config, args.set or [])
     fit = fit_short_time(
-        exact_cne_function(h, initial),
-        window=(float(lo), float(hi)),
+        exact_cne_function(spin_star_hamiltonian(cfg.j, cfg.s), cfg.initial),
+        window=args.window,
         parity=args.parity,
         n_points=args.points,
     )
     payload = {
-        "window": [float(lo), float(hi)],
+        "window": list(args.window),
         "parity": fit.parity,
         "powers": list(fit.powers),
         "coefficients": {f"c{p}": c for p, c in zip(fit.powers, fit.coefficients)},
         "residual": fit.residual,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    write_json(args.out, payload)
     return 0
 
 
@@ -377,15 +393,29 @@ def cmd_fit(args) -> int:
 # repro targets
 
 
-def _rel_err(fit: float, expected: float, abs_floor: float = 1e-6) -> float:
+def _agrees(fit: float, expected: float, tol_rel: float) -> bool:
+    """Relative agreement; where the closed form vanishes, an absolute floor of 1e-6."""
     if abs(expected) <= 1e-12:
-        return abs(fit)  # compared against the absolute floor
-    return abs(fit - expected) / abs(expected)
+        return abs(fit) <= 1e-6
+    return abs(fit - expected) / abs(expected) <= tol_rel
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else _fmt(value)
+
+
+def write_rows_csv(path: Path, rows: list[dict]) -> None:
+    """Report rows as CSV: header from the keys, None empty, booleans true/false, floats by repr."""
+    lines = [",".join(rows[0])] + [",".join(_csv_cell(v) for v in row.values()) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def repro_table1(out: Path, tol_rel: float) -> dict:
     rows = []
-    all_pass = True
     for state in ("uuu", "uud", "udd"):
         for jtuple in FIG2_COUPLINGS:
             j = ExchangeCoupling(*jtuple)
@@ -395,11 +425,7 @@ def repro_table1(out: Path, tol_rel: float) -> dict:
                     expected = product_cne_quadratic(state, j, s)
                     h = spin_star_hamiltonian(j, s)
                     fit = fit_short_time(exact_cne_function(h, product_basis_initial(state, s)))
-                    if abs(expected) > 1e-12:
-                        ok = abs(fit.c2 - expected) / abs(expected) <= tol_rel
-                    else:
-                        ok = abs(fit.c2) <= 1e-6
-                    all_pass &= ok
+                    ok = _agrees(fit.c2, expected, tol_rel)
                     rows.append(
                         {
                             "state": state,
@@ -415,34 +441,12 @@ def repro_table1(out: Path, tol_rel: float) -> dict:
                     )
             except GuardViolation:
                 continue
-    header = "state,jx,jy,jz,s_c,c2_fit,c2_expected,c0_fit,passed"
-    lines = [header] + [
-        ",".join(
-            (
-                r["state"],
-                _fmt(r["jx"]),
-                _fmt(r["jy"]),
-                _fmt(r["jz"]),
-                _fmt(r["s_c"]),
-                _fmt(r["c2_fit"]),
-                _fmt(r["c2_expected"]),
-                _fmt(r["c0_fit"]),
-                str(r["passed"]).lower(),
-            )
-        )
-        for r in rows
-    ]
-    (out / "table1_coefficients.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return {"target": "table1", "rows": rows, "passed": bool(all_pass)}
-
-
-def _mixed_classification_spec() -> EvolutionSpec:
-    return EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True)
+    write_rows_csv(out / "table1_coefficients.csv", rows)
+    return {"target": "table1", "rows": rows, "passed": all(r["passed"] for r in rows)}
 
 
 def repro_table2(out: Path, tol_rel: float) -> dict:
     rows = []
-    all_pass = True
     s = SpinMagnitude(1)
     for i in range(1, 15):
         wid = f"W{i}"
@@ -458,17 +462,16 @@ def repro_table2(out: Path, tol_rel: float) -> dict:
             )
             checks = {"c0": abs(fit.c0 - exp.c0) <= 1e-6}
             if exp.c2 is not None:
-                checks["c2"] = _rel_err(fit.c2, exp.c2) <= tol_rel
+                checks["c2"] = _agrees(fit.c2, exp.c2, tol_rel)
             if exp.c4 is not None:
                 # the quartic of W6 at positive switch carries an O(1)-in-epsilon
                 # remainder beyond the tabulated 1/epsilon leading term
                 tol_c4 = 0.1 if (wid == "W6" and eps > 0) else tol_rel
-                checks["c4"] = _rel_err(fit.c4, exp.c4) <= tol_c4
-            traj = build_mixed_trajectory(wid, eps, MIXED_J, s, _mixed_classification_spec())
+                checks["c4"] = _agrees(fit.c4, exp.c4, tol_c4)
+            traj = build_mixed_trajectory(wid, eps, MIXED_J, s, MIXED_SPEC)
             label = classify_trajectory(traj, esp_sign=sgn).label
             checks["label"] = label == exp.label
             ok = all(checks.values())
-            all_pass &= ok
             rows.append(
                 {
                     "weighting": wid,
@@ -484,28 +487,8 @@ def repro_table2(out: Path, tol_rel: float) -> dict:
                     "passed": ok,
                 }
             )
-    header = "weighting,epsilon,c0_fit,c0_expected,c2_fit,c2_expected,c4_fit,c4_expected,label,label_expected,passed"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r["weighting"],
-                    _fmt(r["epsilon"]),
-                    _fmt(r["c0_fit"]),
-                    _fmt(r["c0_expected"]),
-                    "" if r["c2_fit"] is None else _fmt(r["c2_fit"]),
-                    "" if r["c2_expected"] is None else _fmt(r["c2_expected"]),
-                    "" if r["c4_fit"] is None else _fmt(r["c4_fit"]),
-                    "" if r["c4_expected"] is None else _fmt(r["c4_expected"]),
-                    r["label"],
-                    r["label_expected"],
-                    str(r["passed"]).lower(),
-                )
-            )
-        )
-    (out / "table2_coefficients.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return {"target": "table2", "rows": rows, "passed": bool(all_pass)}
+    write_rows_csv(out / "table2_coefficients.csv", rows)
+    return {"target": "table2", "rows": rows, "passed": all(r["passed"] for r in rows)}
 
 
 def _j_tag(j: tuple[float, float, float]) -> str:
@@ -553,7 +536,7 @@ def repro_fig2(out: Path, tol_rel: float) -> dict:
             for ev in events
         )
         checks[f"tfd_near_t4_{state}_J{_j_tag(jtuple)}"] = {
-            "events": [event_payload(ev) for ev in events],
+            "events": [asdict(ev) for ev in events],
             "passed": hit,
         }
 
@@ -564,27 +547,23 @@ def repro_fig2(out: Path, tol_rel: float) -> dict:
 def repro_fig4(out: Path, tol_rel: float) -> dict:
     del tol_rel
     rows = []
-    all_pass = True
     s = SpinMagnitude(1)
-    spec = _mixed_classification_spec()
     for i in range(1, 15):
         wid = f"W{i}"
         for sgn in WEIGHTING_TABLE_SIGNS[wid]:
             eps = sgn * 1e-2
-            traj = build_mixed_trajectory(wid, eps, MIXED_J, s, spec)
+            traj = build_mixed_trajectory(wid, eps, MIXED_J, s, MIXED_SPEC)
             name = f"fig4_{wid}_{'plus' if sgn > 0 else 'minus'}.csv"
             write_trajectory_csv(out / name, traj)
             label = classify_trajectory(traj, esp_sign=sgn).label
             ok = label == WEIGHTING_LABELS[wid]
-            all_pass &= ok
             rows.append({"weighting": wid, "epsilon": eps, "label": label, "label_expected": WEIGHTING_LABELS[wid], "passed": ok})
-    return {"target": "fig4", "rows": rows, "passed": bool(all_pass)}
+    return {"target": "fig4", "rows": rows, "passed": all(r["passed"] for r in rows)}
 
 
 def repro_fig5(out: Path, tol_rel: float) -> dict:
     del tol_rel
     rows = []
-    all_pass = True
 
     # two-component weightings: impenetrable, no boundary crossing at either sign
     narrow = EvolutionSpec(t_max=0.3, n_steps=600, emit_negative_times=True)
@@ -597,7 +576,6 @@ def repro_fig5(out: Path, tol_rel: float) -> dict:
             write_trajectory_csv(out / name, traj)
             cls = classify_trajectory(traj, esp_sign=sgn)
             ok = cls.label == "p3" and not cls.crossed_before and not cls.crossed_after
-            all_pass &= ok
             rows.append({"weighting": wid, "epsilon": eps, "label": cls.label, "label_expected": "p3", "passed": ok})
 
     # positive local negativity minimum of W4 at negative switch
@@ -619,7 +597,6 @@ def repro_fig5(out: Path, tol_rel: float) -> dict:
             "passed": w4_ok,
         }
     )
-    all_pass &= w4_ok
 
     # three- and four-component weightings: penetrable, finite-duration transitions
     wide = EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True)
@@ -633,10 +610,9 @@ def repro_fig5(out: Path, tol_rel: float) -> dict:
         cls = classify_trajectory(traj, esp_sign=sgn)
         expected = "p6" if wid in ("W9", "W13") else "p4"
         ok = cls.label == expected and cls.crossed_before and cls.crossed_after
-        all_pass &= ok
         rows.append({"weighting": wid, "epsilon": eps, "label": cls.label, "label_expected": expected, "passed": ok})
 
-    return {"target": "fig5", "rows": rows, "passed": bool(all_pass)}
+    return {"target": "fig5", "rows": rows, "passed": all(r["passed"] for r in rows)}
 
 
 _REPRO_TARGETS = {
@@ -703,15 +679,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_detect = sub.add_parser("detect", help="detect transition events in a trajectory CSV")
     p_detect.add_argument("--traj", required=True)
-    p_detect.add_argument("--threshold", type=float, default=ENTANGLED_THRESHOLD)
-    p_detect.add_argument("--min-duration", type=float, default=None)
+    p_detect.add_argument("--threshold", type=detection_threshold, default=ENTANGLED_THRESHOLD)
+    p_detect.add_argument("--min-duration", type=dwell_time, default=None)
     p_detect.add_argument("--out", default=None)
     p_detect.set_defaults(func=cmd_detect)
 
     p_fit = sub.add_parser("fit", help="short-time polynomial fit of the smallest PT eigenvalue")
     p_fit.add_argument("--config", required=True)
     p_fit.add_argument("--set", action="append", metavar="PATH=VALUE")
-    p_fit.add_argument("--window", default="1e-3:1e-2")
+    p_fit.add_argument("--window", type=fit_window, default="1e-3:1e-2", metavar="LO:HI")
     p_fit.add_argument("--parity", choices=("even", "full"), default="even")
     p_fit.add_argument("--points", type=int, default=17)
     p_fit.add_argument("--out", default=None)
@@ -725,9 +701,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

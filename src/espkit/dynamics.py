@@ -65,14 +65,20 @@ class EvolutionSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if self.series_order not in (1, 2, 3):
             raise ValueError("series_order must be 1, 2 or 3")
+        if not np.isfinite([self.t_max, self.start]).all():
+            raise ValueError(f"time window [{self.start}, {self.t_max}] is not finite")
+        if not self.start < self.t_max:
+            raise ValueError(f"empty time window [{self.start}, {self.t_max}]")
+
+    @property
+    def start(self) -> float:
+        """First sample time: ``t_min`` when given, else 0 or -t_max."""
+        if self.t_min is not None:
+            return self.t_min
+        return -self.t_max if self.emit_negative_times else 0.0
 
     def time_grid(self) -> np.ndarray:
-        t_min = self.t_min
-        if t_min is None:
-            t_min = -self.t_max if self.emit_negative_times else 0.0
-        if not t_min < self.t_max:
-            raise ValueError(f"empty time window [{t_min}, {self.t_max}]")
-        return np.linspace(t_min, self.t_max, self.n_steps + 1)
+        return np.linspace(self.start, self.t_max, self.n_steps + 1)
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,11 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if len(self.times) < 2:
+            raise ValueError(f"need at least two samples, got {len(self.times)}")
+        columns = (self.times, self.cne, self.negativity, self.concurrence)
+        if not all(np.isfinite(c).all() for c in columns):
+            raise ValueError("times and monotones must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 

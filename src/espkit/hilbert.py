@@ -38,6 +38,8 @@ class SpinMagnitude:
 
     @classmethod
     def from_s(cls, s: float) -> "SpinMagnitude":
+        if not np.isfinite(s):
+            raise ValueError(f"spin magnitude {s} is not a half-integer")
         two_s = round(2 * s)
         if abs(2 * s - two_s) > 1e-12:
             raise ValueError(f"spin magnitude {s} is not a half-integer")

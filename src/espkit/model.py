@@ -70,6 +70,11 @@ class ProductSpinSpec:
     phi_b: float = 0.0
     env_weights: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        angles = (self.theta_a, self.phi_a, self.theta_b, self.phi_b)
+        if not np.isfinite([*angles, *(self.env_weights or ())]).all():
+            raise ValueError("spin angles and env weights must be finite")
+
     def resolved_env(self, s: SpinMagnitude) -> np.ndarray:
         if self.env_weights is None:
             w = np.zeros(s.dim)
@@ -81,7 +86,7 @@ class ProductSpinSpec:
         if np.any(w < 0):
             raise ValueError("env weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"env weights sum to {w.sum()!r}, not 1")
+            raise ValueError(f"env weights sum to {float(w.sum())!r}, not 1")
         return w
 
 

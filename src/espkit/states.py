@@ -40,7 +40,7 @@ class BellKind:
     """One member of the Bell family: alpha/beta branch, relative sign, mixing p."""
 
     family: str
-    sign: int
+    sign: int = +1
     p: float = 0.0
 
     def __post_init__(self):
@@ -227,6 +227,11 @@ def pure_initial(w: EspWeighting, s: SpinMagnitude) -> Ket:
         env = basis_ket_c(s, m)
         amps += np.sqrt(weight) * np.kron(env, bell_ket_by_label(label).amplitudes)
     return Ket(amps, dims)
+
+
+def bell_initial(kind: BellKind, s: SpinMagnitude) -> Ket:
+    """Bell-family pair with the environment at its top level: |m=S> ⊗ |pair>."""
+    return Ket(np.kron(basis_ket_c(s, s.s), bell_ket(kind).amplitudes), SystemDims.for_spin(s))
 
 
 def product_initial(spec: ProductSpinSpec, s: SpinMagnitude) -> DensityOperator:

@@ -12,13 +12,13 @@ import espkit
 from espkit.cli import (
     CSV_HEADER,
     apply_overrides,
-    build_initial,
     main,
     read_trajectory_csv,
     resolve_config,
     write_trajectory_csv,
 )
 from espkit.errors import ConfigError
+from espkit.states import BellKind
 
 BASE_CONFIG = {
     "model": {"j": [-0.5, -0.5, -1.0], "s_c": 0.5},
@@ -81,6 +81,88 @@ def test_config_field_errors_name_path():
         resolve_config({"model": {"j": [1, 2, 3], "s_c": 0.5}, "state": {"kind": "product"}, "evolution": {"n_steps": 5}})
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"model": ', "config.json"),
+        ('{"model": {"j": [1, 1, 1], "s_c": 0.5}, "state": {"kind": "product"}, "evolution": {"t_max": NaN, "n_steps": 4}}', "evolution"),
+        ('{"model": {"j": [1, 1, 1], "s_c": 0.5}, "state": {"kind": "product"}, "evolution": {"t_max": Infinity, "n_steps": 4}}', "evolution"),
+        ('{"model": {"j": [NaN, 1, 1], "s_c": 0.5}, "state": {"kind": "product"}, "evolution": {"t_max": 1, "n_steps": 4}}', "model.j"),
+        ('{"model": {"j": [1, 1, 1], "s_c": true}, "state": {"kind": "product"}, "evolution": {"t_max": 1, "n_steps": 4}}', "model.s_c"),
+        ('{"model": {"j": [1, 1, 1], "s_c": 0.5}, "state": {"kind": "product", "p": 0.1}, "evolution": {"t_max": 1, "n_steps": 4}}', "state.p"),
+        ('{"model": {"j": [1, 1, 1], "s_c": 0.5}, "state": {"kind": "bell", "family": "alpha", "sign": "x"}, "evolution": {"t_max": 1, "n_steps": 4}}', "state.sign"),
+    ],
+)
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, text, field):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err
+
+
+@pytest.mark.parametrize(
+    "evolution, field",
+    [
+        ({"n_steps": -3}, "n_steps"),
+        ({"n_steps": True}, "evolution.n_steps"),
+        ({"method": "rk"}, "method"),
+        ({"series_order": 7}, "series_order"),
+        ({"t_min": 2.0, "t_max": 1.0}, "time window"),
+    ],
+)
+def test_evolution_errors_name_field(evolution, field):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["evolution"].update(evolution)
+    with pytest.raises(ConfigError, match=field):
+        resolve_config(cfg)
+
+
+def test_config_and_csv_paths_that_are_directories(tmp_path, capsys):
+    assert main(["evolve", "--config", str(tmp_path), "--out", str(tmp_path / "x")]) == 2
+    assert main(["detect", "--traj", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(str(tmp_path) in line for line in err)
+
+
+def test_set_on_a_non_object_section(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(BASE_CONFIG, model=3))
+    assert main(["evolve", "--config", str(cfg), "--set", "model.j=3", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: model:")
+
+
+def test_output_section_is_unknown(tmp_path):
+    with pytest.raises(ConfigError, match="output: unknown section"):
+        resolve_config(dict(BASE_CONFIG, output={"formats": ["csv"]}))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--traj", "t.csv", "--threshold", "nan"],
+        ["detect", "--traj", "t.csv", "--threshold", "-1"],
+        ["detect", "--traj", "t.csv", "--min-duration", "-1"],
+        ["detect", "--traj", "t.csv", "--min-duration", "0"],
+        ["fit", "--config", "c.json", "--window", "abc"],
+        ["fit", "--config", "c.json", "--window", "1e-3"],
+    ],
+)
+def test_bad_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [["0.0,0.0,0.0,0.0,0"], ["0.0,0.0,0.0,0.0,0", "nan,0.0,0.0,0.0,0", "0.2,0,0,0,0"], []])
+def test_short_or_non_finite_csv_exits_2(tmp_path, capsys, rows):
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    assert main(["detect", "--traj", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err
+
+
 def test_pure_weighting_spin_mismatch_is_config_error(tmp_path):
     bad = json.loads(json.dumps(BASE_CONFIG))
     bad["state"]["kind"] = "pure_weighting"  # W9 needs s_c = 1, not 1/2
@@ -96,9 +178,9 @@ def test_build_initial_bell_state():
             "evolution": {"t_max": 1.0, "n_steps": 10},
         }
     )
-    _, initial = build_initial(cfg)
-    dm = initial.to_density()
+    dm = cfg.initial.to_density()
     assert dm.dims.dim_c == 3
+    assert cfg.state == BellKind("beta", -1, 0.0)
 
 
 def test_detect_constant_zero(tmp_path, capsys):

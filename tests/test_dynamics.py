@@ -5,6 +5,7 @@ from espkit.densemat import hermitian_eigvals
 from espkit.dynamics import (
     EvolutionSpec,
     SpectralPropagator,
+    Trajectory,
     evolve_exact,
     evolve_series,
     integrate_vonneumann,
@@ -231,3 +232,21 @@ def test_evolution_spec_validation():
         EvolutionSpec(t_max=1.0, n_steps=10, method="magic")
     with pytest.raises(ValueError):
         EvolutionSpec(t_max=-1.0, n_steps=10).time_grid()
+    # the window is checked when the plan is made, not when it is sampled
+    for bad in ({"t_max": np.nan}, {"t_max": np.inf}, {"t_max": 1.0, "t_min": -np.inf}, {"t_max": 1.0, "t_min": 2.0}):
+        with pytest.raises(ValueError):
+            EvolutionSpec(n_steps=10, **bad)
+    assert EvolutionSpec(t_max=1.0, n_steps=4, emit_negative_times=True).start == -1.0
+
+
+def test_trajectory_needs_two_finite_samples():
+    t = np.array([0.0, 0.5, 1.0])
+    ok = Trajectory(t, -t, t, t, np.zeros(3, dtype=np.int64))
+    assert len(ok) == 3
+    with pytest.raises(ValueError, match="two samples"):
+        Trajectory(t[:1], t[:1], t[:1], t[:1], np.zeros(1, dtype=np.int64))
+    for column in range(4):
+        arrays = [t.copy() for _ in range(4)]
+        arrays[column][1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(*arrays, np.zeros(3, dtype=np.int64))

@@ -163,3 +163,9 @@ def test_product_spec_env_validation():
         spec.resolved_env(SpinMagnitude(1))
     ok = ProductSpinSpec().resolved_env(SpinMagnitude(2))
     assert np.allclose(ok, [1.0, 0.0, 0.0])
+    for bad in ({"theta_a": np.nan}, {"phi_b": np.inf}, {"env_weights": (np.nan, 1.0)}):
+        with pytest.raises(ValueError, match="finite"):
+            ProductSpinSpec(**bad)
+    for s in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="half-integer"):
+            SpinMagnitude.from_s(s)

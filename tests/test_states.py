@@ -47,6 +47,7 @@ def test_bell_kind_rejects_bad_p():
         BellKind("alpha", +1, 1.0)
     with pytest.raises(ValueError):
         BellKind("alpha", +1, -0.1)
+    assert BellKind("beta") == BellKind("beta", +1, 0.0)
 
 
 def test_weighting_w1():
