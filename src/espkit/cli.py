@@ -12,15 +12,18 @@ Subcommands
 ``espkit repro TARGET --out DIR [--tol-rel X] [--gnuplot-script]``
     Regression targets ``table1``/``table2`` (fitted-versus-analytic
     short-time coefficients) and ``fig2``/``fig4``/``fig5`` (trajectory
-    curve families with structural checks).  Writes per-curve/-row CSVs and
-    a pass/fail JSON; exits 1 when a check fails.
+    curve families with structural checks).  Writes per-row or per-curve
+    CSVs and a pass/fail JSON; exits 1 when a check fails.  ``--tol-rel``
+    (finite, > 0) defaults to 1e-3 for table1 and 1e-2 otherwise;
+    ``--gnuplot-script`` plots a figure target's curves.
 
 ``espkit detect --traj trajectory.csv [--threshold X] [--min-duration T]``
     Transition events (kind, times, duration, near-zero trajectory label
     when the window covers t = 0) as JSON on stdout.
 
-``espkit fit --config cfg.json [--window LO:HI] [--parity even|full]``
-    Short-time polynomial fit of the smallest partial-transpose eigenvalue.
+``espkit fit --config cfg.json [--window LO:HI] [--parity even|full] [--points N]``
+    Short-time polynomial fit of the smallest partial-transpose eigenvalue
+    over 0 < LO < HI, sampled at N >= 12 points.
 
 A run config has the sections ``model`` (``j``, ``s_c``), ``state``
 (``kind`` plus that kind's keys), ``evolution`` and optionally
@@ -28,8 +31,8 @@ A run config has the sections ``model`` (``j``, ``s_c``), ``state``
 the values to the package's constructors, which own every default and
 range check.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or config error,
-3 numerics error.
+Exit codes: 0 success, 1 validation failure, 2 usage or config error
+(one line on stderr), 3 numerics error.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    MIN_FIT_POINTS,
     WEIGHTING_LABELS,
     WEIGHTING_TABLE_SIGNS,
     build_mixed_trajectory,
@@ -77,6 +81,7 @@ from .states import (
 CSV_HEADER = "t,negativity,concurrence,cne,negative_count"
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
+HALF = SpinMagnitude(1)  # S = 1/2
 MIXED_SPEC = EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True)  # classification window
 FIG2_COUPLINGS = ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 0.5, 1.0), (1.0, -0.5, 1.0))
 PURE_RECIPE_SIGNS = {"W7": -1, "W8": -1, "W9": +1, "W10": -1, "W11": -1, "W12": -1, "W13": +1, "W14": -1}
@@ -155,18 +160,28 @@ def detection_threshold(value) -> float:
     return x
 
 
-def dwell_time(value) -> float:
-    """A finite dwell time > 0, from a number or the ``--min-duration`` text."""
+def positive_number(value, name: str = "value") -> float:
+    """A finite number > 0, from a number or the ``--min-duration``/``--tol-rel`` text."""
     x = float(value)
     if not 0.0 < x < math.inf:
-        raise ValueError(f"min_duration must be finite and > 0, got {value}")
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
     return x
 
 
 def fit_window(text: str) -> tuple[float, float]:
-    """The ``--window LO:HI`` text as two numbers."""
+    """The ``--window LO:HI`` text as two numbers with 0 < LO < HI < inf."""
     lo, hi = map(float, text.split(":"))
+    if not 0.0 < lo < hi < math.inf:
+        raise argparse.ArgumentTypeError(f"window must satisfy 0 < LO < HI < inf, got {text}")
     return lo, hi
+
+
+def fit_points(text: str) -> int:
+    """The ``--points`` text as an integer >= ``analysis.MIN_FIT_POINTS``."""
+    n = int(text)
+    if n < MIN_FIT_POINTS:
+        raise argparse.ArgumentTypeError(f"points must be >= {MIN_FIT_POINTS}, got {text}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -185,7 +200,7 @@ class RunConfig:
     def __post_init__(self):
         detection_threshold(self.threshold)
         if self.min_duration is not None:
-            dwell_time(self.min_duration)
+            positive_number(self.min_duration, "min_duration")
 
     def to_json(self) -> dict:
         """Every setting, defaults included, as a config that parses back to this one."""
@@ -266,24 +281,10 @@ def load_config(path: str, overrides: list[str]) -> RunConfig:
 # serialization helpers
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    lines = [CSV_HEADER]
-    for i in range(len(traj)):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(traj.times[i]),
-                    _fmt(traj.negativity[i]),
-                    _fmt(traj.concurrence[i]),
-                    _fmt(traj.cne[i]),
-                    str(int(traj.negative_count[i])),
-                )
-            )
-        )
+    columns = (traj.times, traj.negativity, traj.concurrence, traj.cne, traj.negative_count)
+    rows = zip(*(c.tolist() for c in columns))
+    lines = [CSV_HEADER, *(f"{t!r},{n!r},{c!r},{l!r},{k}" for t, n, c, l, k in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -390,7 +391,27 @@ def cmd_fit(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# repro targets
+# repro targets: each is one loop over a case table and returns its report entries
+# and the curves it sampled, {CSV name: trajectory}, for cmd_repro to write
+
+# z-basis product state, coupling, environment spin (table1, fig2)
+PRODUCT_CASES = tuple(
+    (state, ExchangeCoupling(*j), SpinMagnitude(two_s))
+    for state in ("uuu", "uud", "udd") for j in FIG2_COUPLINGS for two_s in (1, 2)
+)
+# Bell weighting at each tabulated sign of the switch (table2, fig4)
+MIXED_CASES = tuple((wid, sgn * 1e-2) for wid, signs in WEIGHTING_TABLE_SIGNS.items() for sgn in signs)
+# weighting, switch, window, expected label (fig5): the two-component
+# weightings are impenetrable at either sign, the three- and four-component
+# ones cross the boundary on both sides at their recipe sign
+FIG5_CASES = tuple(
+    (f"W{i}", sgn * 1e-2, EvolutionSpec(t_max=0.3, n_steps=600, emit_negative_times=True), "p3")
+    for i in range(1, 7)
+    for sgn in (+1, -1)
+) + tuple(
+    (wid, sgn * 1e-2, EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True), "p6" if wid in ("W9", "W13") else "p4")
+    for wid, sgn in PURE_RECIPE_SIGNS.items()
+)
 
 
 def _agrees(fit: float, expected: float, tol_rel: float) -> bool:
@@ -405,7 +426,7 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    return value if isinstance(value, str) else _fmt(value)
+    return value if isinstance(value, str) else repr(float(value))
 
 
 def write_rows_csv(path: Path, rows: list[dict]) -> None:
@@ -414,171 +435,129 @@ def write_rows_csv(path: Path, rows: list[dict]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def repro_table1(out: Path, tol_rel: float) -> dict:
+def _label_row(curves: dict, target: str, wid: str, eps: float, traj: Trajectory, expected: str) -> dict:
+    """A label row: ``traj`` classified at the sign of ``eps``, filed in ``curves`` as ``<target>_<W>_<plus|minus>.csv``."""
+    sign = 1 if eps > 0 else -1
+    curves[f"{target}_{wid}_{'plus' if sign > 0 else 'minus'}.csv"] = traj
+    label = classify_trajectory(traj, esp_sign=sign).label
+    return {"weighting": wid, "epsilon": eps, "label": label, "label_expected": expected, "passed": label == expected}
+
+
+def repro_table1(out: Path, tol_rel: float) -> tuple[dict, dict]:
     rows = []
-    for state in ("uuu", "uud", "udd"):
-        for jtuple in FIG2_COUPLINGS:
-            j = ExchangeCoupling(*jtuple)
-            try:
-                for two_s in (1, 2):
-                    s = SpinMagnitude(two_s)
-                    expected = product_cne_quadratic(state, j, s)
-                    h = spin_star_hamiltonian(j, s)
-                    fit = fit_short_time(exact_cne_function(h, product_basis_initial(state, s)))
-                    ok = _agrees(fit.c2, expected, tol_rel)
-                    rows.append(
-                        {
-                            "state": state,
-                            "jx": j.jx,
-                            "jy": j.jy,
-                            "jz": j.jz,
-                            "s_c": s.s,
-                            "c2_fit": fit.c2,
-                            "c2_expected": expected,
-                            "c0_fit": fit.c0,
-                            "passed": ok,
-                        }
-                    )
-            except GuardViolation:
-                continue
+    for state, j, s in PRODUCT_CASES:
+        try:
+            expected = product_cne_quadratic(state, j, s)
+        except GuardViolation:
+            continue
+        fit = fit_short_time(exact_cne_function(spin_star_hamiltonian(j, s), product_basis_initial(state, s)))
+        rows.append(
+            {
+                "state": state,
+                "jx": j.jx,
+                "jy": j.jy,
+                "jz": j.jz,
+                "s_c": s.s,
+                "c2_fit": fit.c2,
+                "c2_expected": expected,
+                "c0_fit": fit.c0,
+                "passed": _agrees(fit.c2, expected, tol_rel),
+            }
+        )
     write_rows_csv(out / "table1_coefficients.csv", rows)
-    return {"target": "table1", "rows": rows, "passed": all(r["passed"] for r in rows)}
+    return {"rows": rows}, {}
 
 
-def repro_table2(out: Path, tol_rel: float) -> dict:
+def repro_table2(out: Path, tol_rel: float) -> tuple[dict, dict]:
     rows = []
-    s = SpinMagnitude(1)
-    for i in range(1, 15):
-        wid = f"W{i}"
-        for sgn in WEIGHTING_TABLE_SIGNS[wid]:
-            eps = sgn * 1e-2
-            exp = weighting_cne_expansion(wid, MIXED_J, eps)
-            fit = fit_short_time(
-                exact_cne_function(
-                    spin_star_hamiltonian(MIXED_J, s), mixed_initial(esp_weighting(wid, eps), s)
-                ),
-                n_points=17,
-                max_power=6,
-            )
-            checks = {"c0": abs(fit.c0 - exp.c0) <= 1e-6}
-            if exp.c2 is not None:
-                checks["c2"] = _agrees(fit.c2, exp.c2, tol_rel)
-            if exp.c4 is not None:
-                # the quartic of W6 at positive switch carries an O(1)-in-epsilon
-                # remainder beyond the tabulated 1/epsilon leading term
-                tol_c4 = 0.1 if (wid == "W6" and eps > 0) else tol_rel
-                checks["c4"] = _agrees(fit.c4, exp.c4, tol_c4)
-            traj = build_mixed_trajectory(wid, eps, MIXED_J, s, MIXED_SPEC)
-            label = classify_trajectory(traj, esp_sign=sgn).label
-            checks["label"] = label == exp.label
-            ok = all(checks.values())
-            rows.append(
-                {
-                    "weighting": wid,
-                    "epsilon": eps,
-                    "c0_fit": fit.c0,
-                    "c0_expected": exp.c0,
-                    "c2_fit": fit.c2 if exp.c2 is not None else None,
-                    "c2_expected": exp.c2,
-                    "c4_fit": fit.c4 if exp.c4 is not None else None,
-                    "c4_expected": exp.c4,
-                    "label": label,
-                    "label_expected": exp.label,
-                    "passed": ok,
-                }
-            )
+    h = spin_star_hamiltonian(MIXED_J, HALF)
+    # the label column is fig4's: the same cases, curves and expected labels
+    labels = repro_fig4(out, tol_rel)[0]["rows"]
+    for (wid, eps), labelled in zip(MIXED_CASES, labels):
+        exp = weighting_cne_expansion(wid, MIXED_J, eps)
+        fit = fit_short_time(exact_cne_function(h, mixed_initial(esp_weighting(wid, eps), HALF)), n_points=17, max_power=6)
+        # the quartic of W6 at positive switch carries an O(1)-in-epsilon
+        # remainder beyond the tabulated 1/epsilon leading term
+        tol_c4 = 0.1 if (wid == "W6" and eps > 0) else tol_rel
+        ok = (
+            abs(fit.c0 - exp.c0) <= 1e-6
+            and (exp.c2 is None or _agrees(fit.c2, exp.c2, tol_rel))
+            and (exp.c4 is None or _agrees(fit.c4, exp.c4, tol_c4))
+        )
+        rows.append(
+            {
+                "weighting": wid,
+                "epsilon": eps,
+                "c0_fit": fit.c0,
+                "c0_expected": exp.c0,
+                "c2_fit": fit.c2 if exp.c2 is not None else None,
+                "c2_expected": exp.c2,
+                "c4_fit": fit.c4 if exp.c4 is not None else None,
+                "c4_expected": exp.c4,
+                **labelled,
+                "passed": bool(ok and labelled["passed"]),
+            }
+        )
     write_rows_csv(out / "table2_coefficients.csv", rows)
-    return {"target": "table2", "rows": rows, "passed": all(r["passed"] for r in rows)}
+    return {"rows": rows}, {}
 
 
-def _j_tag(j: tuple[float, float, float]) -> str:
-    def tag(x: float) -> str:
-        text = ("m" if x < 0 else "") + f"{abs(x):g}".replace(".", "p")
-        return text
-
-    return "_".join(tag(x) for x in j)
+def _j_tag(j: ExchangeCoupling) -> str:
+    return "_".join(("m" if x < 0 else "") + f"{abs(x):g}".replace(".", "p") for x in (j.jx, j.jy, j.jz))
 
 
-def repro_fig2(out: Path, tol_rel: float) -> dict:
-    del tol_rel
-    checks = {}
+def repro_fig2(out: Path, tol_rel: float) -> tuple[dict, dict]:
     spec = EvolutionSpec(t_max=10.0, n_steps=2000)
-    trajectories = {}
-    for state in ("uuu", "uud", "udd"):
-        for jtuple in FIG2_COUPLINGS:
-            for two_s in (1, 2):
-                s = SpinMagnitude(two_s)
-                traj = build_product_trajectory(state, ExchangeCoupling(*jtuple), s, spec)
-                trajectories[(state, jtuple, two_s)] = traj
-                name = f"fig2_{state}_J{_j_tag(jtuple)}_sc{two_s}half.csv"
-                write_trajectory_csv(out / name, traj)
+    trajectories = {(state, j, s): build_product_trajectory(state, j, s, spec) for state, j, s in PRODUCT_CASES}
+    checks = {}
 
     # reversing the in-plane y exchange swaps the all-up and up-down-down curves
-    swap_dev = 0.0
-    for two_s in (1, 2):
-        for j_plus, j_minus in (((1.0, 1.0, 1.0), (1.0, -1.0, 1.0)), ((1.0, 0.5, 1.0), (1.0, -0.5, 1.0))):
-            a = trajectories[("uuu", j_minus, two_s)].negativity
-            b = trajectories[("udd", j_plus, two_s)].negativity
-            swap_dev = max(swap_dev, float(np.max(np.abs(a - b))))
+    swap_dev = max(
+        float(np.max(np.abs(trajectories["uuu", replace(j, jy=-j.jy), s].negativity - trajectories["udd", j, s].negativity)))
+        for state, j, s in PRODUCT_CASES
+        if state == "udd" and j.jy > 0
+    )
     checks["y_negation_swaps_configurations"] = {"max_deviation": swap_dev, "passed": swap_dev <= 1e-8}
 
     # isotropic in-plane exchange: the all-up curve grows slower than dt²
-    h = spin_star_hamiltonian(ExchangeCoupling(1.0, 1.0, 1.0), SpinMagnitude(1))
-    fit = fit_short_time(exact_cne_function(h, product_basis_initial("uuu", SpinMagnitude(1))))
+    h = spin_star_hamiltonian(ExchangeCoupling(1.0, 1.0, 1.0), HALF)
+    fit = fit_short_time(exact_cne_function(h, product_basis_initial("uuu", HALF)))
     checks["isotropic_all_up_quadratic_suppressed"] = {"c2": fit.c2, "passed": abs(fit.c2) <= 1e-6}
 
     # finite-duration transitions around t = 4 for the S=1 curves
-    for state, jtuple in (("uuu", (1.0, 0.5, 1.0)), ("udd", (1.0, -0.5, 1.0))):
-        traj = trajectories[(state, jtuple, 2)]
-        events = detect_transitions(traj)
+    for state, j in (("uuu", ExchangeCoupling(1.0, 0.5, 1.0)), ("udd", ExchangeCoupling(1.0, -0.5, 1.0))):
+        events = detect_transitions(trajectories[state, j, SpinMagnitude(2)])
         hit = any(
             ev.kind == "TFD" and ev.t_death < 4.5 and ev.t_birth > 3.0 and 3.0 <= 0.5 * (ev.t_death + ev.t_birth) <= 5.0
             for ev in events
         )
-        checks[f"tfd_near_t4_{state}_J{_j_tag(jtuple)}"] = {
+        checks[f"tfd_near_t4_{state}_J{_j_tag(j)}"] = {
             "events": [asdict(ev) for ev in events],
             "passed": hit,
         }
 
-    passed = all(c["passed"] for c in checks.values())
-    return {"target": "fig2", "checks": checks, "passed": bool(passed)}
+    curves = {f"fig2_{state}_J{_j_tag(j)}_sc{s.two_s}half.csv": traj for (state, j, s), traj in trajectories.items()}
+    return {"checks": checks}, curves
 
 
-def repro_fig4(out: Path, tol_rel: float) -> dict:
-    del tol_rel
-    rows = []
-    s = SpinMagnitude(1)
-    for i in range(1, 15):
-        wid = f"W{i}"
-        for sgn in WEIGHTING_TABLE_SIGNS[wid]:
-            eps = sgn * 1e-2
-            traj = build_mixed_trajectory(wid, eps, MIXED_J, s, MIXED_SPEC)
-            name = f"fig4_{wid}_{'plus' if sgn > 0 else 'minus'}.csv"
-            write_trajectory_csv(out / name, traj)
-            label = classify_trajectory(traj, esp_sign=sgn).label
-            ok = label == WEIGHTING_LABELS[wid]
-            rows.append({"weighting": wid, "epsilon": eps, "label": label, "label_expected": WEIGHTING_LABELS[wid], "passed": ok})
-    return {"target": "fig4", "rows": rows, "passed": all(r["passed"] for r in rows)}
+def repro_fig4(out: Path, tol_rel: float) -> tuple[dict, dict]:
+    curves = {}
+    rows = [
+        _label_row(curves, "fig4", wid, eps, build_mixed_trajectory(wid, eps, MIXED_J, HALF, MIXED_SPEC), WEIGHTING_LABELS[wid])
+        for wid, eps in MIXED_CASES
+    ]
+    return {"rows": rows}, curves
 
 
-def repro_fig5(out: Path, tol_rel: float) -> dict:
-    del tol_rel
-    rows = []
+def repro_fig5(out: Path, tol_rel: float) -> tuple[dict, dict]:
+    curves = {}
+    rows = [
+        _label_row(curves, "fig5", wid, eps, build_pure_trajectory(wid, eps, MIXED_J, spec), expected)
+        for wid, eps, spec, expected in FIG5_CASES
+    ]
 
-    # two-component weightings: impenetrable, no boundary crossing at either sign
-    narrow = EvolutionSpec(t_max=0.3, n_steps=600, emit_negative_times=True)
-    for i in range(1, 7):
-        wid = f"W{i}"
-        for sgn in (+1, -1):
-            eps = sgn * 1e-2
-            traj = build_pure_trajectory(wid, eps, MIXED_J, narrow)
-            name = f"fig5_{wid}_{'plus' if sgn > 0 else 'minus'}.csv"
-            write_trajectory_csv(out / name, traj)
-            cls = classify_trajectory(traj, esp_sign=sgn)
-            ok = cls.label == "p3" and not cls.crossed_before and not cls.crossed_after
-            rows.append({"weighting": wid, "epsilon": eps, "label": cls.label, "label_expected": "p3", "passed": ok})
-
-    # positive local negativity minimum of W4 at negative switch
+    # positive local negativity minimum of W4 at negative switch, reported
+    # after the twelve impenetrable rows
     traj = build_pure_trajectory("W4", -1e-2, MIXED_J, EvolutionSpec(t_max=0.3, n_steps=3000))
     n = traj.negativity
     interior = np.arange(1, len(n) - 1)
@@ -588,31 +567,17 @@ def repro_fig5(out: Path, tol_rel: float) -> dict:
         and abs(traj.times[minima[0]] - 0.11) <= 0.02
         and n[minima[0]] > ENTANGLED_THRESHOLD
     )
-    rows.append(
+    rows.insert(
+        12,
         {
             "weighting": "W4",
             "epsilon": -1e-2,
             "label": f"local_min_t={traj.times[minima[0]]:.4f}" if minima.size else "no_minimum",
             "label_expected": "local_min_t=0.11+-0.02",
             "passed": w4_ok,
-        }
+        },
     )
-
-    # three- and four-component weightings: penetrable, finite-duration transitions
-    wide = EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True)
-    for i in range(7, 15):
-        wid = f"W{i}"
-        sgn = PURE_RECIPE_SIGNS[wid]
-        eps = sgn * 1e-2
-        traj = build_pure_trajectory(wid, eps, MIXED_J, wide)
-        name = f"fig5_{wid}_{'plus' if sgn > 0 else 'minus'}.csv"
-        write_trajectory_csv(out / name, traj)
-        cls = classify_trajectory(traj, esp_sign=sgn)
-        expected = "p6" if wid in ("W9", "W13") else "p4"
-        ok = cls.label == expected and cls.crossed_before and cls.crossed_after
-        rows.append({"weighting": wid, "epsilon": eps, "label": cls.label, "label_expected": expected, "passed": ok})
-
-    return {"target": "fig5", "rows": rows, "passed": all(r["passed"] for r in rows)}
+    return {"rows": rows}, curves
 
 
 _REPRO_TARGETS = {
@@ -624,33 +589,20 @@ _REPRO_TARGETS = {
 }
 
 
-def _write_gnuplot_script(out: Path, target: str) -> None:
-    curves = sorted(p.name for p in out.glob(f"{target}_*.csv"))
-    if not curves:
-        return
-    lines = [
-        "set datafile separator ','",
-        "set key outside",
-        "set xlabel 't'",
-        "set ylabel 'negativity'",
-        "plot \\",
-    ]
-    for i, name in enumerate(curves):
-        cont = ", \\" if i < len(curves) - 1 else ""
-        lines.append(f"  '{name}' using 1:2 with lines title '{name[:-4]}'{cont}")
-    (out / f"{target}.gp").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def cmd_repro(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    default_tol = {"table1": 1e-3}.get(args.target, 1e-2)
-    tol = args.tol_rel if args.tol_rel is not None else default_tol
-    report = _REPRO_TARGETS[args.target](out, tol)
-    report["tol_rel"] = tol
+    tol = args.tol_rel if args.tol_rel is not None else {"table1": 1e-3}.get(args.target, 1e-2)
+    report, curves = _REPRO_TARGETS[args.target](out, tol)
+    for name, traj in curves.items():
+        write_trajectory_csv(out / name, traj)
+    results = report["checks"].values() if "checks" in report else report["rows"]
+    report.update(target=args.target, passed=all(r["passed"] for r in results), tol_rel=tol)
     write_json(out / f"{args.target}_report.json", report)
-    if args.gnuplot_script:
-        _write_gnuplot_script(out, args.target)
+    if args.gnuplot_script and curves:  # negativity against t for each curve
+        plots = ", \\\n".join(f"  '{name}' using 1:2 with lines title '{name[:-4]}'" for name in sorted(curves))
+        header = "set datafile separator ','\nset key outside\nset xlabel 't'\nset ylabel 'negativity'\nplot \\\n"
+        (out / f"{args.target}.gp").write_text(header + plots + "\n", encoding="utf-8")
     print(f"{args.target}: {'PASS' if report['passed'] else 'FAIL'}")
     return 0 if report["passed"] else 1
 
@@ -659,8 +611,15 @@ def cmd_repro(args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr (exit 2)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="espkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="espkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"espkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -673,14 +632,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro = sub.add_parser("repro", help="run a regression target")
     p_repro.add_argument("target", choices=sorted(_REPRO_TARGETS))
     p_repro.add_argument("--out", required=True)
-    p_repro.add_argument("--tol-rel", type=float, default=None)
+    p_repro.add_argument("--tol-rel", type=positive_number, default=None)
     p_repro.add_argument("--gnuplot-script", action="store_true")
     p_repro.set_defaults(func=cmd_repro)
 
     p_detect = sub.add_parser("detect", help="detect transition events in a trajectory CSV")
     p_detect.add_argument("--traj", required=True)
     p_detect.add_argument("--threshold", type=detection_threshold, default=ENTANGLED_THRESHOLD)
-    p_detect.add_argument("--min-duration", type=dwell_time, default=None)
+    p_detect.add_argument("--min-duration", type=positive_number, default=None)
     p_detect.add_argument("--out", default=None)
     p_detect.set_defaults(func=cmd_detect)
 
@@ -689,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--set", action="append", metavar="PATH=VALUE")
     p_fit.add_argument("--window", type=fit_window, default="1e-3:1e-2", metavar="LO:HI")
     p_fit.add_argument("--parity", choices=("even", "full"), default="even")
-    p_fit.add_argument("--points", type=int, default=17)
+    p_fit.add_argument("--points", type=fit_points, default=17)
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=cmd_fit)
     return parser

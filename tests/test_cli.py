@@ -9,8 +9,11 @@ import pytest
 
 import espkit
 
+from espkit.analysis import WEIGHTING_LABELS
 from espkit.cli import (
     CSV_HEADER,
+    FIG5_CASES,
+    MIXED_CASES,
     apply_overrides,
     main,
     read_trajectory_csv,
@@ -145,13 +148,19 @@ def test_output_section_is_unknown(tmp_path):
         ["detect", "--traj", "t.csv", "--min-duration", "0"],
         ["fit", "--config", "c.json", "--window", "abc"],
         ["fit", "--config", "c.json", "--window", "1e-3"],
+        ["repro", "table1", "--out", "r", "--tol-rel", "nan"],
+        ["repro", "table1", "--out", "r", "--tol-rel", "-1"],
+        ["fit", "--config", "c.json", "--window", "1e-2:1e-3"],
+        ["fit", "--config", "c.json", "--points", "3"],
     ],
 )
 def test_bad_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("rows", [["0.0,0.0,0.0,0.0,0"], ["0.0,0.0,0.0,0.0,0", "nan,0.0,0.0,0.0,0", "0.2,0,0,0,0"], []])
@@ -265,8 +274,33 @@ def test_repro_failure_sets_exit_code(tmp_path):
     assert report["passed"] is False
 
 
-def test_repro_gnuplot_script(tmp_path):
-    out = tmp_path / "f4"
-    assert main(["repro", "fig4", "--out", str(out), "--gnuplot-script"]) == 0
-    script = (out / "fig4.gp").read_text()
-    assert "plot" in script and "fig4_W9_plus" in script
+FIG4_CURVES = {f"W{i}_plus" for i in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13)} | {"W6_minus", "W10_minus", "W14_minus"}
+FIG5_CURVES = {f"W{i}_{sign}" for i in range(1, 7) for sign in ("plus", "minus")} | {
+    "W7_minus", "W8_minus", "W9_plus", "W10_minus", "W11_minus", "W12_minus", "W13_plus", "W14_minus",
+}
+
+
+@pytest.mark.parametrize("target, curves", [("fig4", FIG4_CURVES), ("fig5", FIG5_CURVES)], ids=["fig4", "fig5"])
+def test_repro_gnuplot_script(tmp_path, target, curves):
+    """The curve CSVs a figure target writes, which the benchmark parses by name, and its label rows."""
+    out = tmp_path / target
+    assert main(["repro", target, "--out", str(out), "--gnuplot-script"]) == 0
+    names = {p.name for p in out.glob("*.csv")}
+    assert len(curves) == {"fig4": 15, "fig5": 20}[target]
+    assert names == {f"{target}_{c}.csv" for c in curves}
+    script = (out / f"{target}.gp").read_text()
+    assert script.startswith("set datafile separator") and all(f"'{name}' using 1:2" in script for name in names)
+    rows = json.loads((out / f"{target}_report.json").read_text())["rows"]
+    if target == "fig4":
+        table = [(w, eps, WEIGHTING_LABELS[w]) for w, eps in MIXED_CASES]
+    else:
+        table = [(w, eps, label) for w, eps, _, label in FIG5_CASES]
+        assert rows.pop(12)["label_expected"] == "local_min_t=0.11+-0.02"
+    assert [(r["weighting"], r["epsilon"], r["label_expected"]) for r in rows] == table
+    assert all(r["passed"] for r in rows)
+
+
+def test_repro_table_writes_no_gnuplot_script(tmp_path):
+    out = tmp_path / "t1"
+    assert main(["repro", "table1", "--out", str(out), "--gnuplot-script"]) == 0
+    assert not list(out.glob("*.gp"))
