@@ -168,6 +168,18 @@ def positive_number(value, name: str = "value") -> float:
     return x
 
 
+def _flag(check):
+    """``check`` as an argparse type: its ``ValueError`` message becomes the usage error."""
+
+    def parse(text: str):
+        try:
+            return check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def fit_window(text: str) -> tuple[float, float]:
     """The ``--window LO:HI`` text as two numbers with 0 < LO < HI < inf."""
     lo, hi = map(float, text.split(":"))
@@ -632,14 +644,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro = sub.add_parser("repro", help="run a regression target")
     p_repro.add_argument("target", choices=sorted(_REPRO_TARGETS))
     p_repro.add_argument("--out", required=True)
-    p_repro.add_argument("--tol-rel", type=positive_number, default=None)
+    p_repro.add_argument("--tol-rel", type=_flag(positive_number), default=None)
     p_repro.add_argument("--gnuplot-script", action="store_true")
     p_repro.set_defaults(func=cmd_repro)
 
     p_detect = sub.add_parser("detect", help="detect transition events in a trajectory CSV")
     p_detect.add_argument("--traj", required=True)
-    p_detect.add_argument("--threshold", type=detection_threshold, default=ENTANGLED_THRESHOLD)
-    p_detect.add_argument("--min-duration", type=positive_number, default=None)
+    p_detect.add_argument("--threshold", type=_flag(detection_threshold), default=ENTANGLED_THRESHOLD)
+    p_detect.add_argument("--min-duration", type=_flag(positive_number), default=None)
     p_detect.add_argument("--out", default=None)
     p_detect.set_defaults(func=cmd_detect)
 

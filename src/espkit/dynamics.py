@@ -2,9 +2,10 @@
 
 Exact propagation diagonalizes the Hamiltonian once and reuses the spectrum
 for every sample time; the commutator-series truncation feeds the analytic
-short-time validators; a fourth-order one-step integrator provides an
-independent cross-check.  Negative sample times run the exact propagator
-backwards.
+short-time validators; fourth-order Runge-Kutta on the propagator,
+composed by binary powering of its one-step matrix, provides an
+independent cross-check that never diagonalizes the Hamiltonian.  Negative
+sample times run the propagators backwards.
 
 Trajectory sampling is batched: each method turns the time grid into a
 (T, 4, 4) stack of reduced A-B states, and one call of
@@ -216,33 +217,39 @@ def evolve_series(h, rho0: InitialState, dt: float, order: int = 3) -> np.ndarra
 
 
 def _rk4(h: np.ndarray, rho0: np.ndarray, t_final: float, max_step: float) -> np.ndarray:
-    """Fourth-order one-step integration of d(rho)/dt = -i[h, rho].
+    """Fourth-order Runge-Kutta on the propagator, dU/dt = -i h U, applied as U rho0 U†.
 
-    Fixed step of magnitude at most ``max_step``, adjusted to land exactly
-    on ``t_final``.
+    n = ceil(|t_final| / max_step) steps of dt = t_final / n land exactly on
+    ``t_final``.  One step of the linear equation is the fixed matrix
+    T = I + E with E = sum_{1<=k<=4} (-i h dt)^k / k!, so the n steps are
+    T^n, taken by binary powering in O(log n) matrix products.  Only the
+    increments E and T^n - I are formed: I + E in double precision would
+    round away the low bits of E in every step.
     """
     rho = rho0.copy()
     if t_final == 0.0:
         return rho
     n_steps = int(np.ceil(abs(t_final) / max_step))
-    dt = t_final / n_steps
-    for _ in range(n_steps):
-        k1 = -1j * (h @ rho - rho @ h)
-        r = rho + (0.5 * dt) * k1
-        k2 = -1j * (h @ r - r @ h)
-        r = rho + (0.5 * dt) * k2
-        k3 = -1j * (h @ r - r @ h)
-        r = rho + dt * k3
-        k4 = -1j * (h @ r - r @ h)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
+    a = (-1j * (t_final / n_steps)) * h
+    eye = np.eye(h.shape[0], dtype=np.complex128)
+    step = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)  # T - I by Horner
+    acc = np.zeros_like(step)  # T^m - I for the low bits m of n_steps consumed so far
+    while n_steps:
+        if n_steps & 1:
+            acc = acc + step + acc @ step
+        step = 2.0 * step + step @ step  # T^(2k) - I from T^k - I
+        n_steps >>= 1
+    half = rho + acc @ rho  # (I + acc) rho
+    return half + half @ acc.conj().T
 
 
 def integrate_vonneumann(h, rho0: InitialState, t: float, max_step: float = INTEGRATOR_STEP) -> DensityOperator:
-    """Fourth-order one-step integration of the equation of motion.
+    """rho(t) = U rho0 U† with U from fourth-order Runge-Kutta on dU/dt = -iHU.
 
-    Independent of the spectral path; fixed step (default 1e-4) adjusted to
-    land exactly on t.  Used as the test oracle for exact evolution.
+    Independent of the spectral path: it never diagonalizes H.  Fixed step
+    (default 1e-4) adjusted to land exactly on t; the steps are composed
+    by binary powering of the one-step propagator.  Used as the test oracle
+    for exact evolution.
     """
     m, dims = _initial_matrix(rho0)
     h = as_complex_matrix(h)

@@ -140,27 +140,29 @@ def test_output_section_is_unknown(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,rule",
     [
-        ["detect", "--traj", "t.csv", "--threshold", "nan"],
-        ["detect", "--traj", "t.csv", "--threshold", "-1"],
-        ["detect", "--traj", "t.csv", "--min-duration", "-1"],
-        ["detect", "--traj", "t.csv", "--min-duration", "0"],
-        ["fit", "--config", "c.json", "--window", "abc"],
-        ["fit", "--config", "c.json", "--window", "1e-3"],
-        ["repro", "table1", "--out", "r", "--tol-rel", "nan"],
-        ["repro", "table1", "--out", "r", "--tol-rel", "-1"],
-        ["fit", "--config", "c.json", "--window", "1e-2:1e-3"],
-        ["fit", "--config", "c.json", "--points", "3"],
+        (["detect", "--traj", "t.csv", "--threshold", "nan"], "must be finite and >= 0"),
+        (["detect", "--traj", "t.csv", "--threshold", "-1"], "must be finite and >= 0"),
+        (["detect", "--traj", "t.csv", "--min-duration", "-1"], "must be finite and > 0"),
+        (["detect", "--traj", "t.csv", "--min-duration", "0"], "must be finite and > 0"),
+        (["fit", "--config", "c.json", "--window", "abc"], "invalid fit_window value"),
+        (["fit", "--config", "c.json", "--window", "1e-3"], "invalid fit_window value"),
+        (["repro", "table1", "--out", "r", "--tol-rel", "nan"], "must be finite and > 0"),
+        (["repro", "table1", "--out", "r", "--tol-rel", "-1"], "must be finite and > 0"),
+        (["fit", "--config", "c.json", "--window", "1e-2:1e-3"], "window must satisfy 0 < LO < HI < inf"),
+        (["fit", "--config", "c.json", "--points", "3"], "points must be >= 12"),
     ],
+    ids=[f"argv{i}" for i in range(10)],
 )
-def test_bad_flags_are_usage_errors(argv, capsys):
+def test_bad_flags_are_usage_errors(argv, rule, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+    assert rule in err
 
 
 @pytest.mark.parametrize("rows", [["0.0,0.0,0.0,0.0,0"], ["0.0,0.0,0.0,0.0,0", "nan,0.0,0.0,0.0,0", "0.2,0,0,0,0"], []])

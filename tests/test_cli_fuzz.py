@@ -43,8 +43,7 @@ VALID = (
     },
 )
 
-# "integrator" is left out: its fixed-step RK4 would make a long window slow
-WORDS = ("exact", "series", "+", "-", "alpha", "beta", "W1", "W9", "W99", "product", "bell", "x", "")
+WORDS = ("exact", "series", "integrator", "+", "-", "alpha", "beta", "W1", "W9", "W99", "product", "bell", "x", "")
 NUMBERS = st.one_of(
     st.integers(-2, 64),
     st.floats(-2.0, 2.0),

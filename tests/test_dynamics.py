@@ -1,11 +1,16 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from espkit import densemat, dynamics
 from espkit.densemat import hermitian_eigvals
 from espkit.dynamics import (
     EvolutionSpec,
     SpectralPropagator,
     Trajectory,
+    _rk4,
     evolve_exact,
     evolve_series,
     integrate_vonneumann,
@@ -18,6 +23,9 @@ from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 from espkit.monotones import negativity
 from espkit.states import bell_ket_by_label, esp_weighting, mixed_initial, product_basis_initial
 from espkit.hilbert import DensityOperator, SystemDims, basis_ket_c
+
+
+INTEGRATOR_TOL = 1e-12  # RK4 at the default 1e-4 step against exact evolution
 
 
 def seeded_configs():
@@ -51,7 +59,7 @@ def test_exact_matches_integrator_oracle():
     rho0 = product_basis_initial("uud", s)
     got = evolve_exact(h, rho0, 0.5)
     oracle = integrate_vonneumann(h, rho0, 0.5)
-    assert np.linalg.norm(got.matrix - oracle.matrix) <= 1e-8
+    assert np.linalg.norm(got.matrix - oracle.matrix) <= INTEGRATOR_TOL
 
 
 def test_exact_vs_integrator_seeded_sweep():
@@ -61,7 +69,52 @@ def test_exact_vs_integrator_seeded_sweep():
         for t in (0.5, 1.0, 5.0):
             exact = evolve_exact(h, rho0, t)
             rk = integrate_vonneumann(h, rho0, t)
-            assert np.linalg.norm(exact.matrix - rk.matrix) <= 1e-8
+            assert np.linalg.norm(exact.matrix - rk.matrix) <= INTEGRATOR_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 51])  # odd and even step counts, several bits set
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rk4_powering_matches_step_loop(n, sign):
+    """The powered propagator equals n plain RK4 steps T rho T†, T = sum_{k<=4} (-iH dt)^k / k!."""
+    s = SpinMagnitude(1)
+    h = spin_star_hamiltonian(ExchangeCoupling(0.7, -0.3, 1.2), s)
+    rho0 = mixed_initial(esp_weighting("W9", 0.01), s).matrix
+    max_step = 1e-2
+    t = sign * (n - 0.5) * max_step  # ceil(|t| / max_step) = n steps
+    a = -1j * h * (t / n)
+    step = sum(np.linalg.matrix_power(a, k) / math.factorial(k) for k in range(5))
+    rho = rho0
+    for _ in range(n):
+        rho = step @ rho @ step.conj().T
+    assert np.max(np.abs(_rk4(h, rho0, t, max_step) - rho)) <= 1e-14
+
+
+def test_rk4_zero_time_returns_copy():
+    s = SpinMagnitude(1)
+    h = spin_star_hamiltonian(ExchangeCoupling(1, 1, 1), s)
+    rho0 = product_basis_initial("uud", s).matrix
+    out = _rk4(h, rho0, 0.0, 1e-4)
+    assert np.array_equal(out, rho0) and out is not rho0
+
+
+def test_integrator_never_diagonalizes(monkeypatch):
+    s = SpinMagnitude(1)
+    h = spin_star_hamiltonian(ExchangeCoupling(1, -0.5, 1), s)
+    rho0 = product_basis_initial("udd", s)
+    spec = EvolutionSpec(t_max=0.2, n_steps=8, method="integrator", emit_negative_times=True)
+    exact_state = evolve_exact(h, rho0, 0.2).matrix
+    exact_traj = sample_trajectory(h, rho0, replace(spec, method="exact"))
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("the integrator diagonalized H")
+
+    monkeypatch.setattr(densemat, "hermitian_eig", no_eig)
+    monkeypatch.setattr(dynamics, "hermitian_eig", no_eig)
+    with pytest.raises(AssertionError):
+        evolve_exact(h, rho0, 0.2)  # the patch reaches the spectral path
+    assert np.linalg.norm(integrate_vonneumann(h, rho0, 0.2).matrix - exact_state) <= INTEGRATOR_TOL
+    traj = sample_trajectory(h, rho0, spec)
+    assert np.max(np.abs(traj.cne - exact_traj.cne)) <= INTEGRATOR_TOL
 
 
 def test_exact_preserves_trace_spectrum_energy():
@@ -190,7 +243,7 @@ def test_trajectory_methods_agree():
     spec_rk = EvolutionSpec(t_max=0.5, n_steps=10, method="integrator")
     t_exact = sample_trajectory(h, rho0, spec_exact)
     t_rk = sample_trajectory(h, rho0, spec_rk)
-    assert np.max(np.abs(t_exact.negativity - t_rk.negativity)) <= 1e-8
+    assert np.max(np.abs(t_exact.negativity - t_rk.negativity)) <= INTEGRATOR_TOL
 
 
 def test_series_trajectory_short_window():
