@@ -89,7 +89,11 @@ PURE_RECIPE_SIGNS = {"W7": -1, "W8": -1, "W9": +1, "W10": -1, "W11": -1, "W12": 
 
 # ---------------------------------------------------------------------------
 # run configuration: the keys and JSON types of each section are checked here;
-# defaults and value ranges belong to the constructors that consume them
+# defaults and value ranges belong to the constructors that consume them, except
+# the two size limits below, which bound what a run may allocate
+
+MAX_S_C = 1.5  # largest environment spin: a 16-dimensional Hamiltonian
+MAX_N_STEPS = 10**7  # largest sampling grid: 10**7 + 1 times
 
 _NUMBER = (float, int)  # exact JSON types: a boolean is not a number
 _OPTIONAL_NUMBER = (float, int, type(None))
@@ -148,7 +152,7 @@ def _build(path: str, ctor, **fields):
             raise ConfigError(f"{path}.{name}: required")
     try:
         return ctor(**fields)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: a JSON integer beyond float range
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -242,6 +246,8 @@ def resolve_config(raw) -> RunConfig:
     model = _section(cfg["model"], "model", _KEYS["model"], ("j", "s_c"))
     j = _build("model.j", ExchangeCoupling.from_sequence, seq=model["j"])
     s = _build("model.s_c", SpinMagnitude.from_s, s=model["s_c"])
+    if s.s > MAX_S_C:
+        raise ConfigError(f"model.s_c: at most {MAX_S_C}, got {s.s}")
 
     kind = cfg["state"].get("kind")
     if type(kind) is not str or kind not in _STATES:
@@ -260,6 +266,8 @@ def resolve_config(raw) -> RunConfig:
     initial = _build("state", lambda: make_initial(spec, s))
 
     evolution = _build("evolution", EvolutionSpec, **_section(cfg["evolution"], "evolution", _KEYS["evolution"]))
+    if evolution.n_steps > MAX_N_STEPS:
+        raise ConfigError(f"evolution.n_steps: at most {MAX_N_STEPS}, got {evolution.n_steps}")
     detection = _section(cfg.get("detection", {}), "detection", _KEYS["detection"])
     return _build("detection", RunConfig, j=j, s=s, kind=kind, state=spec, initial=initial, evolution=evolution, **detection)
 

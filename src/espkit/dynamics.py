@@ -7,9 +7,15 @@ composed by binary powering of its one-step matrix, provides an
 independent cross-check that never diagonalizes the Hamiltonian.  Negative
 sample times run the propagators backwards.
 
-Trajectory sampling is batched: each method turns the time grid into a
-(T, 4, 4) stack of reduced A-B states, and one call of
-:func:`espkit.monotones.pair_monotones` evaluates the whole stack.
+Trajectory sampling is batched, CHUNK sample times at a time.  The exact
+and integrator methods propagate the initial ensemble factor B0
+(rho0 = B0 B0†, one column per pure component) rather than rho, regroup
+each B(t) into the factor L of the reduced A-B state, rho_AB = L L†, and
+hand the batches to :func:`espkit.monotones.factor_monotones`; rho_AB is
+positive by construction and never diagonalized.  The series method
+truncates the equation of motion for rho itself, which has no positive
+factor, so it builds a (T, 4, 4) stack of reduced states for
+:func:`espkit.monotones.pair_monotones`.
 """
 
 from __future__ import annotations
@@ -32,11 +38,11 @@ from .hilbert import (
     DensityOperator,
     Ket,
     SpinMagnitude,
-    SystemDims,
+    pair_factor,
     spin_operators,
     trace_out_c,
 )
-from .monotones import CHUNK, MonotoneSample, batches, pair_monotones
+from .monotones import CHUNK, MonotoneSample, batches, factor_monotones, pair_monotones, psd_factor
 
 INTEGRATOR_STEP = 1e-4
 
@@ -156,13 +162,29 @@ class SpectralPropagator:
     def evolve_matrix(self, rho: np.ndarray, t: float) -> np.ndarray:
         return self.evolve_stack(rho, np.array([float(t)]))[0]
 
+    def evolve_factor(self, b0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """B(t) = V (e^{-iwt} ∘ V† B0) for every t, as a (T, n, r) stack.
 
-def _initial_matrix(state: InitialState) -> tuple[np.ndarray, SystemDims]:
-    if isinstance(state, Ket):
-        return state.to_density().matrix, state.dims
-    if isinstance(state, DensityOperator):
-        return state.matrix, state.dims
-    raise TypeError("initial state must be a DensityOperator or Ket")
+        B(t) B(t)† = rho(t) for B0 B0† = rho0.  At t = 0 the stack holds
+        ``b0`` itself.
+        """
+        v = self.spectrum.eigenvectors
+        phases = np.exp(-1j * np.multiply.outer(times, self.spectrum.eigenvalues))
+        out = v @ (phases[:, :, None] * (v.conj().T @ b0))
+        out[times == 0.0] = b0
+        return out
+
+
+def _checked_initial(h, rho0: InitialState) -> tuple[np.ndarray, DensityOperator]:
+    """The Hamiltonian as a complex matrix and the initial state as a density operator of its shape."""
+    if isinstance(rho0, Ket):
+        rho0 = rho0.to_density()
+    if not isinstance(rho0, DensityOperator):
+        raise TypeError("initial state must be a DensityOperator or Ket")
+    h = as_complex_matrix(h)
+    if h.shape != rho0.matrix.shape:
+        raise DimensionError(f"Hamiltonian shape {h.shape} does not match state shape {rho0.matrix.shape}")
+    return h, rho0
 
 
 def evolve_exact(h, rho0: InitialState, t: float) -> DensityOperator:
@@ -170,12 +192,9 @@ def evolve_exact(h, rho0: InitialState, t: float) -> DensityOperator:
 
     Preserves trace, Hermiticity and the spectrum; energy is conserved.
     """
-    m, dims = _initial_matrix(rho0)
-    h = as_complex_matrix(h)
-    if h.shape != m.shape:
-        raise DimensionError(f"Hamiltonian shape {h.shape} does not match state shape {m.shape}")
+    h, rho0 = _checked_initial(h, rho0)
     prop = SpectralPropagator(h)
-    return DensityOperator(prop.evolve_matrix(m, t), dims, validate=False)
+    return DensityOperator(prop.evolve_matrix(rho0.matrix, t), rho0.dims, validate=False)
 
 
 def _series_terms(h: np.ndarray, m: np.ndarray, order: int) -> list[np.ndarray]:
@@ -209,38 +228,43 @@ def evolve_series(h, rho0: InitialState, dt: float, order: int = 3) -> np.ndarra
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    m, _ = _initial_matrix(rho0)
-    h = as_complex_matrix(h)
-    if h.shape != m.shape:
-        raise DimensionError(f"Hamiltonian shape {h.shape} does not match state shape {m.shape}")
-    return _series_stack(_series_terms(h, m, order), np.array([float(dt)]))[0]
+    h, rho0 = _checked_initial(h, rho0)
+    return _series_stack(_series_terms(h, rho0.matrix, order), np.array([float(dt)]))[0]
 
 
-def _rk4(h: np.ndarray, rho0: np.ndarray, t_final: float, max_step: float) -> np.ndarray:
-    """Fourth-order Runge-Kutta on the propagator, dU/dt = -i h U, applied as U rho0 U†.
+def _rk4_increment(h: np.ndarray, t_final: float, max_step: float) -> np.ndarray:
+    """P = U - I for the fourth-order Runge-Kutta propagator U of dU/dt = -i h U over ``t_final``.
 
     n = ceil(|t_final| / max_step) steps of dt = t_final / n land exactly on
     ``t_final``.  One step of the linear equation is the fixed matrix
     T = I + E with E = sum_{1<=k<=4} (-i h dt)^k / k!, so the n steps are
-    T^n, taken by binary powering in O(log n) matrix products.  Only the
-    increments E and T^n - I are formed: I + E in double precision would
-    round away the low bits of E in every step.
+    U = T^n, taken by binary powering in O(log n) matrix products.  Only
+    the increments E and T^n - I are formed: I + E in double precision
+    would round away the low bits of E in every step.  P is zero at
+    ``t_final`` = 0.
     """
-    rho = rho0.copy()
+    acc = np.zeros_like(h)  # T^m - I for the low bits m of n_steps consumed so far
     if t_final == 0.0:
-        return rho
+        return acc
     n_steps = int(np.ceil(abs(t_final) / max_step))
     a = (-1j * (t_final / n_steps)) * h
     eye = np.eye(h.shape[0], dtype=np.complex128)
     step = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)  # T - I by Horner
-    acc = np.zeros_like(step)  # T^m - I for the low bits m of n_steps consumed so far
     while n_steps:
         if n_steps & 1:
             acc = acc + step + acc @ step
         step = 2.0 * step + step @ step  # T^(2k) - I from T^k - I
         n_steps >>= 1
-    half = rho + acc @ rho  # (I + acc) rho
-    return half + half @ acc.conj().T
+    return acc
+
+
+def _rk4(h: np.ndarray, rho0: np.ndarray, t_final: float, max_step: float) -> np.ndarray:
+    """U rho0 U† for the Runge-Kutta propagator U = I + P, as rho0 + P rho0 + rho0 P† + P rho0 P†."""
+    if t_final == 0.0:
+        return rho0.copy()
+    p = _rk4_increment(h, t_final, max_step)
+    half = rho0 + p @ rho0  # (I + P) rho0
+    return half + half @ p.conj().T
 
 
 def integrate_vonneumann(h, rho0: InitialState, t: float, max_step: float = INTEGRATOR_STEP) -> DensityOperator:
@@ -251,11 +275,8 @@ def integrate_vonneumann(h, rho0: InitialState, t: float, max_step: float = INTE
     by binary powering of the one-step propagator.  Used as the test oracle
     for exact evolution.
     """
-    m, dims = _initial_matrix(rho0)
-    h = as_complex_matrix(h)
-    if h.shape != m.shape:
-        raise DimensionError(f"Hamiltonian shape {h.shape} does not match state shape {m.shape}")
-    return DensityOperator(_rk4(h, m, float(t), float(max_step)), dims, validate=False)
+    h, rho0 = _checked_initial(h, rho0)
+    return DensityOperator(_rk4(h, rho0.matrix, float(t), float(max_step)), rho0.dims, validate=False)
 
 
 def time_reversal_unitary(s: SpinMagnitude) -> np.ndarray:
@@ -284,52 +305,49 @@ def _reduced_stack(states_at, times: np.ndarray, dim_c: int) -> np.ndarray:
     return red
 
 
-def _integrator_pairs(h: np.ndarray, m: np.ndarray, dim_c: int, times: np.ndarray) -> np.ndarray:
-    """Reduced RK4 states, stepped sequentially from t = 0 through the grid."""
-    red = np.empty((times.shape[0], 4, 4), dtype=np.complex128)
-    rho, t_prev = m, 0.0
-    for k, t in enumerate(times):
-        rho = _rk4(h, rho, float(t - t_prev), INTEGRATOR_STEP)
-        t_prev = float(t)
-        red[k] = trace_out_c(rho, dim_c)
-    return red
+def _integrator_factors(h: np.ndarray, b0: np.ndarray, times: np.ndarray):
+    """RK4 factors B <- B + P B, stepped sequentially from t = 0 through the grid, one batch at a time."""
+    b, t_prev = b0, 0.0
+    for ts in batches(times):
+        out = np.empty((ts.shape[0], *b0.shape), dtype=np.complex128)
+        for k, t in enumerate(ts):
+            b = b + _rk4_increment(h, float(t - t_prev), INTEGRATOR_STEP) @ b
+            t_prev = float(t)
+            out[k] = b
+        yield out
 
 
 def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajectory:
     """Evolve, trace out the environment and record the monotones per time.
 
     Metadata records the maximum trace/Hermiticity deviations of the
-    reduced matrices and the largest negative eigenvalue mass the
-    concurrence factor dropped.
+    reduced states (for the factor methods the trace deviation is the norm
+    drift of B(t)) and the largest negative eigenvalue mass a factor
+    dropped: 0.0 for a state built with its factor.
     """
-    m, dims = _initial_matrix(initial)
-    h = as_complex_matrix(h)
-    if h.shape != m.shape:
-        raise DimensionError(f"Hamiltonian shape {h.shape} does not match state shape {m.shape}")
+    h, rho0 = _checked_initial(h, initial)
     times = spec.time_grid()
-    dim_c = dims.dim_c
+    dim_c = rho0.dims.dim_c
 
-    if spec.method == "exact":
-        prop = SpectralPropagator(h)
-        red = _reduced_stack(lambda ts: prop.evolve_stack(m, ts), times, dim_c)
-    elif spec.method == "series":
-        terms = _series_terms(h, m, spec.series_order)
-        red = _reduced_stack(lambda ts: _series_stack(terms, ts), times, dim_c)
+    if spec.method == "series":
+        terms = _series_terms(h, rho0.matrix, spec.series_order)
+        mono = pair_monotones(_reduced_stack(lambda ts: _series_stack(terms, ts), times, dim_c))
     else:
-        red = _integrator_pairs(h, m, dim_c, times)
-    mono = pair_monotones(red)
-    drift = [
-        (np.max(np.abs(np.trace(c, axis1=1, axis2=2).real - 1.0)), np.max(np.abs(c - c.conj().swapaxes(1, 2))))
-        for c in batches(red)
-    ]
-    trace_dev, herm_dev = np.max(drift, axis=0)
+        # the constructors give exact factors; a bare matrix is factored once, dropping negative dust
+        b0, clip = (rho0.factor, 0.0) if rho0.factor is not None else psd_factor(rho0.matrix)
+        if spec.method == "exact":
+            prop = SpectralPropagator(h)
+            factors = (prop.evolve_factor(b0, ts) for ts in batches(times))
+        else:
+            factors = _integrator_factors(h, b0, times)
+        mono = factor_monotones((pair_factor(b, dim_c) for b in factors), clip)
 
     meta = {
         "method": spec.method,
         "series_order": spec.series_order if spec.method == "series" else None,
         "dim_c": dim_c,
-        "max_trace_deviation": float(trace_dev),
-        "max_hermiticity_deviation": float(herm_dev),
+        "max_trace_deviation": mono.max_trace_deviation,
+        "max_hermiticity_deviation": mono.max_hermiticity_deviation,
         "max_psd_clip": mono.max_clip,
     }
     return Trajectory(times, mono.cne, mono.negativity, mono.concurrence, mono.negative_count, meta)

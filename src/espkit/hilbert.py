@@ -108,22 +108,34 @@ class Ket:
             raise ValueError(f"ket is not normalized (norm {norm!r})")
 
     def to_density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
+        amps = self.amplitudes
+        return DensityOperator(np.outer(amps, amps.conj()), self.dims, factor=amps[:, None])
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Trace-one Hermitian PSD matrix on a labeled product space."""
+    """Trace-one Hermitian PSD matrix on a labeled product space.
+
+    ``factor``, when given, is an exact ensemble factor B (n x r) with
+    matrix = B B†: one column per pure component, weighted by the square
+    root of its probability.  Sampling propagates B instead of the matrix.
+    """
 
     matrix: np.ndarray
     dims: SystemDims
     validate: bool = field(default=True, repr=False)
+    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         if m.shape != (self.dims.total, self.dims.total):
             raise DimensionError(f"matrix shape {m.shape} does not match dims total {self.dims.total}")
+        if self.factor is not None:
+            b = as_complex_matrix(self.factor)
+            object.__setattr__(self, "factor", b)
+            if b.shape[0] != self.dims.total:
+                raise DimensionError(f"factor shape {b.shape} does not match dims total {self.dims.total}")
         if self.validate:
             validate_density_matrix(m)
 
@@ -220,6 +232,16 @@ def trace_out_c(stack: np.ndarray, dim_c: int) -> np.ndarray:
     """
     lead = stack.shape[:-2]
     return np.einsum("...mimj->...ij", stack.reshape(*lead, dim_c, 4, dim_c, 4))
+
+
+def pair_factor(stack: np.ndarray, dim_c: int) -> np.ndarray:
+    """Batched regrouping of factors: (..., 4*dim_c, r) -> (..., 4, dim_c*r).
+
+    For rho = B B† the result L satisfies Tr_C rho = L L†: every
+    (environment level, column) pair of B becomes one column of L.
+    """
+    lead, r = stack.shape[:-2], stack.shape[-1]
+    return stack.reshape(*lead, dim_c, 4, r).swapaxes(-3, -2).reshape(*lead, 4, dim_c * r)
 
 
 def transpose_b(stack: np.ndarray) -> np.ndarray:

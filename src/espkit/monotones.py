@@ -8,8 +8,13 @@ rho = L L†, the gamma values are the singular values of L^T (σy⊗σy) L,
 so no matrix square root is taken.  Both are local-unitary invariants
 and, for two qubits, vanish together.
 
-Every quantifier is computed on a (T, 4, 4) stack at once by
-:func:`pair_monotones`; the per-matrix functions are thin wrappers.
+Two batched entry points evaluate every quantifier on a whole stack:
+:func:`factor_monotones` on factors L of shape (T, 4, k), the form the
+exact and integrator trajectories are sampled in, and
+:func:`pair_monotones` on (T, 4, 4) matrices, which first factor each
+matrix by its eigendecomposition.  Both use the same partial-transpose
+spectrum and the same Wootters helper; the per-matrix functions are thin
+wrappers over :func:`pair_monotones`.
 """
 
 from __future__ import annotations
@@ -19,14 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .hilbert import PAULI_Y, as_pair_matrix, transpose_b
+from .hilbert import as_pair_matrix, transpose_b
 
 ENTANGLED_THRESHOLD = 1e-9
 CLIP_BUDGET = 1e-9
 NEGATIVE_COUNT_TOL = 1e-12
 CHUNK = 64  # matrices or sample times per batch; bounds the working set of long grids
 
-SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
+YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]  # σy⊗σy = antidiag(-1, 1, 1, -1)
 
 
 @dataclass(frozen=True)
@@ -41,10 +46,15 @@ class MonotoneSample:
 
 @dataclass(frozen=True)
 class PairMonotones:
-    """The quantifiers of a (T, 4, 4) stack, one entry per matrix.
+    """The quantifiers of a stack of states, one entry per state.
 
-    ``max_clip`` is the largest negative-eigenvalue mass of any input
-    matrix, the spectral dust the concurrence factor drops.
+    ``max_clip`` is the largest negative-eigenvalue mass dropped to factor
+    a state, the spectral dust the concurrence factor leaves out (0.0 for
+    states given as factors).  ``max_trace_deviation`` and
+    ``max_hermiticity_deviation`` are the worst |tr rho - 1| and
+    max|rho - rho†| over the stack; for a factor, tr(L L†) is its squared
+    Frobenius norm, so the first measures the norm drift of the propagated
+    factor.
     """
 
     cne: np.ndarray
@@ -52,6 +62,8 @@ class PairMonotones:
     concurrence: np.ndarray
     negative_count: np.ndarray
     max_clip: float
+    max_trace_deviation: float
+    max_hermiticity_deviation: float
 
 
 def batches(stack: np.ndarray) -> list[np.ndarray]:
@@ -89,25 +101,61 @@ def pt_stats(red: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w[..., 0], _negative_mass(w), np.count_nonzero(w < -NEGATIVE_COUNT_TOL, axis=-1)
 
 
-def concurrences(red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Wootters concurrence of each matrix of a stack, and its negative mass.
+def wootters(l: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of rho = L L† for each factor of a (T, 4, k) stack.
 
-    rho = V diag(w) V† gives the factor L = V sqrt(max(w, 0)); the
-    singular values s1 >= ... >= s4 of L^T (σy⊗σy) L are the gamma values,
-    and C = max(0, s1 - s2 - s3 - s4).  The dropped mass sum(max(-w, 0))
-    is returned alongside.
+    The singular values s1 >= s2 >= ... of L^T (σy⊗σy) L are the gamma
+    values; there are min(k, 4) of them and the missing ones are zero, so
+    C = max(0, s1 - s2 - s3 - s4).  A factor wider than four columns is
+    first reduced to the 4x4 factor R† of the same state, from one batched
+    QR decomposition L† = Q R.
     """
-    w, v = _lapack(np.linalg.eigh, _hermitian_part(red))
-    factor = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
-    tau = np.swapaxes(factor, -1, -2) @ (SIGMA_YY @ factor)
+    if l.shape[-1] > 4:
+        l = _lapack(np.linalg.qr, l.conj().swapaxes(-1, -2), mode="r").conj().swapaxes(-1, -2)
+    tau = np.swapaxes(l, -1, -2) @ (YY_SIGNS * l[..., ::-1, :])  # L^T (σy⊗σy) L
     s = _lapack(np.linalg.svd, tau, compute_uv=False)
-    conc = np.maximum(0.0, s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3])
-    return conc, _negative_mass(w)
+    conc = s[..., 0]
+    for k in range(1, s.shape[-1]):
+        conc = conc - s[..., k]
+    return np.maximum(0.0, conc)
+
+
+def psd_factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor L = V sqrt(max(w, 0)) of each matrix of a stack, and the mass it drops.
+
+    rho = V diag(w) V† is the eigendecomposition of the Hermitian part;
+    the dropped mass is sum(max(-w, 0)).
+    """
+    w, v = _lapack(np.linalg.eigh, _hermitian_part(stack))
+    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :], _negative_mass(w)
+
+
+def concurrences(red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wootters concurrence of each matrix of a stack, and its negative mass."""
+    factor, clip = psd_factor(red)
+    return wootters(factor), clip
 
 
 def _check_clip(clip: float) -> None:
     if clip > CLIP_BUDGET:
         raise NumericalError(f"PSD repair clipped {clip:.3e} of spectral mass (budget {CLIP_BUDGET})")
+
+
+def _sample_stats(red: np.ndarray, conc: np.ndarray, clip: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-state columns of one batch: pt_stats, concurrence, clip, trace and Hermiticity drift."""
+    trace_dev = np.abs(np.trace(red, axis1=-2, axis2=-1).real - 1.0)
+    herm_dev = np.max(np.abs(red - red.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    return (*pt_stats(red), conc, clip, trace_dev, herm_dev)
+
+
+def _collect(parts) -> PairMonotones:
+    """Concatenate per-batch columns; raises when a clip exceeds ``CLIP_BUDGET``."""
+    lam, neg, count, conc, clip, trace_dev, herm_dev = (np.concatenate(column) for column in zip(*parts))
+    max_clip = float(np.max(clip))
+    _check_clip(max_clip)
+    return PairMonotones(
+        lam, neg, conc, count.astype(np.int64), max_clip, float(np.max(trace_dev)), float(np.max(herm_dev))
+    )
 
 
 def pair_monotones(red: np.ndarray) -> PairMonotones:
@@ -117,11 +165,20 @@ def pair_monotones(red: np.ndarray) -> PairMonotones:
     :class:`NumericalError` when any matrix carries more than
     ``CLIP_BUDGET`` of negative eigenvalue mass.
     """
-    parts = [(*pt_stats(c), *concurrences(c)) for c in batches(red)]
-    lam, neg, count, conc, clip = (np.concatenate(column) for column in zip(*parts))
-    max_clip = float(np.max(clip))
-    _check_clip(max_clip)
-    return PairMonotones(lam, neg, conc, count.astype(np.int64), max_clip)
+    return _collect(_sample_stats(c, *concurrences(c)) for c in batches(red))
+
+
+def factor_monotones(factors, clip: float = 0.0) -> PairMonotones:
+    """The quantifiers of rho_AB = L L† for every factor of an iterable of (T_i, 4, k) batches.
+
+    λ* comes from the spectrum of (L L†)^{T_B}, the concurrence from
+    :func:`wootters` on L itself.  ``clip`` is the negative mass dropped
+    when the factor was made, reported for every state and held to
+    ``CLIP_BUDGET``.
+    """
+    return _collect(
+        _sample_stats(l @ l.conj().swapaxes(-1, -2), wootters(l), np.full(l.shape[0], clip)) for l in factors
+    )
 
 
 def cne(rho) -> tuple[float, int]:

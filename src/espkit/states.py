@@ -183,14 +183,19 @@ def custom_weighting(weights, epsilon: float = 0.0) -> EspWeighting:
 
 
 def bell_mixture(w: EspWeighting) -> DensityOperator:
-    """Classical Bell mixture on the A-B pair: sum_i w_i |i><i|."""
+    """Classical Bell mixture on the A-B pair: sum_i w_i |i><i|.
+
+    Its factor has one column sqrt(w_i) |i> per nonzero weight.
+    """
     m = np.zeros((4, 4), dtype=np.complex128)
+    columns = []
     for weight, label in zip(w.weights, BELL_ORDER):
         if weight == 0.0:
             continue
         amps = bell_ket_by_label(label).amplitudes
         m += weight * np.outer(amps, amps.conj())
-    return DensityOperator(m, AB_DIMS)
+        columns.append(np.sqrt(weight) * amps)
+    return DensityOperator(m, AB_DIMS, factor=np.stack(columns, axis=1))
 
 
 def mixed_initial(w: EspWeighting, s: SpinMagnitude) -> DensityOperator:
@@ -201,8 +206,8 @@ def mixed_initial(w: EspWeighting, s: SpinMagnitude) -> DensityOperator:
     """
     env = basis_ket_c(s, s.s)
     env_dm = np.outer(env, env.conj())
-    ab = bell_mixture(w).matrix
-    return DensityOperator(np.kron(env_dm, ab), SystemDims.for_spin(s))
+    ab = bell_mixture(w)
+    return DensityOperator(np.kron(env_dm, ab.matrix), SystemDims.for_spin(s), factor=np.kron(env[:, None], ab.factor))
 
 
 def pure_initial(w: EspWeighting, s: SpinMagnitude) -> Ket:
@@ -235,12 +240,18 @@ def bell_initial(kind: BellKind, s: SpinMagnitude) -> Ket:
 
 
 def product_initial(spec: ProductSpinSpec, s: SpinMagnitude) -> DensityOperator:
-    """Fully separable initial state rho_C ⊗ |a><a| ⊗ |b><b|."""
-    env = np.diag(spec.resolved_env(s)).astype(np.complex128)
+    """Fully separable initial state rho_C ⊗ |a><a| ⊗ |b><b|.
+
+    Its factor has one column sqrt(w_k) |k> ⊗ |a> ⊗ |b> per nonzero
+    environment weight w_k.
+    """
+    weights = spec.resolved_env(s)
     ka = qubit_ket(spec.theta_a, spec.phi_a)
     kb = qubit_ket(spec.theta_b, spec.phi_b)
-    m = np.kron(env, np.kron(np.outer(ka, ka.conj()), np.outer(kb, kb.conj())))
-    return DensityOperator(m, SystemDims.for_spin(s))
+    m = np.kron(np.diag(weights).astype(np.complex128), np.kron(np.outer(ka, ka.conj()), np.outer(kb, kb.conj())))
+    levels = np.flatnonzero(weights)
+    env = np.eye(s.dim)[:, levels] * np.sqrt(weights[levels])
+    return DensityOperator(m, SystemDims.for_spin(s), factor=np.kron(env, np.kron(ka, kb)[:, None]))
 
 
 def product_basis_initial(state: str, s: SpinMagnitude) -> DensityOperator:

@@ -13,6 +13,8 @@ from espkit.analysis import WEIGHTING_LABELS
 from espkit.cli import (
     CSV_HEADER,
     FIG5_CASES,
+    MAX_N_STEPS,
+    MAX_S_C,
     MIXED_CASES,
     apply_overrides,
     main,
@@ -48,6 +50,18 @@ def test_evolve_writes_csv_and_manifest(tmp_path):
     assert manifest["config"]["detection"]["threshold"] == 1e-9  # default recorded
     assert manifest["config"]["evolution"]["method"] == "exact"
     assert manifest["invariants"]["max_trace_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["exact", "integrator"])
+def test_factor_methods_report_no_clip_and_norm_drift(tmp_path, method):
+    """exact and integrator sample rho_AB = L L†: nothing to clip, and the trace drift is B's norm drift."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["evolution"]["method"] = method
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    invariants = json.loads((out / "manifest.json").read_text())["invariants"]
+    assert invariants["max_psd_clip"] == 0.0
+    assert 0.0 <= invariants["max_trace_deviation"] <= 1e-13
 
 
 def test_evolve_deterministic(tmp_path):
@@ -119,6 +133,32 @@ def test_evolution_errors_name_field(evolution, field):
     cfg["evolution"].update(evolution)
     with pytest.raises(ConfigError, match=field):
         resolve_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "section, key, limit, over",
+    [("evolution", "n_steps", MAX_N_STEPS, 10**29), ("model", "s_c", MAX_S_C, 2.0)],
+)
+def test_size_limits_exit_2_naming_the_limit(tmp_path, capsys, section, key, limit, over):
+    """The caps are checked while parsing: at the limit the config resolves, beyond it nothing is allocated."""
+    at_limit = json.loads(json.dumps(BASE_CONFIG))
+    at_limit["model"]["s_c"] = 1.5  # W9 mixture fits any environment spin
+    at_limit[section][key] = limit
+    assert resolve_config(at_limit).to_json()[section][key] == limit
+    bad = json.loads(json.dumps(at_limit))
+    bad[section][key] = over
+    assert main(["evolve", "--config", str(write_config(tmp_path, bad)), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{section}.{key}: at most {limit}" in err
+
+
+@pytest.mark.parametrize("section, key", [("model", "j"), ("model", "s_c"), ("evolution", "t_max"), ("detection", "threshold")])
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, section, key):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg.setdefault(section, {})[key] = [1, 1, 10**400] if key == "j" else 10**400
+    assert main(["evolve", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and section in err
 
 
 def test_config_and_csv_paths_that_are_directories(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """The batched sampling path against the per-matrix chain and a 50-digit oracle."""
 
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from espkit import dynamics
 from espkit.cli import main
 from espkit.dynamics import (
     EvolutionSpec,
@@ -12,10 +15,11 @@ from espkit.dynamics import (
     integrate_vonneumann,
     sample_trajectory,
 )
-from espkit.hilbert import Ket, SpinMagnitude, partial_trace_c_matrix
-from espkit.model import ExchangeCoupling, spin_star_hamiltonian
+from espkit.errors import NumericalError
+from espkit.hilbert import DensityOperator, Ket, SpinMagnitude, partial_trace_c_matrix
+from espkit.model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from espkit.monotones import CHUNK, cne, concurrence, monotone_sample, negativity
-from espkit.states import esp_weighting, mixed_initial, product_basis_initial, pure_initial
+from espkit.states import esp_weighting, mixed_initial, product_basis_initial, product_initial, pure_initial
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
 CHAIN_TOL = 1e-14
@@ -26,6 +30,10 @@ def state_case(kind):
     if kind == "product":
         s = SpinMagnitude(2)
         return spin_star_hamiltonian(ExchangeCoupling(1.0, 0.5, 1.0), s), product_basis_initial("uud", s)
+    if kind == "product_env":  # general angles, three env levels: a 4 x 9 factor of rho_AB
+        s = SpinMagnitude(2)
+        spec = ProductSpinSpec(theta_a=1.1, phi_a=0.4, theta_b=2.3, phi_b=-1.7, env_weights=(0.5, 0.3, 0.2))
+        return spin_star_hamiltonian(ExchangeCoupling(1.0, -0.5, 0.8), s), product_initial(spec, s)
     if kind == "mixed":
         s = SpinMagnitude(1)
         return spin_star_hamiltonian(MIXED_J, s), mixed_initial(esp_weighting("W9", 0.01), s)
@@ -52,7 +60,7 @@ def chain_states(h, initial, spec):
 
 
 @pytest.mark.parametrize("n_samples", [255, 256, 257, 513])  # around multiples of the batch size
-@pytest.mark.parametrize("kind", ["product", "mixed", "pure"])
+@pytest.mark.parametrize("kind", ["product", "product_env", "mixed", "pure"])
 @pytest.mark.parametrize("method", ["exact", "series", "integrator"])
 def test_batched_path_matches_per_matrix_chain(method, kind, n_samples):
     assert 256 % CHUNK == 0
@@ -74,6 +82,56 @@ def test_batched_path_matches_per_matrix_chain(method, kind, n_samples):
         assert abs(traj.concurrence[k] - sample.concurrence) <= CHAIN_TOL
 
 
+@pytest.mark.parametrize("kind", ["product", "product_env", "mixed", "pure"])
+@pytest.mark.parametrize("method", ["exact", "integrator"])
+def test_factor_methods_never_form_rho(monkeypatch, method, kind):
+    """exact and integrator sample from the propagated factor: no full rho(t), no partial trace of one."""
+    h, initial = state_case(kind)
+    spec = EvolutionSpec(t_max=0.5, n_steps=100, method=method, emit_negative_times=True)
+    before = sample_trajectory(h, initial, spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampling formed a full density matrix")
+
+    monkeypatch.setattr(dynamics, "trace_out_c", forbidden)
+    monkeypatch.setattr(SpectralPropagator, "evolve_stack", forbidden)
+    with pytest.raises(AssertionError):
+        sample_trajectory(h, initial, replace(spec, method="series"))  # the patch reaches the rho-stack path
+    after = sample_trajectory(h, initial, spec)
+    for column in ("cne", "negativity", "concurrence", "negative_count"):
+        assert np.array_equal(getattr(after, column), getattr(before, column))
+
+
+def test_trace_deviation_is_the_norm_drift_of_the_factor():
+    """A factor off by 0.1 % in norm shows as 2e-3 of trace drift, whatever the matrix says."""
+    h, initial = state_case("mixed")
+    spec = EvolutionSpec(t_max=0.5, n_steps=20)
+    scaled = DensityOperator(initial.matrix, initial.dims, factor=1.001 * initial.factor)
+    for method in ("exact", "integrator"):
+        meta = sample_trajectory(h, scaled, replace(spec, method=method)).meta
+        assert abs(meta["max_trace_deviation"] - (1.001**2 - 1.0)) <= 1e-12
+        assert meta["max_psd_clip"] == 0.0
+
+
+def test_bare_matrix_is_factored_once_within_the_clip_budget():
+    """A matrix without a factor is factored by eigh at the start; its negative dust is dropped and reported."""
+    h, initial = state_case("mixed")
+    spec = EvolutionSpec(t_max=0.5, n_steps=20)
+    factored = sample_trajectory(h, initial, spec)
+    null = np.zeros(initial.dim)
+    null[4] = 1.0  # environment level m = 0: empty in this state
+
+    def bare(dust):
+        return DensityOperator(initial.matrix - dust * np.outer(null, null), initial.dims, validate=False)
+
+    for dust in (0.0, 1e-10):
+        traj = sample_trajectory(h, bare(dust), spec)
+        assert traj.meta["max_psd_clip"] == pytest.approx(dust, abs=1e-15)
+        assert np.max(np.abs(traj.cne - factored.cne)) <= CHAIN_TOL
+    with pytest.raises(NumericalError, match="clipped"):
+        sample_trajectory(h, bare(1e-8), spec)
+
+
 # (state kind, id, epsilon, environment 2S, coupling, t): next to the 1e-9
 # threshold, and the generic uud point where a square-root concurrence
 # loses ~9 digits
@@ -85,6 +143,11 @@ ORACLE_SAMPLES = [
     ("pure", "W13", 0.01, 3, MIXED_J, 0.06),
     ("mixed", "W9", 0.01, 2, MIXED_J, -0.11),
     ("mixed", "W6", -0.01, 2, MIXED_J, 0.25),
+    # rank-deficient rho_AB where an eigendecomposed factor of it picks up
+    # eigenvalue dust: ~1e-9 of concurrence error, and a nonzero value
+    # where the oracle gives exactly 0
+    ("product", "uud", None, 2, ExchangeCoupling(1, -1, 1), 2.435),
+    ("product", "udd", None, 2, ExchangeCoupling(1, 1, 1), 9.425),
 ]
 
 

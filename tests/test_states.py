@@ -10,6 +10,7 @@ from espkit.states import (
     BellKind,
     EspClass,
     WEIGHTING_IDS,
+    bell_initial,
     bell_ket,
     bell_ket_by_label,
     bell_mixture,
@@ -208,3 +209,43 @@ def test_product_initial_mixed_env_purity():
     spec = ProductSpinSpec(theta_a=np.pi / 2, theta_b=np.pi / 2, env_weights=(0.7, 0.3))
     rho = product_initial(spec, SpinMagnitude(1))
     assert np.isclose(rho.purity(), 0.58, atol=1e-14)
+
+
+FACTOR_TOL = 1e-15
+
+
+def assert_exact_factor(rho, columns):
+    """rho carries an ensemble factor B with B B† = matrix and the given column count."""
+    b = rho.factor
+    assert b.shape == (rho.dim, columns)
+    assert np.max(np.abs(b @ b.conj().T - rho.matrix)) <= FACTOR_TOL
+
+
+def test_product_initial_factor_random_angles_and_env():
+    rng = np.random.default_rng(3)
+    for two_s in (1, 2, 3):
+        for _ in range(8):
+            env = rng.dirichlet(np.ones(two_s + 1))
+            env[rng.integers(two_s + 1)] = 0.0  # one level left empty
+            env /= env.sum()
+            theta_a, theta_b = rng.uniform(0.0, np.pi, 2)
+            phi_a, phi_b = rng.uniform(0.0, 2.0 * np.pi, 2)
+            spec = ProductSpinSpec(theta_a, phi_a, theta_b, phi_b, tuple(env))
+            assert_exact_factor(product_initial(spec, SpinMagnitude(two_s)), np.count_nonzero(env))
+    for state in ("uuu", "uud", "udd"):
+        assert_exact_factor(product_basis_initial(state, SpinMagnitude(2)), 1)
+
+
+@pytest.mark.parametrize("eps", [0.01, -0.01])
+@pytest.mark.parametrize("wid", WEIGHTING_IDS)
+def test_weighting_factors(wid, eps):
+    w = esp_weighting(wid, eps)
+    assert_exact_factor(bell_mixture(w), w.bell_count)
+    assert_exact_factor(mixed_initial(w, SpinMagnitude(2)), w.bell_count)
+    assert_exact_factor(pure_initial(w, w.matched_spin()).to_density(), 1)
+
+
+def test_ket_factors():
+    for kind in (BellKind("alpha", -1, 0.3), BellKind("beta", +1, 0.0)):
+        assert_exact_factor(bell_ket(kind).to_density(), 1)
+        assert_exact_factor(bell_initial(kind, SpinMagnitude(1)).to_density(), 1)
