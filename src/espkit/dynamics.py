@@ -199,6 +199,8 @@ def evolve_exact(h, rho0: InitialState, t: float) -> DensityOperator:
 
 def _series_terms(h: np.ndarray, m: np.ndarray, order: int) -> list[np.ndarray]:
     """rho0, -i[H, rho0] and -(1/2)[H, [H, rho0]]: the dt^k coefficients, k < order."""
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2 or 3")
     terms = [m.astype(np.complex128, copy=True)]
     if order >= 2:
         comm1 = h @ m - m @ h
@@ -226,8 +228,6 @@ def evolve_series(h, rho0: InitialState, dt: float, order: int = 3) -> np.ndarra
     short-time analytic validators, which are derived from exactly these
     truncations.
     """
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
     h, rho0 = _checked_initial(h, rho0)
     return _series_stack(_series_terms(h, rho0.matrix, order), np.array([float(dt)]))[0]
 

@@ -13,8 +13,8 @@ Two batched entry points evaluate every quantifier on a whole stack:
 exact and integrator trajectories are sampled in, and
 :func:`pair_monotones` on (T, 4, 4) matrices, which first factor each
 matrix by its eigendecomposition.  Both use the same partial-transpose
-spectrum and the same Wootters helper; the per-matrix functions are thin
-wrappers over :func:`pair_monotones`.
+spectrum and the same Wootters helper; :func:`cne` and :func:`negativity`
+wrap :func:`pt_stats`, and :func:`concurrence` wraps :func:`concurrences`.
 """
 
 from __future__ import annotations

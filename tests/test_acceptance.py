@@ -59,6 +59,7 @@ from conftest import SEED, random_hermitian
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
 HALF = SpinMagnitude(1)
+DTS = np.array([1e-3, 1e-2])  # short-time sample times of the closed-form and symmetry checks
 FIG2_COUPLINGS = (
     ExchangeCoupling(1, 1, 1),
     ExchangeCoupling(1, -1, 1),
@@ -84,9 +85,9 @@ def test_criterion_1_product_state_coefficients():
         expected = product_cne_quadratic(state, j, s)
         fit = fit_short_time(exact_cne_function(spin_star_hamiltonian(j, s), product_basis_initial(state, s)))
         if abs(expected) > 1e-12:
-            assert abs(fit.c2 - expected) <= 1e-3 * abs(expected), (state, j, s.s, fit.c2, expected)
+            assert abs(fit.coefficient(2) - expected) <= 1e-3 * abs(expected), (state, j, s.s, fit.coefficient(2), expected)
         else:
-            assert abs(fit.c2) <= 1e-6, (state, j, s.s, fit.c2)
+            assert abs(fit.coefficient(2)) <= 1e-6, (state, j, s.s, fit.coefficient(2))
     print("ACCEPTANCE 1 (product-state short-time coefficients): PASS")
 
 
@@ -102,18 +103,18 @@ def test_criterion_2_weighting_coefficients_and_labels():
             fit = fit_short_time(exact_cne_function(h, mixed_initial(w, HALF)), n_points=17, max_power=6)
             # the constant term always follows the partial-transpose spectrum
             c0_expected = float(np.min(0.5 - np.asarray(w.weights)))
-            assert abs(fit.c0 - c0_expected) <= 1e-6, (wid, eps, fit.c0, c0_expected)
+            assert abs(fit.coefficient(0) - c0_expected) <= 1e-6, (wid, eps, fit.coefficient(0), c0_expected)
             if sgn not in WEIGHTING_TABLE_SIGNS[wid]:
                 continue
             exp = weighting_cne_expansion(wid, MIXED_J, eps)
-            assert abs(fit.c0 - exp.c0) <= 1e-6, (wid, eps)
+            assert abs(fit.coefficient(0) - exp.c0) <= 1e-6, (wid, eps)
             if exp.c2 is not None:
-                assert abs(fit.c2 - exp.c2) <= 1e-2 * abs(exp.c2) + 1e-9, (wid, eps, fit.c2, exp.c2)
+                assert abs(fit.coefficient(2) - exp.c2) <= 1e-2 * abs(exp.c2) + 1e-9, (wid, eps, fit.coefficient(2), exp.c2)
             if exp.c4 is not None:
                 # the positive-switch quartic of W6 is the 1/eps-leading part
                 # of the true coefficient; it carries an O(1) remainder
                 tol = 0.1 if (wid == "W6" and eps > 0) else 1e-2
-                assert abs(fit.c4 - exp.c4) <= tol * abs(exp.c4), (wid, eps, fit.c4, exp.c4)
+                assert abs(fit.coefficient(4) - exp.c4) <= tol * abs(exp.c4), (wid, eps, fit.coefficient(4), exp.c4)
             traj = build_mixed_trajectory(wid, eps, MIXED_J, HALF, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
             label = classify_trajectory(traj, esp_sign=sgn).label
             assert label == exp.label, (wid, eps, label, exp.label)
@@ -150,25 +151,24 @@ def test_criterion_4_truncated_series_formulas():
         h = spin_star_hamiltonian(MIXED_J, s)
         env, ta, tb = env_cases[two_s]
         rho0 = product_initial(ProductSpinSpec(theta_a=ta, theta_b=tb, env_weights=env), s)
-        cne_env = truncated_cne_function(h, rho0, 2)
-        for dt in (1e-3, 1e-2):
-            dev = abs(cne_env(dt) - env_diag_pair_cne(MIXED_J, s, env, ta, tb, dt))
+        for dt, lam_env in zip(DTS, truncated_cne_function(h, rho0, 2)(DTS)):
+            dev = abs(lam_env - env_diag_pair_cne(MIXED_J, s, env, ta, tb, dt))
             assert dev <= 1e-8, ("env_diag", two_s, dt, dev)
         for p in (0.0, 0.3, 0.6):
             for sign in (+1, -1):
-                cne_beta = truncated_cne_function(h, _bell_pair_state("beta", sign, p, s), 2)
-                cne_alpha = truncated_cne_function(h, _bell_pair_state("alpha", sign, p, s), 2)
-                for dt in (1e-3, 1e-2):
-                    dev_beta = abs(cne_beta(dt) - beta_pair_cne(MIXED_J, s, p, dt))
+                lams_beta = truncated_cne_function(h, _bell_pair_state("beta", sign, p, s), 2)(DTS)
+                lams_alpha = truncated_cne_function(h, _bell_pair_state("alpha", sign, p, s), 2)(DTS)
+                for dt, lam_beta, lam_alpha in zip(DTS, lams_beta, lams_alpha):
+                    dev_beta = abs(lam_beta - beta_pair_cne(MIXED_J, s, p, dt))
                     assert dev_beta <= 1e-8, ("beta", two_s, p, sign, dt, dev_beta)
-                    dev_alpha = abs(cne_alpha(dt) - alpha_pair_cne(MIXED_J, s, p, dt))
+                    dev_alpha = abs(lam_alpha - alpha_pair_cne(MIXED_J, s, p, dt))
                     worst_alpha = max(worst_alpha, dev_alpha)
                     x = s.s * MIXED_J.jz * dt
                     # the displayed quadratic form truncates the exact
                     # series eigenvalue -(sqrt(1-p^2)/2) sqrt(1+16 x^2);
                     # its own quartic remainder dominates at the larger dt
                     exact_k2 = -np.sqrt(1 - p * p) / 2 * np.sqrt(1 + 16 * x * x)
-                    assert abs(cne_alpha(dt) - exact_k2) <= 1e-12, ("alpha-exact", two_s, p, dt)
+                    assert abs(lam_alpha - exact_k2) <= 1e-12, ("alpha-exact", two_s, p, dt)
                     remainder_bound = max(1e-8, 1.05 * np.sqrt(1 - p * p) / 2 * 32 * x**4)
                     assert dev_alpha <= remainder_bound, ("alpha", two_s, p, sign, dt, dev_alpha)
     print(f"ACCEPTANCE 4 (truncated-series closed forms): PASS (max displayed-form deviation {worst_alpha:.2e})")
@@ -227,9 +227,7 @@ def test_criterion_6_symmetry_suite():
     # local time-even symmetry across every tabulated configuration
     for state, j, s in table1_configs():
         cne_fn = exact_cne_function(spin_star_hamiltonian(j, s), product_basis_initial(state, s))
-        for dt in (1e-3, 1e-2):
-            n_plus = max(0.0, -cne_fn(dt))
-            n_minus = max(0.0, -cne_fn(-dt))
+        for dt, n_plus, n_minus in zip(DTS, np.maximum(0.0, -cne_fn(DTS)), np.maximum(0.0, -cne_fn(-DTS))):
             assert abs(n_plus - n_minus) <= 1e-8, (state, j, s.s, dt)
     h_mixed = spin_star_hamiltonian(MIXED_J, HALF)
     for i in range(1, 15):
@@ -237,9 +235,7 @@ def test_criterion_6_symmetry_suite():
         for sgn in WEIGHTING_TABLE_SIGNS[wid]:
             rho0 = mixed_initial(esp_weighting(wid, sgn * 1e-2), HALF)
             cne_fn = exact_cne_function(h_mixed, rho0)
-            for dt in (1e-3, 1e-2):
-                n_plus = max(0.0, -cne_fn(dt))
-                n_minus = max(0.0, -cne_fn(-dt))
+            for dt, n_plus, n_minus in zip(DTS, np.maximum(0.0, -cne_fn(DTS)), np.maximum(0.0, -cne_fn(-DTS))):
                 assert abs(n_plus - n_minus) <= 1e-8, (wid, sgn, dt)
     print("ACCEPTANCE 6 (symmetry relations): PASS")
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from espkit import analysis, dynamics
 from espkit.analysis import (
     FORMULAS,
+    WEIGHTING_LABELS,
+    WEIGHTING_TABLE_SIGNS,
     build_mixed_trajectory,
     build_product_trajectory,
     build_pure_trajectory,
@@ -16,10 +19,11 @@ from espkit.analysis import (
     validate_formula,
     weighting_cne_expansion,
 )
-from espkit.dynamics import EvolutionSpec, Trajectory, sample_trajectory
+from espkit.dynamics import EvolutionSpec, SpectralPropagator, Trajectory, evolve_series, sample_trajectory
 from espkit.errors import GuardViolation, ResolutionError, WindowError
-from espkit.hilbert import DensityOperator, SpinMagnitude, SystemDims, basis_ket_c
+from espkit.hilbert import DensityOperator, SpinMagnitude, SystemDims, basis_ket_c, partial_trace_c_matrix
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
+from espkit.monotones import CHUNK, cne
 from espkit.states import bell_ket_by_label, esp_weighting, mixed_initial, product_basis_initial
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
@@ -124,8 +128,8 @@ def test_fit_uud_isotropic():
     fit = fit_short_time(exact_cne_function(h, product_basis_initial("uud", s)))
     expected = product_cne_quadratic("uud", j, s)
     assert np.isclose(expected, 0.25 * (2 - np.sqrt(8)), atol=1e-15)
-    assert abs(fit.c2 - expected) <= 1e-3 * abs(expected)
-    assert fit.residual <= 1e-10 * max(1.0, abs(fit.c0))
+    assert abs(fit.coefficient(2) - expected) <= 1e-3 * abs(expected)
+    assert fit.residual <= 1e-10 * max(1.0, abs(fit.coefficient(0)))
 
 
 def test_fit_uuu_anisotropic():
@@ -133,14 +137,14 @@ def test_fit_uuu_anisotropic():
     j = ExchangeCoupling(1, 0.5, 1)
     h = spin_star_hamiltonian(j, s)
     fit = fit_short_time(exact_cne_function(h, product_basis_initial("uuu", s)))
-    assert abs(fit.c2 - (-0.125)) <= 1e-3 * 0.125
+    assert abs(fit.coefficient(2) - (-0.125)) <= 1e-3 * 0.125
 
 
 def test_fit_mixed_w1():
     h = spin_star_hamiltonian(MIXED_J, HALF)
     fit = fit_short_time(exact_cne_function(h, mixed_initial(esp_weighting("W1", 0.01), HALF)))
-    assert abs(fit.c0 - (-0.005)) <= 1e-6
-    assert abs(fit.c2 - 0.12625) <= 1e-3 * 0.12625
+    assert abs(fit.coefficient(0) - (-0.005)) <= 1e-6
+    assert abs(fit.coefficient(2) - 0.12625) <= 1e-3 * 0.12625
 
 
 def test_fit_window_validation():
@@ -152,9 +156,9 @@ def test_fit_window_validation():
 
 def test_fit_full_parity_recovers_odd_series():
     fit = fit_short_time(lambda dt: 0.3 - 2.0 * dt + 5.0 * dt**2, parity="full", max_power=3)
-    assert abs(fit.c0 - 0.3) <= 1e-10
-    assert abs(fit.c1 - (-2.0)) <= 1e-6
-    assert abs(fit.c2 - 5.0) <= 1e-3
+    assert abs(fit.coefficient(0) - 0.3) <= 1e-10
+    assert abs(fit.coefficient(1) - (-2.0)) <= 1e-6
+    assert abs(fit.coefficient(2) - 5.0) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +205,10 @@ def test_alpha_pair_truncation_remainder_structure():
     p = 0.3
     params = {"j": MIXED_J, "s": s, "p": p, "sign": +1}
     h, initial = FORMULAS["alpha_pair"].build(params)
-    cne_fn = truncated_cne_function(h, initial, 2)
-    for dt in (1e-3, 5e-3, 1e-2):
-        x = s.s * MIXED_J.jz * dt
-        closed = -np.sqrt(1 - p * p) / 2 * np.sqrt(1 + 16 * x * x)
-        assert abs(cne_fn(dt) - closed) <= 1e-12
+    dts = np.array([1e-3, 5e-3, 1e-2])
+    x = s.s * MIXED_J.jz * dts
+    closed = -np.sqrt(1 - p * p) / 2 * np.sqrt(1 + 16 * x * x)
+    assert np.max(np.abs(truncated_cne_function(h, initial, 2)(dts) - closed)) <= 1e-12
 
 
 def test_validate_formula_env_diag():
@@ -224,6 +227,134 @@ def test_validate_formula_full_numerics_w6():
     # at dt=1e-2 stays within ten percent of the quartic term itself
     quartic = abs(weighting_cne_expansion("W6", MIXED_J, 0.01).c4) * (1e-2) ** 4
     assert check.rows[-1][3] <= 0.1 * quartic
+
+
+# (weighting, epsilon, label, (c0, c2, c4) at MIXED_J, (c0, c2, c4) at ANISO_J): every tabulated
+# (weighting, sign) pair at |epsilon| = 0.01 and 0.2, as the expansions evaluated before they became one table
+ANISO_J = ExchangeCoupling(0.3, -0.7, 1.1)
+PINNED_EXPANSIONS = [
+    ("W1", 0.01, "p6", (-0.005, 0.12625, None), (-0.005, 0.04545, None)),
+    ("W1", 0.2, "p6", (-0.1, 0.15, None), (-0.1, 0.054, None)),
+    ("W2", 0.01, "p6", (-0.005, 0.0025, None), (-0.005, 0.0009, None)),
+    ("W2", 0.2, "p6", (-0.1, 0.05, None), (-0.1, 0.018, None)),
+    ("W3", 0.01, "p6", (-0.005, 0.12625, None), (-0.005, 0.04545, None)),
+    ("W3", 0.2, "p6", (-0.1, 0.15, None), (-0.1, 0.054, None)),
+    ("W4", 0.01, "p6", (-0.005, 0.0025, None), (-0.005, 0.0049, None)),
+    ("W4", 0.2, "p6", (-0.1, 0.05, None), (-0.1, 0.09799999999999999, None)),
+    ("W5", 0.01, "p6", (-0.005, 0.12625, None), (-0.005, 0.24744999999999998, None)),
+    ("W5", 0.2, "p6", (-0.1, 0.15, None), (-0.1, 0.29399999999999993, None)),
+    ("W6", 0.01, "p3", (-0.005, 0.2525, -1.6149479166666667), (-0.005, 0.2929, -1.1395072499999996)),
+    ("W6", 0.2, "p3", (-0.1, 0.3, -0.13749999999999998), (-0.1, 0.348, -0.09701999999999997)),
+    ("W6", -0.01, "p3", (-0.005, None, -1.5314062499999999), (-0.005, None, -1.0805602499999998)),
+    ("W6", -0.2, "p3", (-0.1, None, -0.05000000000000001), (-0.1, None, -0.03528)),
+    ("W7", 0.01, "p6", (-0.005, 0.064375, None), (-0.005, 0.023175, None)),
+    ("W7", 0.2, "p6", (-0.1, 0.1, None), (-0.1, 0.036, None)),
+    ("W8", 0.01, "p6", (-0.005, 0.064375, None), (-0.005, 0.12617499999999998, None)),
+    ("W8", 0.2, "p6", (-0.1, 0.1, None), (-0.1, 0.19599999999999998, None)),
+    ("W9", 0.01, "p6", (-0.005, 0.190625, None), (-0.005, 0.270625, None)),
+    ("W9", 0.2, "p6", (-0.1, 0.25, None), (-0.1, 0.3299999999999999, None)),
+    ("W10", -0.01, "p4", (0.005, None, -0.008050031565656566), (0.005, None, -0.0056801022727272716)),
+    ("W10", -0.2, "p4", (0.1, None, -0.014062499999999999), (0.1, None, -0.009922499999999997)),
+    ("W11", 0.01, "p6", (-0.005, 0.085, None), (-0.005, 0.0306, None)),
+    ("W11", 0.2, "p6", (-0.1, 0.11666666666666665, None), (-0.1, 0.042, None)),
+    ("W12", 0.01, "p6", (-0.005, 0.085, None), (-0.005, 0.1666, None)),
+    ("W12", 0.2, "p6", (-0.1, 0.11666666666666665, None), (-0.1, 0.2286666666666666, None)),
+    ("W13", 0.01, "p6", (-0.005, 0.17, None), (-0.005, 0.19720000000000001, None)),
+    ("W13", 0.2, "p6", (-0.1, 0.2333333333333333, None), (-0.1, 0.27066666666666667, None)),
+    ("W14", -0.01, "p4", (0.005, None, -0.021685799319727892), (0.005, None, -0.015301499999999997)),
+    ("W14", -0.2, "p4", (0.1, None, -0.05), (0.1, None, -0.03528)),
+]
+
+PINNED_FORMULAS = [
+    ("product_uuu", "full_numerics", 3, 4),
+    ("product_uud", "full_numerics", 3, 4),
+    ("product_udd", "full_numerics", 3, 4),
+    *((f"mixed_W{i}", "full_numerics", 3, 6 if i in (6, 10, 14) else 4) for i in range(1, 15)),
+    ("env_diag_pair", "truncated_series", 2, 4),
+    ("alpha_pair", "truncated_series", 2, 4),
+    ("beta_pair", "truncated_series", 2, 4),
+]
+
+
+@pytest.mark.parametrize("wid, eps, label, at_mixed_j, at_aniso_j", PINNED_EXPANSIONS)
+def test_weighting_expansion_pinned(wid, eps, label, at_mixed_j, at_aniso_j):
+    for j, (c0, c2, c4) in ((MIXED_J, at_mixed_j), (ANISO_J, at_aniso_j)):
+        exp = weighting_cne_expansion(wid, j, eps)
+        assert (exp.c0, exp.c2, exp.c4, exp.label) == (c0, c2, c4, label), (wid, eps, j)
+
+
+def test_weighting_table_is_the_pinned_pairs():
+    tabulated = [(wid, sgn) for wid, signs in WEIGHTING_TABLE_SIGNS.items() for sgn in signs]
+    assert tabulated == [(wid, int(np.sign(eps))) for wid, eps, *_ in PINNED_EXPANSIONS[::2]]
+    assert WEIGHTING_LABELS == {wid: label for wid, _, label, *_ in PINNED_EXPANSIONS}
+
+
+def test_weighting_expansion_rejects_unknown_ids_and_untabulated_signs():
+    for wid in ("W0", "W15", "w1", ""):
+        with pytest.raises(ValueError, match="unknown weighting id"):
+            weighting_cne_expansion(wid, MIXED_J, 0.01)
+    for wid, signs in WEIGHTING_TABLE_SIGNS.items():
+        for eps in (0.01, -0.01, 0.0):
+            if np.sign(eps) not in signs:
+                with pytest.raises(GuardViolation):
+                    weighting_cne_expansion(wid, MIXED_J, eps)
+
+
+def test_formula_table_pinned():
+    assert [(fid, f.mode, f.truncation_order, f.next_order) for fid, f in FORMULAS.items()] == PINNED_FORMULAS
+    with pytest.raises(KeyError):
+        validate_formula("mixed_W15", {"j": MIXED_J, "s": HALF, "epsilon": 0.01})
+
+
+def _formula_params(fid: str) -> dict:
+    """Parameters inside each closed form's guards."""
+    params = {"j": ExchangeCoupling(1.0, -0.5, 1.0) if fid == "product_udd" else MIXED_J, "s": HALF}
+    if fid.startswith("mixed_"):
+        params["epsilon"] = 0.01 * WEIGHTING_TABLE_SIGNS[fid[len("mixed_"):]][0]
+    elif fid == "env_diag_pair":
+        params.update(s=SpinMagnitude(2), env_weights=(0.5, 0.3, 0.2), theta_a=0.6, theta_b=1.1)
+    elif fid in ("alpha_pair", "beta_pair"):
+        params.update(s=SpinMagnitude(3), p=0.3, sign=-1)
+    return params
+
+
+def test_fit_short_time_samples_once():
+    calls = []
+
+    def sampler(dts):
+        calls.append(np.shape(dts))
+        return 0.3 + 5.0 * dts**2
+
+    fit_short_time(sampler, n_points=17)
+    assert calls == [(17,)]
+
+
+def test_samplers_match_per_time_evaluation_across_chunks():
+    """A grid longer than one batch gives, bit for bit, the lambda* of each time evaluated on its own."""
+    s = SpinMagnitude(2)
+    h = spin_star_hamiltonian(ExchangeCoupling(1, 0.5, 1), s)
+    initial = product_basis_initial("uud", s)
+    dts = np.linspace(-0.05, 0.05, 2 * CHUNK + 7)
+    per_time = [cne(partial_trace_c_matrix(SpectralPropagator(h).evolve_matrix(initial.matrix, dt), 3))[0] for dt in dts]
+    assert np.array_equal(exact_cne_function(h, initial)(dts), per_time)
+    truncated = truncated_cne_function(h, initial, 3)
+    series = [cne(partial_trace_c_matrix(evolve_series(h, initial, dt, 3), 3))[0] for dt in dts]
+    assert np.array_equal(truncated(dts), series)
+    assert truncated(dts[:0]).shape == (0,)
+
+
+def test_validate_formula_has_no_per_dt_path(monkeypatch):
+    """Every registered closed form validates with the per-time evolution entry points disabled."""
+
+    def per_dt(*args, **kwargs):
+        raise AssertionError("per-time evolution called")
+
+    monkeypatch.setattr(SpectralPropagator, "evolve_matrix", per_dt)
+    monkeypatch.setattr(dynamics, "evolve_series", per_dt)
+    monkeypatch.setattr(analysis, "evolve_series", per_dt, raising=False)
+    for fid in FORMULAS:
+        check = validate_formula(fid, _formula_params(fid), dts=(1e-3, 3e-3, 1e-2))
+        assert check.passed, (fid, check)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,20 @@ def test_integer_beyond_float_range_exits_2(tmp_path, capsys, section, key):
     assert err.count("\n") == 1 and section in err
 
 
+@pytest.mark.parametrize("path", ["model.j", "model.s_c", "state.theta_a", "evolution.t_max", "evolution.t_min"])
+@pytest.mark.parametrize("number", ["1" + "0" * 400, "-1" + "0" * 400, "1e400", "NaN"])
+def test_number_out_of_float_range_names_its_path(tmp_path, capsys, path, number):
+    """A 401-digit integer, a literal that overflows to infinity, or NaN is rejected while parsing, in one line."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["state"] = {"kind": "product", "theta_a": 0.5}
+    section, key = path.split(".")
+    cfg[section][key] = [1, "NUMBER", 1] if key == "j" else "NUMBER"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg).replace('"NUMBER"', number), encoding="utf-8")
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: number out of range\n"
+
+
 def test_config_and_csv_paths_that_are_directories(tmp_path, capsys):
     assert main(["evolve", "--config", str(tmp_path), "--out", str(tmp_path / "x")]) == 2
     assert main(["detect", "--traj", str(tmp_path)]) == 2

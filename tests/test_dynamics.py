@@ -185,12 +185,12 @@ def test_trajectory_isotropic_inplane_coupling():
     traj_uuu = sample_trajectory(h, rho_uuu, EvolutionSpec(t_max=10.0, n_steps=1000))
     assert np.all(traj_uuu.negativity <= 1e-9)
     fit_uuu = fit_short_time(exact_cne_function(h, rho_uuu))
-    assert abs(fit_uuu.c2) <= 1e-6
+    assert abs(fit_uuu.coefficient(2)) <= 1e-6
 
     rho_udd = product_basis_initial("udd", s)
     fit_udd = fit_short_time(exact_cne_function(h, rho_udd))
-    assert abs(fit_udd.c2) <= 1e-6  # leading order beyond dt²
-    assert fit_udd.c4 < -0.5
+    assert abs(fit_udd.coefficient(2)) <= 1e-6  # leading order beyond dt²
+    assert fit_udd.coefficient(4) < -0.5
     traj_udd = sample_trajectory(h, rho_udd, EvolutionSpec(t_max=10.0, n_steps=1000))
     peak = traj_udd.negativity.max()
     assert peak > 0.1
