@@ -123,20 +123,13 @@ def detect_transitions(
             f"sample spacing {spacing:.3g} exceeds min_duration/3 = {min_duration / 3.0:.3g}"
         )
 
-    below = n <= threshold
+    # zero runs span samples i..j, from the flips of the padded below-threshold mask
+    flips = np.flatnonzero(np.diff(np.concatenate(([False], n <= threshold, [False]))))
     events: list[TransitionEvent] = []
-    i = 0
-    size = len(t)
-    while i < size:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < size and below[j + 1]:
-            j += 1
-        # zero run spans samples i..j
+    last = len(t) - 1
+    for i, j in zip(flips[::2], flips[1::2] - 1):
         has_death = i > 0
-        has_birth = j < size - 1
+        has_birth = j < last
         t_start = _crossing_time(t[i - 1], n[i - 1], t[i], n[i], threshold) if has_death else t[0]
         t_end = _crossing_time(t[j], n[j], t[j + 1], n[j + 1], threshold) if has_birth else t[-1]
         dwell = t_end - t_start
@@ -148,7 +141,6 @@ def detect_transitions(
             elif has_birth:
                 events.append(TransitionEvent("ESB", None, t_end, dwell))
             # a run covering the whole window is never entangled: no event
-        i = j + 1
     return events
 
 
@@ -445,15 +437,13 @@ def validate_formula(
     params: dict,
     mode: str | None = None,
     dts: Sequence[float] = (1e-3, 1e-2),
-    floor: float = 1e-10,
-    safety: float = 3.0,
 ) -> FormulaCheck:
     """Compare a registered closed form against the matching numerics.
 
     ``mode`` defaults to the formula's native mode ("truncated_series"
     evaluates the commutator-series truncation the form was derived at;
     "full_numerics" evaluates exact evolution).  Each dt passes when the
-    deviation stays below max(floor, K dt^q), with q the first neglected
+    deviation stays below max(1e-10, 3 K dt^q), with q the first neglected
     order and K calibrated from a Richardson triple at the smallest dt.
     Numerics and closed form are each evaluated once, on the triple and ``dts``.
     """
@@ -477,7 +467,7 @@ def validate_formula(
     k_est = float(max(d / ref**q for d, ref in zip(devs[:3], refs)))
 
     rows = tuple((float(dt), float(n), float(c), float(d)) for dt, n, c, d in zip(dts, numeric[3:], closed[3:], devs[3:]))
-    tols = tuple(max(floor, safety * k_est * float(dt) ** q) for dt in dts)
+    tols = tuple(max(1e-10, 3.0 * k_est * float(dt) ** q) for dt in dts)
     passed = not any(row[3] > tol for row, tol in zip(rows, tols))
     return FormulaCheck(formula_id, mode, rows, max(r[3] for r in rows), tols, passed)
 
@@ -488,64 +478,46 @@ def validate_formula(
 
 @dataclass(frozen=True)
 class ClassifiedTrajectory:
-    """p-label with the evidence used to assign it."""
+    """p-label with the evidence used to assign it: the window's detected
+    ``events`` and, when lambda*(0) lies on the boundary, the small-|t| fit."""
 
     label: str
     c0: float
     crossed_before: bool
     crossed_after: bool
+    events: list[TransitionEvent]
     diagnostics: dict = field(default_factory=dict)
 
 
 def classify_trajectory(
     traj: Trajectory,
-    esp_sign: int | None = None,
     threshold: float = ENTANGLED_THRESHOLD,
     min_duration: float | None = None,
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> ClassifiedTrajectory:
     """Assign a near-boundary trajectory label from a window around t = 0.
 
-    The window must include negative times.  Entangled at t=0 with
-    dwell-qualified deaths on both sides is p6; with none it is p3.
-    Separable at t=0 with births on both sides is p4; with none, p5.  On
-    the boundary (|lambda*(0)| below ``boundary_tol``) an odd fit leads to
-    p0, otherwise the dip side separates p1 from p2.  Mixed evidence
-    returns "unclassified" with diagnostics.
+    The window must include negative times.  Entangled at t = 0
+    (lambda*(0) < -BOUNDARY_TOL), a dwell-qualified birth before and a
+    death after is p6, neither is p3.  Separable at t = 0 (lambda*(0) >
+    BOUNDARY_TOL), a death before and a birth after is p4, neither is p5.
+    A crossing on one side only is "unclassified".  On the boundary an odd
+    fit leads to p0, otherwise the dip side separates p1 from p2; a poor
+    fit is "unclassified".
     """
     t = traj.times
     if t[0] >= 0 or t[-1] <= 0:
         raise ValueError("classification needs a window covering both sides of t = 0")
     c0 = float(np.interp(0.0, t, traj.cne))
     events = detect_transitions(traj, threshold, min_duration)
-    deaths_after = [ev.t_death for ev in events if ev.t_death is not None and ev.t_death > 0]
-    births_before = [ev.t_birth for ev in events if ev.t_birth is not None and ev.t_birth < 0]
-    deaths_before = [ev.t_death for ev in events if ev.t_death is not None and ev.t_death < 0]
-    births_after = [ev.t_birth for ev in events if ev.t_birth is not None and ev.t_birth > 0]
-    diag = {
-        "c0": c0,
-        "events": events,
-        "esp_sign": esp_sign,
-    }
 
-    if c0 < -boundary_tol:
-        # entangled at t=0: does the surrounding positive run end inside the window?
-        after = bool(deaths_after)
-        before = bool(births_before)
-        if after and before:
-            return ClassifiedTrajectory("p6", c0, before, after, diag)
-        if not after and not before:
-            return ClassifiedTrajectory("p3", c0, False, False, diag)
-        return ClassifiedTrajectory("unclassified", c0, before, after, diag)
-
-    if c0 > boundary_tol:
-        after = bool(births_after)
-        before = bool(deaths_before)
-        if after and before:
-            return ClassifiedTrajectory("p4", c0, before, after, diag)
-        if not after and not before:
-            return ClassifiedTrajectory("p5", c0, False, False, diag)
-        return ClassifiedTrajectory("unclassified", c0, before, after, diag)
+    if abs(c0) > BOUNDARY_TOL:
+        entangled = c0 < 0
+        deaths = [ev.t_death for ev in events if ev.t_death is not None]
+        births = [ev.t_birth for ev in events if ev.t_birth is not None]
+        before = any(x < 0 for x in (births if entangled else deaths))
+        after = any(x > 0 for x in (deaths if entangled else births))
+        label = ("p6" if before else "p3") if entangled else ("p4" if before else "p5")
+        return ClassifiedTrajectory(label if before == after else "unclassified", c0, before, after, events)
 
     # on the boundary: fit the small-|t| structure of lambda*
     spacing = traj.spacing
@@ -559,16 +531,16 @@ def classify_trajectory(
     resid = float(np.max(np.abs(design @ coef - vals)))
     c1 = coef[1] / scale
     c2 = coef[2] / scale**2
-    diag.update({"c1": float(c1), "c2": float(c2), "fit_residual": resid, "fit_halfwidth": half_width})
+    diag = {"c1": float(c1), "c2": float(c2), "fit_residual": resid, "fit_halfwidth": half_width}
     odd_part = abs(c1) * half_width
     even_part = abs(c2) * half_width**2
     if resid > 0.1 * max(odd_part, even_part, threshold):
-        return ClassifiedTrajectory("unclassified", c0, False, False, diag)
+        return ClassifiedTrajectory("unclassified", c0, False, False, events, diag)
     if odd_part > 3.0 * max(even_part, threshold):
-        return ClassifiedTrajectory("p0", c0, False, False, diag)
+        return ClassifiedTrajectory("p0", c0, False, False, events, diag)
     if c2 < 0:
-        return ClassifiedTrajectory("p2", c0, False, False, diag)
-    return ClassifiedTrajectory("p1", c0, False, False, diag)
+        return ClassifiedTrajectory("p2", c0, False, False, events, diag)
+    return ClassifiedTrajectory("p1", c0, False, False, events, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +565,6 @@ def symmetry_suite(
     initial: DensityOperator | Ket,
     t_max: float = 3.0,
     n_steps: int = 1200,
-    dts: Sequence[float] = (1e-3, 1e-2),
-    closure_time: float = 2.0,
-    unitary_tol: float = 1e-12,
-    grid_tol: float = 1e-10,
-    closure_tol: float = 1e-8,
-    dt2_tol: float = 1e-8,
 ) -> SymmetryReport:
     """Run the coupling-negation, time-reversal and dt² symmetry checks.
 
@@ -614,7 +580,7 @@ def symmetry_suite(
     prop_neg = SpectralPropagator(h_neg)
 
     u_dev = 0.0
-    for t in (0.5, 1.0, closure_time):
+    for t in (0.5, 1.0, 2.0):
         u_dev = max(u_dev, float(np.max(np.abs(prop.unitary(-t) - prop_neg.unitary(t)))))
 
     spec = EvolutionSpec(t_max=t_max, n_steps=n_steps, emit_negative_times=True)
@@ -622,17 +588,16 @@ def symmetry_suite(
     traj_neg = sample_trajectory(h_neg, initial, spec)
     grid_dev = float(np.max(np.abs(traj.negativity - traj_neg.negativity[::-1])))
 
-    # time-reversal closure through rho(closure_time)
-    rho_t = prop.evolve_matrix(initial.matrix, closure_time)
+    # time-reversal closure through rho(2)
+    rho_t = prop.evolve_matrix(initial.matrix, 2.0)
     reversed_state = time_reversed_state(DensityOperator(rho_t, initial.dims, validate=False), s)
-    rho_back = prop.evolve_matrix(reversed_state.matrix, closure_time)
+    rho_back = prop.evolve_matrix(reversed_state.matrix, 2.0)
     n0 = negativity(partial_trace_c_matrix(initial.matrix, initial.dims.dim_c))
     n_back = negativity(partial_trace_c_matrix(rho_back, initial.dims.dim_c))
     closure_dev = abs(n0 - n_back)
 
-    dts = np.asarray(dts, dtype=np.float64)
-    n_pm = np.maximum(0.0, -exact_cne_function(h, initial)(np.concatenate([dts, -dts])))
-    dt2_dev = float(np.max(np.abs(n_pm[: dts.shape[0]] - n_pm[dts.shape[0]:]), initial=0.0))
+    n_pm = np.maximum(0.0, -exact_cne_function(h, initial)(np.array([1e-3, 1e-2, -1e-3, -1e-2])))
+    dt2_dev = float(np.max(np.abs(n_pm[:2] - n_pm[2:])))
 
     event_dev: float | None = None
     events = detect_transitions(traj)
@@ -644,10 +609,10 @@ def symmetry_suite(
             event_dev = float(np.max(np.abs(np.array(deaths) - np.array(births_mirror))))
 
     passed = (
-        u_dev <= unitary_tol
-        and grid_dev <= grid_tol
-        and closure_dev <= closure_tol
-        and dt2_dev <= dt2_tol
+        u_dev <= 1e-12
+        and grid_dev <= 1e-10
+        and closure_dev <= 1e-8
+        and dt2_dev <= 1e-8
         and (event_dev is None or event_dev <= 3.0 * traj.spacing)
     )
     return SymmetryReport(u_dev, grid_dev, closure_dev, dt2_dev, event_dev, passed)

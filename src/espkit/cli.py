@@ -23,7 +23,7 @@ Subcommands
 
 ``espkit fit --config cfg.json [--window LO:HI] [--parity even|full] [--points N]``
     Short-time polynomial fit of the smallest partial-transpose eigenvalue
-    over 0 < LO < HI, sampled at N >= 12 points.
+    over 0 < LO < HI, sampled at 12 <= N <= 10**7 points.
 
 A run config has the sections ``model`` (``j``, ``s_c``), ``state``
 (``kind`` plus that kind's keys), ``evolution`` and optionally
@@ -109,7 +109,6 @@ _KEYS = {
         "t_max": _NUMBER,
         "n_steps": (int,),
         "method": (str,),
-        "series_order": (int,),
         "emit_negative_times": (bool,),
     },
     "detection": {"threshold": _NUMBER, "min_duration": _OPTIONAL_NUMBER},
@@ -199,10 +198,12 @@ def fit_window(text: str) -> tuple[float, float]:
 
 
 def fit_points(text: str) -> int:
-    """The ``--points`` text as an integer >= ``analysis.MIN_FIT_POINTS``."""
+    """The ``--points`` text as an integer from ``analysis.MIN_FIT_POINTS`` to ``MAX_N_STEPS``."""
     n = int(text)
     if n < MIN_FIT_POINTS:
         raise argparse.ArgumentTypeError(f"points must be >= {MIN_FIT_POINTS}, got {text}")
+    if n > MAX_N_STEPS:
+        raise argparse.ArgumentTypeError(f"points must be <= {MAX_N_STEPS}, got {text}")
     return n
 
 
@@ -382,10 +383,11 @@ def cmd_evolve(args) -> int:
 
 def cmd_detect(args) -> int:
     traj = read_trajectory_csv(Path(args.traj))
-    events = detect_transitions(traj, args.threshold, args.min_duration)
-    label = None
     if traj.times[0] < 0 < traj.times[-1]:
-        label = classify_trajectory(traj, threshold=args.threshold, min_duration=args.min_duration).label
+        cls = classify_trajectory(traj, args.threshold, args.min_duration)
+        events, label = cls.events, cls.label
+    else:
+        events, label = detect_transitions(traj, args.threshold, args.min_duration), None
     rows = [asdict(replace(ev, trajectory_label=label)) for ev in events]
     payload = {
         "events": rows,
@@ -462,10 +464,9 @@ def write_rows_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _label_row(curves: dict, target: str, wid: str, eps: float, traj: Trajectory, expected: str) -> dict:
-    """A label row: ``traj`` classified at the sign of ``eps``, filed in ``curves`` as ``<target>_<W>_<plus|minus>.csv``."""
-    sign = 1 if eps > 0 else -1
-    curves[f"{target}_{wid}_{'plus' if sign > 0 else 'minus'}.csv"] = traj
-    label = classify_trajectory(traj, esp_sign=sign).label
+    """A label row: ``traj`` classified, filed in ``curves`` as ``<target>_<W>_<plus|minus>.csv`` by the sign of ``eps``."""
+    curves[f"{target}_{wid}_{'plus' if eps > 0 else 'minus'}.csv"] = traj
+    label = classify_trajectory(traj).label
     return {"weighting": wid, "epsilon": eps, "label": label, "label_expected": expected, "passed": label == expected}
 
 

@@ -51,12 +51,11 @@ def hermiticity_defect(a) -> float:
     return max_abs(a - a.conj().T)
 
 
-def hermitian_eig(a, *, check: bool = True) -> HermitianSpectrum:
+def hermitian_eig(a) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix via ``np.linalg.eigh``.
 
-    The input is symmetrized to (A + A†)/2 before diagonalization.  With
-    ``check`` (default) the Hermiticity defect must stay below
-    ``1e-12 * max(1, ||A||_F)``.
+    The Hermiticity defect must stay below ``1e-12 * max(1, ||A||_F)``;
+    the input is then symmetrized to (A + A†)/2 before diagonalization.
 
     Raises
     ------
@@ -68,10 +67,9 @@ def hermitian_eig(a, *, check: bool = True) -> HermitianSpectrum:
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    if check:
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_RTOL * max(1.0, frobenius(m)):
-            raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_RTOL * max(1.0, frobenius(m)):
+        raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
     sym = np.ascontiguousarray((m + m.conj().T) / 2.0)
     try:
         w, v = np.linalg.eigh(sym)
@@ -82,9 +80,9 @@ def hermitian_eig(a, *, check: bool = True) -> HermitianSpectrum:
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
 
-def hermitian_eigvals(a, *, check: bool = True) -> np.ndarray:
+def hermitian_eigvals(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix."""
-    return hermitian_eig(a, check=check).eigenvalues
+    return hermitian_eig(a).eigenvalues
 
 
 def propagator(spectrum: HermitianSpectrum, t: float) -> np.ndarray:

@@ -61,7 +61,6 @@ class EvolutionSpec:
     t_max: float
     n_steps: int
     method: str = "exact"
-    series_order: int = 3
     emit_negative_times: bool = False
     t_min: float | None = None
 
@@ -70,8 +69,6 @@ class EvolutionSpec:
             raise ValueError("n_steps must be >= 1")
         if self.method not in ("exact", "series", "integrator"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.series_order not in (1, 2, 3):
-            raise ValueError("series_order must be 1, 2 or 3")
         if not np.isfinite([self.t_max, self.start]).all():
             raise ValueError(f"time window [{self.start}, {self.t_max}] is not finite")
         if not self.start < self.t_max:
@@ -267,16 +264,16 @@ def _rk4(h: np.ndarray, rho0: np.ndarray, t_final: float, max_step: float) -> np
     return half + half @ p.conj().T
 
 
-def integrate_vonneumann(h, rho0: InitialState, t: float, max_step: float = INTEGRATOR_STEP) -> DensityOperator:
+def integrate_vonneumann(h, rho0: InitialState, t: float) -> DensityOperator:
     """rho(t) = U rho0 U† with U from fourth-order Runge-Kutta on dU/dt = -iHU.
 
     Independent of the spectral path: it never diagonalizes H.  Fixed step
-    (default 1e-4) adjusted to land exactly on t; the steps are composed
+    (``INTEGRATOR_STEP``) adjusted to land exactly on t; the steps are composed
     by binary powering of the one-step propagator.  Used as the test oracle
     for exact evolution.
     """
     h, rho0 = _checked_initial(h, rho0)
-    return DensityOperator(_rk4(h, rho0.matrix, float(t), float(max_step)), rho0.dims, validate=False)
+    return DensityOperator(_rk4(h, rho0.matrix, float(t), INTEGRATOR_STEP), rho0.dims, validate=False)
 
 
 def time_reversal_unitary(s: SpinMagnitude) -> np.ndarray:
@@ -330,7 +327,7 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
     dim_c = rho0.dims.dim_c
 
     if spec.method == "series":
-        terms = _series_terms(h, rho0.matrix, spec.series_order)
+        terms = _series_terms(h, rho0.matrix, 3)
         mono = pair_monotones(_reduced_stack(lambda ts: _series_stack(terms, ts), times, dim_c))
     else:
         # the constructors give exact factors; a bare matrix is factored once, dropping negative dust
@@ -344,7 +341,6 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
 
     meta = {
         "method": spec.method,
-        "series_order": spec.series_order if spec.method == "series" else None,
         "dim_c": dim_c,
         "max_trace_deviation": mono.max_trace_deviation,
         "max_hermiticity_deviation": mono.max_hermiticity_deviation,

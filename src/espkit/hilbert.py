@@ -60,20 +60,16 @@ class SpinMagnitude:
 
 @dataclass(frozen=True)
 class SystemDims:
-    """Dimensions of the environment ⊗ A ⊗ B product space.
+    """Dimensions of the environment ⊗ A ⊗ B product space; A and B are qubits.
 
     A reduced A-B space is represented by ``dim_c == 1``.
     """
 
     dim_c: int
-    dim_a: int = 2
-    dim_b: int = 2
 
     def __post_init__(self):
         if self.dim_c < 1:
             raise ValueError("dim_c must be >= 1")
-        if self.dim_a != 2 or self.dim_b != 2:
-            raise ValueError("subsystems A and B are qubits (dimension 2)")
 
     @classmethod
     def for_spin(cls, s: SpinMagnitude) -> "SystemDims":
@@ -81,11 +77,7 @@ class SystemDims:
 
     @property
     def total(self) -> int:
-        return self.dim_c * self.dim_a * self.dim_b
-
-    @property
-    def is_reduced(self) -> bool:
-        return self.dim_c == 1
+        return 4 * self.dim_c
 
 
 AB_DIMS = SystemDims(dim_c=1)
@@ -196,7 +188,7 @@ def embed(op, slot: str, dims: SystemDims) -> np.ndarray:
     ``slot`` is one of "C", "A", "B"; the other factors get identities.
     """
     op = as_complex_matrix(op)
-    slot_dims = {"C": dims.dim_c, "A": dims.dim_a, "B": dims.dim_b}
+    slot_dims = {"C": dims.dim_c, "A": 2, "B": 2}
     if slot not in slot_dims:
         raise ValueError(f"slot must be C, A or B, got {slot!r}")
     d = slot_dims[slot]

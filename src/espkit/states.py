@@ -119,9 +119,9 @@ def bell_ket(kind: BellKind) -> Ket:
     return Ket(amps, AB_DIMS)
 
 
-def bell_ket_by_label(label: str, p: float = 0.0) -> Ket:
+def bell_ket_by_label(label: str) -> Ket:
     family, sign = label[:-1], label[-1]
-    return bell_ket(BellKind(family, +1 if sign == "+" else -1, p))
+    return bell_ket(BellKind(family, +1 if sign == "+" else -1))
 
 
 def _distribute(epsilon: float, main_slot: int, share_slots: tuple[int, ...]) -> tuple[float, ...]:
@@ -176,10 +176,9 @@ def esp_weighting(weighting_id: str, epsilon: float) -> EspWeighting:
     return EspWeighting(weighting_id, epsilon, _distribute(epsilon, main, shares))
 
 
-def custom_weighting(weights, epsilon: float = 0.0) -> EspWeighting:
-    """A weighting outside the tabulated set (weights must sum to one)."""
-    w = tuple(float(x) for x in weights)
-    return EspWeighting("custom", epsilon, w)
+def custom_weighting(weights) -> EspWeighting:
+    """A weighting outside the tabulated set (weights must sum to one), at switch 0."""
+    return EspWeighting("custom", 0.0, tuple(float(x) for x in weights))
 
 
 def bell_mixture(w: EspWeighting) -> DensityOperator:

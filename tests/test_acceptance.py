@@ -116,7 +116,7 @@ def test_criterion_2_weighting_coefficients_and_labels():
                 tol = 0.1 if (wid == "W6" and eps > 0) else 1e-2
                 assert abs(fit.coefficient(4) - exp.c4) <= tol * abs(exp.c4), (wid, eps, fit.coefficient(4), exp.c4)
             traj = build_mixed_trajectory(wid, eps, MIXED_J, HALF, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
-            label = classify_trajectory(traj, esp_sign=sgn).label
+            label = classify_trajectory(traj).label
             assert label == exp.label, (wid, eps, label, exp.label)
     print("ACCEPTANCE 2 (weighting expansions and trajectory labels): PASS")
 
@@ -246,14 +246,14 @@ def test_criterion_7_pure_state_recipe():
     wide = EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True)
     for wid in ("W9", "W13"):
         traj = build_pure_trajectory(wid, +1e-2, MIXED_J, wide)
-        cls = classify_trajectory(traj, esp_sign=+1)
+        cls = classify_trajectory(traj)
         assert cls.label == "p6" and cls.crossed_before and cls.crossed_after, (wid, cls.label)
         events = detect_transitions(traj)
         assert any(ev.t_birth is not None and ev.t_birth < 0 for ev in events)
         assert any(ev.t_death is not None and ev.t_death > 0 for ev in events)
     for wid in ("W7", "W8", "W10", "W11", "W12", "W14"):
         traj = build_pure_trajectory(wid, -1e-2, MIXED_J, wide)
-        cls = classify_trajectory(traj, esp_sign=-1)
+        cls = classify_trajectory(traj)
         assert cls.label == "p4" and cls.crossed_before and cls.crossed_after, (wid, cls.label)
 
     narrow = EvolutionSpec(t_max=0.3, n_steps=600, emit_negative_times=True)
@@ -262,7 +262,7 @@ def test_criterion_7_pure_state_recipe():
         for sgn in (+1, -1):
             traj = build_pure_trajectory(wid, sgn * 1e-2, MIXED_J, narrow)
             assert detect_transitions(traj) == [], (wid, sgn)
-            assert classify_trajectory(traj, esp_sign=sgn).label == "p3", (wid, sgn)
+            assert classify_trajectory(traj).label == "p3", (wid, sgn)
 
     # the negative-switch W4 preparation has a positive local minimum near t=0.11
     traj = build_pure_trajectory("W4", -1e-2, MIXED_J, EvolutionSpec(t_max=0.3, n_steps=3000))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from espkit import analysis, dynamics
 from espkit.analysis import (
     FORMULAS,
     WEIGHTING_LABELS,
     WEIGHTING_TABLE_SIGNS,
+    TransitionEvent,
+    _crossing_time,
     build_mixed_trajectory,
     build_product_trajectory,
     build_pure_trajectory,
@@ -95,6 +99,65 @@ def test_detect_undersampled_raises():
     traj = synthetic_trajectory(t, np.zeros_like(t))
     with pytest.raises(ResolutionError):
         detect_transitions(traj, min_duration=0.05)
+
+
+def scan_transitions(traj, threshold, min_duration):
+    """Reference detector: the per-sample scan that walks each zero run one sample at a time."""
+    t, n = traj.times, traj.negativity
+    below = n <= threshold
+    events, i, size = [], 0, len(t)
+    while i < size:
+        if not below[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < size and below[j + 1]:
+            j += 1
+        has_death, has_birth = i > 0, j < size - 1
+        t_start = _crossing_time(t[i - 1], n[i - 1], t[i], n[i], threshold) if has_death else t[0]
+        t_end = _crossing_time(t[j], n[j], t[j + 1], n[j + 1], threshold) if has_birth else t[-1]
+        dwell = t_end - t_start
+        if dwell >= min_duration:
+            if has_death and has_birth:
+                events.append(TransitionEvent("TFD", t_start, t_end, dwell))
+            elif has_death:
+                events.append(TransitionEvent("ESD", t_start, None, dwell))
+            elif has_birth:
+                events.append(TransitionEvent("ESB", None, t_end, dwell))
+        i = j + 1
+    return events
+
+
+# alternating below/above-threshold runs of (length, magnitude): single-sample runs,
+# runs at either edge and, with one run, a run over the whole window
+_RUNS = st.lists(st.tuples(st.integers(1, 12), st.floats(0.0, 1.0)), min_size=1, max_size=8)
+_STEPS = st.lists(st.floats(0.5, 1.5), min_size=96, max_size=96)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    first_below=st.booleans(),
+    runs=_RUNS,
+    steps=_STEPS,
+    threshold=st.sampled_from([0.0, 1e-9, 0.05]),
+    dwell_spacings=st.sampled_from([None, 3.5, 4.5, 12.0]),
+)
+@example(first_below=True, runs=[(7, 0.0)], steps=[1.0] * 96, threshold=1e-9, dwell_spacings=None)
+@example(first_below=True, runs=[(1, 1.0), (1, 0.0), (1, 0.5), (1, 1.0), (1, 0.0)], steps=[1.0] * 96, threshold=0.05, dwell_spacings=3.5)
+@example(first_below=True, runs=[(9, 0.0), (9, 0.3)], steps=[1.0] * 96, threshold=1e-9, dwell_spacings=None)
+@example(first_below=False, runs=[(9, 0.3), (9, 0.0)], steps=[1.0] * 96, threshold=1e-9, dwell_spacings=None)
+@example(first_below=False, runs=[(1, 0.3), (9, 0.0), (1, 0.3)], steps=[1.0] * 96, threshold=1e-9, dwell_spacings=None)
+def test_run_loop_matches_per_sample_scan(first_below, runs, steps, threshold, dwell_spacings):
+    # magnitude 1 puts a below-threshold run exactly on the threshold
+    n = np.concatenate([
+        np.full(length, threshold * mag if (k % 2 == 0) == first_below else threshold + 1e-3 + mag)
+        for k, (length, mag) in enumerate(runs)
+    ])
+    assume(n.size >= 2)
+    traj = synthetic_trajectory(np.cumsum(np.asarray(steps[: n.size]) * 0.01), n)
+    min_duration = 5.0 * traj.spacing if dwell_spacings is None else dwell_spacings * traj.spacing
+    expected = scan_transitions(traj, threshold, min_duration)
+    assert detect_transitions(traj, threshold, None if dwell_spacings is None else min_duration) == expected
 
 
 def test_detect_mixed_tfd_straddles_zero():
@@ -373,7 +436,7 @@ def test_classify_requires_negative_times():
 )
 def test_classify_mixed_weightings(wid, sign, expected):
     traj = build_mixed_trajectory(wid, sign * 0.01, MIXED_J, HALF, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
-    cls = classify_trajectory(traj, esp_sign=sign)
+    cls = classify_trajectory(traj)
     assert cls.label == expected
 
 
@@ -408,10 +471,35 @@ def test_classify_separable_stays_outside():
     assert classify_trajectory(traj).label == "p5"
 
 
+@pytest.mark.parametrize(
+    "cne_at, label, crossed",
+    [
+        (lambda t: t - 0.5, "unclassified", (False, True)),  # entangled at 0, death after only
+        (lambda t: -0.5 - t, "unclassified", (True, False)),  # entangled at 0, birth before only
+        (lambda t: 0.5 + t, "unclassified", (True, False)),  # separable at 0, death before only
+        (lambda t: 0.5 - t, "unclassified", (False, True)),  # separable at 0, birth after only
+        (lambda t: np.abs(t) - 0.5, "p6", (True, True)),
+        (lambda t: 0.5 - np.abs(t), "p4", (True, True)),
+        (lambda t: -0.5 + 0.1 * t * t, "p3", (False, False)),
+        (lambda t: 0.5 + 0.1 * t * t, "p5", (False, False)),
+    ],
+)
+def test_classify_off_boundary_rule(cne_at, label, crossed):
+    """Entangled at t = 0 pairs a birth before with a death after, separable a death before with a birth after."""
+    t = np.linspace(-1, 1, 401)
+    cne = cne_at(t)
+    neg = np.maximum(0.0, -cne)
+    traj = Trajectory(t, cne, neg, neg, (neg > 1e-9).astype(np.int64))
+    cls = classify_trajectory(traj)
+    assert (cls.label, cls.crossed_before, cls.crossed_after) == (label, *crossed)
+    assert cls.events == detect_transitions(traj)
+    assert cls.diagnostics == {}
+
+
 def test_classify_pure_recipe_labels():
     for wid, sign, expected in (("W9", +1, "p6"), ("W13", +1, "p6"), ("W7", -1, "p4"), ("W14", -1, "p4")):
         traj = build_pure_trajectory(wid, sign * 0.01, MIXED_J, EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True))
-        cls = classify_trajectory(traj, esp_sign=sign)
+        cls = classify_trajectory(traj)
         assert cls.label == expected, (wid, cls)
 
 

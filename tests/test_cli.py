@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import espkit
 
+from espkit import analysis, cli
 from espkit.analysis import WEIGHTING_LABELS
 from espkit.cli import (
     CSV_HEADER,
@@ -17,6 +19,7 @@ from espkit.cli import (
     MAX_S_C,
     MIXED_CASES,
     apply_overrides,
+    fit_points,
     main,
     read_trajectory_csv,
     resolve_config,
@@ -206,8 +209,9 @@ def test_output_section_is_unknown(tmp_path):
         (["repro", "table1", "--out", "r", "--tol-rel", "-1"], "must be finite and > 0"),
         (["fit", "--config", "c.json", "--window", "1e-2:1e-3"], "window must satisfy 0 < LO < HI < inf"),
         (["fit", "--config", "c.json", "--points", "3"], "points must be >= 12"),
+        (["fit", "--config", "c.json", "--points", str(10**12)], f"points must be <= 10000000, got {10**12}"),
     ],
-    ids=[f"argv{i}" for i in range(10)],
+    ids=[f"argv{i}" for i in range(11)],
 )
 def test_bad_flags_are_usage_errors(argv, rule, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -217,6 +221,12 @@ def test_bad_flags_are_usage_errors(argv, rule, capsys):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert rule in err
+
+
+def test_fit_points_capped_at_grid_limit():
+    assert fit_points(str(MAX_N_STEPS)) == MAX_N_STEPS
+    with pytest.raises(argparse.ArgumentTypeError, match=f"points must be <= {MAX_N_STEPS}, got {MAX_N_STEPS + 1}"):
+        fit_points(str(MAX_N_STEPS + 1))
 
 
 @pytest.mark.parametrize("rows", [["0.0,0.0,0.0,0.0,0"], ["0.0,0.0,0.0,0.0,0", "nan,0.0,0.0,0.0,0", "0.2,0,0,0,0"], []])
@@ -269,6 +279,30 @@ def test_detect_synthetic_triangle(tmp_path, capsys):
     ev = payload["events"][0]
     assert ev["kind"] == "TFD"
     assert abs(ev["duration"] - 0.4) <= 0.01
+
+
+@pytest.mark.parametrize("t_min, label, kinds", [(-1.0, "p6", ["ESB", "ESD"]), (0.0, None, ["ESD"])])
+def test_detect_runs_detection_once(tmp_path, capsys, monkeypatch, t_min, label, kinds):
+    """A window covering t = 0 reports the classification's own events: one detection per file."""
+    times = np.linspace(t_min, 1, 401)
+    neg = np.clip(0.5 - np.abs(times), 0.0, None)
+    path = tmp_path / "traj.csv"
+    path.write_text("\n".join([CSV_HEADER] + [f"{t},{n},{n},{-n},{int(n > 1e-9)}" for t, n in zip(times, neg)]) + "\n")
+    calls = []
+    detect = analysis.detect_transitions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "detect_transitions", counted)
+    monkeypatch.setattr(cli, "detect_transitions", counted)
+    assert main(["detect", "--traj", str(path)]) == 0
+    assert len(calls) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["trajectory_label"] == label
+    assert [ev["kind"] for ev in payload["events"]] == kinds
+    assert all(ev["trajectory_label"] == label for ev in payload["events"])
 
 
 def test_detect_malformed_csv(tmp_path, capsys):

@@ -250,7 +250,7 @@ def test_series_trajectory_short_window():
     s = SpinMagnitude(1)
     h = spin_star_hamiltonian(ExchangeCoupling(-0.5, -0.5, -1), s)
     rho0 = mixed_initial(esp_weighting("W1", 0.01), s)
-    spec = EvolutionSpec(t_max=0.01, n_steps=10, method="series", series_order=3)
+    spec = EvolutionSpec(t_max=0.01, n_steps=10, method="series")
     traj = sample_trajectory(h, rho0, spec)
     exact = sample_trajectory(h, rho0, EvolutionSpec(t_max=0.01, n_steps=10))
     assert np.max(np.abs(traj.cne - exact.cne)) <= 1e-9

@@ -50,7 +50,7 @@ def chain_states(h, initial, spec):
         prop = SpectralPropagator(h)
         return [prop.evolve_matrix(rho0.matrix, float(t)) for t in times]
     if spec.method == "series":
-        return [evolve_series(h, rho0, float(t), spec.series_order) for t in times]
+        return [evolve_series(h, rho0, float(t), 3) for t in times]
     out, rho, t_prev = [], rho0, 0.0
     for t in times:
         rho = integrate_vonneumann(h, rho, float(t) - t_prev)
