@@ -59,6 +59,8 @@ DEFAULT_FIT_WINDOW = (1e-3, 1e-2)
 MIN_FIT_POINTS = 12
 MAX_FIT_CONDITION = 1e12
 BOUNDARY_TOL = 1e-6
+# four ulps: min_duration = 3 * spacing, rounded twice, must not read as coarser than min_duration / 3
+RESOLUTION_SLACK = 1.0 + 4.0 * np.finfo(float).eps
 
 P_LABELS = ("p0", "p1", "p2", "p3", "p4", "p5", "p6")
 
@@ -111,14 +113,14 @@ def detect_transitions(
     ``min_duration`` defaults to five sample spacings.
 
     Raises :class:`ResolutionError` when the sampling is coarser than
-    ``min_duration / 3``.
+    ``min_duration / 3`` by more than rounding.
     """
     t = traj.times
     n = traj.negativity
     spacing = traj.spacing
     if min_duration is None:
         min_duration = 5.0 * spacing
-    if spacing > min_duration / 3.0:
+    if spacing > min_duration / 3.0 * RESOLUTION_SLACK:
         raise ResolutionError(
             f"sample spacing {spacing:.3g} exceeds min_duration/3 = {min_duration / 3.0:.3g}"
         )

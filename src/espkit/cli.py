@@ -19,7 +19,8 @@ Subcommands
 
 ``espkit detect --traj trajectory.csv [--threshold X] [--min-duration T]``
     Transition events (kind, times, duration, near-zero trajectory label
-    when the window covers t = 0) as JSON on stdout.
+    when the window covers t = 0) as JSON on stdout.  A malformed CSV
+    exits 2 with one line naming its first bad line.
 
 ``espkit fit --config cfg.json [--window LO:HI] [--parity even|full] [--points N]``
     Short-time polynomial fit of the smallest partial-transpose eigenvalue
@@ -79,6 +80,10 @@ from .states import (
 )
 
 CSV_HEADER = "t,negativity,concurrence,cne,negative_count"
+MAX_NEGATIVE_COUNT = 4  # a two-qubit partial transpose has four eigenvalues
+_CSV_ROW = np.dtype([(name, np.int64 if name == "negative_count" else np.float64) for name in CSV_HEADER.split(",")])
+# whitespace to str.strip() but not inside a float() or int() cell, where numpy's parser would skip them
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
 HALF = SpinMagnitude(1)  # S = 1/2
@@ -310,35 +315,58 @@ def load_config(path: str, overrides: list[str]) -> RunConfig:
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     columns = (traj.times, traj.negativity, traj.concurrence, traj.cne, traj.negative_count)
-    rows = zip(*(c.tolist() for c in columns))
-    lines = [CSV_HEADER, *(f"{t!r},{n!r},{c!r},{l!r},{k}" for t, n, c, l, k in rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
+    """A trajectory CSV in one numpy pass; the error for a malformed file names its first bad line."""
     try:
-        header, *lines = path.read_text(encoding="utf-8").split("\n")
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    header, *lines = text.split("\n")
     if header.strip() != CSV_HEADER:
         raise ConfigError(f"{path}:1: expected header {CSV_HEADER!r}, got {header.strip()!r}")
-    rows = []
-    for lineno, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ConfigError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-        try:
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), int(parts[4])))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    arr = np.array(rows, dtype=np.float64).reshape(-1, 5)
+    rows = list(filter(None, map(str.strip, lines)))  # blank and whitespace-only lines are skipped
+    try:  # loadtxt warns on an empty list; no rows fails the two-sample rule below instead
+        data = np.loadtxt(rows, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1) if rows else np.empty(0, _CSV_ROW)
+    except ValueError as exc:
+        _reject_first_bad_line(path, lines)
+        raise ConfigError(f"{path}: {exc}") from None  # not reached: the scan above names the line
+    counts = data["negative_count"]
+    if np.any((counts < 0) | (counts > MAX_NEGATIVE_COUNT)) or any(sep in text for sep in _SEPARATORS):
+        _reject_first_bad_line(path, lines)
     try:
-        return Trajectory(arr[:, 0], arr[:, 3], arr[:, 1], arr[:, 2], arr[:, 4].astype(np.int64))
+        return Trajectory(data["t"], data["cne"], data["negativity"], data["concurrence"], counts)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _reject_first_bad_line(path: Path, lines: list[str]) -> None:
+    """Raise the error for the first data line (file line 2 on) that breaks the row grammar; return if none does.
+
+    A row is five comma-separated cells that Python's ``float`` (four) and
+    ``int`` (the count, in 0..MAX_NEGATIVE_COUNT) accept, written with ASCII
+    digits and no ``_`` separators, which numpy's parser does not take.
+    """
+    for lineno, line in enumerate(lines, start=2):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != 5:
+            raise ConfigError(f"{path}:{lineno}: expected 5 columns, got {len(cells)}")
+        try:
+            for cell in cells[:4]:
+                float(cell)
+            count = int(cells[4])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if not 0 <= count <= MAX_NEGATIVE_COUNT:
+            raise ConfigError(f"{path}:{lineno}: negative_count must be in 0..{MAX_NEGATIVE_COUNT}, got {count}")
+        for cell in map(str.strip, cells):
+            if "_" in cell or not cell.isascii():
+                raise ConfigError(f"{path}:{lineno}: {cell!r}: numbers take ASCII digits and no '_'")
 
 
 def _json_default(obj):

@@ -79,3 +79,47 @@ def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
         [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
     )
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+def reference_read_trajectory_csv(path):
+    """Per-line trajectory CSV reader: the reference for the numpy pass of ``cli.read_trajectory_csv``.
+
+    The loop of ``split``, ``float`` and ``int`` calls that reader replaced,
+    plus the negative-count range it checks since.  It takes two spellings
+    the numpy pass rejects: ``_`` digit separators and non-ASCII digits.
+    """
+    from espkit.cli import CSV_HEADER, MAX_NEGATIVE_COUNT
+    from espkit.dynamics import Trajectory
+    from espkit.errors import ConfigError
+
+    try:
+        header, *lines = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if header.strip() != CSV_HEADER:
+        raise ConfigError(f"{path}:1: expected header {CSV_HEADER!r}, got {header.strip()!r}")
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ConfigError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+        try:
+            rows.append((float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), int(parts[4])))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if not 0 <= rows[-1][4] <= MAX_NEGATIVE_COUNT:
+            raise ConfigError(f"{path}:{lineno}: negative_count must be in 0..{MAX_NEGATIVE_COUNT}, got {rows[-1][4]}")
+    arr = np.array(rows, dtype=np.float64).reshape(-1, 5)
+    try:
+        return Trajectory(arr[:, 0], arr[:, 3], arr[:, 1], arr[:, 2], arr[:, 4].astype(np.int64))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def trajectory_columns(traj) -> list[tuple[str, bytes]]:
+    """The five CSV columns of a trajectory as dtype and raw bytes, for bit-for-bit comparison."""
+    columns = (traj.times, traj.negativity, traj.concurrence, traj.cne, traj.negative_count)
+    return [(c.dtype.str, np.ascontiguousarray(c).tobytes()) for c in columns]

@@ -101,6 +101,15 @@ def test_detect_undersampled_raises():
         detect_transitions(traj, min_duration=0.05)
 
 
+def test_detect_accepts_min_duration_of_three_rounded_spacings():
+    """min_duration = 3 * spacing is the coarsest sampling allowed, even where (3 * spacing) / 3 rounds below it."""
+    traj = synthetic_trajectory([0.0, 0.7, 1.4], [0.0, 0.0, 0.0])
+    assert traj.spacing > 3.0 * traj.spacing / 3.0
+    assert detect_transitions(traj, min_duration=3.0 * traj.spacing) == []
+    with pytest.raises(ResolutionError):
+        detect_transitions(traj, min_duration=2.99 * traj.spacing)
+
+
 def scan_transitions(traj, threshold, min_duration):
     """Reference detector: the per-sample scan that walks each zero run one sample at a time."""
     t, n = traj.times, traj.negativity
@@ -140,13 +149,15 @@ _STEPS = st.lists(st.floats(0.5, 1.5), min_size=96, max_size=96)
     runs=_RUNS,
     steps=_STEPS,
     threshold=st.sampled_from([0.0, 1e-9, 0.05]),
-    dwell_spacings=st.sampled_from([None, 3.5, 4.5, 12.0]),
+    dwell_spacings=st.sampled_from([None, 3.0, 3.5, 4.5, 12.0]),
 )
 @example(first_below=True, runs=[(7, 0.0)], steps=[1.0] * 96, threshold=1e-9, dwell_spacings=None)
 @example(first_below=True, runs=[(1, 1.0), (1, 0.0), (1, 0.5), (1, 1.0), (1, 0.0)], steps=[1.0] * 96, threshold=0.05, dwell_spacings=3.5)
 @example(first_below=True, runs=[(9, 0.0), (9, 0.3)], steps=[1.0] * 96, threshold=1e-9, dwell_spacings=None)
 @example(first_below=False, runs=[(9, 0.3), (9, 0.0)], steps=[1.0] * 96, threshold=1e-9, dwell_spacings=None)
 @example(first_below=False, runs=[(1, 0.3), (9, 0.0), (1, 0.3)], steps=[1.0] * 96, threshold=1e-9, dwell_spacings=None)
+# spacing 0.0142, where (3 * spacing) / 3 rounds below the spacing
+@example(first_below=True, runs=[(3, 0.0)], steps=[1.25, 1.07, 1.42] + [1.0] * 93, threshold=1e-9, dwell_spacings=3.0)
 def test_run_loop_matches_per_sample_scan(first_below, runs, steps, threshold, dwell_spacings):
     # magnitude 1 puts a below-threshold run exactly on the threshold
     n = np.concatenate([

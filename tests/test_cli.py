@@ -28,6 +28,8 @@ from espkit.cli import (
 from espkit.errors import ConfigError
 from espkit.states import BellKind
 
+from conftest import reference_read_trajectory_csv, trajectory_columns
+
 BASE_CONFIG = {
     "model": {"j": [-0.5, -0.5, -1.0], "s_c": 0.5},
     "state": {"kind": "mixed_weighting", "weighting_id": "W9", "epsilon": 0.01},
@@ -370,11 +372,19 @@ FIG5_CURVES = {f"W{i}_{sign}" for i in range(1, 7) for sign in ("plus", "minus")
 }
 
 
+@pytest.fixture(scope="module")
+def figure_outputs(tmp_path_factory):
+    """``repro fig2``, ``fig4`` and ``fig5 --gnuplot-script``, run once: target -> output directory."""
+    root = tmp_path_factory.mktemp("figures")
+    for target in ("fig2", "fig4", "fig5"):
+        assert main(["repro", target, "--out", str(root / target), "--gnuplot-script"]) == 0
+    return {target: root / target for target in ("fig2", "fig4", "fig5")}
+
+
 @pytest.mark.parametrize("target, curves", [("fig4", FIG4_CURVES), ("fig5", FIG5_CURVES)], ids=["fig4", "fig5"])
-def test_repro_gnuplot_script(tmp_path, target, curves):
+def test_repro_gnuplot_script(figure_outputs, target, curves):
     """The curve CSVs a figure target writes, which the benchmark parses by name, and its label rows."""
-    out = tmp_path / target
-    assert main(["repro", target, "--out", str(out), "--gnuplot-script"]) == 0
+    out = figure_outputs[target]
     names = {p.name for p in out.glob("*.csv")}
     assert len(curves) == {"fig4": 15, "fig5": 20}[target]
     assert names == {f"{target}_{c}.csv" for c in curves}
@@ -388,6 +398,21 @@ def test_repro_gnuplot_script(tmp_path, target, curves):
         assert rows.pop(12)["label_expected"] == "local_min_t=0.11+-0.02"
     assert [(r["weighting"], r["epsilon"], r["label_expected"]) for r in rows] == table
     assert all(r["passed"] for r in rows)
+
+
+def test_figure_csvs_round_trip_bit_for_bit(figure_outputs, tmp_path):
+    """Every figure curve reads back bit for bit, as the per-line reader reads it, and writes back byte for byte."""
+    paths = sorted(path for out in figure_outputs.values() for path in out.glob("*.csv"))
+    assert len(paths) == 24 + 15 + 20
+    copy = tmp_path / "copy.csv"
+    for path in paths:
+        traj = read_trajectory_csv(path)
+        assert trajectory_columns(traj) == trajectory_columns(reference_read_trajectory_csv(path)), path.name
+        rows = zip(*(c.tolist() for c in (traj.times, traj.negativity, traj.concurrence, traj.cne, traj.negative_count)))
+        per_row = "\n".join([CSV_HEADER, *(f"{t!r},{n!r},{c!r},{l!r},{k}" for t, n, c, l, k in rows)]) + "\n"
+        assert path.read_text(encoding="utf-8") == per_row, path.name  # the per-row format of the writer it replaced
+        write_trajectory_csv(copy, traj)
+        assert copy.read_bytes() == path.read_bytes(), path.name
 
 
 def test_repro_table_writes_no_gnuplot_script(tmp_path):

@@ -2,21 +2,26 @@
 
 Configs mutated from valid ones and CSVs with broken rows go through
 ``espkit.cli.main`` in process: no exception may escape, the exit code is
-0, 1, 2 or 3, and a failing run prints exactly one line on stderr.  A second
-test feeds each manifest's ``config`` back to ``evolve``.
+0, 1, 2 or 3, and a failing run prints exactly one line on stderr.  The same
+CSVs compare the numpy reader with the per-line reference of ``conftest``, and
+a last test feeds each manifest's ``config`` back to ``evolve``.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from espkit.cli import CSV_HEADER, main
+from espkit.cli import CSV_HEADER, main, read_trajectory_csv
+from espkit.errors import ConfigError
+
+from conftest import reference_read_trajectory_csv, trajectory_columns
 
 # every example stays small: n_steps <= 64, s_c <= 3/2, |t| <= 2
 VALID = (
@@ -97,12 +102,25 @@ def mutated_configs(draw):
     return cfg, overrides
 
 
-CELLS = st.one_of(st.floats(-2.0, 2.0).map(repr), st.sampled_from(["nan", "inf", "-inf", "", "x", "1e", "0.5"]))
+CELLS = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "", "x", "1e", "0.5", " 0.5\u2003", "0x1", "1_0", "0_5", "\u0661", "0.5\x1c", "\x1f1"]),
+)
+COUNTS = st.sampled_from(["-7", "5", "99999999999999999999", "-0", "+3", " 4 ", "1_0", "\u0663"])
+BLANKS = st.sampled_from(["", " ", "\t", "\u2003", "\x0c", "\x1c"])
+
+
+def _time_key(row):
+    try:
+        return float(row[0])
+    except (IndexError, ValueError):
+        return 0.0
 
 
 @st.composite
 def trajectory_csvs(draw):
-    """Up to six rows that are mostly well formed: short files, bad or non-finite cells, unordered times."""
+    """Up to six rows that are mostly well formed: short files, bad, non-finite or non-ASCII cells, counts out of
+    range, unordered times, blank and whitespace-only lines, and LF or CRLF line ends."""
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         t, neg = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 0.5))
@@ -110,12 +128,18 @@ def trajectory_csvs(draw):
         if draw(st.integers(0, 4)) == 0:
             row[draw(st.integers(0, 4))] = draw(CELLS)
         if draw(st.integers(0, 9)) == 0:
+            row[4] = draw(COUNTS)
+        if draw(st.integers(0, 9)) == 0:
             row = row[: draw(st.integers(0, 6))]
         rows.append(row)
     if draw(st.booleans()):
-        rows.sort(key=lambda r: float(r[0]) if r and r[0].strip() not in ("", "x", "1e") else 0.0)
+        rows.sort(key=_time_key)
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(BLANKS))
     header = CSV_HEADER if draw(st.integers(0, 9)) else "t,negativity"
-    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([header] + lines) + end
 
 
 def _run(argv):
@@ -148,6 +172,41 @@ def test_malformed_csv_exits_cleanly(text):
         path = Path(tmp) / "traj.csv"
         path.write_text(text, encoding="utf-8")
         _check(*_run(["detect", "--traj", str(path)]))
+
+
+def _outcome(reader, path):
+    """The columns a reader returns as bytes, or the message of the ConfigError it raises."""
+    try:
+        return "accepted", trajectory_columns(reader(path))
+    except ConfigError as exc:
+        return "rejected", str(exc)
+
+
+def _narrowed_line(path):
+    """The first line holding a spelling Python's float() or int() takes but the numpy pass rejects, or None."""
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n")[1:], start=2):
+        if "_" in line or any(ch.isdigit() and not ch.isascii() for ch in line):
+            return lineno
+    return None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(trajectory_csvs())
+def test_numpy_reader_matches_per_line_reference(text):
+    """Same verdict, bit-identical columns and the same one-line message as the per-line reader, except that a
+    line with a '_' or non-ASCII digit, which that reader takes, is rejected and named."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traj.csv"
+        path.write_text(text, encoding="utf-8")
+        expected, got = _outcome(reference_read_trajectory_csv, path), _outcome(read_trajectory_csv, path)
+        narrowed = _narrowed_line(path)
+    # a line-numbered rejection of the reference before the narrowed line is still the verdict
+    line = re.match(rf"{re.escape(str(path))}:(\d+): ", expected[1]) if expected[0] == "rejected" else None
+    if narrowed is not None and (line is None or int(line.group(1)) > narrowed):
+        assert got[0] == "rejected" and got[1].startswith(f"{path}:{narrowed}: "), (got, narrowed)
+        assert got[1].endswith("numbers take ASCII digits and no '_'"), got
+    else:
+        assert got == expected
 
 
 def test_manifest_config_reruns_byte_for_byte(tmp_path):
