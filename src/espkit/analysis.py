@@ -13,9 +13,9 @@ states:
   validated against the commutator-series truncation they are derived from.
 
 The closed forms are tables (``WEIGHTING_TABLE``, ``FORMULAS``).  The
-lambda*(dt) samplers map an array of times to lambda*, CHUNK times per
-batch: one stack of states, one partial trace and one partial-transpose
-spectrum.  The fits, validators and symmetry checks call a sampler once.
+lambda*(dt) samplers map an array of times to lambda* of the reduced
+states that :func:`espkit.dynamics.reduced_batches` yields, as trajectories
+do.  The fits, validators and symmetry checks call a sampler once.
 
 Trajectory taxonomy near t = 0 uses labels p0..p6: p1/p2 touch the
 entanglement boundary from outside/inside, p3/p5 stay on one side, p4 is a
@@ -36,15 +36,14 @@ from .dynamics import (
     SpectralPropagator,
     Trajectory,
     _checked_initial,
-    _series_stack,
-    _series_terms,
+    reduced_batches,
     sample_trajectory,
     time_reversed_state,
 )
 from .errors import GuardViolation, ResolutionError, WindowError
-from .hilbert import DensityOperator, Ket, SpinMagnitude, partial_trace_c_matrix, trace_out_c
+from .hilbert import DensityOperator, Ket, SpinMagnitude, partial_trace_c_matrix
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
-from .monotones import ENTANGLED_THRESHOLD, batches, negativity, pt_stats
+from .monotones import ENTANGLED_THRESHOLD, negativity, pt_stats
 from .states import (
     BellKind,
     bell_initial,
@@ -204,15 +203,17 @@ def fit_short_time(
     return ShortTimeFit(powers, coeffs, residual, parity)
 
 
-def _sampler(states_at, dim_c: int) -> Callable[[np.ndarray], np.ndarray]:
-    """dt array -> lambda* array of the reduced ``states_at(times)``, CHUNK times per batch."""
-    return lambda dts: np.concatenate([pt_stats(trace_out_c(states_at(ts), dim_c))[0] for ts in batches(np.asarray(dts))])
+def _cne_sampler(h, initial, method: str, order: int = 3) -> Callable[[np.ndarray], np.ndarray]:
+    """dt array -> lambda* array of the reduced states :func:`reduced_batches` yields for it."""
+    h, rho0 = _checked_initial(h, initial)
+    return lambda dts: np.concatenate(
+        [pt_stats(red)[0] for red, _, _ in reduced_batches(h, rho0, np.asarray(dts, dtype=np.float64), method, order)]
+    )
 
 
 def exact_cne_function(h, initial) -> Callable[[np.ndarray], np.ndarray]:
-    """lambda*(dt) sampler from exact evolution of (h, initial state)."""
-    h, rho0 = _checked_initial(h, initial)
-    return _sampler(partial(SpectralPropagator(h).evolve_stack, rho0.matrix), rho0.dims.dim_c)
+    """lambda*(dt) sampler from exact evolution: on a trajectory's grid, bit for bit its ``cne``."""
+    return _cne_sampler(h, initial, "exact")
 
 
 def truncated_cne_function(h, initial, order: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -220,8 +221,7 @@ def truncated_cne_function(h, initial, order: int) -> Callable[[np.ndarray], np.
 
     The truncated states are not positive: only their partial-transpose spectrum is taken.
     """
-    h, rho0 = _checked_initial(h, initial)
-    return _sampler(partial(_series_stack, _series_terms(h, rho0.matrix, order)), rho0.dims.dim_c)
+    return _cne_sampler(h, initial, "series", order)
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,14 @@ A run config has the sections ``model`` (``j``, ``s_c``), ``state``
 the values to the package's constructors, which own every default and
 range check.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or config error
-(one line on stderr), 3 numerics error.
+Exit codes: 0 success, 1 validation failure, 2 usage or config error or
+an output path that cannot be written (one line on stderr), 3 numerics error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -674,7 +675,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``espkit`` parser, built once per process."""
     parser = _Parser(prog="espkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"espkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -711,8 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -721,6 +723,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerics error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # inputs are read through ConfigError, so this is an output that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except EspkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,15 +7,13 @@ composed by binary powering of its one-step matrix, provides an
 independent cross-check that never diagonalizes the Hamiltonian.  Negative
 sample times run the propagators backwards.
 
-Trajectory sampling is batched, CHUNK sample times at a time.  The exact
-and integrator methods propagate the initial ensemble factor B0
-(rho0 = B0 B0†, one column per pure component) rather than rho, regroup
-each B(t) into the factor L of the reduced A-B state, rho_AB = L L†, and
-hand the batches to :func:`espkit.monotones.factor_monotones`; rho_AB is
-positive by construction and never diagonalized.  The series method
-truncates the equation of motion for rho itself, which has no positive
-factor, so it builds a (T, 4, 4) stack of reduced states for
-:func:`espkit.monotones.pair_monotones`.
+Trajectories and the short-time lambda* samplers of :mod:`espkit.analysis`
+take every reduced state from :func:`reduced_batches`, CHUNK sample times
+per batch.  The exact and integrator methods propagate the initial
+ensemble factor B0 (rho0 = B0 B0†, one column per pure component) and
+regroup each B(t) into the factor L of rho_AB = L L†, which is positive
+by construction and never diagonalized.  The series truncation of the
+equation of motion for rho has no positive factor.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from .densemat import (
     kron_all,
 )
 from .densemat import propagator as _propagator_from_spectrum
-from .errors import DimensionError
+from .errors import DimensionError, NumericalError
 from .hilbert import (
     PAULI_Y,
     DensityOperator,
@@ -42,7 +40,7 @@ from .hilbert import (
     spin_operators,
     trace_out_c,
 )
-from .monotones import CHUNK, MonotoneSample, batches, factor_monotones, pair_monotones, psd_factor
+from .monotones import MonotoneSample, batches, check_clip, pair_monotones, psd_factor
 
 INTEGRATOR_STEP = 1e-4
 
@@ -140,24 +138,10 @@ class SpectralPropagator:
             return np.eye(self.dim, dtype=np.complex128)
         return _propagator_from_spectrum(self.spectrum, t)
 
-    def evolve_stack(self, rho: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """rho(t) = V (Φ(t) ∘ R0) V† for every t, as a (T, n, n) stack.
-
-        R0 = V† rho V is rho in the eigenbasis and Φ_ab = e^{-i(w_a - w_b)t}.
-        At t = 0 the stack holds ``rho`` itself.
-        """
-        v = self.spectrum.eigenvectors
-        vh = v.conj().T
-        r0 = vh @ rho @ v
-        phases = np.exp(-1j * np.multiply.outer(times, self.spectrum.eigenvalues))
-        out = phases[:, :, None] * r0
-        out *= phases.conj()[:, None, :]
-        np.matmul(v @ out, vh, out=out)  # one (T, n, n) temporary at a time
-        out[times == 0.0] = rho
-        return out
-
     def evolve_matrix(self, rho: np.ndarray, t: float) -> np.ndarray:
-        return self.evolve_stack(rho, np.array([float(t)]))[0]
+        """rho(t) = U rho U† with U = :meth:`unitary`; ``rho`` itself at t = 0."""
+        u = self.unitary(float(t))
+        return u @ rho @ u.conj().T
 
     def evolve_factor(self, b0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """B(t) = V (e^{-iwt} ∘ V† B0) for every t, as a (T, n, r) stack.
@@ -294,14 +278,6 @@ def time_reversed_state(rho: DensityOperator, s: SpinMagnitude) -> DensityOperat
     return DensityOperator(theta @ rho.matrix.conj() @ theta.conj().T, rho.dims, validate=False)
 
 
-def _reduced_stack(states_at, times: np.ndarray, dim_c: int) -> np.ndarray:
-    """Tr_C of ``states_at(chunk)`` for the whole grid, CHUNK sample times per batch."""
-    red = np.empty((times.shape[0], 4, 4), dtype=np.complex128)
-    for lo in range(0, times.shape[0], CHUNK):
-        red[lo:lo + CHUNK] = trace_out_c(states_at(times[lo:lo + CHUNK]), dim_c)
-    return red
-
-
 def _integrator_factors(h: np.ndarray, b0: np.ndarray, times: np.ndarray):
     """RK4 factors B <- B + P B, stepped sequentially from t = 0 through the grid, one batch at a time."""
     b, t_prev = b0, 0.0
@@ -314,6 +290,33 @@ def _integrator_factors(h: np.ndarray, b0: np.ndarray, times: np.ndarray):
         yield out
 
 
+def reduced_batches(h: np.ndarray, rho0: DensityOperator, times: np.ndarray, method: str, order: int = 3):
+    """Yield (rho_AB, L, clip) for each batch of at most CHUNK ``times``, rho_AB = L L† a (T, 4, 4) stack.
+
+    ``exact`` and ``integrator`` propagate the factor B0 and regroup B(t)
+    into L; ``clip`` is the negative mass dropped if B0 had to be made.
+    The ``series`` truncation to ``order`` terms has no factor: L and clip
+    are None.  ``h`` and ``rho0`` come checked by :func:`_checked_initial`.
+    """
+    dim_c = rho0.dims.dim_c
+    if method == "series":
+        terms = _series_terms(h, rho0.matrix, order)
+        for ts in batches(times):
+            yield trace_out_c(_series_stack(terms, ts), dim_c), None, None
+        return
+    # the constructors give exact factors; a bare matrix is factored once, dropping negative dust
+    b0, clip = (rho0.factor, 0.0) if rho0.factor is not None else psd_factor(rho0.matrix)
+    check_clip(float(clip))
+    if method == "exact":
+        prop = SpectralPropagator(h)
+        factors = (prop.evolve_factor(b0, ts) for ts in batches(times))
+    else:
+        factors = _integrator_factors(h, b0, times)
+    for b in factors:
+        l = pair_factor(b, dim_c)
+        yield l @ l.conj().swapaxes(-1, -2), l, clip
+
+
 def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajectory:
     """Evolve, trace out the environment and record the monotones per time.
 
@@ -324,24 +327,19 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
     """
     h, rho0 = _checked_initial(h, initial)
     times = spec.time_grid()
-    dim_c = rho0.dims.dim_c
-
-    if spec.method == "series":
-        terms = _series_terms(h, rho0.matrix, 3)
-        mono = pair_monotones(_reduced_stack(lambda ts: _series_stack(terms, ts), times, dim_c))
-    else:
-        # the constructors give exact factors; a bare matrix is factored once, dropping negative dust
-        b0, clip = (rho0.factor, 0.0) if rho0.factor is not None else psd_factor(rho0.matrix)
-        if spec.method == "exact":
-            prop = SpectralPropagator(h)
-            factors = (prop.evolve_factor(b0, ts) for ts in batches(times))
-        else:
-            factors = _integrator_factors(h, b0, times)
-        mono = factor_monotones((pair_factor(b, dim_c) for b in factors), clip)
+    try:
+        mono = pair_monotones(reduced_batches(h, rho0, times, spec.method))
+    except NumericalError as exc:
+        if spec.method != "series":
+            raise
+        raise NumericalError(
+            f"the three-term series truncation is not positive on [{times[0]:g}, {times[-1]:g}]: {exc}; "
+            'use method "exact" or a smaller t_max'
+        ) from None
 
     meta = {
         "method": spec.method,
-        "dim_c": dim_c,
+        "dim_c": rho0.dims.dim_c,
         "max_trace_deviation": mono.max_trace_deviation,
         "max_hermiticity_deviation": mono.max_hermiticity_deviation,
         "max_psd_clip": mono.max_clip,

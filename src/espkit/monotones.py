@@ -8,13 +8,11 @@ rho = L L†, the gamma values are the singular values of L^T (σy⊗σy) L,
 so no matrix square root is taken.  Both are local-unitary invariants
 and, for two qubits, vanish together.
 
-Two batched entry points evaluate every quantifier on a whole stack:
-:func:`factor_monotones` on factors L of shape (T, 4, k), the form the
-exact and integrator trajectories are sampled in, and
-:func:`pair_monotones` on (T, 4, 4) matrices, which first factor each
-matrix by its eigendecomposition.  Both use the same partial-transpose
-spectrum and the same Wootters helper; :func:`cne` and :func:`negativity`
-wrap :func:`pt_stats`, and :func:`concurrence` wraps :func:`concurrences`.
+The batched entry point :func:`pair_monotones` takes (rho_AB, L, clip)
+batches: λ* and the negativity from the spectrum of rho_AB^{T_B}, the
+concurrence from the factor L, or from :func:`psd_factor` where L is
+None.  :func:`cne` and :func:`negativity` wrap :func:`pt_stats`, and
+:func:`concurrence` wraps :func:`concurrences`.
 """
 
 from __future__ import annotations
@@ -136,48 +134,37 @@ def concurrences(red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wootters(factor), clip
 
 
-def _check_clip(clip: float) -> None:
+def check_clip(clip: float) -> None:
+    """Raise :class:`NumericalError` when a factor dropped more than ``CLIP_BUDGET`` of negative mass."""
     if clip > CLIP_BUDGET:
         raise NumericalError(f"PSD repair clipped {clip:.3e} of spectral mass (budget {CLIP_BUDGET})")
 
 
-def _sample_stats(red: np.ndarray, conc: np.ndarray, clip: np.ndarray) -> tuple[np.ndarray, ...]:
+def _batch_columns(red: np.ndarray, l: np.ndarray | None, clip) -> tuple[np.ndarray, ...]:
     """Per-state columns of one batch: pt_stats, concurrence, clip, trace and Hermiticity drift."""
+    if l is None:
+        conc, clip = concurrences(red)
+    else:
+        conc = wootters(l)
     trace_dev = np.abs(np.trace(red, axis1=-2, axis2=-1).real - 1.0)
     herm_dev = np.max(np.abs(red - red.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    return (*pt_stats(red), conc, clip, trace_dev, herm_dev)
+    return (*pt_stats(red), conc, np.broadcast_to(clip, conc.shape), trace_dev, herm_dev)
 
 
-def _collect(parts) -> PairMonotones:
-    """Concatenate per-batch columns; raises when a clip exceeds ``CLIP_BUDGET``."""
-    lam, neg, count, conc, clip, trace_dev, herm_dev = (np.concatenate(column) for column in zip(*parts))
+def pair_monotones(parts) -> PairMonotones:
+    """The quantifiers of each state of (rho_AB, L, clip) batches, rho_AB = L L† of shape (T, 4, 4).
+
+    The concurrence is :func:`wootters` of L.  A batch with L None is
+    factored by :func:`psd_factor`, whose dropped mass replaces ``clip``.
+    Raises :class:`NumericalError` when any clip exceeds ``CLIP_BUDGET``.
+    """
+    lam, neg, count, conc, clip, trace_dev, herm_dev = (
+        np.concatenate(column) for column in zip(*(_batch_columns(*part) for part in parts))
+    )
     max_clip = float(np.max(clip))
-    _check_clip(max_clip)
+    check_clip(max_clip)
     return PairMonotones(
         lam, neg, conc, count.astype(np.int64), max_clip, float(np.max(trace_dev)), float(np.max(herm_dev))
-    )
-
-
-def pair_monotones(red: np.ndarray) -> PairMonotones:
-    """lambda*, negativity, negative count and concurrence of a (T, 4, 4) stack.
-
-    The stack is evaluated CHUNK matrices at a time.  Raises
-    :class:`NumericalError` when any matrix carries more than
-    ``CLIP_BUDGET`` of negative eigenvalue mass.
-    """
-    return _collect(_sample_stats(c, *concurrences(c)) for c in batches(red))
-
-
-def factor_monotones(factors, clip: float = 0.0) -> PairMonotones:
-    """The quantifiers of rho_AB = L L† for every factor of an iterable of (T_i, 4, k) batches.
-
-    λ* comes from the spectrum of (L L†)^{T_B}, the concurrence from
-    :func:`wootters` on L itself.  ``clip`` is the negative mass dropped
-    when the factor was made, reported for every state and held to
-    ``CLIP_BUDGET``.
-    """
-    return _collect(
-        _sample_stats(l @ l.conj().swapaxes(-1, -2), wootters(l), np.full(l.shape[0], clip)) for l in factors
     )
 
 
@@ -199,13 +186,13 @@ def concurrence(rho) -> float:
     dropped mass beyond 1e-9 signals a numerics problem and raises.
     """
     conc, clip = concurrences(as_pair_matrix(rho)[None])
-    _check_clip(float(clip[0]))
+    check_clip(float(clip[0]))
     return float(conc[0])
 
 
 def monotone_sample(rho) -> MonotoneSample:
     """Bundle cne, negativity and concurrence for one density matrix."""
-    out = pair_monotones(as_pair_matrix(rho)[None])
+    out = pair_monotones([(as_pair_matrix(rho)[None], None, None)])
     return MonotoneSample(
         float(out.cne[0]), float(out.negativity[0]), float(out.concurrence[0]), int(out.negative_count[0])
     )

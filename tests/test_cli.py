@@ -43,6 +43,15 @@ def write_config(tmp_path, payload):
     return path
 
 
+def _run_cli(argv):
+    """``python -m espkit.cli ARGV`` in a fresh process, with this checkout's package on the path."""
+    src = str(Path(espkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "espkit.cli", *argv], capture_output=True, text=True, env=env, timeout=120, check=False
+    )
+
+
 def test_evolve_writes_csv_and_manifest(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     out = tmp_path / "run"
@@ -317,16 +326,72 @@ def test_detect_malformed_csv(tmp_path, capsys):
 def test_detect_non_increasing_times_exits_2_without_traceback(tmp_path):
     path = tmp_path / "back.csv"
     path.write_text(CSV_HEADER + "\n0.0,0.0,0.0,0.1,0\n0.1,0.0,0.0,0.1,0\n0.1,0.0,0.0,0.1,0\n")
-    src = str(Path(espkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "espkit.cli", "detect", "--traj", str(path)],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
-    )
+    proc = _run_cli(["detect", "--traj", str(path)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and str(path) in lines[0] and "increasing" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["evolve", "repro", "detect", "fit"])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command):
+    """An --out that is an existing file, or lies under a missing directory, is one stderr line and exit 2."""
+    cfg = str(write_config(tmp_path, BASE_CONFIG))
+    traj = tmp_path / "zero.csv"
+    traj.write_text("\n".join([CSV_HEADER] + [f"{t},0.0,0.0,0.0,0" for t in np.linspace(0, 1, 40)]) + "\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = tmp_path / "missing" / "out.json"
+    argv, bad = {
+        "evolve": (["evolve", "--config", cfg, "--out", str(taken)], taken),
+        "repro": (["repro", "table1", "--out", str(taken)], taken),
+        "detect": (["detect", "--traj", str(traj), "--out", str(missing)], missing),
+        "fit": (["fit", "--config", cfg, "--out", str(missing)], missing),
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("output error: ") and str(bad) in err
+
+
+def test_consecutive_main_calls_match_separate_processes(tmp_path):
+    """The parser is built once per process; no call of main leaves state that changes a later one."""
+    cfg = str(write_config(tmp_path, BASE_CONFIG))
+
+    def argvs(root):
+        csv = str(root / "run" / "trajectory.csv")
+        return [
+            ["evolve", "--config", cfg, "--set", "evolution.n_steps=40", "--out", str(root / "run")],
+            ["detect", "--traj", csv, "--min-duration", "0.2", "--out", str(root / "detect_long.json")],
+            ["fit", "--config", cfg, "--parity", "full", "--out", str(root / "fit.json")],
+            ["detect", "--traj", csv, "--out", str(root / "detect.json")],
+            ["evolve", "--config", cfg, "--out", str(root / "run2")],
+        ]
+
+    assert cli.build_parser() is cli.build_parser()
+    for argv in argvs(tmp_path / "one"):
+        assert main(argv) == 0
+    for argv in argvs(tmp_path / "many"):
+        assert _run_cli(argv).returncode == 0
+    files = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*") if p.is_file())
+    assert len(files) == 7
+    for rel in files:
+        assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "many" / rel).read_bytes(), rel
+
+
+def test_series_window_that_is_not_positive_exits_3_naming_the_truncation(tmp_path, capsys):
+    """uud at S = 1: the three-term series carries 6.3e-8 of negative mass at t = 0.02, but none at 0.002."""
+    cfg = {
+        "model": {"j": [1.0, 0.5, 1.0], "s_c": 1.0},
+        "state": {"kind": "product", "theta_a": 0.0, "phi_a": 0.0, "theta_b": np.pi, "phi_b": 0.0, "env": None},
+        "evolution": {"t_max": 0.02, "n_steps": 40, "method": "series"},
+    }
+    path = str(write_config(tmp_path, cfg))
+    assert main(["evolve", "--config", path, "--out", str(tmp_path / "wide")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerics error: ")
+    assert "three-term series truncation is not positive" in err and '"exact"' in err and "smaller t_max" in err
+    assert main(["evolve", "--config", path, "--set", "evolution.t_max=0.002", "--out", str(tmp_path / "narrow")]) == 0
+    assert json.loads((tmp_path / "narrow" / "manifest.json").read_text())["invariants"]["max_psd_clip"] <= 1e-9
 
 
 def test_csv_roundtrip(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from espkit import dynamics
+from espkit.analysis import DEFAULT_FIT_WINDOW, exact_cne_function
 from espkit.cli import main
 from espkit.dynamics import (
     EvolutionSpec,
@@ -89,17 +90,28 @@ def test_factor_methods_never_form_rho(monkeypatch, method, kind):
     h, initial = state_case(kind)
     spec = EvolutionSpec(t_max=0.5, n_steps=100, method=method, emit_negative_times=True)
     before = sample_trajectory(h, initial, spec)
+    lam_before = exact_cne_function(h, initial)(spec.time_grid())
 
     def forbidden(*args, **kwargs):
         raise AssertionError("sampling formed a full density matrix")
 
     monkeypatch.setattr(dynamics, "trace_out_c", forbidden)
-    monkeypatch.setattr(SpectralPropagator, "evolve_stack", forbidden)
+    monkeypatch.setattr(SpectralPropagator, "evolve_matrix", forbidden)
     with pytest.raises(AssertionError):
         sample_trajectory(h, initial, replace(spec, method="series"))  # the patch reaches the rho-stack path
     after = sample_trajectory(h, initial, spec)
     for column in ("cne", "negativity", "concurrence", "negative_count"):
         assert np.array_equal(getattr(after, column), getattr(before, column))
+    assert np.array_equal(exact_cne_function(h, initial)(spec.time_grid()), lam_before)
+
+
+@pytest.mark.parametrize("kind", ["product", "product_env", "mixed", "pure"])
+def test_exact_sampler_is_the_trajectory_path(kind):
+    """The short-time lambda* sampler and the exact trajectory take rho_AB from the same batches, bit for bit."""
+    h, initial = state_case(kind)
+    spec = EvolutionSpec(t_max=0.7, n_steps=2 * CHUNK + 9, emit_negative_times=True)  # three batches
+    traj = sample_trajectory(h, initial, spec)
+    assert np.array_equal(exact_cne_function(h, initial)(spec.time_grid()), traj.cne)
 
 
 def test_trace_deviation_is_the_norm_drift_of_the_factor():
@@ -194,6 +206,17 @@ def test_monotones_match_50_digit_oracle(kind, ident, eps, two_s, j, t):
     exact = oracle_monotones(h, rho0.matrix, s.dim, t)
     got = (traj.cne[0], traj.negativity[0], traj.concurrence[0])
     assert np.max(np.abs(np.array(got) - exact)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("kind", ["product", "product_env", "mixed", "pure"])
+def test_exact_sampler_matches_oracle_on_fit_window(kind):
+    """The short-time fits sample lambda* to about 1e-15 across the default fit window."""
+    h, initial = state_case(kind)
+    rho0 = initial.to_density() if isinstance(initial, Ket) else initial
+    dts = np.linspace(*DEFAULT_FIT_WINDOW, 3)
+    lam = exact_cne_function(h, initial)(dts)
+    exact = [oracle_monotones(h, rho0.matrix, h.shape[0] // 4, dt)[0] for dt in dts]
+    assert np.max(np.abs(lam - exact)) <= 1e-15
 
 
 def test_fig2_rows_keep_twice_negativity_below_concurrence(tmp_path):
