@@ -7,7 +7,7 @@ including detection of sudden death, sudden birth and finite-duration
 transitions.
 """
 
-from .densemat import HermitianSpectrum, hermitian_eig, kron, spectral_exp_skew
+from .densemat import HermitianSpectrum, hermitian_eig
 from .dynamics import (
     EvolutionSpec,
     SpectralPropagator,
@@ -36,10 +36,9 @@ from .model import (
     direct_immediate_concurrence_free,
     spin_star_hamiltonian,
 )
-from .monotones import MonotoneSample, cne, concurrence, monotone_sample, negativity
+from .monotones import cne, concurrence, negativity
 from .states import (
     BellKind,
-    EspClass,
     EspWeighting,
     bell_ket,
     bell_mixture,
@@ -55,8 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HermitianSpectrum",
     "hermitian_eig",
-    "kron",
-    "spectral_exp_skew",
     "EvolutionSpec",
     "SpectralPropagator",
     "Trajectory",
@@ -79,13 +76,10 @@ __all__ = [
     "direct_immediate_concurrence",
     "direct_immediate_concurrence_free",
     "spin_star_hamiltonian",
-    "MonotoneSample",
     "cne",
     "concurrence",
-    "monotone_sample",
     "negativity",
     "BellKind",
-    "EspClass",
     "EspWeighting",
     "bell_ket",
     "bell_mixture",

@@ -25,6 +25,7 @@ odd-order crossing without time-even symmetry.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -55,6 +56,7 @@ from .states import (
 )
 
 DEFAULT_FIT_WINDOW = (1e-3, 1e-2)
+DEFAULT_FIT_MAX_POWER = 4
 MIN_FIT_POINTS = 12
 MAX_FIT_CONDITION = 1e12
 BOUNDARY_TOL = 1e-6
@@ -164,24 +166,41 @@ class ShortTimeFit:
         return 0.0
 
 
+def check_fit_window(lo: float, hi: float, max_power: int = DEFAULT_FIT_MAX_POWER) -> None:
+    """Raise :class:`WindowError` unless 0 < lo < hi and hi**max_power is a normal float.
+
+    A fit scales dt by hi and divides the coefficient of dt^p by hi**p;
+    beyond that range the division meets 0 or an overflowed power.
+    """
+    if not 0 < lo < hi < np.inf:
+        raise WindowError(f"window must satisfy 0 < LO < HI < inf, got {lo}:{hi}")
+    try:
+        top = float(hi) ** max_power
+    except OverflowError:
+        top = np.inf
+    if not sys.float_info.min <= top < np.inf:
+        tiny, huge = (x ** (1.0 / max_power) for x in (sys.float_info.min, sys.float_info.max))
+        raise WindowError(f"window HI must lie in [{tiny:.3g}, {huge:.3g}] so that HI**{max_power} is a normal float, got {hi}")
+
+
 def fit_short_time(
     cne_fn: Callable[[np.ndarray], np.ndarray],
     window: tuple[float, float] = DEFAULT_FIT_WINDOW,
     parity: str = "even",
     n_points: int = 17,
-    max_power: int = 4,
+    max_power: int = DEFAULT_FIT_MAX_POWER,
 ) -> ShortTimeFit:
     """Least-squares polynomial fit of a lambda*(dt) sampler.
 
     The sampler is called once, on the array of ``n_points`` window times.
     ``parity="even"`` fits only even powers (the time-even symmetric case);
     ``"full"`` fits all powers up to ``max_power``.  The design matrix is
-    scaled to the window; a condition number above 1e12 or fewer than 12
-    points raises :class:`WindowError`.
+    scaled to the window; a window :func:`check_fit_window` rejects, a
+    condition number above 1e12 or fewer than 12 points raises
+    :class:`WindowError`.
     """
     lo, hi = window
-    if not 0 < lo < hi < np.inf:
-        raise WindowError(f"invalid window [{lo}, {hi}]")
+    check_fit_window(lo, hi, max_power)
     if n_points < MIN_FIT_POINTS:
         raise WindowError(f"need at least {MIN_FIT_POINTS} points, got {n_points}")
     if parity == "even":
@@ -437,27 +456,22 @@ class FormulaCheck:
 def validate_formula(
     formula_id: str,
     params: dict,
-    mode: str | None = None,
     dts: Sequence[float] = (1e-3, 1e-2),
 ) -> FormulaCheck:
-    """Compare a registered closed form against the matching numerics.
+    """Compare a registered closed form against the numerics of its mode.
 
-    ``mode`` defaults to the formula's native mode ("truncated_series"
-    evaluates the commutator-series truncation the form was derived at;
-    "full_numerics" evaluates exact evolution).  Each dt passes when the
+    "truncated_series" evaluates the commutator-series truncation the form
+    was derived at; "full_numerics" evaluates exact evolution.  Each dt passes when the
     deviation stays below max(1e-10, 3 K dt^q), with q the first neglected
     order and K calibrated from a Richardson triple at the smallest dt.
     Numerics and closed form are each evaluated once, on the triple and ``dts``.
     """
     formula = FORMULAS[formula_id]
-    mode = mode or formula.mode
     h, initial = formula.build(params)
-    if mode == "truncated_series":
+    if formula.mode == "truncated_series":
         cne_fn = truncated_cne_function(h, initial, formula.truncation_order)
-    elif mode == "full_numerics":
-        cne_fn = exact_cne_function(h, initial)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        cne_fn = exact_cne_function(h, initial)
 
     q = formula.next_order
     dt_ref = min(dts)
@@ -471,7 +485,7 @@ def validate_formula(
     rows = tuple((float(dt), float(n), float(c), float(d)) for dt, n, c, d in zip(dts, numeric[3:], closed[3:], devs[3:]))
     tols = tuple(max(1e-10, 3.0 * k_est * float(dt) ** q) for dt in dts)
     passed = not any(row[3] > tol for row, tol in zip(rows, tols))
-    return FormulaCheck(formula_id, mode, rows, max(r[3] for r in rows), tols, passed)
+    return FormulaCheck(formula_id, formula.mode, rows, max(r[3] for r in rows), tols, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -574,20 +588,20 @@ def symmetry_suite(
     the negativity grids mirror, and any death under J appears as a birth
     under -J at the mirrored time.  Time reversal: evolving the flipped
     conjugate of rho(t) for another t restores the initial negativity.
-    dt² symmetry: N(dt) = N(-dt) near t = 0.
+    dt² symmetry: N(dt) = N(-dt) near t = 0.  H(J), H(-J) and the
+    environment's Sy are each diagonalized once.
     """
     h, initial = _checked_initial(spin_star_hamiltonian(j, s), initial)
-    h_neg = spin_star_hamiltonian(-j, s)
     prop = SpectralPropagator(h)
-    prop_neg = SpectralPropagator(h_neg)
+    prop_neg = SpectralPropagator(spin_star_hamiltonian(-j, s))
 
     u_dev = 0.0
     for t in (0.5, 1.0, 2.0):
         u_dev = max(u_dev, float(np.max(np.abs(prop.unitary(-t) - prop_neg.unitary(t)))))
 
     spec = EvolutionSpec(t_max=t_max, n_steps=n_steps, emit_negative_times=True)
-    traj = sample_trajectory(h, initial, spec)
-    traj_neg = sample_trajectory(h_neg, initial, spec)
+    traj = sample_trajectory(prop, initial, spec)
+    traj_neg = sample_trajectory(prop_neg, initial, spec)
     grid_dev = float(np.max(np.abs(traj.negativity - traj_neg.negativity[::-1])))
 
     # time-reversal closure through rho(2)
@@ -598,7 +612,7 @@ def symmetry_suite(
     n_back = negativity(partial_trace_c_matrix(rho_back, initial.dims.dim_c))
     closure_dev = abs(n0 - n_back)
 
-    n_pm = np.maximum(0.0, -exact_cne_function(h, initial)(np.array([1e-3, 1e-2, -1e-3, -1e-2])))
+    n_pm = np.maximum(0.0, -exact_cne_function(prop, initial)(np.array([1e-3, 1e-2, -1e-3, -1e-2])))
     dt2_dev = float(np.max(np.abs(n_pm[:2] - n_pm[2:])))
 
     event_dev: float | None = None

@@ -57,6 +57,7 @@ from .analysis import (
     build_mixed_trajectory,
     build_product_trajectory,
     build_pure_trajectory,
+    check_fit_window,
     classify_trajectory,
     detect_transitions,
     exact_cne_function,
@@ -65,7 +66,7 @@ from .analysis import (
     weighting_cne_expansion,
 )
 from .dynamics import EvolutionSpec, Trajectory, sample_trajectory
-from .errors import ConfigError, EspkitError, GuardViolation, NumericalError
+from .errors import ConfigError, EspkitError, GuardViolation, NumericalError, WindowError
 from .hilbert import DensityOperator, Ket, SpinMagnitude
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from .monotones import ENTANGLED_THRESHOLD
@@ -111,7 +112,6 @@ _KEYS = {
     "mixed_weighting": _WEIGHTING_KEYS,
     "pure_weighting": _WEIGHTING_KEYS,
     "evolution": {
-        "t_min": _OPTIONAL_NUMBER,
         "t_max": _NUMBER,
         "n_steps": (int,),
         "method": (str,),
@@ -196,10 +196,12 @@ def _flag(check):
 
 
 def fit_window(text: str) -> tuple[float, float]:
-    """The ``--window LO:HI`` text as two numbers with 0 < LO < HI < inf."""
+    """The ``--window LO:HI`` text as two numbers that ``analysis.check_fit_window`` accepts."""
     lo, hi = map(float, text.split(":"))
-    if not 0.0 < lo < hi < math.inf:
-        raise argparse.ArgumentTypeError(f"window must satisfy 0 < LO < HI < inf, got {text}")
+    try:
+        check_fit_window(lo, hi)
+    except WindowError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return lo, hi
 
 

@@ -1,8 +1,8 @@
 """Minimal dense complex-matrix layer for operators up to 32x32.
 
 Provides the Hermitian eigendecomposition (LAPACK through
-``np.linalg.eigh``), spectral evolution operators exp(-iHt), Kronecker
-products and norms.  Matrices are plain contiguous ``complex128`` arrays.
+``np.linalg.eigh``), spectral evolution operators exp(-iHt) and Kronecker
+products.  Matrices are plain contiguous ``complex128`` arrays.
 """
 
 from __future__ import annotations
@@ -36,19 +36,9 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def max_abs(a) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def hermiticity_defect(a) -> float:
-    """max_ij |A_ij - conj(A_ji)|."""
-    a = np.asarray(a)
-    return max_abs(a - a.conj().T)
 
 
 def hermitian_eig(a) -> HermitianSpectrum:
@@ -67,8 +57,8 @@ def hermitian_eig(a) -> HermitianSpectrum:
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_RTOL * max(1.0, frobenius(m)):
+    defect = max_abs(m - m.conj().T)
+    if defect > HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(m))):
         raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
     sym = np.ascontiguousarray((m + m.conj().T) / 2.0)
     try:
@@ -80,28 +70,10 @@ def hermitian_eig(a) -> HermitianSpectrum:
     return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
 
-def hermitian_eigvals(a) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix."""
-    return hermitian_eig(a).eigenvalues
-
-
 def propagator(spectrum: HermitianSpectrum, t: float) -> np.ndarray:
     """exp(-iHt) from a precomputed spectrum of H."""
     v = spectrum.eigenvectors
     return (v * np.exp(-1j * spectrum.eigenvalues * float(t))) @ v.conj().T
-
-
-def spectral_exp_skew(h, t: float) -> np.ndarray:
-    """Evolution operator exp(-iHt) for Hermitian H, via the spectral theorem.
-
-    Unitary to ~1e-12 and exactly the identity (up to roundoff) at t = 0.
-    """
-    return propagator(hermitian_eig(h), t)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with complex128 output."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def kron_all(*ops) -> np.ndarray:

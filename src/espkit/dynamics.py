@@ -4,8 +4,9 @@ Exact propagation diagonalizes the Hamiltonian once and reuses the spectrum
 for every sample time; the commutator-series truncation feeds the analytic
 short-time validators; fourth-order Runge-Kutta on the propagator,
 composed by binary powering of its one-step matrix, provides an
-independent cross-check that never diagonalizes the Hamiltonian.  Negative
-sample times run the propagators backwards.
+independent cross-check that never diagonalizes the Hamiltonian.  Every
+sample time is propagated from t = 0 on its own, so negative times run
+the propagators backwards and no error carries from one sample to the next.
 
 Trajectories and the short-time lambda* samplers of :mod:`espkit.analysis`
 take every reduced state from :func:`reduced_batches`, CHUNK sample times
@@ -40,9 +41,12 @@ from .hilbert import (
     spin_operators,
     trace_out_c,
 )
-from .monotones import MonotoneSample, batches, check_clip, pair_monotones, psd_factor
+from .monotones import batches, check_clip, pair_monotones, psd_factor
 
 INTEGRATOR_STEP = 1e-4
+# largest |tr rho_AB - 1| a trajectory may show: exact propagation keeps it
+# near 1e-15; RK4 drifts about 4e-12 by |t| = 1e5 and 4e-10 by 1e7
+DRIFT_BUDGET = 1e-9
 
 InitialState = Union[DensityOperator, Ket]
 
@@ -51,32 +55,29 @@ InitialState = Union[DensityOperator, Ket]
 class EvolutionSpec:
     """Sampling plan for a trajectory.
 
-    The grid is ``n_steps + 1`` evenly spaced times on [t_min, t_max];
-    ``t_min`` defaults to 0, or to -t_max when ``emit_negative_times`` is
-    set (the near-past branch used by the time-symmetry checks).
+    The grid is ``n_steps + 1`` evenly spaced times on [0, t_max], or on
+    [-t_max, t_max] when ``emit_negative_times`` is set (the near-past
+    branch used by the time-symmetry checks).
     """
 
     t_max: float
     n_steps: int
     method: str = "exact"
     emit_negative_times: bool = False
-    t_min: float | None = None
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.method not in ("exact", "series", "integrator"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not np.isfinite([self.t_max, self.start]).all():
+        if not np.isfinite(self.t_max):
             raise ValueError(f"time window [{self.start}, {self.t_max}] is not finite")
         if not self.start < self.t_max:
             raise ValueError(f"empty time window [{self.start}, {self.t_max}]")
 
     @property
     def start(self) -> float:
-        """First sample time: ``t_min`` when given, else 0 or -t_max."""
-        if self.t_min is not None:
-            return self.t_min
+        """First sample time: 0, or -t_max with ``emit_negative_times``."""
         return -self.t_max if self.emit_negative_times else 0.0
 
     def time_grid(self) -> np.ndarray:
@@ -106,14 +107,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def sample(self, i: int) -> MonotoneSample:
-        return MonotoneSample(
-            float(self.cne[i]),
-            float(self.negativity[i]),
-            float(self.concurrence[i]),
-            int(self.negative_count[i]),
-        )
-
     @property
     def spacing(self) -> float:
         return float(np.max(np.diff(self.times)))
@@ -130,12 +123,12 @@ class SpectralPropagator:
         self.spectrum: HermitianSpectrum = hermitian_eig(self.h)
 
     @property
-    def dim(self) -> int:
-        return self.h.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return self.h.shape
 
     def unitary(self, t: float) -> np.ndarray:
         if t == 0.0:
-            return np.eye(self.dim, dtype=np.complex128)
+            return np.eye(self.h.shape[0], dtype=np.complex128)
         return _propagator_from_spectrum(self.spectrum, t)
 
     def evolve_matrix(self, rho: np.ndarray, t: float) -> np.ndarray:
@@ -156,13 +149,18 @@ class SpectralPropagator:
         return out
 
 
-def _checked_initial(h, rho0: InitialState) -> tuple[np.ndarray, DensityOperator]:
-    """The Hamiltonian as a complex matrix and the initial state as a density operator of its shape."""
+def _checked_initial(h, rho0: InitialState) -> tuple[np.ndarray | SpectralPropagator, DensityOperator]:
+    """The generator and the initial state as a density operator of its shape.
+
+    A :class:`SpectralPropagator` comes back as it is, so that its spectrum
+    is reused; any other ``h`` comes back as a complex matrix.
+    """
     if isinstance(rho0, Ket):
         rho0 = rho0.to_density()
     if not isinstance(rho0, DensityOperator):
         raise TypeError("initial state must be a DensityOperator or Ket")
-    h = as_complex_matrix(h)
+    if not isinstance(h, SpectralPropagator):
+        h = as_complex_matrix(h)
     if h.shape != rho0.matrix.shape:
         raise DimensionError(f"Hamiltonian shape {h.shape} does not match state shape {rho0.matrix.shape}")
     return h, rho0
@@ -222,7 +220,7 @@ def _rk4_increment(h: np.ndarray, t_final: float, max_step: float) -> np.ndarray
     U = T^n, taken by binary powering in O(log n) matrix products.  Only
     the increments E and T^n - I are formed: I + E in double precision
     would round away the low bits of E in every step.  P is zero at
-    ``t_final`` = 0.
+    ``t_final`` = 0.  A powering that overflows raises :class:`NumericalError`.
     """
     acc = np.zeros_like(h)  # T^m - I for the low bits m of n_steps consumed so far
     if t_final == 0.0:
@@ -231,11 +229,14 @@ def _rk4_increment(h: np.ndarray, t_final: float, max_step: float) -> np.ndarray
     a = (-1j * (t_final / n_steps)) * h
     eye = np.eye(h.shape[0], dtype=np.complex128)
     step = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)  # T - I by Horner
-    while n_steps:
-        if n_steps & 1:
-            acc = acc + step + acc @ step
-        step = 2.0 * step + step @ step  # T^(2k) - I from T^k - I
-        n_steps >>= 1
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one error, not as warnings
+        while n_steps:
+            if n_steps & 1:
+                acc = acc + step + acc @ step
+            step = 2.0 * step + step @ step  # T^(2k) - I from T^k - I
+            n_steps >>= 1
+    if not np.all(np.isfinite(acc)):
+        raise NumericalError(f"RK4 propagator over t = {t_final:g} overflowed; use method \"exact\"")
     return acc
 
 
@@ -278,27 +279,18 @@ def time_reversed_state(rho: DensityOperator, s: SpinMagnitude) -> DensityOperat
     return DensityOperator(theta @ rho.matrix.conj() @ theta.conj().T, rho.dims, validate=False)
 
 
-def _integrator_factors(h: np.ndarray, b0: np.ndarray, times: np.ndarray):
-    """RK4 factors B <- B + P B, stepped sequentially from t = 0 through the grid, one batch at a time."""
-    b, t_prev = b0, 0.0
-    for ts in batches(times):
-        out = np.empty((ts.shape[0], *b0.shape), dtype=np.complex128)
-        for k, t in enumerate(ts):
-            b = b + _rk4_increment(h, float(t - t_prev), INTEGRATOR_STEP) @ b
-            t_prev = float(t)
-            out[k] = b
-        yield out
-
-
-def reduced_batches(h: np.ndarray, rho0: DensityOperator, times: np.ndarray, method: str, order: int = 3):
+def reduced_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, times: np.ndarray, method: str, order: int = 3):
     """Yield (rho_AB, L, clip) for each batch of at most CHUNK ``times``, rho_AB = L L† a (T, 4, 4) stack.
 
-    ``exact`` and ``integrator`` propagate the factor B0 and regroup B(t)
-    into L; ``clip`` is the negative mass dropped if B0 had to be made.
-    The ``series`` truncation to ``order`` terms has no factor: L and clip
-    are None.  ``h`` and ``rho0`` come checked by :func:`_checked_initial`.
+    ``exact`` takes B(t) from the spectrum of H, ``integrator`` as
+    B0 + P(t) B0 with P(t) the RK4 increment of :func:`_rk4_increment`;
+    both regroup B(t) into L, and ``clip`` is the negative mass dropped if
+    B0 had to be made.  The ``series`` truncation to ``order`` terms has no
+    factor: L and clip are None.  ``h`` and ``rho0`` come checked by
+    :func:`_checked_initial`; a propagator ``h`` lends ``exact`` its spectrum.
     """
     dim_c = rho0.dims.dim_c
+    prop, h = (h, h.h) if isinstance(h, SpectralPropagator) else (None, h)
     if method == "series":
         terms = _series_terms(h, rho0.matrix, order)
         for ts in batches(times):
@@ -308,10 +300,12 @@ def reduced_batches(h: np.ndarray, rho0: DensityOperator, times: np.ndarray, met
     b0, clip = (rho0.factor, 0.0) if rho0.factor is not None else psd_factor(rho0.matrix)
     check_clip(float(clip))
     if method == "exact":
-        prop = SpectralPropagator(h)
+        prop = prop or SpectralPropagator(h)
         factors = (prop.evolve_factor(b0, ts) for ts in batches(times))
     else:
-        factors = _integrator_factors(h, b0, times)
+        factors = (
+            b0 + np.stack([_rk4_increment(h, float(t), INTEGRATOR_STEP) for t in ts]) @ b0 for ts in batches(times)
+        )
     for b in factors:
         l = pair_factor(b, dim_c)
         yield l @ l.conj().swapaxes(-1, -2), l, clip
@@ -320,10 +314,13 @@ def reduced_batches(h: np.ndarray, rho0: DensityOperator, times: np.ndarray, met
 def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajectory:
     """Evolve, trace out the environment and record the monotones per time.
 
-    Metadata records the maximum trace/Hermiticity deviations of the
-    reduced states (for the factor methods the trace deviation is the norm
-    drift of B(t)) and the largest negative eigenvalue mass a factor
-    dropped: 0.0 for a state built with its factor.
+    ``h`` is the Hamiltonian, or a :class:`SpectralPropagator` of it whose
+    spectrum ``exact`` then reuses.  Metadata records the maximum
+    trace/Hermiticity deviations of the reduced states (for the factor
+    methods the trace deviation is the norm drift of B(t)) and the largest
+    negative eigenvalue mass a factor dropped: 0.0 for a state built with
+    its factor.  A trace deviation beyond ``DRIFT_BUDGET`` raises
+    :class:`NumericalError`.
     """
     h, rho0 = _checked_initial(h, initial)
     times = spec.time_grid()
@@ -336,10 +333,12 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
             f"the three-term series truncation is not positive on [{times[0]:g}, {times[-1]:g}]: {exc}; "
             'use method "exact" or a smaller t_max'
         ) from None
-
+    if not mono.max_trace_deviation <= DRIFT_BUDGET:  # NaN fails too
+        raise NumericalError(
+            f"reduced states drift {mono.max_trace_deviation:.3e} from unit trace on [{times[0]:g}, {times[-1]:g}], "
+            f"beyond the {DRIFT_BUDGET:g} budget"
+        )
     meta = {
-        "method": spec.method,
-        "dim_c": rho0.dims.dim_c,
         "max_trace_deviation": mono.max_trace_deviation,
         "max_hermiticity_deviation": mono.max_hermiticity_deviation,
         "max_psd_clip": mono.max_clip,

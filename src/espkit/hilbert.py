@@ -135,9 +135,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 def validate_density_matrix(m: np.ndarray) -> None:
     """Check trace-one, Hermiticity and positivity up to roundoff."""
@@ -242,12 +239,6 @@ def transpose_b(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
 
 
-def transpose_a(stack: np.ndarray) -> np.ndarray:
-    """Batched partial transpose on qubit A: out[ab, a'b'] = in[a'b, ab']."""
-    lead = stack.shape[:-2]
-    return stack.reshape(*lead, 2, 2, 2, 2).swapaxes(-4, -2).reshape(*lead, 4, 4)
-
-
 def as_pair_matrix(rho) -> np.ndarray:
     """A 4x4 A-B matrix from a DensityOperator or array, shape-checked."""
     m = as_complex_matrix(rho.matrix if isinstance(rho, DensityOperator) else rho)
@@ -265,18 +256,6 @@ def partial_transpose_b(rho) -> np.ndarray:
     return transpose_b(as_pair_matrix(rho))
 
 
-def partial_transpose_a(rho) -> np.ndarray:
-    """Partial transpose on qubit A (spectrum-equivalent to the B side)."""
-    return transpose_a(as_pair_matrix(rho))
-
-
 def qubit_ket(theta: float, phi: float) -> np.ndarray:
     """Single-qubit spin-coherent state at polar angle theta, azimuth phi."""
     return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=np.complex128)
-
-
-def random_two_qubit_dm(rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank two-qubit density matrix (Ginibre construction)."""
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    return m / np.trace(m).real

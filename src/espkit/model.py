@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import kron
 from .hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -51,9 +50,6 @@ class ExchangeCoupling:
 
     def __neg__(self) -> "ExchangeCoupling":
         return ExchangeCoupling(-self.jx, -self.jy, -self.jz)
-
-    def scaled(self, factor: float) -> "ExchangeCoupling":
-        return ExchangeCoupling(self.jx * factor, self.jy * factor, self.jz * factor)
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ def direct_hamiltonian(jdir: ExchangeCoupling) -> np.ndarray:
     for coupling, pauli in zip(jdir.as_array(), PAULI):
         if coupling == 0.0:
             continue
-        h += coupling * kron(pauli, pauli)
+        h += coupling * np.kron(pauli, pauli)
     return h
 
 

@@ -33,16 +33,6 @@ YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]  # σy⊗σy = antidiag(-1,
 
 
 @dataclass(frozen=True)
-class MonotoneSample:
-    """The three quantifiers of one reduced density matrix."""
-
-    cne: float
-    negativity: float
-    concurrence: float
-    negative_count: int
-
-
-@dataclass(frozen=True)
 class PairMonotones:
     """The quantifiers of a stack of states, one entry per state.
 
@@ -188,11 +178,3 @@ def concurrence(rho) -> float:
     conc, clip = concurrences(as_pair_matrix(rho)[None])
     check_clip(float(clip[0]))
     return float(conc[0])
-
-
-def monotone_sample(rho) -> MonotoneSample:
-    """Bundle cne, negativity and concurrence for one density matrix."""
-    out = pair_monotones([(as_pair_matrix(rho)[None], None, None)])
-    return MonotoneSample(
-        float(out.cne[0]), float(out.negativity[0]), float(out.concurrence[0]), int(out.negative_count[0])
-    )

@@ -57,20 +57,6 @@ class BellKind:
 
 
 @dataclass(frozen=True)
-class EspClass:
-    """Penetrability classification of a weighting."""
-
-    penetrable: bool
-    bell_count: int
-
-    def __post_init__(self):
-        if not 1 <= self.bell_count <= 4:
-            raise ValueError("bell_count must be in 1..4")
-        if self.bell_count > 2 and not self.penetrable:
-            raise ValueError("more than two Bell components implies a penetrable switch")
-
-
-@dataclass(frozen=True)
 class EspWeighting:
     """Normalized 4-vector of Bell weights (alpha+, alpha-, beta+, beta-)."""
 
@@ -92,10 +78,6 @@ class EspWeighting:
     @property
     def penetrable(self) -> bool:
         return self.bell_count > 2
-
-    @property
-    def esp_class(self) -> EspClass:
-        return EspClass(penetrable=self.penetrable, bell_count=self.bell_count)
 
     def matched_spin(self) -> SpinMagnitude:
         """Environment spin whose level count equals the number of Bell components."""
@@ -174,11 +156,6 @@ def esp_weighting(weighting_id: str, epsilon: float) -> EspWeighting:
         raise ValueError(f"epsilon must lie in (-1, 1), got {epsilon}")
     main, shares = _WEIGHTING_SLOTS[weighting_id]
     return EspWeighting(weighting_id, epsilon, _distribute(epsilon, main, shares))
-
-
-def custom_weighting(weights) -> EspWeighting:
-    """A weighting outside the tabulated set (weights must sum to one), at switch 0."""
-    return EspWeighting("custom", 0.0, tuple(float(x) for x in weights))
 
 
 def bell_mixture(w: EspWeighting) -> DensityOperator:

@@ -1,11 +1,16 @@
-"""Shared fixtures and independent numerical oracles for the test suite."""
+"""Shared fixtures, independent numerical oracles and the helpers only tests call."""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from espkit.hilbert import random_two_qubit_dm
+from espkit.densemat import hermitian_eig, propagator
+from espkit.hilbert import as_pair_matrix
+from espkit.monotones import pair_monotones
+from espkit.states import EspWeighting
 
 SEED = 20240917
 
@@ -26,8 +31,54 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_dm(rng: np.random.Generator) -> np.ndarray:
-    return random_two_qubit_dm(rng)
+def random_two_qubit_dm(rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank two-qubit density matrix (Ginibre construction)."""
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def hermitian_eigvals(a) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix."""
+    return hermitian_eig(a).eigenvalues
+
+
+def spectral_exp_skew(h, t: float) -> np.ndarray:
+    """Evolution operator exp(-iHt) for Hermitian H, via the spectral theorem."""
+    return propagator(hermitian_eig(h), t)
+
+
+def transpose_a(stack: np.ndarray) -> np.ndarray:
+    """Batched partial transpose on qubit A: out[ab, a'b'] = in[a'b, ab']."""
+    lead = stack.shape[:-2]
+    return stack.reshape(*lead, 2, 2, 2, 2).swapaxes(-4, -2).reshape(*lead, 4, 4)
+
+
+def partial_transpose_a(rho) -> np.ndarray:
+    """Partial transpose on qubit A (spectrum-equivalent to the B side)."""
+    return transpose_a(as_pair_matrix(rho))
+
+
+def custom_weighting(weights) -> EspWeighting:
+    """A weighting outside the tabulated set (weights must sum to one), at switch 0."""
+    return EspWeighting("custom", 0.0, tuple(float(x) for x in weights))
+
+
+class MonotoneSample(NamedTuple):
+    """The three quantifiers of one reduced density matrix."""
+
+    cne: float
+    negativity: float
+    concurrence: float
+    negative_count: int
+
+
+def monotone_sample(rho) -> MonotoneSample:
+    """Bundle cne, negativity and concurrence for one density matrix, through the batched entry point."""
+    out = pair_monotones([(as_pair_matrix(rho)[None], None, None)])
+    return MonotoneSample(
+        float(out.cne[0]), float(out.negativity[0]), float(out.concurrence[0]), int(out.negative_count[0])
+    )
 
 
 def charpoly_eigvals(h: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from espkit.analysis import (
     truncated_cne_function,
     weighting_cne_expansion,
 )
-from espkit.densemat import hermitian_eigvals, spectral_exp_skew
 from espkit.dynamics import EvolutionSpec, SpectralPropagator, evolve_exact, time_reversed_state
 from espkit.errors import GuardViolation
 from espkit.hilbert import (
@@ -33,7 +32,6 @@ from espkit.hilbert import (
     partial_trace_c,
     partial_transpose_b,
     qubit_ket,
-    random_two_qubit_dm,
 )
 from espkit.model import (
     ExchangeCoupling,
@@ -43,19 +41,26 @@ from espkit.model import (
     direct_immediate_concurrence_free,
     spin_star_hamiltonian,
 )
-from espkit.monotones import concurrence, monotone_sample, negativity
+from espkit.monotones import concurrence, negativity
 from espkit.states import (
     BellKind,
     bell_ket,
     bell_mixture,
-    custom_weighting,
     esp_weighting,
     mixed_initial,
     product_basis_initial,
     product_initial,
 )
 
-from conftest import SEED, random_hermitian
+from conftest import (
+    SEED,
+    custom_weighting,
+    hermitian_eigvals,
+    monotone_sample,
+    random_hermitian,
+    random_two_qubit_dm,
+    spectral_exp_skew,
+)
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
 HALF = SpinMagnitude(1)

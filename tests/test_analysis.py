@@ -23,6 +23,7 @@ from espkit.analysis import (
     validate_formula,
     weighting_cne_expansion,
 )
+from espkit.densemat import hermitian_eig
 from espkit.dynamics import EvolutionSpec, SpectralPropagator, Trajectory, evolve_series, sample_trajectory
 from espkit.errors import GuardViolation, ResolutionError, WindowError
 from espkit.hilbert import DensityOperator, SpinMagnitude, SystemDims, basis_ket_c, partial_trace_c_matrix
@@ -227,6 +228,10 @@ def test_fit_window_validation():
         fit_short_time(lambda dt: dt, n_points=5)
     with pytest.raises(WindowError):
         fit_short_time(lambda dt: dt, window=(1e-2, 1e-3))
+    # HI**4 underflows to 0 or overflows: no coefficient can be unscaled
+    for window in ((1e-200, 2e-200), (1e200, 1e201)):
+        with pytest.raises(WindowError, match="normal float"):
+            fit_short_time(lambda dt: dt, window=window)
 
 
 def test_fit_full_parity_recovers_odd_series():
@@ -529,6 +534,19 @@ def test_symmetry_suite_product_state():
     assert report.coupling_negation_grid <= 1e-10
     assert report.time_reversal_closure <= 1e-8
     assert report.dt2_symmetry <= 1e-8
+
+
+def test_symmetry_suite_diagonalizes_each_hamiltonian_once(monkeypatch):
+    """H(J), H(-J) and the environment Sy: three eigendecompositions."""
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return hermitian_eig(a)
+
+    monkeypatch.setattr(dynamics, "hermitian_eig", counted)
+    assert symmetry_suite(ExchangeCoupling(1, 1, 1), HALF, product_basis_initial("uud", HALF)).passed
+    assert calls == [(8, 8), (8, 8), (2, 2)]
 
 
 def test_symmetry_suite_death_birth_mirror():

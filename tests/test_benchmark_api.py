@@ -8,12 +8,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_curves_smoke_run_is_correct():
-    """The tracer patches public functions and methods by name and replay calls the per-matrix chain:
-    deleting or renaming one of them fails here, not first in a benchmark run."""
+def test_traced_smoke_run_of_every_workload_is_correct():
+    """The tracer patches public functions and methods by name, replay calls the per-matrix chain, and the
+    workloads call the CLI, the CSV reader and the validators: deleting or renaming one of them fails
+    here, not first in a benchmark run."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "espbench" / "run.py"),
-         "--workload", "curves", "--smoke", "--seconds", "1", "--trace", "1", "--seed", "5"],
+         "--workload", "all", "--smoke", "--seconds", "1", "--trace", "1", "--seed", "5"],
         capture_output=True, text=True, cwd=ROOT, timeout=300, check=False,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -139,7 +139,7 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, text, field):
         ({"n_steps": True}, "evolution.n_steps"),
         ({"method": "rk"}, "method"),
         ({"series_order": 7}, "series_order"),
-        ({"t_min": 2.0, "t_max": 1.0}, "time window"),
+        ({"t_max": 0.0}, "time window"),
     ],
 )
 def test_evolution_errors_name_field(evolution, field):
@@ -175,18 +175,26 @@ def test_integer_beyond_float_range_exits_2(tmp_path, capsys, section, key):
     assert err.count("\n") == 1 and section in err
 
 
-@pytest.mark.parametrize("path", ["model.j", "model.s_c", "state.theta_a", "evolution.t_max", "evolution.t_min"])
+@pytest.mark.parametrize("path", ["model.j", "model.s_c", "state.theta_a", "evolution.t_max", "detection.min_duration"])
 @pytest.mark.parametrize("number", ["1" + "0" * 400, "-1" + "0" * 400, "1e400", "NaN"])
 def test_number_out_of_float_range_names_its_path(tmp_path, capsys, path, number):
     """A 401-digit integer, a literal that overflows to infinity, or NaN is rejected while parsing, in one line."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["state"] = {"kind": "product", "theta_a": 0.5}
     section, key = path.split(".")
-    cfg[section][key] = [1, "NUMBER", 1] if key == "j" else "NUMBER"
+    cfg.setdefault(section, {})[key] = [1, "NUMBER", 1] if key == "j" else "NUMBER"
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg).replace('"NUMBER"', number), encoding="utf-8")
     assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == f"config error: {path}: number out of range\n"
+
+
+def test_evolution_t_min_is_an_unknown_key(tmp_path, capsys):
+    """The window starts at 0, or at -t_max with emit_negative_times: there is no second way to set it."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["evolution"]["t_min"] = -0.2
+    assert main(["evolve", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "config error: evolution.t_min: unknown key\n"
 
 
 def test_config_and_csv_paths_that_are_directories(tmp_path, capsys):
@@ -221,8 +229,10 @@ def test_output_section_is_unknown(tmp_path):
         (["fit", "--config", "c.json", "--window", "1e-2:1e-3"], "window must satisfy 0 < LO < HI < inf"),
         (["fit", "--config", "c.json", "--points", "3"], "points must be >= 12"),
         (["fit", "--config", "c.json", "--points", str(10**12)], f"points must be <= 10000000, got {10**12}"),
+        (["fit", "--config", "c.json", "--window", "1e-200:2e-200"], "so that HI**4 is a normal float, got 2e-200"),
+        (["fit", "--config", "c.json", "--window", "1e200:1e201"], "so that HI**4 is a normal float, got 1e+201"),
     ],
-    ids=[f"argv{i}" for i in range(11)],
+    ids=[f"argv{i}" for i in range(13)],
 )
 def test_bad_flags_are_usage_errors(argv, rule, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -392,6 +402,17 @@ def test_series_window_that_is_not_positive_exits_3_naming_the_truncation(tmp_pa
     assert "three-term series truncation is not positive" in err and '"exact"' in err and "smaller t_max" in err
     assert main(["evolve", "--config", path, "--set", "evolution.t_max=0.002", "--out", str(tmp_path / "narrow")]) == 0
     assert json.loads((tmp_path / "narrow" / "manifest.json").read_text())["invariants"]["max_psd_clip"] <= 1e-9
+
+
+@pytest.mark.parametrize("t_max", [1e14, 1e16, 1e20])
+def test_integrator_beyond_its_drift_budget_exits_3_in_one_line(tmp_path, capsys, t_max):
+    """RK4 over 1e18 to 1e24 steps of 1e-4 drifts off unit trace, or overflows: one numerics line, no rows."""
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    sets = ["--set", "evolution.method=integrator", "--set", f"evolution.t_max={t_max}", "--set", "evolution.n_steps=4"]
+    assert main(["evolve", "--config", str(cfg), *sets, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerics error: ")
+    assert not (tmp_path / "x" / "trajectory.csv").exists()
 
 
 def test_csv_roundtrip(tmp_path):

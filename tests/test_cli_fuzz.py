@@ -39,7 +39,7 @@ VALID = (
     {
         "model": {"j": [-0.5, -0.5, -1.0], "s_c": 1.5},
         "state": {"kind": "mixed_weighting", "weighting_id": "W13", "epsilon": 0.01},
-        "evolution": {"t_min": -0.2, "t_max": 0.3, "n_steps": 32},
+        "evolution": {"t_max": 0.3, "n_steps": 32, "emit_negative_times": True},
     },
     {
         "model": {"j": [-0.5, -0.5, -1.0], "s_c": 1.0},
@@ -70,7 +70,7 @@ def _bounded(key, value):
             return min(value, 1.5)
         if key == "n_steps":
             return min(value, 64)
-        if key in ("t_min", "t_max"):
+        if key == "t_max":
             return max(-2.0, min(value, 2.0))
     return value
 

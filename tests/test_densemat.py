@@ -3,18 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from espkit.densemat import (
-    hermitian_eig,
-    hermitian_eigvals,
-    kron,
-    propagator,
-    spectral_exp_skew,
-)
+from espkit.densemat import hermitian_eig, kron_all, propagator
 from espkit.errors import DimensionError, NumericalError
 from espkit.hilbert import PAULI_Y, PAULI_Z, SpinMagnitude
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 
-from conftest import charpoly_eigvals, expm_taylor, random_hermitian
+from conftest import charpoly_eigvals, expm_taylor, hermitian_eigvals, random_hermitian, spectral_exp_skew
 
 
 def test_eig_identity():
@@ -113,11 +107,11 @@ def test_exp_group_property(rng):
 
 
 def test_kron_identities():
-    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.allclose(kron_all(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_kron_pauli_y_pair():
-    yy = kron(PAULI_Y, PAULI_Y)
+    yy = kron_all(PAULI_Y, PAULI_Y)
     expected = np.zeros((4, 4))
     expected[0, 3] = -1
     expected[1, 2] = 1
@@ -133,6 +127,6 @@ def test_kron_mixed_product_identity(seed):
     gen = np.random.default_rng(seed)
     a, c = (gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)) for _ in range(2))
     b, d = (gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)) for _ in range(2))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
+    lhs = kron_all(a, b) @ kron_all(c, d)
+    rhs = kron_all(a @ c, b @ d)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))

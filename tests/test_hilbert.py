@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from espkit.densemat import hermitian_eigvals
 from espkit.errors import DimensionError
 from espkit.hilbert import (
     AB_DIMS,
@@ -16,16 +15,14 @@ from espkit.hilbert import (
     embed,
     partial_trace_c,
     partial_trace_c_matrix,
-    partial_transpose_a,
     partial_transpose_b,
-    random_two_qubit_dm,
     spin_operators,
 )
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
-from espkit.states import bell_ket_by_label, bell_mixture, custom_weighting, product_basis_initial
+from espkit.states import bell_ket_by_label, bell_mixture, product_basis_initial
 from espkit.dynamics import evolve_exact
 
-from conftest import ptrace_first_loop
+from conftest import custom_weighting, hermitian_eigvals, partial_transpose_a, ptrace_first_loop, random_two_qubit_dm
 
 
 def commutator(a, b):

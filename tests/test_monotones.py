@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from espkit.densemat import kron
+from espkit.densemat import kron_all
 from espkit.errors import NumericalError
-from espkit.hilbert import PAULI_Y, random_two_qubit_dm
-from espkit.monotones import cne, concurrence, monotone_sample, negativity
-from espkit.states import bell_ket_by_label, bell_mixture, custom_weighting, esp_weighting
+from espkit.hilbert import PAULI_Y
+from espkit.monotones import cne, concurrence, negativity
+from espkit.states import bell_ket_by_label, bell_mixture, esp_weighting
 
-from conftest import random_unitary
+from conftest import custom_weighting, hermitian_eigvals, monotone_sample, random_two_qubit_dm, random_unitary
 
 SINGLET = bell_ket_by_label("beta-").to_density().matrix
 UP_UP = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -16,7 +16,7 @@ UP_UP = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 def concurrence_oracle(rho: np.ndarray) -> float:
     """Square roots of the eigenvalues of rho*rho', via the general
     (non-Hermitian) eigenvalue problem."""
-    yy = kron(PAULI_Y, PAULI_Y)
+    yy = kron_all(PAULI_Y, PAULI_Y)
     flipped = yy @ rho.conj() @ yy
     gammas = np.sqrt(np.abs(np.sort(np.linalg.eigvals(rho @ flipped).real)))
     return max(0.0, 2 * gammas[-1] - gammas.sum())
@@ -110,14 +110,13 @@ def test_faithfulness_on_random_states(rng):
 def test_local_unitary_invariance(rng):
     for _ in range(25):
         rho = random_two_qubit_dm(rng)
-        u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        u = kron_all(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
         assert abs(negativity(rotated) - negativity(rho)) <= 1e-10
         assert abs(concurrence(rotated) - concurrence(rho)) <= 1e-10
 
 
 def test_pt_spectrum_regression_random_weightings(rng):
-    from espkit.densemat import hermitian_eigvals
     from espkit.hilbert import partial_transpose_b
 
     for _ in range(50):

@@ -19,8 +19,10 @@ from espkit.dynamics import (
 from espkit.errors import NumericalError
 from espkit.hilbert import DensityOperator, Ket, SpinMagnitude, partial_trace_c_matrix
 from espkit.model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
-from espkit.monotones import CHUNK, cne, concurrence, monotone_sample, negativity
+from espkit.monotones import CHUNK, cne, concurrence, negativity
 from espkit.states import esp_weighting, mixed_initial, product_basis_initial, product_initial, pure_initial
+
+from conftest import monotone_sample
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
 CHAIN_TOL = 1e-14
@@ -115,14 +117,18 @@ def test_exact_sampler_is_the_trajectory_path(kind):
 
 
 def test_trace_deviation_is_the_norm_drift_of_the_factor():
-    """A factor off by 0.1 % in norm shows as 2e-3 of trace drift, whatever the matrix says."""
+    """A factor off by 1e-10 in norm shows as 2e-10 of trace drift, whatever the matrix says; one off
+    by 0.1 % drifts 2e-3, beyond the 1e-9 budget, and raises."""
     h, initial = state_case("mixed")
     spec = EvolutionSpec(t_max=0.5, n_steps=20)
-    scaled = DensityOperator(initial.matrix, initial.dims, factor=1.001 * initial.factor)
+    scaled = DensityOperator(initial.matrix, initial.dims, factor=(1.0 + 1e-10) * initial.factor)
+    bad = DensityOperator(initial.matrix, initial.dims, factor=1.001 * initial.factor)
     for method in ("exact", "integrator"):
         meta = sample_trajectory(h, scaled, replace(spec, method=method)).meta
-        assert abs(meta["max_trace_deviation"] - (1.001**2 - 1.0)) <= 1e-12
+        assert abs(meta["max_trace_deviation"] - ((1.0 + 1e-10) ** 2 - 1.0)) <= 1e-14
         assert meta["max_psd_clip"] == 0.0
+        with pytest.raises(NumericalError, match="2.001e-03 from unit trace"):
+            sample_trajectory(h, bad, replace(spec, method=method))
 
 
 def test_bare_matrix_is_factored_once_within_the_clip_budget():
@@ -202,9 +208,11 @@ def test_monotones_match_50_digit_oracle(kind, ident, eps, two_s, j, t):
     else:
         rho0 = pure_initial(esp_weighting(ident, eps), s).to_density()
     h = spin_star_hamiltonian(j, s)
-    traj = sample_trajectory(h, rho0, EvolutionSpec(t_max=t + 1.0, n_steps=2, t_min=t))
+    traj = sample_trajectory(h, rho0, EvolutionSpec(t_max=abs(t), n_steps=1, emit_negative_times=True))
+    k = int(t > 0)  # the grid is [-|t|, |t|]
+    assert traj.times[k] == t
     exact = oracle_monotones(h, rho0.matrix, s.dim, t)
-    got = (traj.cne[0], traj.negativity[0], traj.concurrence[0])
+    got = (traj.cne[k], traj.negativity[k], traj.concurrence[k])
     assert np.max(np.abs(np.array(got) - exact)) <= ORACLE_TOL
 
 

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from espkit.densemat import hermitian_eigvals
 from espkit.hilbert import SpinMagnitude, partial_trace_c, partial_transpose_b
 from espkit.monotones import cne, negativity
 from espkit.states import (
     BellKind,
-    EspClass,
     WEIGHTING_IDS,
     bell_initial,
     bell_ket,
@@ -21,6 +19,8 @@ from espkit.states import (
     pure_initial,
 )
 from espkit.model import ProductSpinSpec
+
+from conftest import hermitian_eigvals
 
 
 def test_singlet_is_maximally_entangled():
@@ -98,9 +98,10 @@ def test_weights_normalized_everywhere(eps, idx):
     assert all(x >= 0 for x in w.weights)
 
 
-def test_esp_class_invariant():
-    with pytest.raises(ValueError):
-        EspClass(penetrable=False, bell_count=3)
+def test_more_than_two_bell_components_is_penetrable():
+    for wid in WEIGHTING_IDS:
+        w = esp_weighting(wid, 0.01)
+        assert w.penetrable is (w.bell_count > 2)
 
 
 def test_bell_counts_and_matched_spin():
@@ -129,7 +130,7 @@ def test_penetrability_witness(wid):
 
 def test_mixed_initial_purity_half():
     rho = mixed_initial(esp_weighting("W1", 0.0), SpinMagnitude(1))
-    assert np.isclose(rho.purity(), 0.5, atol=1e-14)
+    assert np.isclose(np.trace(rho.matrix @ rho.matrix).real, 0.5, atol=1e-14)
 
 
 def test_mixed_initial_pt_spectrum():
@@ -208,7 +209,7 @@ def test_product_initial_up_down_marginal():
 def test_product_initial_mixed_env_purity():
     spec = ProductSpinSpec(theta_a=np.pi / 2, theta_b=np.pi / 2, env_weights=(0.7, 0.3))
     rho = product_initial(spec, SpinMagnitude(1))
-    assert np.isclose(rho.purity(), 0.58, atol=1e-14)
+    assert np.isclose(np.trace(rho.matrix @ rho.matrix).real, 0.58, atol=1e-14)
 
 
 FACTOR_TOL = 1e-15
