@@ -12,7 +12,10 @@ states:
 * diagonal-environment product states and single Bell pairs, which are
   validated against the commutator-series truncation they are derived from.
 
-The closed forms are tables (``WEIGHTING_TABLE``, ``FORMULAS``).  The
+Every closed form is one row of ``FORMULAS``: an initial state and the
+coefficients (c0, c2, c4) of lambda*(dt) = c0 + c2 dt² + c4 dt⁴ (even in
+dt by the local time-even symmetry; None leaves an order out), which
+``repro table1``/``table2`` and :func:`validate_formula` all read.  The
 lambda*(dt) samplers map an array of times to lambda* of the reduced
 states that :func:`espkit.dynamics.reduced_batches` yields, as trajectories
 do.  The fits, validators and symmetry checks call a sampler once.
@@ -27,8 +30,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +62,9 @@ DEFAULT_FIT_MAX_POWER = 4
 MIN_FIT_POINTS = 12
 MAX_FIT_CONDITION = 1e12
 BOUNDARY_TOL = 1e-6
-# four ulps: min_duration = 3 * spacing, rounded twice, must not read as coarser than min_duration / 3
-RESOLUTION_SLACK = 1.0 + 4.0 * np.finfo(float).eps
+# a grid difference runs up to about two ulps of max|t| past the nominal spacing, and
+# min_duration = 3 * spacing rounds twice on its way back to min_duration / 3
+RESOLUTION_ULPS = 8.0
 
 P_LABELS = ("p0", "p1", "p2", "p3", "p4", "p5", "p6")
 
@@ -114,17 +117,15 @@ def detect_transitions(
     ``min_duration`` defaults to five sample spacings.
 
     Raises :class:`ResolutionError` when the sampling is coarser than
-    ``min_duration / 3`` by more than rounding.
+    ``min_duration / 3`` by more than a few ulps of max|t|.
     """
     t = traj.times
     n = traj.negativity
     spacing = traj.spacing
     if min_duration is None:
         min_duration = 5.0 * spacing
-    if spacing > min_duration / 3.0 * RESOLUTION_SLACK:
-        raise ResolutionError(
-            f"sample spacing {spacing:.3g} exceeds min_duration/3 = {min_duration / 3.0:.3g}"
-        )
+    if spacing > min_duration / 3.0 + RESOLUTION_ULPS * np.spacing(max(abs(t[0]), abs(t[-1]))):
+        raise ResolutionError(f"sample spacing {spacing!r} exceeds min_duration/3 = {min_duration / 3.0!r}")
 
     # zero runs span samples i..j, from the flips of the padded below-threshold mask
     flips = np.flatnonzero(np.diff(np.concatenate(([False], n <= threshold, [False]))))
@@ -276,21 +277,17 @@ def product_cne_quadratic(state: str, j: ExchangeCoupling, s: SpinMagnitude) -> 
     raise ValueError(f"unknown product configuration {state!r}")
 
 
-@dataclass(frozen=True)
-class WeightingExpansion:
-    """Immediate lambda* expansion of one Bell-mixture weighting.
+class CneExpansion(NamedTuple):
+    """lambda*(dt) = c0 + c2 dt² + c4 dt⁴; None marks an order the closed form leaves out."""
 
-    ``c2``/``c4`` are None when the corresponding order is not part of the
-    tabulated expansion; ``label`` is the near-boundary trajectory class at
-    the tabulated switch-parameter sign(s).
-    """
-
-    weighting_id: str
-    epsilon: float
     c0: float
     c2: float | None
     c4: float | None
-    label: str
+
+    @property
+    def next_order(self) -> int:
+        """The first power of dt the form neglects: the even power after its last tabulated term."""
+        return 2 * max(k for k, c in enumerate(self) if c is not None) + 2
 
 
 # weighting -> (trajectory label, {tabulated sign(epsilon): (Jx², Jy², epsilon) -> (c0, c2, c4)});
@@ -319,7 +316,7 @@ WEIGHTING_TABLE_SIGNS: dict[str, tuple[int, ...]] = {wid: tuple(forms) for wid, 
 WEIGHTING_LABELS: dict[str, str] = {wid: label for wid, (label, _) in WEIGHTING_TABLE.items()}
 
 
-def weighting_cne_expansion(weighting_id: str, j: ExchangeCoupling, epsilon: float) -> WeightingExpansion:
+def weighting_cne_expansion(weighting_id: str, j: ExchangeCoupling, epsilon: float) -> CneExpansion:
     """Tabulated immediate expansion of lambda*(dt) for a mixture weighting.
 
     Valid at the tabulated sign of the switch parameter (both signs for
@@ -329,114 +326,89 @@ def weighting_cne_expansion(weighting_id: str, j: ExchangeCoupling, epsilon: flo
     """
     if weighting_id not in WEIGHTING_TABLE:
         raise ValueError(f"unknown weighting id {weighting_id!r}")
-    label, forms = WEIGHTING_TABLE[weighting_id]
+    forms = WEIGHTING_TABLE[weighting_id][1]
     sgn = _sign(epsilon)
     if sgn not in forms:
         raise GuardViolation(f"{weighting_id} expansion is tabulated for sign(epsilon) in {tuple(forms)}, got {sgn}")
-    c0, c2, c4 = forms[sgn](j.jx**2, j.jy**2, epsilon)
-    return WeightingExpansion(weighting_id, epsilon, c0, c2, c4, label)
+    return CneExpansion(*forms[sgn](j.jx**2, j.jy**2, epsilon))
 
 
-def env_diag_pair_cne(j: ExchangeCoupling, s: SpinMagnitude, env_weights, theta_a: float, theta_b: float, dt):
+def env_diag_pair_cne(j: ExchangeCoupling, s: SpinMagnitude, env_weights, theta_a: float, theta_b: float) -> CneExpansion:
     """Quadratic lambda* of a diagonal-environment product state (series order 2).
 
     dt² (Jz²/2) (sum_m m rho_m)² (cos 2θ_A + cos 2θ_B - 2); exact for the
     two-term commutator-series truncation up to a small dt⁴ eigenvalue
     remainder.
     """
-    w = np.asarray(env_weights, dtype=np.float64)
-    msum = float(np.dot(s.m_values(), w))
-    return dt * dt * (j.jz**2 / 2.0) * msum**2 * (-2.0 + np.cos(2 * theta_a) + np.cos(2 * theta_b))
+    msum = float(np.dot(s.m_values(), np.asarray(env_weights, dtype=np.float64)))
+    return CneExpansion(0.0, (j.jz**2 / 2.0) * msum**2 * (-2.0 + np.cos(2 * theta_a) + np.cos(2 * theta_b)), None)
 
 
-def alpha_pair_cne(j: ExchangeCoupling, s: SpinMagnitude, p: float, dt):
+def alpha_pair_cne(j: ExchangeCoupling, s: SpinMagnitude, p: float) -> CneExpansion:
     """Displayed lambda* for an alpha-family Bell pair under series order 2.
 
     -(sqrt(1-p²)/2)(1 + 8 (S Jz dt)²); the truncated-series eigenvalue is
     exactly -(sqrt(1-p²)/2) sqrt(1 + 16 (S Jz dt)²), so the displayed form
     carries its own O(dt⁴) remainder.
     """
-    return -np.sqrt(1 - p * p) / 2.0 * (1.0 + 8.0 * (s.s * j.jz * dt) ** 2)
+    c0 = -np.sqrt(1 - p * p) / 2.0
+    return CneExpansion(c0, c0 * 8.0 * (s.s * j.jz) ** 2, None)
 
 
-def beta_pair_cne(j: ExchangeCoupling, s: SpinMagnitude, p: float, dt) -> float:
-    """Displayed lambda* for a beta-family Bell pair under series order 2: constant."""
-    return -np.sqrt(1 - p * p) / 2.0
-
-
-def _product_state(state: str, params: dict):
-    return product_basis_initial(state, params["s"])
-
-
-def _product_value(state: str, params: dict, dt):
-    return dt * dt * product_cne_quadratic(state, params["j"], params["s"])
-
-
-def _mixed_state(weighting_id: str, params: dict):
-    return mixed_initial(esp_weighting(weighting_id, params["epsilon"]), params["s"])
-
-
-def _mixed_value(weighting_id: str, params: dict, dt):
-    exp = weighting_cne_expansion(weighting_id, params["j"], params["epsilon"])
-    value = exp.c0
-    if exp.c2 is not None:
-        value += exp.c2 * dt * dt
-    if exp.c4 is not None:
-        value += exp.c4 * dt**4
-    return value
+def beta_pair_cne(j: ExchangeCoupling, s: SpinMagnitude, p: float) -> CneExpansion:
+    """Displayed lambda* for a beta-family Bell pair under series order 2: constant through dt²."""
+    return CneExpansion(-np.sqrt(1 - p * p) / 2.0, 0.0, None)
 
 
 @dataclass(frozen=True)
 class CneFormula:
-    """A closed-form lambda*(dt), ``analytic(params, dts)``, and its validation recipe.
+    """A closed-form lambda*(dt), ``coefficients(params)``, and its validation recipe.
 
-    ``mode`` is "full_numerics" or "truncated_series" (of ``truncation_order``
-    terms); ``next_order`` is the first power of dt the form neglects.
+    ``mode`` is "full_numerics" or "truncated_series" (of ``truncation_order`` terms).
     """
 
     mode: str
     truncation_order: int
-    next_order: int
     initial: Callable[[dict], DensityOperator | Ket]
-    analytic: Callable[[dict, np.ndarray], np.ndarray]
+    coefficients: Callable[[dict], CneExpansion]
 
     def build(self, params: dict) -> tuple[np.ndarray, DensityOperator | Ket]:
         """The Hamiltonian for ``params["j"]``, ``params["s"]`` and the initial state."""
         return spin_star_hamiltonian(params["j"], params["s"]), self.initial(params)
 
 
+# the loop variables are bound as defaults; the state constructors are looked up when called
 FORMULAS: dict[str, CneFormula] = {
-    "product_uuu": CneFormula("full_numerics", 3, 4, partial(_product_state, "uuu"), partial(_product_value, "uuu")),
-    "product_uud": CneFormula("full_numerics", 3, 4, partial(_product_state, "uud"), partial(_product_value, "uud")),
-    "product_udd": CneFormula("full_numerics", 3, 4, partial(_product_state, "udd"), partial(_product_value, "udd")),
-    "mixed_W1": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W1"), partial(_mixed_value, "W1")),
-    "mixed_W2": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W2"), partial(_mixed_value, "W2")),
-    "mixed_W3": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W3"), partial(_mixed_value, "W3")),
-    "mixed_W4": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W4"), partial(_mixed_value, "W4")),
-    "mixed_W5": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W5"), partial(_mixed_value, "W5")),
-    "mixed_W6": CneFormula("full_numerics", 3, 6, partial(_mixed_state, "W6"), partial(_mixed_value, "W6")),
-    "mixed_W7": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W7"), partial(_mixed_value, "W7")),
-    "mixed_W8": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W8"), partial(_mixed_value, "W8")),
-    "mixed_W9": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W9"), partial(_mixed_value, "W9")),
-    "mixed_W10": CneFormula("full_numerics", 3, 6, partial(_mixed_state, "W10"), partial(_mixed_value, "W10")),
-    "mixed_W11": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W11"), partial(_mixed_value, "W11")),
-    "mixed_W12": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W12"), partial(_mixed_value, "W12")),
-    "mixed_W13": CneFormula("full_numerics", 3, 4, partial(_mixed_state, "W13"), partial(_mixed_value, "W13")),
-    "mixed_W14": CneFormula("full_numerics", 3, 6, partial(_mixed_state, "W14"), partial(_mixed_value, "W14")),
+    **{
+        f"product_{state}": CneFormula(
+            "full_numerics", 3,
+            lambda p, state=state: product_basis_initial(state, p["s"]),
+            lambda p, state=state: CneExpansion(0.0, product_cne_quadratic(state, p["j"], p["s"]), None),
+        )
+        for state in ("uuu", "uud", "udd")
+    },
+    **{
+        f"mixed_{wid}": CneFormula(
+            "full_numerics", 3,
+            lambda p, wid=wid: mixed_initial(esp_weighting(wid, p["epsilon"]), p["s"]),
+            lambda p, wid=wid: weighting_cne_expansion(wid, p["j"], p["epsilon"]),
+        )
+        for wid in WEIGHTING_TABLE
+    },
     "env_diag_pair": CneFormula(
-        "truncated_series", 2, 4,
+        "truncated_series", 2,
         lambda p: product_initial(ProductSpinSpec(theta_a=p["theta_a"], theta_b=p["theta_b"], env_weights=tuple(p["env_weights"])), p["s"]),
-        lambda p, dt: env_diag_pair_cne(p["j"], p["s"], p["env_weights"], p["theta_a"], p["theta_b"], dt),
+        lambda p: env_diag_pair_cne(p["j"], p["s"], p["env_weights"], p["theta_a"], p["theta_b"]),
     ),
     "alpha_pair": CneFormula(
-        "truncated_series", 2, 4,
+        "truncated_series", 2,
         lambda p: bell_initial(BellKind("alpha", p.get("sign", +1), p["p"]), p["s"]),
-        lambda p, dt: alpha_pair_cne(p["j"], p["s"], p["p"], dt),
+        lambda p: alpha_pair_cne(p["j"], p["s"], p["p"]),
     ),
     "beta_pair": CneFormula(
-        "truncated_series", 2, 4,
+        "truncated_series", 2,
         lambda p: bell_initial(BellKind("beta", p.get("sign", +1), p["p"]), p["s"]),
-        lambda p, dt: beta_pair_cne(p["j"], p["s"], p["p"], dt),
+        lambda p: beta_pair_cne(p["j"], p["s"], p["p"]),
     ),
 }
 
@@ -461,10 +433,11 @@ def validate_formula(
     """Compare a registered closed form against the numerics of its mode.
 
     "truncated_series" evaluates the commutator-series truncation the form
-    was derived at; "full_numerics" evaluates exact evolution.  Each dt passes when the
-    deviation stays below max(1e-10, 3 K dt^q), with q the first neglected
-    order and K calibrated from a Richardson triple at the smallest dt.
-    Numerics and closed form are each evaluated once, on the triple and ``dts``.
+    was derived at; "full_numerics" evaluates exact evolution.  Each dt
+    passes when the deviation stays below max(1e-10, 3 K dt^q), with q the
+    form's :attr:`CneExpansion.next_order` and K calibrated from a
+    Richardson triple at the smallest dt.  Numerics and closed form are
+    each evaluated once, on the triple and ``dts``.
     """
     formula = FORMULAS[formula_id]
     h, initial = formula.build(params)
@@ -473,12 +446,13 @@ def validate_formula(
     else:
         cne_fn = exact_cne_function(h, initial)
 
-    q = formula.next_order
+    expansion = formula.coefficients(params)
+    q = expansion.next_order
     dt_ref = min(dts)
     refs = [dt_ref * f for f in (1.0, 2.0, 4.0)]
     grid = np.array([*refs, *dts], dtype=np.float64)
     numeric = cne_fn(grid)
-    closed = np.broadcast_to(formula.analytic(params, grid), grid.shape)
+    closed = sum(c * grid ** (2 * k) for k, c in enumerate(expansion) if c is not None)
     devs = np.abs(numeric - closed)
     k_est = float(max(d / ref**q for d, ref in zip(devs[:3], refs)))
 

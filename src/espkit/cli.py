@@ -51,6 +51,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    FORMULAS,
     MIN_FIT_POINTS,
     WEIGHTING_LABELS,
     WEIGHTING_TABLE_SIGNS,
@@ -62,11 +63,9 @@ from .analysis import (
     detect_transitions,
     exact_cne_function,
     fit_short_time,
-    product_cne_quadratic,
-    weighting_cne_expansion,
 )
 from .dynamics import EvolutionSpec, Trajectory, sample_trajectory
-from .errors import ConfigError, EspkitError, GuardViolation, NumericalError, WindowError
+from .errors import ConfigError, EspkitError, GuardViolation, NumericalError, ResolutionError, WindowError
 from .hilbert import DensityOperator, Ket, SpinMagnitude
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from .monotones import ENTANGLED_THRESHOLD
@@ -504,11 +503,12 @@ def _label_row(curves: dict, target: str, wid: str, eps: float, traj: Trajectory
 def repro_table1(out: Path, tol_rel: float) -> tuple[dict, dict]:
     rows = []
     for state, j, s in PRODUCT_CASES:
+        formula, params = FORMULAS[f"product_{state}"], {"j": j, "s": s}
         try:
-            expected = product_cne_quadratic(state, j, s)
+            expected = formula.coefficients(params).c2
         except GuardViolation:
             continue
-        fit = fit_short_time(exact_cne_function(spin_star_hamiltonian(j, s), product_basis_initial(state, s)))
+        fit = fit_short_time(exact_cne_function(*formula.build(params)))
         rows.append(
             {
                 "state": state,
@@ -528,12 +528,12 @@ def repro_table1(out: Path, tol_rel: float) -> tuple[dict, dict]:
 
 def repro_table2(out: Path, tol_rel: float) -> tuple[dict, dict]:
     rows = []
-    h = spin_star_hamiltonian(MIXED_J, HALF)
     # the label column is fig4's: the same cases, curves and expected labels
     labels = repro_fig4(out, tol_rel)[0]["rows"]
     for (wid, eps), labelled in zip(MIXED_CASES, labels):
-        exp = weighting_cne_expansion(wid, MIXED_J, eps)
-        fit = fit_short_time(exact_cne_function(h, mixed_initial(esp_weighting(wid, eps), HALF)), n_points=17, max_power=6)
+        formula, params = FORMULAS[f"mixed_{wid}"], {"j": MIXED_J, "s": HALF, "epsilon": eps}
+        exp = formula.coefficients(params)
+        fit = fit_short_time(exact_cne_function(*formula.build(params)), max_power=6)
         c0, c2, c4 = (fit.coefficient(p) for p in (0, 2, 4))
         # the quartic of W6 at positive switch carries an O(1)-in-epsilon
         # remainder beyond the tabulated 1/epsilon leading term
@@ -727,6 +727,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:  # inputs are read through ConfigError, so this is an output that cannot be written
         print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except ResolutionError as exc:  # only detect's --min-duration can ask for a dwell finer than 3 samples
+        print(f"usage error: --min-duration: {exc}", file=sys.stderr)
         return 2
     except EspkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

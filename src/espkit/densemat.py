@@ -23,10 +23,6 @@ class HermitianSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a contiguous complex128 2-D array."""

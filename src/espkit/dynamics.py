@@ -14,7 +14,8 @@ per batch.  The exact and integrator methods propagate the initial
 ensemble factor B0 (rho0 = B0 B0†, one column per pure component) and
 regroup each B(t) into the factor L of rho_AB = L L†, which is positive
 by construction and never diagonalized.  The series truncation of the
-equation of motion for rho has no positive factor.
+equation of motion for rho has no positive factor: each of its reduced
+states is factored by eigendecomposition, dropping the negative mass.
 """
 
 from __future__ import annotations
@@ -286,15 +287,17 @@ def reduced_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, t
     B0 + P(t) B0 with P(t) the RK4 increment of :func:`_rk4_increment`;
     both regroup B(t) into L, and ``clip`` is the negative mass dropped if
     B0 had to be made.  The ``series`` truncation to ``order`` terms has no
-    factor: L and clip are None.  ``h`` and ``rho0`` come checked by
-    :func:`_checked_initial`; a propagator ``h`` lends ``exact`` its spectrum.
+    factor of its own: :func:`psd_factor` makes L and clip from its rho_AB.
+    ``h`` and ``rho0`` come checked by :func:`_checked_initial`; a
+    propagator ``h`` lends ``exact`` its spectrum.
     """
     dim_c = rho0.dims.dim_c
     prop, h = (h, h.h) if isinstance(h, SpectralPropagator) else (None, h)
     if method == "series":
         terms = _series_terms(h, rho0.matrix, order)
         for ts in batches(times):
-            yield trace_out_c(_series_stack(terms, ts), dim_c), None, None
+            red = trace_out_c(_series_stack(terms, ts), dim_c)
+            yield red, *psd_factor(red)
         return
     # the constructors give exact factors; a bare matrix is factored once, dropping negative dust
     b0, clip = (rho0.factor, 0.0) if rho0.factor is not None else psd_factor(rho0.matrix)

@@ -131,10 +131,6 @@ class DensityOperator:
         if self.validate:
             validate_density_matrix(m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def validate_density_matrix(m: np.ndarray) -> None:
     """Check trace-one, Hermiticity and positivity up to roundoff."""

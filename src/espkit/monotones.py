@@ -10,9 +10,9 @@ and, for two qubits, vanish together.
 
 The batched entry point :func:`pair_monotones` takes (rho_AB, L, clip)
 batches: λ* and the negativity from the spectrum of rho_AB^{T_B}, the
-concurrence from the factor L, or from :func:`psd_factor` where L is
-None.  :func:`cne` and :func:`negativity` wrap :func:`pt_stats`, and
-:func:`concurrence` wraps :func:`concurrences`.
+concurrence from the factor L.  A bare matrix has no factor: the
+per-matrix :func:`concurrence` makes one with :func:`psd_factor`.
+:func:`cne` and :func:`negativity` wrap :func:`pt_stats`.
 """
 
 from __future__ import annotations
@@ -118,24 +118,15 @@ def psd_factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v * np.sqrt(np.maximum(w, 0.0))[..., None, :], _negative_mass(w)
 
 
-def concurrences(red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Wootters concurrence of each matrix of a stack, and its negative mass."""
-    factor, clip = psd_factor(red)
-    return wootters(factor), clip
-
-
 def check_clip(clip: float) -> None:
     """Raise :class:`NumericalError` when a factor dropped more than ``CLIP_BUDGET`` of negative mass."""
     if clip > CLIP_BUDGET:
         raise NumericalError(f"PSD repair clipped {clip:.3e} of spectral mass (budget {CLIP_BUDGET})")
 
 
-def _batch_columns(red: np.ndarray, l: np.ndarray | None, clip) -> tuple[np.ndarray, ...]:
+def _batch_columns(red: np.ndarray, l: np.ndarray, clip) -> tuple[np.ndarray, ...]:
     """Per-state columns of one batch: pt_stats, concurrence, clip, trace and Hermiticity drift."""
-    if l is None:
-        conc, clip = concurrences(red)
-    else:
-        conc = wootters(l)
+    conc = wootters(l)
     trace_dev = np.abs(np.trace(red, axis1=-2, axis2=-1).real - 1.0)
     herm_dev = np.max(np.abs(red - red.conj().swapaxes(-1, -2)), axis=(-2, -1))
     return (*pt_stats(red), conc, np.broadcast_to(clip, conc.shape), trace_dev, herm_dev)
@@ -144,9 +135,9 @@ def _batch_columns(red: np.ndarray, l: np.ndarray | None, clip) -> tuple[np.ndar
 def pair_monotones(parts) -> PairMonotones:
     """The quantifiers of each state of (rho_AB, L, clip) batches, rho_AB = L L† of shape (T, 4, 4).
 
-    The concurrence is :func:`wootters` of L.  A batch with L None is
-    factored by :func:`psd_factor`, whose dropped mass replaces ``clip``.
-    Raises :class:`NumericalError` when any clip exceeds ``CLIP_BUDGET``.
+    The concurrence is :func:`wootters` of L; ``clip`` is the negative mass
+    dropped to make L, a scalar or one entry per state.  Raises
+    :class:`NumericalError` when any clip exceeds ``CLIP_BUDGET``.
     """
     lam, neg, count, conc, clip, trace_dev, herm_dev = (
         np.concatenate(column) for column in zip(*(_batch_columns(*part) for part in parts))
@@ -175,6 +166,6 @@ def concurrence(rho) -> float:
     Negative eigenvalue dust on the input is dropped from the factor; a
     dropped mass beyond 1e-9 signals a numerics problem and raises.
     """
-    conc, clip = concurrences(as_pair_matrix(rho)[None])
+    factor, clip = psd_factor(as_pair_matrix(rho)[None])
     check_clip(float(clip[0]))
-    return float(conc[0])
+    return float(wootters(factor)[0])

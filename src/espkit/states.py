@@ -51,10 +51,6 @@ class BellKind:
         if not (0.0 <= self.p < 1.0):
             raise ValueError(f"p must lie in [0, 1), got {self.p}")
 
-    @property
-    def label(self) -> str:
-        return f"{self.family}{'+' if self.sign > 0 else '-'}"
-
 
 @dataclass(frozen=True)
 class EspWeighting:
@@ -82,9 +78,6 @@ class EspWeighting:
     def matched_spin(self) -> SpinMagnitude:
         """Environment spin whose level count equals the number of Bell components."""
         return SpinMagnitude(self.bell_count - 1)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
 
 
 def bell_ket(kind: BellKind) -> Ket:

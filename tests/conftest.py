@@ -9,7 +9,7 @@ import pytest
 
 from espkit.densemat import hermitian_eig, propagator
 from espkit.hilbert import as_pair_matrix
-from espkit.monotones import pair_monotones
+from espkit.monotones import pair_monotones, psd_factor
 from espkit.states import EspWeighting
 
 SEED = 20240917
@@ -75,7 +75,8 @@ class MonotoneSample(NamedTuple):
 
 def monotone_sample(rho) -> MonotoneSample:
     """Bundle cne, negativity and concurrence for one density matrix, through the batched entry point."""
-    out = pair_monotones([(as_pair_matrix(rho)[None], None, None)])
+    red = as_pair_matrix(rho)[None]
+    out = pair_monotones([(red, *psd_factor(red))])
     return MonotoneSample(
         float(out.cne[0]), float(out.negativity[0]), float(out.concurrence[0]), int(out.negative_count[0])
     )

@@ -263,7 +263,7 @@ def test_weighting_expansion_values():
     exp = weighting_cne_expansion("W9", MIXED_J, 0.01)
     assert np.isclose(exp.c0, -0.005)
     assert np.isclose(exp.c2, 0.25 * (1 + 0.03) / 4 + 0.25 * 1.01 / 2)
-    assert exp.c4 is None and exp.label == "p6"
+    assert exp.c4 is None and WEIGHTING_LABELS["W9"] == "p6"
 
 
 def test_validate_formula_truncated_series():
@@ -360,7 +360,7 @@ PINNED_FORMULAS = [
 def test_weighting_expansion_pinned(wid, eps, label, at_mixed_j, at_aniso_j):
     for j, (c0, c2, c4) in ((MIXED_J, at_mixed_j), (ANISO_J, at_aniso_j)):
         exp = weighting_cne_expansion(wid, j, eps)
-        assert (exp.c0, exp.c2, exp.c4, exp.label) == (c0, c2, c4, label), (wid, eps, j)
+        assert (exp.c0, exp.c2, exp.c4, WEIGHTING_LABELS[wid]) == (c0, c2, c4, label), (wid, eps, j)
 
 
 def test_weighting_table_is_the_pinned_pairs():
@@ -381,7 +381,8 @@ def test_weighting_expansion_rejects_unknown_ids_and_untabulated_signs():
 
 
 def test_formula_table_pinned():
-    assert [(fid, f.mode, f.truncation_order, f.next_order) for fid, f in FORMULAS.items()] == PINNED_FORMULAS
+    derived = [(fid, f.mode, f.truncation_order, f.coefficients(_formula_params(fid)).next_order) for fid, f in FORMULAS.items()]
+    assert derived == PINNED_FORMULAS
     with pytest.raises(KeyError):
         validate_formula("mixed_W15", {"j": MIXED_J, "s": HALF, "epsilon": 0.01})
 

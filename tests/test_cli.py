@@ -25,6 +25,7 @@ from espkit.cli import (
     resolve_config,
     write_trajectory_csv,
 )
+from espkit.dynamics import EvolutionSpec, Trajectory
 from espkit.errors import ConfigError
 from espkit.states import BellKind
 
@@ -361,6 +362,21 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("output error: ") and str(bad) in err
+
+
+@pytest.mark.parametrize("t_max, n_steps, negative", [(10.0, 2000, False), (1.5, 1200, True), (1.0, 800, True)])
+def test_detect_min_duration_of_three_spacings_passes_and_finer_exits_2(tmp_path, capsys, t_max, n_steps, negative):
+    """On the fig2, fig4 and README grids, 3 nominal spacings is accepted; 0.99 of it is one usage-error line."""
+    t = EvolutionSpec(t_max=t_max, n_steps=n_steps, emit_negative_times=negative).time_grid()
+    zeros = np.zeros_like(t)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, Trajectory(t, zeros, zeros, zeros, zeros.astype(np.int64)))
+    nominal = float(3.0 * (t[-1] - t[0]) / n_steps)
+    assert main(["detect", "--traj", str(path), "--min-duration", repr(nominal), "--out", str(tmp_path / "d.json")]) == 0
+    assert main(["detect", "--traj", str(path), "--min-duration", repr(0.99 * nominal)]) == 2
+    err = capsys.readouterr().err
+    spacing = float(np.max(np.diff(t)))
+    assert err.count("\n") == 1 and err.startswith("usage error: --min-duration") and repr(spacing) in err
 
 
 def test_consecutive_main_calls_match_separate_processes(tmp_path):

@@ -136,7 +136,7 @@ def test_bare_matrix_is_factored_once_within_the_clip_budget():
     h, initial = state_case("mixed")
     spec = EvolutionSpec(t_max=0.5, n_steps=20)
     factored = sample_trajectory(h, initial, spec)
-    null = np.zeros(initial.dim)
+    null = np.zeros(initial.matrix.shape[0])
     null[4] = 1.0  # environment level m = 0: empty in this state
 
     def bare(dust):

@@ -218,7 +218,7 @@ FACTOR_TOL = 1e-15
 def assert_exact_factor(rho, columns):
     """rho carries an ensemble factor B with B B† = matrix and the given column count."""
     b = rho.factor
-    assert b.shape == (rho.dim, columns)
+    assert b.shape == (rho.matrix.shape[0], columns)
     assert np.max(np.abs(b @ b.conj().T - rho.matrix)) <= FACTOR_TOL
 
 
