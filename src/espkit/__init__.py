@@ -23,7 +23,6 @@ from .hilbert import (
     Ket,
     SpinMagnitude,
     SystemDims,
-    embed,
     partial_trace_c,
     partial_transpose_b,
     spin_operators,
@@ -66,7 +65,6 @@ __all__ = [
     "Ket",
     "SpinMagnitude",
     "SystemDims",
-    "embed",
     "partial_trace_c",
     "partial_transpose_b",
     "spin_operators",

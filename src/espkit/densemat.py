@@ -1,8 +1,18 @@
 """Minimal dense complex-matrix layer for operators up to 32x32.
 
 Provides the Hermitian eigendecomposition (LAPACK through
-``np.linalg.eigh``), spectral evolution operators exp(-iHt) and Kronecker
-products.  Matrices are plain contiguous ``complex128`` arrays.
+``np.linalg.eigh``, one call per connected block of the matrix's nonzero
+pattern), spectral evolution operators exp(-iHt) and Kronecker products.
+Matrices are plain contiguous ``complex128`` arrays.
+
+Diagonalizing block by block keeps the exact zeros of a block-structured
+matrix in its eigenvectors, and so in every propagator and propagated
+factor built from them.  The spin-star Hamiltonian conserves the parity
+(-1)^(S-m) σz^A σz^B and always splits this way; a parity-definite
+initial factor then stays parity-definite, and its reduced states stay
+X-shaped with off-X entries that are exactly 0.0 (see
+:mod:`espkit.monotones`).  A dense matrix forms one block and gets what
+``np.linalg.eigh`` returns.
 """
 
 from __future__ import annotations
@@ -37,11 +47,31 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """Index sets, each ascending, of the connected components of a symmetric boolean n x n pattern.
+
+    k boolean squarings of the reachability matrix cover every path of up
+    to 2^k steps, so ceil(log2(n)) of them close it; each row's first
+    reachable index then labels its component.
+    """
+    n = pattern.shape[0]
+    reach = pattern | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    labels = np.argmax(reach, axis=1)
+    order = np.argsort(labels, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), n]
+    return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+
 def hermitian_eig(a) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix via ``np.linalg.eigh``.
+    """Eigendecomposition of a Hermitian matrix, one ``np.linalg.eigh`` per connected block.
 
     The Hermiticity defect must stay below ``1e-12 * max(1, ||A||_F)``;
-    the input is then symmetrized to (A + A†)/2 before diagonalization.
+    the input is then symmetrized to (A + A†)/2 and split into the
+    connected blocks of its nonzero pattern.  Each block is diagonalized on
+    its own, so eigenvectors are exactly zero off their block; eigenvalues
+    come back ascending across blocks.
 
     Raises
     ------
@@ -57,13 +87,24 @@ def hermitian_eig(a) -> HermitianSpectrum:
     if defect > HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(m))):
         raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
     sym = np.ascontiguousarray((m + m.conj().T) / 2.0)
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from None
+    blocks = connected_blocks(sym != 0)
+    perm = np.concatenate(blocks)
+    permuted = sym[np.ix_(perm, perm)]  # block diagonal, blocks in order
+    w = np.empty(m.shape[0])
+    v = np.zeros_like(sym)
+    start = 0
+    for block in blocks:
+        cut = slice(start, start + block.size)
+        try:
+            w[cut], v[cut, cut] = np.linalg.eigh(permuted[cut, cut])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Hermitian eigensolver failed: {exc}") from None
+        start += block.size
+    v[perm] = v.copy()  # rows back to the input's order
     if not np.all(np.isfinite(w)):
         raise NumericalError("Hermitian eigensolver returned non-finite eigenvalues")
-    return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
+    order = np.argsort(w, kind="stable")
+    return HermitianSpectrum(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
 def propagator(spectrum: HermitianSpectrum, t: float) -> np.ndarray:

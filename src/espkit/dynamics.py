@@ -16,6 +16,13 @@ regroup each B(t) into the factor L of rho_AB = L L†, which is positive
 by construction and never diagonalized.  The series truncation of the
 equation of motion for rho has no positive factor: each of its reduced
 states is factored by eigendecomposition, dropping the negative mass.
+
+The spectrum of H comes block by block (:func:`espkit.densemat.hermitian_eig`),
+so B(t) keeps the exact zeros of the parity sectors H conserves.  A
+parity-definite B0, such as a z-basis product configuration or a Bell
+mixture with the environment in one m level, yields reduced states that
+are exactly X-shaped, and :mod:`espkit.monotones` evaluates those in
+closed form; a purified weighting is not parity-definite and takes LAPACK.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densemat import as_complex_matrix, kron_all, max_abs
+from .densemat import as_complex_matrix, max_abs
 from .errors import DimensionError
 
 TRACE_TOL = 1e-12
@@ -173,27 +173,6 @@ def basis_ket_c(s: SpinMagnitude, m: float) -> np.ndarray:
     e = np.zeros(s.dim, dtype=np.complex128)
     e[idx] = 1.0
     return e
-
-
-def embed(op, slot: str, dims: SystemDims) -> np.ndarray:
-    """Embed a single-subsystem operator into the full product space.
-
-    ``slot`` is one of "C", "A", "B"; the other factors get identities.
-    """
-    op = as_complex_matrix(op)
-    slot_dims = {"C": dims.dim_c, "A": 2, "B": 2}
-    if slot not in slot_dims:
-        raise ValueError(f"slot must be C, A or B, got {slot!r}")
-    d = slot_dims[slot]
-    if op.shape != (d, d):
-        raise DimensionError(f"operator shape {op.shape} does not fit slot {slot} of dimension {d}")
-    factors = {
-        "C": np.eye(dims.dim_c, dtype=np.complex128),
-        "A": ID2,
-        "B": ID2,
-    }
-    factors[slot] = op
-    return kron_all(factors["C"], factors["A"], factors["B"])
 
 
 def partial_trace_c(rho: DensityOperator) -> DensityOperator:

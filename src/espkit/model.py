@@ -12,12 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
+    ID2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     SpinMagnitude,
     SystemDims,
-    embed,
     spin_operators,
 )
 
@@ -89,17 +89,16 @@ class ProductSpinSpec:
 def spin_star_hamiltonian(j: ExchangeCoupling, s: SpinMagnitude) -> np.ndarray:
     """Central-spin exchange Hamiltonian sum_a J_a S_a (sigma_a^A + sigma_a^B).
 
-    Hermitian, dimension 4(2S+1), symmetric under swapping A and B.
+    Hermitian, dimension 4(2S+1), symmetric under swapping A and B.  Built
+    as sum_a J_a kron(S_a, sigma_a ⊗ I + I ⊗ sigma_a): three Kronecker
+    products, whose zero pattern is exact.
     """
     dims = SystemDims.for_spin(s)
-    spins = spin_operators(s)
-    couplings = j.as_array()
     h = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for coupling, s_op, pauli in zip(couplings, spins, PAULI):
+    for coupling, s_op, pauli in zip(j.as_array(), spin_operators(s), PAULI):
         if coupling == 0.0:
             continue
-        sc = embed(s_op, "C", dims)
-        h += coupling * sc @ (embed(pauli, "A", dims) + embed(pauli, "B", dims))
+        h += coupling * np.kron(s_op, np.kron(pauli, ID2) + np.kron(ID2, pauli))
     return h
 
 

@@ -9,10 +9,26 @@ so no matrix square root is taken.  Both are local-unitary invariants
 and, for two qubits, vanish together.
 
 The batched entry point :func:`pair_monotones` takes (rho_AB, L, clip)
-batches: λ* and the negativity from the spectrum of rho_AB^{T_B}, the
-concurrence from the factor L.  A bare matrix has no factor: the
-per-matrix :func:`concurrence` makes one with :func:`psd_factor`.
-:func:`cne` and :func:`negativity` wrap :func:`pt_stats`.
+batches: λ* and the negativity from the spectrum of rho_AB^{T_B}
+(:func:`pt_stats`), the concurrence from the factor L (:func:`wootters`).
+A bare matrix has no factor: the per-matrix :func:`concurrence` makes one
+with :func:`psd_factor`.  :func:`cne` and :func:`negativity` wrap
+:func:`pt_stats`, so trajectories, the short-time λ* samplers and the
+per-matrix calls all share these two functions.
+
+X-shaped states, whose entries off the diagonal and the anti-diagonal are
+exactly 0.0, have closed forms (Yu and Eberly, Quantum Inf. Comput. 7,
+459 (2007)): the partial transpose splits into two 2x2 blocks, and
+C = 2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) with
+||L_i|| = sqrt(rho_ii) the row norms of L.  Each function decides once per
+batch on its own input: :func:`pt_stats` on the off-X entries of rho_AB
+(the partial transpose keeps them off the X), :func:`wootters` on whether
+every column of L sits on {00, 11} or on {01, 10}.  A batch with any nonzero off-X entry takes
+LAPACK (``eigvalsh``, then QR and SVD for the concurrence).  Parity-definite
+initial states keep the spin-star reduced states X-shaped: the z-basis
+product configurations and Bell mixtures with the environment in one m
+level.  The purified weightings of fig5 and ``evolve`` are not
+parity-definite and take LAPACK.
 """
 
 from __future__ import annotations
@@ -27,9 +43,14 @@ from .hilbert import as_pair_matrix, transpose_b
 ENTANGLED_THRESHOLD = 1e-9
 CLIP_BUDGET = 1e-9
 NEGATIVE_COUNT_TOL = 1e-12
-CHUNK = 64  # matrices or sample times per batch; bounds the working set of long grids
+# matrices or sample times per batch; bounds the working set of long grids.  The
+# X-shaped closed forms cost a fixed few dozen numpy calls per batch, so a batch
+# of 256 spends about half as long per sample on them as one of 64
+CHUNK = 256
 
 YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]  # σy⊗σy = antidiag(-1, 1, 1, -1)
+# (rows, columns) of the eight entries off the diagonal and the anti-diagonal
+OFF_X = (np.array([0, 0, 1, 1, 2, 2, 3, 3]), np.array([1, 2, 0, 3, 0, 3, 1, 2]))
 
 
 @dataclass(frozen=True)
@@ -59,10 +80,20 @@ def batches(stack: np.ndarray) -> list[np.ndarray]:
     return np.split(stack, range(CHUNK, stack.shape[0], CHUNK))
 
 
-def _lapack(fn, stack, **kwargs):
-    """``fn(stack)`` with non-finite input and LAPACK failures as NumericalError."""
+def _check_finite(stack: np.ndarray) -> np.ndarray:
+    """``stack`` itself; raises :class:`NumericalError` if any entry is not finite.
+
+    The closed forms check their output: a non-finite input entry of an
+    X-shaped state reaches it.
+    """
     if not np.all(np.isfinite(stack)):
         raise NumericalError("two-qubit matrix has non-finite entries")
+    return stack
+
+
+def _lapack(fn, stack, **kwargs):
+    """``fn(stack)`` with non-finite input and LAPACK failures as NumericalError."""
+    _check_finite(stack)
     try:
         return fn(stack, **kwargs)
     except np.linalg.LinAlgError as exc:
@@ -79,25 +110,64 @@ def _negative_mass(w: np.ndarray) -> np.ndarray:
     return 0.0 - np.sum(np.minimum(w, 0.0), axis=-1)
 
 
+def _x_pt_eigenvalues(red: np.ndarray) -> np.ndarray:
+    """The four eigenvalues, unsorted, of the Hermitian part of each partial transpose of an X-shaped stack.
+
+    rho^{T_B} keeps the diagonal and swaps the anti-diagonal pairs: its
+    blocks are [[rho_00, rho_12], [rho_21, rho_33]] on {00, 11} and
+    [[rho_11, rho_03], [rho_30, rho_22]] on {01, 10}, and a block
+    [[a, c], [c*, d]] has eigenvalues (a + d)/2 ± hypot((a - d)/2, |c|).
+    """
+    diag = np.diagonal(red, axis1=-2, axis2=-1).real
+    anti = np.diagonal(red[..., ::-1], axis1=-2, axis2=-1)  # rho_03, rho_12, rho_21, rho_30
+    head, tail = diag[..., :2], diag[..., :1:-1]  # (rho_00, rho_11) and (rho_33, rho_22)
+    coherence = 0.5 * np.abs(anti[..., 1::-1] + anti[..., 2:].conj())  # |rho_12| and |rho_03|, Hermitian part
+    mean = 0.5 * (head + tail)
+    radius = np.hypot(0.5 * (head - tail), coherence)
+    return np.concatenate([mean - radius, mean + radius], axis=-1)
+
+
 def pt_stats(red: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lambda*, negativity, negative count) of each partial transpose of a stack.
 
     The count includes eigenvalues below -1e-12; two-qubit partial
-    transposes carry at most one.
+    transposes carry at most one.  A batch whose matrices are all X-shaped
+    takes the eigenvalues of the 2x2 blocks of their partial transposes;
+    any other batch takes ``eigvalsh``.
     """
-    w = _lapack(np.linalg.eigvalsh, _hermitian_part(transpose_b(red)))
-    return w[..., 0], _negative_mass(w), np.count_nonzero(w < -NEGATIVE_COUNT_TOL, axis=-1)
+    if np.any(red[..., OFF_X[0], OFF_X[1]]):
+        w = _lapack(np.linalg.eigvalsh, _hermitian_part(transpose_b(red)))
+    else:
+        w = _check_finite(_x_pt_eigenvalues(red))
+    return np.min(w, axis=-1), _negative_mass(w), np.count_nonzero(w < -NEGATIVE_COUNT_TOL, axis=-1)
+
+
+def _x_concurrence(l: np.ndarray) -> np.ndarray:
+    """2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) for each factor of a stack.
+
+    ||L_i|| = sqrt(rho_ii) are the row norms of L, so nothing negative is
+    square-rooted even where rho is rank deficient.
+    """
+    norms = np.sqrt(np.sum((l * l.conj()).real, axis=-1))
+    coherence = np.abs(np.sum(l[..., :2, :] * l[..., :1:-1, :].conj(), axis=-1))  # |rho_03| and |rho_12|
+    gap = coherence - norms[..., 1::-1] * norms[..., 2:]
+    return 2.0 * np.maximum(0.0, np.max(gap, axis=-1))
 
 
 def wootters(l: np.ndarray) -> np.ndarray:
     """Wootters concurrence of rho = L L† for each factor of a (T, 4, k) stack.
 
-    The singular values s1 >= s2 >= ... of L^T (σy⊗σy) L are the gamma
-    values; there are min(k, 4) of them and the missing ones are zero, so
-    C = max(0, s1 - s2 - s3 - s4).  A factor wider than four columns is
-    first reduced to the 4x4 factor R† of the same state, from one batched
-    QR decomposition L† = Q R.
+    When every column of every factor sits on {00, 11} or on {01, 10},
+    rho is X-shaped and the closed form of :func:`_x_concurrence` applies.
+    Otherwise the singular values s1 >= s2 >= ... of L^T (σy⊗σy) L are the
+    gamma values; there are min(k, 4) of them and the missing ones are
+    zero, so C = max(0, s1 - s2 - s3 - s4).  A factor wider than four
+    columns is first reduced to the 4x4 factor R† of the same state, from
+    one batched QR decomposition L† = Q R.
     """
+    nonzero = l != 0
+    if not np.any((nonzero[..., 0, :] | nonzero[..., 3, :]) & (nonzero[..., 1, :] | nonzero[..., 2, :])):
+        return _check_finite(_x_concurrence(l))
     if l.shape[-1] > 4:
         l = _lapack(np.linalg.qr, l.conj().swapaxes(-1, -2), mode="r").conj().swapaxes(-1, -2)
     tau = np.swapaxes(l, -1, -2) @ (YY_SIGNS * l[..., ::-1, :])  # L^T (σy⊗σy) L

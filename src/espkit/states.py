@@ -34,6 +34,9 @@ BELL_ORDER = ("alpha+", "alpha-", "beta+", "beta-")
 
 WEIGHTING_IDS = tuple(f"W{i}" for i in range(1, 15))
 
+# the qubit z basis, by the letters of the named product configurations
+Z_KETS = {"u": np.array([1.0, 0.0], dtype=np.complex128), "d": np.array([0.0, 1.0], dtype=np.complex128)}
+
 
 @dataclass(frozen=True)
 class BellKind:
@@ -214,9 +217,12 @@ def product_initial(spec: ProductSpinSpec, s: SpinMagnitude) -> DensityOperator:
     Its factor has one column sqrt(w_k) |k> ⊗ |a> ⊗ |b> per nonzero
     environment weight w_k.
     """
-    weights = spec.resolved_env(s)
     ka = qubit_ket(spec.theta_a, spec.phi_a)
     kb = qubit_ket(spec.theta_b, spec.phi_b)
+    return _product_state(spec.resolved_env(s), ka, kb, s)
+
+
+def _product_state(weights: np.ndarray, ka: np.ndarray, kb: np.ndarray, s: SpinMagnitude) -> DensityOperator:
     m = np.kron(np.diag(weights).astype(np.complex128), np.kron(np.outer(ka, ka.conj()), np.outer(kb, kb.conj())))
     levels = np.flatnonzero(weights)
     env = np.eye(s.dim)[:, levels] * np.sqrt(weights[levels])
@@ -224,9 +230,12 @@ def product_initial(spec: ProductSpinSpec, s: SpinMagnitude) -> DensityOperator:
 
 
 def product_basis_initial(state: str, s: SpinMagnitude) -> DensityOperator:
-    """Named z-basis product configurations "uuu", "uud", "udd" (C at |m=S>)."""
-    angles = {"uuu": (0.0, 0.0), "uud": (0.0, np.pi), "udd": (np.pi, np.pi)}
-    if state not in angles:
+    """Named z-basis product configurations "uuu", "uud", "udd" (C at |m=S>).
+
+    The qubits are exact basis vectors, not spin-coherent kets at theta = pi,
+    whose cos(pi/2) = 6.1e-17 would leave them off the basis; the factor
+    has one column with a single nonzero entry.
+    """
+    if state not in ("uuu", "uud", "udd"):
         raise ValueError(f"unknown product configuration {state!r}")
-    theta_a, theta_b = angles[state]
-    return product_initial(ProductSpinSpec(theta_a=theta_a, theta_b=theta_b), s)
+    return _product_state(ProductSpinSpec().resolved_env(s), Z_KETS[state[1]], Z_KETS[state[2]], s)

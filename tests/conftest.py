@@ -7,8 +7,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from espkit.densemat import hermitian_eig, propagator
-from espkit.hilbert import as_pair_matrix
+from espkit.densemat import as_complex_matrix, hermitian_eig, kron_all, propagator
+from espkit.errors import DimensionError
+from espkit.hilbert import ID2, PAULI_X, PAULI_Y, PAULI_Z, SystemDims, as_pair_matrix, spin_operators
 from espkit.monotones import pair_monotones, psd_factor
 from espkit.states import EspWeighting
 
@@ -59,6 +60,40 @@ def partial_transpose_a(rho) -> np.ndarray:
     return transpose_a(as_pair_matrix(rho))
 
 
+def embed(op, slot: str, dims: SystemDims) -> np.ndarray:
+    """Embed a single-subsystem operator into the full product space.
+
+    ``slot`` is one of "C", "A", "B"; the other factors get identities.
+    """
+    op = as_complex_matrix(op)
+    slot_dims = {"C": dims.dim_c, "A": 2, "B": 2}
+    if slot not in slot_dims:
+        raise ValueError(f"slot must be C, A or B, got {slot!r}")
+    d = slot_dims[slot]
+    if op.shape != (d, d):
+        raise DimensionError(f"operator shape {op.shape} does not fit slot {slot} of dimension {d}")
+    factors = {
+        "C": np.eye(dims.dim_c, dtype=np.complex128),
+        "A": ID2,
+        "B": ID2,
+    }
+    factors[slot] = op
+    return kron_all(factors["C"], factors["A"], factors["B"])
+
+
+def embedded_spin_star_hamiltonian(j, s) -> np.ndarray:
+    """sum_a J_a S_a^C (sigma_a^A + sigma_a^B) from nine embeds and three products: the
+    reference that ``model.spin_star_hamiltonian`` must reproduce bit for bit."""
+    dims = SystemDims.for_spin(s)
+    h = np.zeros((dims.total, dims.total), dtype=np.complex128)
+    for coupling, s_op, pauli in zip(j.as_array(), spin_operators(s), (PAULI_X, PAULI_Y, PAULI_Z)):
+        if coupling == 0.0:
+            continue
+        sc = embed(s_op, "C", dims)
+        h += coupling * sc @ (embed(pauli, "A", dims) + embed(pauli, "B", dims))
+    return h
+
+
 def custom_weighting(weights) -> EspWeighting:
     """A weighting outside the tabulated set (weights must sum to one), at switch 0."""
     return EspWeighting("custom", 0.0, tuple(float(x) for x in weights))
@@ -73,10 +108,13 @@ class MonotoneSample(NamedTuple):
     negative_count: int
 
 
-def monotone_sample(rho) -> MonotoneSample:
-    """Bundle cne, negativity and concurrence for one density matrix, through the batched entry point."""
+def monotone_sample(rho, factor=None) -> MonotoneSample:
+    """Bundle cne, negativity and concurrence for one density matrix, through the batched entry point.
+
+    The concurrence comes from ``factor`` (rho = factor factor†) when given, else from :func:`psd_factor`.
+    """
     red = as_pair_matrix(rho)[None]
-    out = pair_monotones([(red, *psd_factor(red))])
+    out = pair_monotones([(red, *psd_factor(red)) if factor is None else (red, factor[None], 0.0)])
     return MonotoneSample(
         float(out.cne[0]), float(out.negativity[0]), float(out.concurrence[0]), int(out.negative_count[0])
     )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from espkit.densemat import hermitian_eig, kron_all, propagator
+from espkit.densemat import connected_blocks, hermitian_eig, kron_all, propagator
 from espkit.errors import DimensionError, NumericalError
 from espkit.hilbert import PAULI_Y, PAULI_Z, SpinMagnitude
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
@@ -69,6 +69,51 @@ def test_eig_failures_are_numerical_errors(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     with pytest.raises(NumericalError, match="did not converge"):
         hermitian_eig(np.eye(3))
+
+
+def block_hermitian(rng, sizes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A Hermitian matrix made of dense random blocks of the given sizes on shuffled index sets."""
+    perm = rng.permutation(sum(sizes))
+    h = np.zeros((perm.size, perm.size), dtype=complex)
+    blocks = np.split(perm, np.cumsum(sizes)[:-1])
+    for idx in blocks:
+        h[np.ix_(idx, idx)] = random_hermitian(rng, idx.size)
+    return h, [np.sort(idx) for idx in blocks]
+
+
+def test_eig_diagonalizes_each_block_on_its_own(rng):
+    for sizes in ((8, 8), (1, 3, 4, 4, 3, 1), (5, 2, 9), (32,)):
+        h, blocks = block_hermitian(rng, sizes)
+        assert [b.tolist() for b in connected_blocks(h != 0)] == sorted(b.tolist() for b in blocks)
+        spec = hermitian_eig(h)
+        v, w = spec.eigenvectors, spec.eigenvalues
+        for idx in blocks:
+            outside = np.setdiff1d(np.arange(h.shape[0]), idx)
+            cols = np.flatnonzero(np.any(v[idx] != 0, axis=0))
+            assert cols.size == idx.size
+            assert np.all(v[np.ix_(outside, cols)] == 0.0)  # exact zeros across blocks
+        assert np.linalg.norm(h @ v - v * w) <= 1e-14 * np.linalg.norm(h)
+        assert np.all(np.diff(w) >= 0)
+
+
+def test_eig_of_a_dense_matrix_is_lapack_eigh(rng):
+    """A dense Hermitian matrix forms one block and gets exactly what np.linalg.eigh returns."""
+    for n in (4, 16, 32):
+        h = random_hermitian(rng, n)
+        assert len(connected_blocks(h != 0)) == 1
+        spec = hermitian_eig(h)
+        w, v = np.linalg.eigh(h)
+        assert np.array_equal(spec.eigenvalues, w)
+        assert np.array_equal(spec.eigenvectors, v)
+
+
+def test_spin_star_hamiltonian_splits_into_parity_blocks():
+    """Two 8x8 parity blocks at S = 3/2; more when Jx = Jy."""
+    s = SpinMagnitude(3)
+    sizes = {(1.0, 0.5, 1.0): [8, 8], (-0.5, -0.5, -1.0): [1, 3, 4, 4, 3, 1]}
+    for j, expected in sizes.items():
+        blocks = connected_blocks(spin_star_hamiltonian(ExchangeCoupling(*j), s) != 0)
+        assert sorted(b.size for b in blocks) == sorted(expected)
 
 
 def test_exp_at_zero_is_identity(rng):

@@ -12,7 +12,6 @@ from espkit.hilbert import (
     SpinMagnitude,
     SystemDims,
     basis_ket_c,
-    embed,
     partial_trace_c,
     partial_trace_c_matrix,
     partial_transpose_b,
@@ -22,7 +21,14 @@ from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 from espkit.states import bell_ket_by_label, bell_mixture, product_basis_initial
 from espkit.dynamics import evolve_exact
 
-from conftest import custom_weighting, hermitian_eigvals, partial_transpose_a, ptrace_first_loop, random_two_qubit_dm
+from conftest import (
+    custom_weighting,
+    embed,
+    hermitian_eigvals,
+    partial_transpose_a,
+    ptrace_first_loop,
+    random_two_qubit_dm,
+)
 
 
 def commutator(a, b):

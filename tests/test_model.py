@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from espkit.hilbert import SpinMagnitude, SystemDims, embed, qubit_ket, spin_operators
+from espkit.hilbert import SpinMagnitude, SystemDims, qubit_ket, spin_operators
 from espkit.model import (
     ExchangeCoupling,
     ProductSpinSpec,
@@ -12,7 +12,14 @@ from espkit.model import (
 )
 from espkit.monotones import concurrence
 
-from conftest import charpoly_eigvals, hermitian_eigvals, rotation_matrix, spectral_exp_skew
+from conftest import (
+    charpoly_eigvals,
+    embed,
+    embedded_spin_star_hamiltonian,
+    hermitian_eigvals,
+    rotation_matrix,
+    spectral_exp_skew,
+)
 
 
 def test_zero_coupling_gives_zero_matrix():
@@ -35,6 +42,14 @@ def test_isotropic_coupling_conserves_total_z():
         np.diag([0.5, -0.5]).astype(complex), "B", dims
     )
     assert np.max(np.abs(h @ total_z - total_z @ h)) <= 1e-12
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3])
+@pytest.mark.parametrize("j", [(1.0, 0.5, 1.0), (-0.5, -0.5, -1.0), (0.3, -0.7, 1.1), (0.0, 0.0, 1.0)])
+def test_hamiltonian_is_the_embedded_sum_bit_for_bit(j, two_s):
+    """Three Kronecker products give the nine-embed, three-product construction exactly."""
+    j, s = ExchangeCoupling(*j), SpinMagnitude(two_s)
+    assert np.array_equal(spin_star_hamiltonian(j, s), embedded_spin_star_hamiltonian(j, s))
 
 
 def test_hamiltonian_symmetric_under_qubit_swap():

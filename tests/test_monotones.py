@@ -4,7 +4,7 @@ import pytest
 from espkit.densemat import kron_all
 from espkit.errors import NumericalError
 from espkit.hilbert import PAULI_Y
-from espkit.monotones import cne, concurrence, negativity
+from espkit.monotones import cne, concurrence, negativity, pair_monotones
 from espkit.states import bell_ket_by_label, bell_mixture, esp_weighting
 
 from conftest import custom_weighting, hermitian_eigvals, monotone_sample, random_two_qubit_dm, random_unitary
@@ -140,3 +140,55 @@ def test_weighting_monotones_consistent():
     assert np.isclose(s.cne, -0.005, atol=1e-15)
     assert np.isclose(s.negativity, 0.005, atol=1e-15)
     assert np.isclose(s.concurrence, 0.01, atol=1e-12)
+
+
+def random_x_factor(rng, columns: int, sectors=(0, 1)) -> np.ndarray:
+    """A trace-one (4, k) factor whose every column sits on {00, 11} (sector 0) or on {01, 10} (sector 1)."""
+    l = np.zeros((4, columns), dtype=complex)
+    for c in range(columns):
+        rows = ([0, 3], [1, 2])[rng.choice(sectors)]
+        l[rows, c] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return l / np.linalg.norm(l)
+
+
+def shifted_x_factor(rng, target: float) -> np.ndarray:
+    """An X factor [L, sqrt(d) I] / norm whose lambda* sits at ``target`` (to roundoff), from an entangled L."""
+    while True:
+        l = random_x_factor(rng, int(rng.integers(1, 5)))
+        lam = cne(l @ l.conj().T)[0]
+        if lam < target - 1e-3:
+            break
+    d = (target - lam) / (1.0 - 4.0 * target)  # (lam + d) / (1 + 4 d) = target
+    shifted = np.hstack([l, np.sqrt(d) * np.eye(4)])
+    return shifted / np.linalg.norm(shifted)
+
+
+def x_factor_cases(rng) -> list[np.ndarray]:
+    cases = [random_x_factor(rng, k) for k in range(1, 9) for _ in range(6)]
+    cases += [random_x_factor(rng, k, sectors=(sector,)) for k in (1, 2, 3) for sector in (0, 1)]  # rank <= 2
+    for target in (0.0, 1e-9, -1e-9):
+        cases += [shifted_x_factor(rng, target + rng.uniform(-1e-12, 1e-12)) for _ in range(8)]
+    return cases
+
+
+def test_x_closed_forms_match_the_lapack_path(rng):
+    """The X-shaped closed forms agree with eigvalsh and QR/SVD to 1e-15.  One dense state appended
+    to a batch sends the whole batch down the LAPACK path, so both paths see the same X states."""
+    dense = random_two_qubit_dm(rng)
+    dense_factor = np.linalg.cholesky(dense)
+    near_threshold = 0
+    for l in x_factor_cases(rng):
+        red = (l @ l.conj().T)[None]
+        assert np.all(np.delete(red[0].ravel(), [0, 3, 5, 6, 9, 10, 12, 15]) == 0.0)  # off-X entries exactly 0.0
+        closed = pair_monotones([(red, l[None], 0.0)])
+        wide = np.zeros((4, max(4, l.shape[1])), dtype=complex)
+        wide[:, : l.shape[1]] = l
+        dense_wide = np.zeros_like(wide)
+        dense_wide[:, :4] = dense_factor
+        lapack = pair_monotones([(np.stack([red[0], dense]), np.stack([wide, dense_wide]), 0.0)])
+        assert abs(closed.cne[0] - lapack.cne[0]) <= 1e-15
+        assert abs(closed.negativity[0] - lapack.negativity[0]) <= 1e-15
+        assert abs(closed.concurrence[0] - lapack.concurrence[0]) <= 1e-15
+        assert closed.negative_count[0] == lapack.negative_count[0]
+        near_threshold += min(abs(abs(closed.cne[0]) - x) for x in (0.0, 1e-9)) <= 2e-12
+    assert near_threshold >= 24

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from espkit import dynamics
+from espkit import dynamics, monotones
 from espkit.analysis import DEFAULT_FIT_WINDOW, exact_cne_function
 from espkit.cli import main
 from espkit.dynamics import (
@@ -17,7 +17,7 @@ from espkit.dynamics import (
     sample_trajectory,
 )
 from espkit.errors import NumericalError
-from espkit.hilbert import DensityOperator, Ket, SpinMagnitude, partial_trace_c_matrix
+from espkit.hilbert import DensityOperator, Ket, SpinMagnitude, pair_factor, partial_trace_c_matrix
 from espkit.model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from espkit.monotones import CHUNK, cne, concurrence, negativity
 from espkit.states import esp_weighting, mixed_initial, product_basis_initial, product_initial, pure_initial
@@ -46,19 +46,24 @@ def state_case(kind):
 
 
 def chain_states(h, initial, spec):
-    """Full states at every grid time, one public per-matrix call each."""
+    """Full states at every grid time, one public per-matrix call each, with the per-time factor
+    L(t) of rho_AB from U(t) B0 for ``exact`` (None for the other methods)."""
     rho0 = initial.to_density() if isinstance(initial, Ket) else initial
     times = spec.time_grid()
     if spec.method == "exact":
         prop = SpectralPropagator(h)
-        return [prop.evolve_matrix(rho0.matrix, float(t)) for t in times]
+        dim_c = rho0.dims.dim_c
+        return [
+            (prop.evolve_matrix(rho0.matrix, float(t)), pair_factor(prop.unitary(float(t)) @ rho0.factor, dim_c))
+            for t in times
+        ]
     if spec.method == "series":
-        return [evolve_series(h, rho0, float(t), 3) for t in times]
+        return [(evolve_series(h, rho0, float(t), 3), None) for t in times]
     out, rho, t_prev = [], rho0, 0.0
     for t in times:
         rho = integrate_vonneumann(h, rho, float(t) - t_prev)
         t_prev = float(t)
-        out.append(rho.matrix)
+        out.append((rho.matrix, None))
     return out
 
 
@@ -66,6 +71,8 @@ def chain_states(h, initial, spec):
 @pytest.mark.parametrize("kind", ["product", "product_env", "mixed", "pure"])
 @pytest.mark.parametrize("method", ["exact", "series", "integrator"])
 def test_batched_path_matches_per_matrix_chain(method, kind, n_samples):
+    """Where the chain has a factor, its concurrence comes from it: eigendecomposing a rank-deficient
+    rho_AB to factor it costs ~6.6e-14 (uud at t = 1.046875), beyond CHAIN_TOL."""
     assert 256 % CHUNK == 0
     h, initial = state_case(kind)
     t_max = {"exact": 2.0, "series": 0.002, "integrator": 0.01}[method]
@@ -73,14 +80,15 @@ def test_batched_path_matches_per_matrix_chain(method, kind, n_samples):
     traj = sample_trajectory(h, initial, spec)
     assert len(traj) == n_samples
     dim_c = h.shape[0] // 4
-    for k, rho in enumerate(chain_states(h, initial, spec)):
+    for k, (rho, factor) in enumerate(chain_states(h, initial, spec)):
         red = partial_trace_c_matrix(rho, dim_c)
         lam, count = cne(red)
         assert abs(traj.cne[k] - lam) <= CHAIN_TOL
         assert traj.negative_count[k] == count
         assert abs(traj.negativity[k] - negativity(red)) <= CHAIN_TOL
-        assert abs(traj.concurrence[k] - concurrence(red)) <= CHAIN_TOL
-        sample = monotone_sample(red)
+        if factor is None:
+            assert abs(traj.concurrence[k] - concurrence(red)) <= CHAIN_TOL
+        sample = monotone_sample(red, factor)
         assert abs(traj.cne[k] - sample.cne) <= CHAIN_TOL
         assert abs(traj.concurrence[k] - sample.concurrence) <= CHAIN_TOL
 
@@ -114,6 +122,22 @@ def test_exact_sampler_is_the_trajectory_path(kind):
     spec = EvolutionSpec(t_max=0.7, n_steps=2 * CHUNK + 9, emit_negative_times=True)  # three batches
     traj = sample_trajectory(h, initial, spec)
     assert np.array_equal(exact_cne_function(h, initial)(spec.time_grid()), traj.cne)
+
+
+@pytest.mark.parametrize("kind,lapack", [("product", False), ("mixed", False), ("product_env", True), ("pure", True)])
+@pytest.mark.parametrize("method", ["exact", "integrator"])
+def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
+    """Parity-definite states (a z-basis product, a Bell mixture with the environment in one m level)
+    stay exactly X-shaped and never reach LAPACK; general angles and the purified W13 weighting do."""
+    h, initial = state_case(kind)
+    calls = []
+    real_lapack = monotones._lapack
+    monkeypatch.setattr(monotones, "_lapack", lambda fn, *a, **k: calls.append(fn) or real_lapack(fn, *a, **k))
+    sample_trajectory(h, initial, EvolutionSpec(t_max=2.0, n_steps=2 * CHUNK + 9, method=method))
+    exact_cne_function(h, initial)(np.linspace(-0.01, 0.01, 5))
+    assert bool(calls) == lapack
+    if lapack:
+        assert {np.linalg.eigvalsh, np.linalg.svd} <= set(calls)
 
 
 def test_trace_deviation_is_the_norm_drift_of_the_factor():
@@ -166,6 +190,9 @@ ORACLE_SAMPLES = [
     # where the oracle gives exactly 0
     ("product", "uud", None, 2, ExchangeCoupling(1, -1, 1), 2.435),
     ("product", "udd", None, 2, ExchangeCoupling(1, 1, 1), 9.425),
+    # a rho_AB eigenvalue of 2.9e-8: eigendecomposing rho_AB to factor it
+    # costs 6.6e-14 of concurrence, the closed form on the factor 5.6e-17
+    ("product", "uud", None, 2, ExchangeCoupling(1.0, 0.5, 1.0), 1.046875),
 ]
 
 

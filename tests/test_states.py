@@ -206,6 +206,17 @@ def test_product_initial_up_down_marginal():
     assert negativity(red) == 0.0
 
 
+@pytest.mark.parametrize("two_s", [1, 2, 3])
+def test_named_product_configurations_are_exact_basis_states(two_s):
+    """The factor of "uuu", "uud" and "udd" is one column with a single nonzero entry, 1.0."""
+    s = SpinMagnitude(two_s)
+    for state, index in (("uuu", 0), ("uud", 1), ("udd", 3)):
+        b = product_basis_initial(state, s).factor
+        assert b.shape == (4 * s.dim, 1)
+        assert np.flatnonzero(b[:, 0]).tolist() == [index]
+        assert b[index, 0] == 1.0
+
+
 def test_product_initial_mixed_env_purity():
     spec = ProductSpinSpec(theta_a=np.pi / 2, theta_b=np.pi / 2, env_weights=(0.7, 0.3))
     rho = product_initial(spec, SpinMagnitude(1))
