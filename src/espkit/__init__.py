@@ -7,7 +7,7 @@ including detection of sudden death, sudden birth and finite-duration
 transitions.
 """
 
-from .densemat import HermitianSpectrum, hermitian_eig
+from .densemat import hermitian_eig
 from .dynamics import (
     EvolutionSpec,
     SpectralPropagator,
@@ -51,7 +51,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HermitianSpectrum",
     "hermitian_eig",
     "EvolutionSpec",
     "SpectralPropagator",

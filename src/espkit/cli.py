@@ -89,6 +89,7 @@ _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
 HALF = SpinMagnitude(1)  # S = 1/2
 MIXED_SPEC = EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True)  # classification window
+MIXED_DWELL = 0.0125  # five spacings of MIXED_SPEC, a fixed time: repro labels must not move with n_steps
 FIG2_COUPLINGS = ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 0.5, 1.0), (1.0, -0.5, 1.0))
 PURE_RECIPE_SIGNS = {"W7": -1, "W8": -1, "W9": +1, "W10": -1, "W11": -1, "W12": -1, "W13": +1, "W14": -1}
 
@@ -459,15 +460,15 @@ PRODUCT_CASES = tuple(
 )
 # Bell weighting at each tabulated sign of the switch (table2, fig4)
 MIXED_CASES = tuple((wid, sgn * 1e-2) for wid, signs in WEIGHTING_TABLE_SIGNS.items() for sgn in signs)
-# weighting, switch, window, expected label (fig5): the two-component
+# weighting, switch, window, dwell, expected label (fig5): the two-component
 # weightings are impenetrable at either sign, the three- and four-component
 # ones cross the boundary on both sides at their recipe sign
 FIG5_CASES = tuple(
-    (f"W{i}", sgn * 1e-2, EvolutionSpec(t_max=0.3, n_steps=600, emit_negative_times=True), "p3")
+    (f"W{i}", sgn * 1e-2, EvolutionSpec(t_max=0.3, n_steps=600, emit_negative_times=True), 0.005, "p3")
     for i in range(1, 7)
     for sgn in (+1, -1)
 ) + tuple(
-    (wid, sgn * 1e-2, EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True), "p6" if wid in ("W9", "W13") else "p4")
+    (wid, sgn * 1e-2, EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True), 1 / 120, "p6" if wid in ("W9", "W13") else "p4")
     for wid, sgn in PURE_RECIPE_SIGNS.items()
 )
 
@@ -493,10 +494,10 @@ def write_rows_csv(path: Path, rows: list[dict]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _label_row(curves: dict, target: str, wid: str, eps: float, traj: Trajectory, expected: str) -> dict:
-    """A label row: ``traj`` classified, filed in ``curves`` as ``<target>_<W>_<plus|minus>.csv`` by the sign of ``eps``."""
+def _label_row(curves: dict, target: str, wid: str, eps: float, traj: Trajectory, expected: str, dwell: float) -> dict:
+    """A label row: ``traj`` classified with dwells of at least ``dwell``, filed in ``curves`` by the sign of ``eps``."""
     curves[f"{target}_{wid}_{'plus' if eps > 0 else 'minus'}.csv"] = traj
-    label = classify_trajectory(traj).label
+    label = classify_trajectory(traj, min_duration=dwell).label
     return {"weighting": wid, "epsilon": eps, "label": label, "label_expected": expected, "passed": label == expected}
 
 
@@ -585,7 +586,7 @@ def repro_fig2(out: Path, tol_rel: float) -> tuple[dict, dict]:
 
     # finite-duration transitions around t = 4 for the S=1 curves
     for state, j in (("uuu", ExchangeCoupling(1.0, 0.5, 1.0)), ("udd", ExchangeCoupling(1.0, -0.5, 1.0))):
-        events = detect_transitions(trajectories[state, j, SpinMagnitude(2)])
+        events = detect_transitions(trajectories[state, j, SpinMagnitude(2)], min_duration=0.025)  # five spacings
         hit = any(
             ev.kind == "TFD" and ev.t_death < 4.5 and ev.t_birth > 3.0 and 3.0 <= 0.5 * (ev.t_death + ev.t_birth) <= 5.0
             for ev in events
@@ -602,7 +603,7 @@ def repro_fig2(out: Path, tol_rel: float) -> tuple[dict, dict]:
 def repro_fig4(out: Path, tol_rel: float) -> tuple[dict, dict]:
     curves = {}
     rows = [
-        _label_row(curves, "fig4", wid, eps, build_mixed_trajectory(wid, eps, MIXED_J, HALF, MIXED_SPEC), WEIGHTING_LABELS[wid])
+        _label_row(curves, "fig4", wid, eps, build_mixed_trajectory(wid, eps, MIXED_J, HALF, MIXED_SPEC), WEIGHTING_LABELS[wid], MIXED_DWELL)
         for wid, eps in MIXED_CASES
     ]
     return {"rows": rows}, curves
@@ -611,8 +612,8 @@ def repro_fig4(out: Path, tol_rel: float) -> tuple[dict, dict]:
 def repro_fig5(out: Path, tol_rel: float) -> tuple[dict, dict]:
     curves = {}
     rows = [
-        _label_row(curves, "fig5", wid, eps, build_pure_trajectory(wid, eps, MIXED_J, spec), expected)
-        for wid, eps, spec, expected in FIG5_CASES
+        _label_row(curves, "fig5", wid, eps, build_pure_trajectory(wid, eps, MIXED_J, spec), expected, dwell)
+        for wid, eps, spec, dwell, expected in FIG5_CASES
     ]
 
     # positive local negativity minimum of W4 at negative switch, reported

@@ -2,36 +2,26 @@
 
 Provides the Hermitian eigendecomposition (LAPACK through
 ``np.linalg.eigh``, one call per connected block of the matrix's nonzero
-pattern), spectral evolution operators exp(-iHt) and Kronecker products.
-Matrices are plain contiguous ``complex128`` arrays.
+pattern).  Matrices are plain contiguous ``complex128`` arrays.
 
 Diagonalizing block by block keeps the exact zeros of a block-structured
 matrix in its eigenvectors, and so in every propagator and propagated
-factor built from them.  The spin-star Hamiltonian conserves the parity
-(-1)^(S-m) σz^A σz^B and always splits this way; a parity-definite
-initial factor then stays parity-definite, and its reduced states stay
-X-shaped with off-X entries that are exactly 0.0 (see
+factor :class:`espkit.dynamics.SpectralPropagator` builds from them.  The
+spin-star Hamiltonian conserves the parity (-1)^(S-m) σz^A σz^B and
+always splits this way; a parity-definite initial factor then stays
+parity-definite, and its reduced states stay X-shaped with off-X entries
+that are exactly 0.0 (see
 :mod:`espkit.monotones`).  A dense matrix forms one block and gets what
 ``np.linalg.eigh`` returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, NumericalError
 
 HERMITICITY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigendecomposition A = V diag(w) V† with ``w`` ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -64,8 +54,8 @@ def connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
     return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def hermitian_eig(a) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix, one ``np.linalg.eigh`` per connected block.
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) with A = V diag(w) V†, as ``np.linalg.eigh`` returns, one ``eigh`` per connected block.
 
     The Hermiticity defect must stay below ``1e-12 * max(1, ||A||_F)``;
     the input is then symmetrized to (A + A†)/2 and split into the
@@ -104,17 +94,4 @@ def hermitian_eig(a) -> HermitianSpectrum:
     if not np.all(np.isfinite(w)):
         raise NumericalError("Hermitian eigensolver returned non-finite eigenvalues")
     order = np.argsort(w, kind="stable")
-    return HermitianSpectrum(eigenvalues=w[order], eigenvectors=v[:, order])
-
-
-def propagator(spectrum: HermitianSpectrum, t: float) -> np.ndarray:
-    """exp(-iHt) from a precomputed spectrum of H."""
-    v = spectrum.eigenvectors
-    return (v * np.exp(-1j * spectrum.eigenvalues * float(t))) @ v.conj().T
-
-
-def kron_all(*ops) -> np.ndarray:
-    out = as_complex_matrix(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, as_complex_matrix(op))
-    return out
+    return w[order], v[:, order]

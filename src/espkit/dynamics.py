@@ -32,13 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .densemat import (
-    HermitianSpectrum,
-    as_complex_matrix,
-    hermitian_eig,
-    kron_all,
-)
-from .densemat import propagator as _propagator_from_spectrum
+from .densemat import as_complex_matrix, hermitian_eig
 from .errors import DimensionError, NumericalError
 from .hilbert import (
     PAULI_Y,
@@ -123,21 +117,17 @@ class Trajectory:
 class SpectralPropagator:
     """Exact evolution under a fixed Hermitian generator.
 
-    Diagonalizes once; every unitary is then V diag(exp(-i w t)) V†.
+    Diagonalizes once, H = V diag(w) V†; every unitary is V diag(exp(-i w t)) V†.
     """
 
     def __init__(self, h):
         self.h = as_complex_matrix(h)
-        self.spectrum: HermitianSpectrum = hermitian_eig(self.h)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.h.shape
+        self.w, self.v = hermitian_eig(self.h)
 
     def unitary(self, t: float) -> np.ndarray:
         if t == 0.0:
             return np.eye(self.h.shape[0], dtype=np.complex128)
-        return _propagator_from_spectrum(self.spectrum, t)
+        return (self.v * np.exp(-1j * self.w * float(t))) @ self.v.conj().T
 
     def evolve_matrix(self, rho: np.ndarray, t: float) -> np.ndarray:
         """rho(t) = U rho U† with U = :meth:`unitary`; ``rho`` itself at t = 0."""
@@ -150,9 +140,8 @@ class SpectralPropagator:
         B(t) B(t)† = rho(t) for B0 B0† = rho0.  At t = 0 the stack holds
         ``b0`` itself.
         """
-        v = self.spectrum.eigenvectors
-        phases = np.exp(-1j * np.multiply.outer(times, self.spectrum.eigenvalues))
-        out = v @ (phases[:, :, None] * (v.conj().T @ b0))
+        phases = np.exp(-1j * np.multiply.outer(times, self.w))
+        out = self.v @ (phases[:, :, None] * (self.v.conj().T @ b0))
         out[times == 0.0] = b0
         return out
 
@@ -169,18 +158,24 @@ def _checked_initial(h, rho0: InitialState) -> tuple[np.ndarray | SpectralPropag
         raise TypeError("initial state must be a DensityOperator or Ket")
     if not isinstance(h, SpectralPropagator):
         h = as_complex_matrix(h)
-    if h.shape != rho0.matrix.shape:
-        raise DimensionError(f"Hamiltonian shape {h.shape} does not match state shape {rho0.matrix.shape}")
+    if _generator(h).shape != rho0.matrix.shape:
+        raise DimensionError(f"Hamiltonian shape {_generator(h).shape} does not match state shape {rho0.matrix.shape}")
     return h, rho0
+
+
+def _generator(h: np.ndarray | SpectralPropagator) -> np.ndarray:
+    """The Hamiltonian matrix of a checked ``h``."""
+    return h.h if isinstance(h, SpectralPropagator) else h
 
 
 def evolve_exact(h, rho0: InitialState, t: float) -> DensityOperator:
     """Unitary evolution rho(t) = U rho U† with U = exp(-iHt).
 
-    Preserves trace, Hermiticity and the spectrum; energy is conserved.
+    A :class:`SpectralPropagator` ``h`` lends its spectrum.  Preserves
+    trace, Hermiticity and the spectrum; energy is conserved.
     """
     h, rho0 = _checked_initial(h, rho0)
-    prop = SpectralPropagator(h)
+    prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
     return DensityOperator(prop.evolve_matrix(rho0.matrix, t), rho0.dims, validate=False)
 
 
@@ -213,10 +208,10 @@ def evolve_series(h, rho0: InitialState, dt: float, order: int = 3) -> np.ndarra
     -i[H, rho0] dt, 3 adds -(1/2)[H, [H, rho0]] dt².  The result is
     Hermitian and trace-one but deliberately not positive: it feeds the
     short-time analytic validators, which are derived from exactly these
-    truncations.
+    truncations.  A :class:`SpectralPropagator` ``h`` lends its matrix.
     """
     h, rho0 = _checked_initial(h, rho0)
-    return _series_stack(_series_terms(h, rho0.matrix, order), np.array([float(dt)]))[0]
+    return _series_stack(_series_terms(_generator(h), rho0.matrix, order), np.array([float(dt)]))[0]
 
 
 def _rk4_increment(h: np.ndarray, t_final: float, max_step: float) -> np.ndarray:
@@ -263,10 +258,10 @@ def integrate_vonneumann(h, rho0: InitialState, t: float) -> DensityOperator:
     Independent of the spectral path: it never diagonalizes H.  Fixed step
     (``INTEGRATOR_STEP``) adjusted to land exactly on t; the steps are composed
     by binary powering of the one-step propagator.  Used as the test oracle
-    for exact evolution.
+    for exact evolution.  A :class:`SpectralPropagator` ``h`` lends its matrix.
     """
     h, rho0 = _checked_initial(h, rho0)
-    return DensityOperator(_rk4(h, rho0.matrix, float(t), INTEGRATOR_STEP), rho0.dims, validate=False)
+    return DensityOperator(_rk4(_generator(h), rho0.matrix, float(t), INTEGRATOR_STEP), rho0.dims, validate=False)
 
 
 def time_reversal_unitary(s: SpinMagnitude) -> np.ndarray:
@@ -277,8 +272,7 @@ def time_reversal_unitary(s: SpinMagnitude) -> np.ndarray:
     spin flip (the global phase is irrelevant at the density-matrix level).
     """
     _, sy, _ = spin_operators(s)
-    env_flip = _propagator_from_spectrum(hermitian_eig(sy), np.pi)
-    return kron_all(env_flip, PAULI_Y, PAULI_Y)
+    return np.kron(SpectralPropagator(sy).unitary(np.pi), np.kron(PAULI_Y, PAULI_Y))
 
 
 def time_reversed_state(rho: DensityOperator, s: SpinMagnitude) -> DensityOperator:

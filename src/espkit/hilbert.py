@@ -177,22 +177,15 @@ def basis_ket_c(s: SpinMagnitude, m: float) -> np.ndarray:
 
 def partial_trace_c(rho: DensityOperator) -> DensityOperator:
     """Reduced A-B density matrix with the environment traced out."""
-    red = partial_trace_c_matrix(rho.matrix, rho.dims.dim_c)
-    return DensityOperator(red, AB_DIMS)
-
-
-def partial_trace_c_matrix(m: np.ndarray, dim_c: int) -> np.ndarray:
-    m = as_complex_matrix(m)
-    if m.shape != (4 * dim_c, 4 * dim_c):
-        raise DimensionError(f"matrix shape {m.shape} does not match dim_c={dim_c}")
-    return trace_out_c(m, dim_c)
+    return DensityOperator(trace_out_c(rho.matrix, rho.dims.dim_c), AB_DIMS)
 
 
 def trace_out_c(stack: np.ndarray, dim_c: int) -> np.ndarray:
     """Batched partial trace: (..., 4*dim_c, 4*dim_c) -> (..., 4, 4).
 
     The leading dim_c-dimensional factor is summed out by reshape; no
-    shape checks, the per-matrix wrappers own those.
+    shape checks: callers pass a checked :class:`DensityOperator` matrix or
+    a stack built from one.
     """
     lead = stack.shape[:-2]
     return np.einsum("...mimj->...ij", stack.reshape(*lead, dim_c, 4, dim_c, 4))

@@ -7,7 +7,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from espkit.densemat import as_complex_matrix, hermitian_eig, kron_all, propagator
+from espkit.densemat import as_complex_matrix, hermitian_eig
+from espkit.dynamics import SpectralPropagator
 from espkit.errors import DimensionError
 from espkit.hilbert import ID2, PAULI_X, PAULI_Y, PAULI_Z, SystemDims, as_pair_matrix, spin_operators
 from espkit.monotones import pair_monotones, psd_factor
@@ -41,12 +42,12 @@ def random_two_qubit_dm(rng: np.random.Generator) -> np.ndarray:
 
 def hermitian_eigvals(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix."""
-    return hermitian_eig(a).eigenvalues
+    return hermitian_eig(a)[0]
 
 
 def spectral_exp_skew(h, t: float) -> np.ndarray:
     """Evolution operator exp(-iHt) for Hermitian H, via the spectral theorem."""
-    return propagator(hermitian_eig(h), t)
+    return SpectralPropagator(h).unitary(t)
 
 
 def transpose_a(stack: np.ndarray) -> np.ndarray:
@@ -78,7 +79,7 @@ def embed(op, slot: str, dims: SystemDims) -> np.ndarray:
         "B": ID2,
     }
     factors[slot] = op
-    return kron_all(factors["C"], factors["A"], factors["B"])
+    return np.kron(np.kron(factors["C"], factors["A"]), factors["B"])
 
 
 def embedded_spin_star_hamiltonian(j, s) -> np.ndarray:

@@ -311,10 +311,10 @@ def test_criterion_9_randomized_property_suites():
     for k in range(100):
         n = dims[k % len(dims)]
         h = random_hermitian(rng, n)
-        spec = hermitian_eig(h)
-        recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+        w, v = hermitian_eig(h)
+        recon = (v * w) @ v.conj().T
         assert np.linalg.norm(recon - h) <= 1e-10 * max(1.0, np.linalg.norm(h))
-        gram = spec.eigenvectors.conj().T @ spec.eigenvectors
+        gram = v.conj().T @ v
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
 
     for _ in range(1000):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,7 +28,7 @@ from espkit.analysis import (
 from espkit.densemat import hermitian_eig
 from espkit.dynamics import EvolutionSpec, SpectralPropagator, Trajectory, evolve_series, sample_trajectory
 from espkit.errors import GuardViolation, ResolutionError, WindowError
-from espkit.hilbert import DensityOperator, SpinMagnitude, SystemDims, basis_ket_c, partial_trace_c_matrix
+from espkit.hilbert import DensityOperator, SpinMagnitude, SystemDims, basis_ket_c, trace_out_c
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 from espkit.monotones import CHUNK, cne
 from espkit.states import bell_ket_by_label, esp_weighting, mixed_initial, product_basis_initial
@@ -419,12 +421,24 @@ def test_samplers_match_per_time_evaluation_across_chunks():
     exact = exact_cne_function(h, initial)
     assert np.array_equal(exact(dts), [exact(dts[k:k + 1])[0] for k in range(dts.size)])
     prop = SpectralPropagator(h)
-    chain = [cne(partial_trace_c_matrix(prop.evolve_matrix(initial.matrix, dt), 3))[0] for dt in dts]
+    chain = [cne(trace_out_c(prop.evolve_matrix(initial.matrix, dt), 3))[0] for dt in dts]
     assert np.max(np.abs(exact(dts) - chain)) <= CHAIN_TOL
     truncated = truncated_cne_function(h, initial, 3)
-    series = [cne(partial_trace_c_matrix(evolve_series(h, initial, dt, 3), 3))[0] for dt in dts]
+    series = [cne(trace_out_c(evolve_series(h, initial, dt, 3), 3))[0] for dt in dts]
     assert np.array_equal(truncated(dts), series)
     assert truncated(dts[:0]).shape == (0,)
+
+
+def test_validate_formula_rejects_a_wrong_c0_or_c2(monkeypatch):
+    """A wrong constant or quadratic shrinks more slowly than the neglected order, and the references catch it."""
+    for fid, formula in FORMULAS.items():
+        params = _formula_params(fid)
+        exp = formula.coefficients(params)
+        assert validate_formula(fid, params).passed, fid
+        wrong = [exp._replace(c0=exp.c0 + 1e-6)] + ([exp._replace(c2=2.0 * exp.c2)] if exp.c2 else [])
+        for bad in wrong:
+            monkeypatch.setitem(FORMULAS, fid, replace(formula, coefficients=lambda p, bad=bad: bad))
+            assert not validate_formula(fid, params).passed, (fid, bad)
 
 
 def test_validate_formula_has_no_per_dt_path(monkeypatch):

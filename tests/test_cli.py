@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,18 @@ import pytest
 import espkit
 
 from espkit import analysis, cli
-from espkit.analysis import WEIGHTING_LABELS
+from espkit.analysis import WEIGHTING_LABELS, build_mixed_trajectory
 from espkit.cli import (
     CSV_HEADER,
     FIG5_CASES,
+    HALF,
     MAX_N_STEPS,
     MAX_S_C,
     MIXED_CASES,
+    MIXED_DWELL,
+    MIXED_J,
+    MIXED_SPEC,
+    _label_row,
     apply_overrides,
     fit_points,
     main,
@@ -496,10 +502,21 @@ def test_repro_gnuplot_script(figure_outputs, target, curves):
     if target == "fig4":
         table = [(w, eps, WEIGHTING_LABELS[w]) for w, eps in MIXED_CASES]
     else:
-        table = [(w, eps, label) for w, eps, _, label in FIG5_CASES]
+        table = [(w, eps, label) for w, eps, _, _, label in FIG5_CASES]
         assert rows.pop(12)["label_expected"] == "local_min_t=0.11+-0.02"
     assert [(r["weighting"], r["epsilon"], r["label_expected"]) for r in rows] == table
     assert all(r["passed"] for r in rows)
+
+
+def test_fig4_label_does_not_move_with_the_grid():
+    """Mixed W6 at epsilon = +0.01 touches the boundary near t = 0.2 for about 1e-4 in t.
+
+    Five spacings of a 120000-step grid are shorter than that touch, so a
+    dwell that scaled with the grid would read it as a death and a birth (p6).
+    """
+    for n_steps in (1200, 120_000):
+        traj = build_mixed_trajectory("W6", 0.01, MIXED_J, HALF, replace(MIXED_SPEC, n_steps=n_steps))
+        assert _label_row({}, "fig4", "W6", 0.01, traj, "p3", MIXED_DWELL)["label"] == "p3", n_steps
 
 
 def test_figure_csvs_round_trip_bit_for_bit(figure_outputs, tmp_path):

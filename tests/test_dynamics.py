@@ -98,6 +98,23 @@ def test_rk4_zero_time_returns_copy():
     assert np.array_equal(out, rho0) and out is not rho0
 
 
+def test_every_evolve_entry_accepts_a_propagator(monkeypatch):
+    """Bit for bit the bare matrix's results: evolve_exact reuses the spectrum, the others the matrix."""
+    s = SpinMagnitude(2)
+    h = spin_star_hamiltonian(ExchangeCoupling(0.7, -0.3, 1.2), s)
+    rho0 = product_basis_initial("udd", s)
+    expected = (evolve_exact(h, rho0, 0.3).matrix, evolve_series(h, rho0, 0.01), integrate_vonneumann(h, rho0, 0.01).matrix)
+    prop = SpectralPropagator(h)
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("H diagonalized again")
+
+    monkeypatch.setattr(dynamics, "hermitian_eig", no_eig)
+    got = (evolve_exact(prop, rho0, 0.3).matrix, evolve_series(prop, rho0, 0.01), integrate_vonneumann(prop, rho0, 0.01).matrix)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
 def test_integrator_never_diagonalizes(monkeypatch):
     s = SpinMagnitude(1)
     h = spin_star_hamiltonian(ExchangeCoupling(1, -0.5, 1), s)

@@ -13,9 +13,9 @@ from espkit.hilbert import (
     SystemDims,
     basis_ket_c,
     partial_trace_c,
-    partial_trace_c_matrix,
     partial_transpose_b,
     spin_operators,
+    trace_out_c,
 )
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 from espkit.states import bell_ket_by_label, bell_mixture, product_basis_initial
@@ -119,8 +119,8 @@ def test_partial_trace_linear(rng):
     b = np.kron(np.diag([0.0, 1.0]).astype(complex), random_two_qubit_dm(rng))
     mix = 0.3 * a + 0.7 * b
     assert np.allclose(
-        partial_trace_c_matrix(mix, 2),
-        0.3 * partial_trace_c_matrix(a, 2) + 0.7 * partial_trace_c_matrix(b, 2),
+        trace_out_c(mix, 2),
+        0.3 * trace_out_c(a, 2) + 0.7 * trace_out_c(b, 2),
     )
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from espkit.densemat import kron_all
 from espkit.errors import NumericalError
 from espkit.hilbert import PAULI_Y
-from espkit.monotones import cne, concurrence, negativity, pair_monotones
+from espkit.monotones import YY_SIGNS, cne, concurrence, negativity, pair_monotones
 from espkit.states import bell_ket_by_label, bell_mixture, esp_weighting
 
 from conftest import custom_weighting, hermitian_eigvals, monotone_sample, random_two_qubit_dm, random_unitary
@@ -16,10 +15,23 @@ UP_UP = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 def concurrence_oracle(rho: np.ndarray) -> float:
     """Square roots of the eigenvalues of rho*rho', via the general
     (non-Hermitian) eigenvalue problem."""
-    yy = kron_all(PAULI_Y, PAULI_Y)
+    yy = np.kron(PAULI_Y, PAULI_Y)
     flipped = yy @ rho.conj() @ yy
     gammas = np.sqrt(np.abs(np.sort(np.linalg.eigvals(rho @ flipped).real)))
     return max(0.0, 2 * gammas[-1] - gammas.sum())
+
+
+def test_yy_signs_are_the_pauli_y_pair():
+    """σy⊗σy = antidiag(-1, 1, 1, -1): YY_SIGNS on the rows of the row reversal."""
+    yy = np.kron(PAULI_Y, PAULI_Y)
+    expected = np.zeros((4, 4))
+    expected[0, 3] = -1
+    expected[1, 2] = 1
+    expected[2, 1] = 1
+    expected[3, 0] = -1
+    assert np.allclose(yy, expected)
+    assert np.max(np.abs(yy.imag)) == 0.0
+    assert np.array_equal(YY_SIGNS * np.eye(4)[::-1], expected)
 
 
 def test_cne_singlet():
@@ -110,7 +122,7 @@ def test_faithfulness_on_random_states(rng):
 def test_local_unitary_invariance(rng):
     for _ in range(25):
         rho = random_two_qubit_dm(rng)
-        u = kron_all(random_unitary(rng, 2), random_unitary(rng, 2))
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
         assert abs(negativity(rotated) - negativity(rho)) <= 1e-10
         assert abs(concurrence(rotated) - concurrence(rho)) <= 1e-10

@@ -17,7 +17,7 @@ from espkit.dynamics import (
     sample_trajectory,
 )
 from espkit.errors import NumericalError
-from espkit.hilbert import DensityOperator, Ket, SpinMagnitude, pair_factor, partial_trace_c_matrix
+from espkit.hilbert import DensityOperator, Ket, SpinMagnitude, pair_factor, trace_out_c
 from espkit.model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from espkit.monotones import CHUNK, cne, concurrence, negativity
 from espkit.states import esp_weighting, mixed_initial, product_basis_initial, product_initial, pure_initial
@@ -81,7 +81,7 @@ def test_batched_path_matches_per_matrix_chain(method, kind, n_samples):
     assert len(traj) == n_samples
     dim_c = h.shape[0] // 4
     for k, (rho, factor) in enumerate(chain_states(h, initial, spec)):
-        red = partial_trace_c_matrix(rho, dim_c)
+        red = trace_out_c(rho, dim_c)
         lam, count = cne(red)
         assert abs(traj.cne[k] - lam) <= CHAIN_TOL
         assert traj.negative_count[k] == count
