@@ -49,6 +49,7 @@ INTEGRATOR_STEP = 1e-4
 # largest |tr rho_AB - 1| a trajectory may show: exact propagation keeps it
 # near 1e-15; RK4 drifts about 4e-12 by |t| = 1e5 and 4e-10 by 1e7
 DRIFT_BUDGET = 1e-9
+_RK4_OVERFLOW = 'RK4 propagator over t = {:g} overflowed; use method "exact"'
 
 InitialState = Union[DensityOperator, Ket]
 
@@ -59,7 +60,8 @@ class EvolutionSpec:
 
     The grid is ``n_steps + 1`` evenly spaced times on [0, t_max], or on
     [-t_max, t_max] when ``emit_negative_times`` is set (the near-past
-    branch used by the time-symmetry checks).
+    branch used by the time-symmetry checks).  A spacing that is a normal
+    double makes a grid of fewer than 2**50 steps finite and strictly increasing.
     """
 
     t_max: float
@@ -72,10 +74,12 @@ class EvolutionSpec:
             raise ValueError("n_steps must be >= 1")
         if self.method not in ("exact", "series", "integrator"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not np.isfinite(self.t_max):
-            raise ValueError(f"time window [{self.start}, {self.t_max}] is not finite")
-        if not self.start < self.t_max:
-            raise ValueError(f"empty time window [{self.start}, {self.t_max}]")
+        spacing = (float(self.t_max) - float(self.start)) / self.n_steps  # Python floats overflow without a warning
+        if not (np.isfinite(spacing) and spacing >= np.finfo(np.float64).tiny):  # NaN fails too
+            raise ValueError(
+                f"time window [{self.start}, {self.t_max}] in {self.n_steps} steps has spacing {spacing:g}, "
+                "not a finite and strictly increasing grid"
+            )
 
     @property
     def start(self) -> float:
@@ -193,11 +197,12 @@ def _series_terms(h: np.ndarray, m: np.ndarray, order: int) -> list[np.ndarray]:
 
 
 def _series_stack(terms: list[np.ndarray], times: np.ndarray) -> np.ndarray:
-    """sum_k t^k term_k for every t, as a (T, n, n) stack."""
+    """sum_k t^k term_k for every t, as a (T, n, n) stack; overflows stay non-finite, for the monotones to report."""
     t = times[:, None, None]
     out = np.repeat(terms[0][None], times.shape[0], axis=0)
-    for k, term in enumerate(terms[1:], start=1):
-        out = out + t**k * term
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, term in enumerate(terms[1:], start=1):
+            out = out + t**k * term
     return out
 
 
@@ -223,12 +228,15 @@ def _rk4_increment(h: np.ndarray, t_final: float, max_step: float) -> np.ndarray
     U = T^n, taken by binary powering in O(log n) matrix products.  Only
     the increments E and T^n - I are formed: I + E in double precision
     would round away the low bits of E in every step.  P is zero at
-    ``t_final`` = 0.  A powering that overflows raises :class:`NumericalError`.
+    ``t_final`` = 0.  A step count or powering that overflows raises :class:`NumericalError`.
     """
     acc = np.zeros_like(h)  # T^m - I for the low bits m of n_steps consumed so far
     if t_final == 0.0:
         return acc
-    n_steps = int(np.ceil(abs(t_final) / max_step))
+    n_steps = np.ceil(abs(t_final) / max_step)
+    if not np.isfinite(n_steps):
+        raise NumericalError(_RK4_OVERFLOW.format(t_final))
+    n_steps = int(n_steps)
     a = (-1j * (t_final / n_steps)) * h
     eye = np.eye(h.shape[0], dtype=np.complex128)
     step = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)  # T - I by Horner
@@ -239,7 +247,7 @@ def _rk4_increment(h: np.ndarray, t_final: float, max_step: float) -> np.ndarray
             step = 2.0 * step + step @ step  # T^(2k) - I from T^k - I
             n_steps >>= 1
     if not np.all(np.isfinite(acc)):
-        raise NumericalError(f"RK4 propagator over t = {t_final:g} overflowed; use method \"exact\"")
+        raise NumericalError(_RK4_OVERFLOW.format(t_final))
     return acc
 
 

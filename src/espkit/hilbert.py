@@ -4,6 +4,7 @@ The composite Hilbert space is ordered environment ⊗ qubit A ⊗ qubit B
 throughout, with the environment basis sorted by descending spin-z quantum
 number (the first basis vector is |m = S⟩).  Qubit basis order is
 (up-up, up-down, down-up, down-down) with A as the left factor.
+A constructed state is its ensemble factor B0; :meth:`DensityOperator.from_factor` forms the matrix B0 B0†.
 """
 
 from __future__ import annotations
@@ -100,36 +101,38 @@ class Ket:
             raise ValueError(f"ket is not normalized (norm {norm!r})")
 
     def to_density(self) -> "DensityOperator":
-        amps = self.amplitudes
-        return DensityOperator(np.outer(amps, amps.conj()), self.dims, factor=amps[:, None])
+        return DensityOperator.from_factor(self.amplitudes[:, None], self.dims)
 
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Trace-one Hermitian PSD matrix on a labeled product space.
 
-    ``factor``, when given, is an exact ensemble factor B (n x r) with
-    matrix = B B†: one column per pure component, weighted by the square
-    root of its probability.  Sampling propagates B instead of the matrix.
+    ``factor``, set only by :meth:`from_factor`, is the ensemble factor B
+    (n x r) of matrix = B B†: one column per pure component, weighted by the
+    square root of its probability.  Sampling propagates B, not the matrix.
     """
 
     matrix: np.ndarray
     dims: SystemDims
     validate: bool = field(default=True, repr=False)
-    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         if m.shape != (self.dims.total, self.dims.total):
             raise DimensionError(f"matrix shape {m.shape} does not match dims total {self.dims.total}")
-        if self.factor is not None:
-            b = as_complex_matrix(self.factor)
-            object.__setattr__(self, "factor", b)
-            if b.shape[0] != self.dims.total:
-                raise DimensionError(f"factor shape {b.shape} does not match dims total {self.dims.total}")
         if self.validate:
             validate_density_matrix(m)
+
+    @classmethod
+    def from_factor(cls, b, dims: SystemDims) -> "DensityOperator":
+        """The validated state B B† that keeps ``b`` as its :attr:`factor`."""
+        b = as_complex_matrix(b)
+        rho = cls(b @ b.conj().T, dims)
+        object.__setattr__(rho, "factor", b)
+        return rho
 
 
 def validate_density_matrix(m: np.ndarray) -> None:

@@ -11,6 +11,8 @@ and the partially entangled members interpolate with sqrt((1+p)/2) on the
 first component and sqrt((1-p)/2) on the second, so the +/- pair overlap
 equals p.  Global phases are fixed by making the largest amplitude real
 positive.
+
+Every constructor builds the ensemble factor B0; ``DensityOperator.from_factor`` forms the matrix B0 B0†.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .hilbert import (
     qubit_ket,
 )
 from .model import ProductSpinSpec
-
-BELL_ORDER = ("alpha+", "alpha-", "beta+", "beta-")
 
 WEIGHTING_IDS = tuple(f"W{i}" for i in range(1, 15))
 
@@ -97,9 +97,8 @@ def bell_ket(kind: BellKind) -> Ket:
     return Ket(amps, AB_DIMS)
 
 
-def bell_ket_by_label(label: str) -> Ket:
-    family, sign = label[:-1], label[-1]
-    return bell_ket(BellKind(family, +1 if sign == "+" else -1))
+# the fully entangled Bell states as columns, in weight order (alpha+, alpha-, beta+, beta-)
+BELL_BASIS = np.stack([bell_ket(BellKind(f, sign)).amplitudes for f in ("alpha", "beta") for sign in (1, -1)], axis=1)
 
 
 def _distribute(epsilon: float, main_slot: int, share_slots: tuple[int, ...]) -> tuple[float, ...]:
@@ -154,32 +153,24 @@ def esp_weighting(weighting_id: str, epsilon: float) -> EspWeighting:
     return EspWeighting(weighting_id, epsilon, _distribute(epsilon, main, shares))
 
 
-def bell_mixture(w: EspWeighting) -> DensityOperator:
-    """Classical Bell mixture on the A-B pair: sum_i w_i |i><i|.
+def _mixture_factor(w: EspWeighting) -> np.ndarray:
+    """The 4 x r factor F of sum_i w_i |i><i|: one column sqrt(w_i) |i> per nonzero weight, in weight order."""
+    nonzero = np.flatnonzero(w.weights)
+    return BELL_BASIS[:, nonzero] * np.sqrt(np.take(w.weights, nonzero))
 
-    Its factor has one column sqrt(w_i) |i> per nonzero weight.
-    """
-    m = np.zeros((4, 4), dtype=np.complex128)
-    columns = []
-    for weight, label in zip(w.weights, BELL_ORDER):
-        if weight == 0.0:
-            continue
-        amps = bell_ket_by_label(label).amplitudes
-        m += weight * np.outer(amps, amps.conj())
-        columns.append(np.sqrt(weight) * amps)
-    return DensityOperator(m, AB_DIMS, factor=np.stack(columns, axis=1))
+
+def bell_mixture(w: EspWeighting) -> DensityOperator:
+    """Classical Bell mixture on the A-B pair: sum_i w_i |i><i| = F F†."""
+    return DensityOperator.from_factor(_mixture_factor(w), AB_DIMS)
 
 
 def mixed_initial(w: EspWeighting, s: SpinMagnitude) -> DensityOperator:
     """Classically weighted initial state with the environment at its top level.
 
-    The full matrix is |m=S><m=S| ⊗ sum_i w_i |i><i|; tracing out the
-    environment returns the plain Bell mixture.
+    The full matrix is |m=S><m=S| ⊗ sum_i w_i |i><i|, with factor
+    |m=S> ⊗ F; tracing out the environment returns the plain Bell mixture.
     """
-    env = basis_ket_c(s, s.s)
-    env_dm = np.outer(env, env.conj())
-    ab = bell_mixture(w)
-    return DensityOperator(np.kron(env_dm, ab.matrix), SystemDims.for_spin(s), factor=np.kron(env[:, None], ab.factor))
+    return DensityOperator.from_factor(np.kron(basis_ket_c(s, s.s)[:, None], _mixture_factor(w)), SystemDims.for_spin(s))
 
 
 def pure_initial(w: EspWeighting, s: SpinMagnitude) -> Ket:
@@ -191,19 +182,13 @@ def pure_initial(w: EspWeighting, s: SpinMagnitude) -> Ket:
     The number of nonzero weights must equal the environment dimension, and
     tracing out the environment reproduces the classical mixture exactly.
     """
-    nonzero = [(weight, label) for weight, label in zip(w.weights, BELL_ORDER) if weight != 0.0]
-    if len(nonzero) != s.dim:
+    if w.bell_count != s.dim:
         raise ValueError(
-            f"weighting {w.id} has {len(nonzero)} nonzero components but the "
+            f"weighting {w.id} has {w.bell_count} nonzero components but the "
             f"environment provides {s.dim} levels; use S = (count-1)/2"
         )
-    dims = SystemDims.for_spin(s)
-    amps = np.zeros(dims.total, dtype=np.complex128)
-    mvals = s.m_values()
-    for (weight, label), m in zip(nonzero, mvals):
-        env = basis_ket_c(s, m)
-        amps += np.sqrt(weight) * np.kron(env, bell_ket_by_label(label).amplitudes)
-    return Ket(amps, dims)
+    # sum_k |m_k> ⊗ F[:, k] lists the columns of F one environment level after another
+    return Ket(_mixture_factor(w).T.ravel(), SystemDims.for_spin(s))
 
 
 def bell_initial(kind: BellKind, s: SpinMagnitude) -> Ket:
@@ -223,10 +208,9 @@ def product_initial(spec: ProductSpinSpec, s: SpinMagnitude) -> DensityOperator:
 
 
 def _product_state(weights: np.ndarray, ka: np.ndarray, kb: np.ndarray, s: SpinMagnitude) -> DensityOperator:
-    m = np.kron(np.diag(weights).astype(np.complex128), np.kron(np.outer(ka, ka.conj()), np.outer(kb, kb.conj())))
     levels = np.flatnonzero(weights)
     env = np.eye(s.dim)[:, levels] * np.sqrt(weights[levels])
-    return DensityOperator(m, SystemDims.for_spin(s), factor=np.kron(env, np.kron(ka, kb)[:, None]))
+    return DensityOperator.from_factor(np.kron(env, np.kron(ka, kb)[:, None]), SystemDims.for_spin(s))
 
 
 def product_basis_initial(state: str, s: SpinMagnitude) -> DensityOperator:

@@ -31,7 +31,7 @@ from espkit.errors import GuardViolation, ResolutionError, WindowError
 from espkit.hilbert import DensityOperator, SpinMagnitude, SystemDims, basis_ket_c, trace_out_c
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 from espkit.monotones import CHUNK, cne
-from espkit.states import bell_ket_by_label, esp_weighting, mixed_initial, product_basis_initial
+from espkit.states import BellKind, bell_ket, esp_weighting, mixed_initial, product_basis_initial
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
 HALF = SpinMagnitude(1)
@@ -59,7 +59,7 @@ def test_detect_constant_entangled():
     s = HALF
     h = spin_star_hamiltonian(ExchangeCoupling(0, 0, 0), s)
     env = basis_ket_c(s, s.s)
-    ab = bell_ket_by_label("beta-").to_density().matrix
+    ab = bell_ket(BellKind("beta", -1)).to_density().matrix
     rho0 = DensityOperator(np.kron(np.outer(env, env.conj()), ab), SystemDims.for_spin(s))
     traj = sample_trajectory(h, rho0, EvolutionSpec(t_max=2.0, n_steps=100))
     assert np.allclose(traj.negativity, 0.5, atol=1e-12)

@@ -474,6 +474,40 @@ def test_repro_failure_sets_exit_code(tmp_path):
     assert report["passed"] is False
 
 
+def test_table2_gates_c0_at_1e_12(tmp_path, monkeypatch):
+    """A tabulated c0 off by 1e-9 fails its rows; the fits reproduce the correct c0 to about 1e-15."""
+    formula = analysis.FORMULAS["mixed_W9"]
+
+    def off(params):
+        exp = formula.coefficients(params)
+        return exp._replace(c0=exp.c0 + 1e-9)
+
+    monkeypatch.setitem(analysis.FORMULAS, "mixed_W9", replace(formula, coefficients=off))
+    rows = cli.repro_table2(tmp_path, 1e-2)[0]["rows"]
+    assert {(row["weighting"], row["passed"]) for row in rows} == {(wid, wid != "W9") for wid, _ in MIXED_CASES}
+    assert max(abs(row["c0_fit"] - row["c0_expected"]) for row in rows if row["weighting"] != "W9") <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "evolution, code",
+    [
+        ({"t_max": 1e-321, "n_steps": 1000}, 2),  # the spacing underflows: sample times repeat
+        ({"t_max": 1.7e308, "n_steps": 1000, "emit_negative_times": True}, 2),  # the window overflows: a NaN grid
+        ({"t_max": 1e306, "n_steps": 10, "method": "integrator"}, 3),  # RK4 step counts beyond float range
+        ({"t_max": 1e306, "n_steps": 10, "method": "series"}, 3),  # the series stack overflows
+    ],
+)
+def test_unsampleable_window_exits_with_one_line(tmp_path, capsys, evolution, code):
+    """A grid that is not finite and strictly increasing is a config error; a propagation that overflows
+    is a numerics error.  Either is one line on stderr, with no traceback and no warning."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["evolution"] = evolution
+    assert main(["evolve", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: evolution: time window" if code == 2 else "numerics error:")
+
+
 FIG4_CURVES = {f"W{i}_plus" for i in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13)} | {"W6_minus", "W10_minus", "W14_minus"}
 FIG5_CURVES = {f"W{i}_{sign}" for i in range(1, 7) for sign in ("plus", "minus")} | {
     "W7_minus", "W8_minus", "W9_plus", "W10_minus", "W11_minus", "W12_minus", "W13_plus", "W14_minus",

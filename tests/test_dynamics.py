@@ -20,7 +20,7 @@ from espkit.errors import DimensionError
 from espkit.hilbert import SpinMagnitude, partial_trace_c
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 from espkit.monotones import negativity
-from espkit.states import bell_ket_by_label, esp_weighting, mixed_initial, product_basis_initial
+from espkit.states import BellKind, bell_ket, esp_weighting, mixed_initial, product_basis_initial
 from espkit.hilbert import DensityOperator, SystemDims, basis_ket_c
 
 from conftest import hermitian_eigvals
@@ -224,7 +224,7 @@ def test_trajectory_initial_sample_singlet():
     s = SpinMagnitude(1)
     h = spin_star_hamiltonian(ExchangeCoupling(1, 0.5, 1), s)
     env = basis_ket_c(s, s.s)
-    ab = bell_ket_by_label("beta-").to_density().matrix
+    ab = bell_ket(BellKind("beta", -1)).to_density().matrix
     rho0 = DensityOperator(np.kron(np.outer(env, env.conj()), ab), SystemDims.for_spin(s))
     traj = sample_trajectory(h, rho0, EvolutionSpec(t_max=1.0, n_steps=10))
     assert np.allclose(
@@ -303,7 +303,15 @@ def test_evolution_spec_validation():
     with pytest.raises(ValueError):
         EvolutionSpec(t_max=-1.0, n_steps=10).time_grid()
     # the window is checked when the plan is made, not when it is sampled
-    for bad in ({"t_max": np.nan}, {"t_max": np.inf}, {"t_max": -np.inf}, {"t_max": 0.0}):
+    # and so is its grid: a spacing that underflows repeats sample times, a window that overflows is NaN
+    for bad in (
+        {"t_max": np.nan},
+        {"t_max": np.inf},
+        {"t_max": -np.inf},
+        {"t_max": 0.0},
+        {"t_max": 1e-321},
+        {"t_max": 1.7e308, "emit_negative_times": True},
+    ):
         with pytest.raises(ValueError):
             EvolutionSpec(n_steps=10, **bad)
     assert EvolutionSpec(t_max=1.0, n_steps=4, emit_negative_times=True).start == -1.0

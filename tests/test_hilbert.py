@@ -18,7 +18,7 @@ from espkit.hilbert import (
     trace_out_c,
 )
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
-from espkit.states import bell_ket_by_label, bell_mixture, product_basis_initial
+from espkit.states import BellKind, bell_ket, bell_mixture, product_basis_initial
 from espkit.dynamics import evolve_exact
 
 from conftest import (
@@ -95,7 +95,7 @@ def test_partial_trace_product_state(rng):
 
 
 def test_partial_trace_singlet_marginal():
-    singlet = bell_ket_by_label("beta-")
+    singlet = bell_ket(BellKind("beta", -1))
     env = basis_ket_c(SpinMagnitude(1), 0.5)
     full = np.kron(np.outer(env, env.conj()), singlet.to_density().matrix)
     red = partial_trace_c(DensityOperator(full, SystemDims(dim_c=2)))
@@ -131,7 +131,7 @@ def test_partial_transpose_product_fixed():
 
 
 def test_partial_transpose_singlet_spectrum():
-    rho = bell_ket_by_label("beta-").to_density()
+    rho = bell_ket(BellKind("beta", -1)).to_density()
     w = hermitian_eigvals(partial_transpose_b(rho))
     assert np.allclose(w, [-0.5, 0.5, 0.5, 0.5], atol=1e-14)
 

@@ -4,11 +4,11 @@ import pytest
 from espkit.errors import NumericalError
 from espkit.hilbert import PAULI_Y
 from espkit.monotones import YY_SIGNS, cne, concurrence, negativity, pair_monotones
-from espkit.states import bell_ket_by_label, bell_mixture, esp_weighting
+from espkit.states import BellKind, bell_ket, bell_mixture, esp_weighting
 
 from conftest import custom_weighting, hermitian_eigvals, monotone_sample, random_two_qubit_dm, random_unitary
 
-SINGLET = bell_ket_by_label("beta-").to_density().matrix
+SINGLET = bell_ket(BellKind("beta", -1)).to_density().matrix
 UP_UP = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
 

@@ -140,13 +140,27 @@ def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
         assert {np.linalg.eigvalsh, np.linalg.svd} <= set(calls)
 
 
+def unnormalized(rho, scale):
+    """rho with its factor scaled by ``scale``, and the matching matrix.
+
+    ``DensityOperator.from_factor`` refuses the result, whose trace is off
+    by scale² - 1, so it is assembled here by hand.
+    """
+    b = scale * rho.factor
+    with pytest.raises(ValueError, match="trace deviates"):
+        DensityOperator.from_factor(b, rho.dims)
+    state = DensityOperator(b @ b.conj().T, rho.dims, validate=False)
+    object.__setattr__(state, "factor", b)
+    return state
+
+
 def test_trace_deviation_is_the_norm_drift_of_the_factor():
-    """A factor off by 1e-10 in norm shows as 2e-10 of trace drift, whatever the matrix says; one off
-    by 0.1 % drifts 2e-3, beyond the 1e-9 budget, and raises."""
+    """A factor off by 1e-10 in norm shows as 2e-10 of trace drift; one off by 0.1 % drifts 2e-3,
+    beyond the 1e-9 budget, and raises."""
     h, initial = state_case("mixed")
     spec = EvolutionSpec(t_max=0.5, n_steps=20)
-    scaled = DensityOperator(initial.matrix, initial.dims, factor=(1.0 + 1e-10) * initial.factor)
-    bad = DensityOperator(initial.matrix, initial.dims, factor=1.001 * initial.factor)
+    scaled = unnormalized(initial, 1.0 + 1e-10)
+    bad = unnormalized(initial, 1.001)
     for method in ("exact", "integrator"):
         meta = sample_trajectory(h, scaled, replace(spec, method=method)).meta
         assert abs(meta["max_trace_deviation"] - ((1.0 + 1e-10) ** 2 - 1.0)) <= 1e-14

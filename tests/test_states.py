@@ -10,7 +10,6 @@ from espkit.states import (
     WEIGHTING_IDS,
     bell_initial,
     bell_ket,
-    bell_ket_by_label,
     bell_mixture,
     esp_weighting,
     mixed_initial,
@@ -152,9 +151,9 @@ def test_pure_initial_w9_assignment():
     s = SpinMagnitude(2)
     psi = pure_initial(w, s)
     expected = np.zeros(12, dtype=complex)
-    alpha_plus = bell_ket_by_label("alpha+").amplitudes
-    beta_plus = bell_ket_by_label("beta+").amplitudes
-    beta_minus = bell_ket_by_label("beta-").amplitudes
+    alpha_plus = bell_ket(BellKind("alpha")).amplitudes
+    beta_plus = bell_ket(BellKind("beta")).amplitudes
+    beta_minus = bell_ket(BellKind("beta", -1)).amplitudes
     expected[0:4] = np.sqrt((1 - e) / 4) * alpha_plus
     expected[4:8] = np.sqrt((1 + e) / 2) * beta_plus
     expected[8:12] = np.sqrt((1 - e) / 4) * beta_minus
@@ -169,10 +168,10 @@ def test_pure_initial_w13_assignment():
     share = np.sqrt((1 - e) / 6)
     main = np.sqrt((1 + e) / 2)
     expected = np.zeros(16, dtype=complex)
-    expected[0:4] = share * bell_ket_by_label("alpha+").amplitudes
-    expected[4:8] = share * bell_ket_by_label("alpha-").amplitudes
-    expected[8:12] = main * bell_ket_by_label("beta+").amplitudes
-    expected[12:16] = share * bell_ket_by_label("beta-").amplitudes
+    expected[0:4] = share * bell_ket(BellKind("alpha")).amplitudes
+    expected[4:8] = share * bell_ket(BellKind("alpha", -1)).amplitudes
+    expected[8:12] = main * bell_ket(BellKind("beta")).amplitudes
+    expected[12:16] = share * bell_ket(BellKind("beta", -1)).amplitudes
     assert np.allclose(psi.amplitudes, expected, atol=1e-15)
 
 
@@ -223,14 +222,11 @@ def test_product_initial_mixed_env_purity():
     assert np.isclose(np.trace(rho.matrix @ rho.matrix).real, 0.58, atol=1e-14)
 
 
-FACTOR_TOL = 1e-15
-
-
 def assert_exact_factor(rho, columns):
-    """rho carries an ensemble factor B with B B† = matrix and the given column count."""
+    """rho carries an ensemble factor B with the given column count, and its matrix is B B† to the bit."""
     b = rho.factor
     assert b.shape == (rho.matrix.shape[0], columns)
-    assert np.max(np.abs(b @ b.conj().T - rho.matrix)) <= FACTOR_TOL
+    assert np.array_equal(b @ b.conj().T, rho.matrix)
 
 
 def test_product_initial_factor_random_angles_and_env():
@@ -254,7 +250,10 @@ def test_weighting_factors(wid, eps):
     w = esp_weighting(wid, eps)
     assert_exact_factor(bell_mixture(w), w.bell_count)
     assert_exact_factor(mixed_initial(w, SpinMagnitude(2)), w.bell_count)
-    assert_exact_factor(pure_initial(w, w.matched_spin()).to_density(), 1)
+    pure = pure_initial(w, w.matched_spin())
+    assert_exact_factor(pure.to_density(), 1)
+    # environment level k carries column k of the mixture factor F: the amplitudes are F.T.ravel(), to the bit
+    assert pure.amplitudes.tobytes() == np.ascontiguousarray(bell_mixture(w).factor.T).tobytes()
 
 
 def test_ket_factors():
