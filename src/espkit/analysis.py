@@ -46,7 +46,7 @@ from .dynamics import (
 from .errors import GuardViolation, ResolutionError, WindowError
 from .hilbert import DensityOperator, Ket, SpinMagnitude, trace_out_c
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
-from .monotones import ENTANGLED_THRESHOLD, negativity, pt_stats
+from .monotones import ENTANGLED_THRESHOLD, negativity, negativity_and_count, pt_min
 from .states import (
     BellKind,
     bell_initial,
@@ -227,7 +227,7 @@ def _cne_sampler(h, initial, method: str, order: int = 3) -> Callable[[np.ndarra
     """dt array -> lambda* array of the reduced states :func:`reduced_batches` yields for it."""
     h, rho0 = _checked_initial(h, initial)
     return lambda dts: np.concatenate(
-        [pt_stats(red)[0] for red, _, _ in reduced_batches(h, rho0, np.asarray(dts, dtype=np.float64), method, order)]
+        [pt_min(red) for red, _, _ in reduced_batches(h, rho0, np.asarray(dts, dtype=np.float64), method, order)]
     )
 
 
@@ -588,7 +588,7 @@ def symmetry_suite(
     n_back = negativity(trace_out_c(rho_back, initial.dims.dim_c))
     closure_dev = abs(n0 - n_back)
 
-    n_pm = np.maximum(0.0, -exact_cne_function(prop, initial)(np.array([1e-3, 1e-2, -1e-3, -1e-2])))
+    n_pm = negativity_and_count(exact_cne_function(prop, initial)(np.array([1e-3, 1e-2, -1e-3, -1e-2])))[0]
     dt2_dev = float(np.max(np.abs(n_pm[:2] - n_pm[2:])))
 
     event_dev: float | None = None

@@ -5,7 +5,8 @@ Subcommands
 ``espkit evolve --config cfg.json [--set SECTION.KEY=VALUE] --out DIR``
     Sample one trajectory; writes ``trajectory.csv`` (header
     ``t,negativity,concurrence,cne,negative_count``) plus a ``manifest.json``
-    with the run's invariant deviations and its ``config``: every setting,
+    with the run's invariant deviations, how close lambda* comes to the
+    detection threshold, and its ``config``: every setting,
     defaults included, itself a runnable config.  Byte-identical outputs
     for identical configs.
 
@@ -397,6 +398,8 @@ def cmd_evolve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", traj)
+    headroom = np.abs(traj.cne + cfg.threshold)  # how close lambda* comes to the detection threshold -threshold
+    closest = int(np.argmin(headroom))
     manifest = {
         "tool": "espkit",
         "version": __version__,
@@ -405,6 +408,8 @@ def cmd_evolve(args) -> int:
             "max_trace_deviation": traj.meta["max_trace_deviation"],
             "max_hermiticity_deviation": traj.meta["max_hermiticity_deviation"],
             "max_psd_clip": traj.meta["max_psd_clip"],
+            "threshold_headroom": float(headroom[closest]),
+            "threshold_headroom_t": float(traj.times[closest]),
         },
         "samples": len(traj),
     }

@@ -58,25 +58,33 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) with A = V diag(w) V†, as ``np.linalg.eigh`` returns, one ``eigh`` per connected block.
 
     The Hermiticity defect must stay below ``1e-12 * max(1, ||A||_F)``;
-    the input is then symmetrized to (A + A†)/2 and split into the
-    connected blocks of its nonzero pattern.  Each block is diagonalized on
-    its own, so eigenvectors are exactly zero off their block; eigenvalues
-    come back ascending across blocks.
+    both are taken on A / max|A|, so neither overflows for entries near
+    the largest double.  The input is then symmetrized to A/2 + A†/2,
+    which rounds as (A + A†)/2 would but cannot overflow, and split into
+    the connected blocks of its nonzero pattern.  Each block is
+    diagonalized on its own, so eigenvectors are exactly zero off their
+    block; eigenvalues come back ascending across blocks.
 
     Raises
     ------
     DimensionError
         If the input is not square.
     NumericalError
-        If the LAPACK eigensolver fails or returns non-finite eigenvalues.
+        If an entry is not finite, or the LAPACK eigensolver fails or
+        returns non-finite eigenvalues.
     """
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    defect = max_abs(m - m.conj().T)
-    if defect > HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(m))):
+    scale = max_abs(m)
+    if not np.isfinite(scale):
+        raise NumericalError("matrix has non-finite entries")
+    unit = m / (scale or 1.0)
+    defect = scale * max_abs(unit - unit.conj().T)  # Python floats: inf past the largest double, without a warning
+    if defect > max(HERMITICITY_RTOL, HERMITICITY_RTOL * scale * float(np.linalg.norm(unit))):
         raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
-    sym = np.ascontiguousarray((m + m.conj().T) / 2.0)
+    half = m / 2.0
+    sym = np.ascontiguousarray(half + half.conj().T)
     blocks = connected_blocks(sym != 0)
     perm = np.concatenate(blocks)
     permuted = sym[np.ix_(perm, perm)]  # block diagonal, blocks in order

@@ -16,6 +16,8 @@ regroup each B(t) into the factor L of rho_AB = L L†, which is positive
 by construction and never diagonalized.  The series truncation of the
 equation of motion for rho has no positive factor: each of its reduced
 states is factored by eigendecomposition, dropping the negative mass.
+A truncation is not a state, and its negativity is defined as
+max(0, -lambda*), as for a state.
 
 The spectrum of H comes block by block (:func:`espkit.densemat.hermitian_eig`),
 so B(t) keeps the exact zeros of the parity sectors H conserves.  A
@@ -43,7 +45,7 @@ from .hilbert import (
     spin_operators,
     trace_out_c,
 )
-from .monotones import batches, check_clip, pair_monotones, psd_factor
+from .monotones import batches, check_clip, negativity_and_count, pair_monotones, psd_factor
 
 INTEGRATOR_STEP = 1e-4
 # largest |tr rho_AB - 1| a trajectory may show: exact propagation keeps it
@@ -188,11 +190,12 @@ def _series_terms(h: np.ndarray, m: np.ndarray, order: int) -> list[np.ndarray]:
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
     terms = [m.astype(np.complex128, copy=True)]
-    if order >= 2:
-        comm1 = h @ m - m @ h
-        terms.append(-1j * comm1)
-        if order >= 3:
-            terms.append(-0.5 * (h @ comm1 - comm1 @ h))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows stay non-finite, for the monotones to report
+        if order >= 2:
+            comm1 = h @ m - m @ h
+            terms.append(-1j * comm1)
+            if order >= 3:
+                terms.append(-0.5 * (h @ comm1 - comm1 @ h))
     return terms
 
 
@@ -213,7 +216,9 @@ def evolve_series(h, rho0: InitialState, dt: float, order: int = 3) -> np.ndarra
     -i[H, rho0] dt, 3 adds -(1/2)[H, [H, rho0]] dt².  The result is
     Hermitian and trace-one but deliberately not positive: it feeds the
     short-time analytic validators, which are derived from exactly these
-    truncations.  A :class:`SpectralPropagator` ``h`` lends its matrix.
+    truncations.  Its negativity in a trajectory is defined as
+    max(0, -lambda*), as for a state.  A :class:`SpectralPropagator` ``h``
+    lends its matrix.
     """
     h, rho0 = _checked_initial(h, rho0)
     return _series_stack(_series_terms(_generator(h), rho0.matrix, order), np.array([float(dt)]))[0]
@@ -239,8 +244,8 @@ def _rk4_increment(h: np.ndarray, t_final: float, max_step: float) -> np.ndarray
     n_steps = int(n_steps)
     a = (-1j * (t_final / n_steps)) * h
     eye = np.eye(h.shape[0], dtype=np.complex128)
-    step = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)  # T - I by Horner
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as one error, not as warnings
+        step = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)  # T - I by Horner
         while n_steps:
             if n_steps & 1:
                 acc = acc + step + acc @ step
@@ -355,4 +360,5 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
         "max_hermiticity_deviation": mono.max_hermiticity_deviation,
         "max_psd_clip": mono.max_clip,
     }
-    return Trajectory(times, mono.cne, mono.negativity, mono.concurrence, mono.negative_count, meta)
+    neg, count = negativity_and_count(mono.cne)
+    return Trajectory(times, mono.cne, neg, mono.concurrence, count.astype(np.int64), meta)

@@ -1,27 +1,32 @@
 """Entanglement quantifiers on two-qubit reduced density matrices.
 
-Negativity is the absolute sum of the negative eigenvalues of the partial
-transpose (0 for separable states, 1/2 for maximally entangled ones);
-the trace-norm variant equals 1 + 2N for trace-one inputs.  Concurrence
-follows Wootters' construction on a factor of the state: with
+The one decision variable is lambda*, the smallest eigenvalue of the
+partial transpose rho^{T_B} (:func:`pt_min`): a state is entangled when
+lambda* lies below -1e-9.  A two-qubit partial transpose has at most one
+negative eigenvalue (Sanpera, Tarrach and Vidal, Phys. Rev. A 58, 826
+(1998)), so the negativity N, the absolute sum of the negative
+eigenvalues (0 for separable states, 1/2 for maximally entangled ones),
+is max(0, -lambda*), and the negative count is [lambda* < -1e-12].
+:func:`negativity_and_count` alone derives both from lambda*.  A series
+truncation, which is not a state, has its negativity defined the same way.
+Concurrence follows Wootters' construction on a factor of the state: with
 rho = L L†, the gamma values are the singular values of L^T (σy⊗σy) L,
 so no matrix square root is taken.  Both are local-unitary invariants
 and, for two qubits, vanish together.
 
 The batched entry point :func:`pair_monotones` takes (rho_AB, L, clip)
-batches: λ* and the negativity from the spectrum of rho_AB^{T_B}
-(:func:`pt_stats`), the concurrence from the factor L (:func:`wootters`).
-A bare matrix has no factor: the per-matrix :func:`concurrence` makes one
-with :func:`psd_factor`.  :func:`cne` and :func:`negativity` wrap
-:func:`pt_stats`, so trajectories, the short-time λ* samplers and the
-per-matrix calls all share these two functions.
+batches: lambda* from rho_AB (:func:`pt_min`), the concurrence from the
+factor L (:func:`wootters`).  A bare matrix has no factor: the per-matrix
+:func:`concurrence` makes one with :func:`psd_factor`.  :func:`cne` and
+:func:`negativity` wrap :func:`pt_min`, so trajectories, the short-time
+lambda* samplers and the per-matrix calls all share these two functions.
 
 X-shaped states, whose entries off the diagonal and the anti-diagonal are
 exactly 0.0, have closed forms (Yu and Eberly, Quantum Inf. Comput. 7,
 459 (2007)): the partial transpose splits into two 2x2 blocks, and
 C = 2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) with
 ||L_i|| = sqrt(rho_ii) the row norms of L.  Each function decides once per
-batch on its own input: :func:`pt_stats` on the off-X entries of rho_AB
+batch on its own input: :func:`pt_min` on the off-X entries of rho_AB
 (the partial transpose keeps them off the X), :func:`wootters` on whether
 every column of L sits on {00, 11} or on {01, 10}.  A batch with any nonzero off-X entry takes
 LAPACK (``eigvalsh``, then QR and SVD for the concurrence).  Parity-definite
@@ -67,9 +72,7 @@ class PairMonotones:
     """
 
     cne: np.ndarray
-    negativity: np.ndarray
     concurrence: np.ndarray
-    negative_count: np.ndarray
     max_clip: float
     max_trace_deviation: float
     max_hermiticity_deviation: float
@@ -105,41 +108,46 @@ def _hermitian_part(stack: np.ndarray) -> np.ndarray:
     return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
 
 
-def _negative_mass(w: np.ndarray) -> np.ndarray:
-    """sum(max(-w, 0)) along the last axis; 0.0 - x keeps a zero sum at +0.0, not -0.0."""
-    return 0.0 - np.sum(np.minimum(w, 0.0), axis=-1)
-
-
 def _x_pt_eigenvalues(red: np.ndarray) -> np.ndarray:
-    """The four eigenvalues, unsorted, of the Hermitian part of each partial transpose of an X-shaped stack.
+    """The lower eigenvalue of each 2x2 block of the Hermitian part of each partial transpose of an X-shaped stack.
 
     rho^{T_B} keeps the diagonal and swaps the anti-diagonal pairs: its
     blocks are [[rho_00, rho_12], [rho_21, rho_33]] on {00, 11} and
     [[rho_11, rho_03], [rho_30, rho_22]] on {01, 10}, and a block
     [[a, c], [c*, d]] has eigenvalues (a + d)/2 ± hypot((a - d)/2, |c|).
+    The hypot is never negative, so the upper eigenvalues are never below
+    the lower ones and are not formed.
     """
     diag = np.diagonal(red, axis1=-2, axis2=-1).real
     anti = np.diagonal(red[..., ::-1], axis1=-2, axis2=-1)  # rho_03, rho_12, rho_21, rho_30
     head, tail = diag[..., :2], diag[..., :1:-1]  # (rho_00, rho_11) and (rho_33, rho_22)
     coherence = 0.5 * np.abs(anti[..., 1::-1] + anti[..., 2:].conj())  # |rho_12| and |rho_03|, Hermitian part
     mean = 0.5 * (head + tail)
-    radius = np.hypot(0.5 * (head - tail), coherence)
-    return np.concatenate([mean - radius, mean + radius], axis=-1)
+    return mean - np.hypot(0.5 * (head - tail), coherence)
 
 
-def pt_stats(red: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda*, negativity, negative count) of each partial transpose of a stack.
+def pt_min(red: np.ndarray) -> np.ndarray:
+    """lambda*, the smallest eigenvalue of each partial transpose of a stack.
 
-    The count includes eigenvalues below -1e-12; two-qubit partial
-    transposes carry at most one.  A batch whose matrices are all X-shaped
-    takes the eigenvalues of the 2x2 blocks of their partial transposes;
-    any other batch takes ``eigvalsh``.
+    A batch whose matrices are all X-shaped takes the lower eigenvalues of
+    the 2x2 blocks of their partial transposes; any other batch takes
+    ``eigvalsh``.
     """
     if np.any(red[..., OFF_X[0], OFF_X[1]]):
         w = _lapack(np.linalg.eigvalsh, _hermitian_part(transpose_b(red)))
     else:
         w = _check_finite(_x_pt_eigenvalues(red))
-    return np.min(w, axis=-1), _negative_mass(w), np.count_nonzero(w < -NEGATIVE_COUNT_TOL, axis=-1)
+    return np.min(w, axis=-1)
+
+
+def negativity_and_count(lam):
+    """(N, count) = (max(0, -lambda*), lambda* < -1e-12) of lambda*, a scalar or an array.
+
+    A two-qubit partial transpose has at most one negative eigenvalue, so
+    these are its negative mass and its number of eigenvalues below -1e-12.
+    0.0 - x writes a separable N as +0.0, never -0.0.
+    """
+    return 0.0 - np.minimum(lam, 0.0), lam < -NEGATIVE_COUNT_TOL
 
 
 def _x_concurrence(l: np.ndarray) -> np.ndarray:
@@ -182,10 +190,10 @@ def psd_factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor L = V sqrt(max(w, 0)) of each matrix of a stack, and the mass it drops.
 
     rho = V diag(w) V† is the eigendecomposition of the Hermitian part;
-    the dropped mass is sum(max(-w, 0)).
+    the dropped mass is sum(max(-w, 0)), and 0.0 - x keeps a zero sum at +0.0, not -0.0.
     """
     w, v = _lapack(np.linalg.eigh, _hermitian_part(stack))
-    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :], _negative_mass(w)
+    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :], 0.0 - np.sum(np.minimum(w, 0.0), axis=-1)
 
 
 def check_clip(clip: float) -> None:
@@ -195,11 +203,11 @@ def check_clip(clip: float) -> None:
 
 
 def _batch_columns(red: np.ndarray, l: np.ndarray, clip) -> tuple[np.ndarray, ...]:
-    """Per-state columns of one batch: pt_stats, concurrence, clip, trace and Hermiticity drift."""
+    """Per-state columns of one batch: lambda*, concurrence, clip, trace and Hermiticity drift."""
     conc = wootters(l)
     trace_dev = np.abs(np.trace(red, axis1=-2, axis2=-1).real - 1.0)
     herm_dev = np.max(np.abs(red - red.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    return (*pt_stats(red), conc, np.broadcast_to(clip, conc.shape), trace_dev, herm_dev)
+    return (pt_min(red), conc, np.broadcast_to(clip, conc.shape), trace_dev, herm_dev)
 
 
 def pair_monotones(parts) -> PairMonotones:
@@ -209,25 +217,23 @@ def pair_monotones(parts) -> PairMonotones:
     dropped to make L, a scalar or one entry per state.  Raises
     :class:`NumericalError` when any clip exceeds ``CLIP_BUDGET``.
     """
-    lam, neg, count, conc, clip, trace_dev, herm_dev = (
+    lam, conc, clip, trace_dev, herm_dev = (
         np.concatenate(column) for column in zip(*(_batch_columns(*part) for part in parts))
     )
     max_clip = float(np.max(clip))
     check_clip(max_clip)
-    return PairMonotones(
-        lam, neg, conc, count.astype(np.int64), max_clip, float(np.max(trace_dev)), float(np.max(herm_dev))
-    )
+    return PairMonotones(lam, conc, max_clip, float(np.max(trace_dev)), float(np.max(herm_dev)))
 
 
 def cne(rho) -> tuple[float, int]:
     """Smallest eigenvalue of the partial transpose and the negative count."""
-    lam, _, count = pt_stats(as_pair_matrix(rho)[None])
-    return float(lam[0]), int(count[0])
+    lam = float(pt_min(as_pair_matrix(rho)[None])[0])
+    return lam, int(negativity_and_count(lam)[1])
 
 
 def negativity(rho) -> float:
     """Absolute sum of the negative partial-transpose eigenvalues (in [0, 1/2])."""
-    return float(pt_stats(as_pair_matrix(rho)[None])[1][0])
+    return float(negativity_and_count(pt_min(as_pair_matrix(rho)[None])[0])[0])
 
 
 def concurrence(rho) -> float:

@@ -11,7 +11,7 @@ from espkit.densemat import as_complex_matrix, hermitian_eig
 from espkit.dynamics import SpectralPropagator
 from espkit.errors import DimensionError
 from espkit.hilbert import ID2, PAULI_X, PAULI_Y, PAULI_Z, SystemDims, as_pair_matrix, spin_operators
-from espkit.monotones import pair_monotones, psd_factor
+from espkit.monotones import negativity_and_count, pair_monotones, psd_factor
 from espkit.states import EspWeighting
 
 SEED = 20240917
@@ -116,9 +116,8 @@ def monotone_sample(rho, factor=None) -> MonotoneSample:
     """
     red = as_pair_matrix(rho)[None]
     out = pair_monotones([(red, *psd_factor(red)) if factor is None else (red, factor[None], 0.0)])
-    return MonotoneSample(
-        float(out.cne[0]), float(out.negativity[0]), float(out.concurrence[0]), int(out.negative_count[0])
-    )
+    neg, count = negativity_and_count(out.cne[0])
+    return MonotoneSample(float(out.cne[0]), float(neg), float(out.concurrence[0]), int(count))
 
 
 def charpoly_eigvals(h: np.ndarray) -> np.ndarray:

@@ -73,6 +73,23 @@ def test_evolve_writes_csv_and_manifest(tmp_path):
     assert manifest["invariants"]["max_trace_deviation"] <= 1e-12
 
 
+def test_manifest_reports_threshold_headroom(tmp_path):
+    """min_t |lambda*(t) + threshold| and its time: on fig2's udd curve at J = (1, 1, 1), S = 1/2,
+    lambda* comes within 1.309e-11 of -1e-9 at t = 2.1, next to a near-tangency at t = 2.095."""
+    cfg = {
+        "model": {"j": [1, 1, 1], "s_c": 0.5},
+        "state": {"kind": "product", "theta_a": np.pi, "theta_b": np.pi},
+        "evolution": {"t_max": 10, "n_steps": 2000},
+    }
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    invariants = json.loads((out / "manifest.json").read_text())["invariants"]
+    assert abs(invariants["threshold_headroom"] - 1.309e-11) <= 1e-14
+    assert invariants["threshold_headroom_t"] == 2.1
+    traj = read_trajectory_csv(out / "trajectory.csv")
+    assert invariants["threshold_headroom"] == float(np.min(np.abs(traj.cne + 1e-9)))
+
+
 @pytest.mark.parametrize("method", ["exact", "integrator"])
 def test_factor_methods_report_no_clip_and_norm_drift(tmp_path, method):
     """exact and integrator sample rho_AB = L L†: nothing to clip, and the trace drift is B's norm drift."""
@@ -338,6 +355,16 @@ def test_detect_malformed_csv(tmp_path, capsys):
     path.write_text(CSV_HEADER + "\n0.0,0.0,0.0,0.0,0\nnot,a,row\n")
     assert main(["detect", "--traj", str(path)]) == 2
     assert ":3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s_c, code", [(0.5, 0), (1.0, 3)])
+def test_evolve_with_a_coupling_of_1e308_prints_no_warning(tmp_path, s_c, code):
+    """At S = 1/2 the run completes; at S = 1 the spectrum of H overflows and the run exits 3 with one line."""
+    cfg = write_config(tmp_path, dict(BASE_CONFIG, model={"j": [1e308, 1, 1], "s_c": s_c}))
+    proc = _run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert proc.returncode == code
+    assert proc.stderr.count("\n") == code // 3, proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_detect_non_increasing_times_exits_2_without_traceback(tmp_path):

@@ -13,6 +13,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -207,6 +208,27 @@ def test_numpy_reader_matches_per_line_reference(text):
         assert got[1].endswith("numbers take ASCII digits and no '_'"), got
     else:
         assert got == expected
+
+
+def test_huge_couplings_exit_cleanly(tmp_path):
+    """Couplings near the largest double end with exit 0 or 3 for every valid state and method, with at
+    most one line on stderr and no numpy warning."""
+    runs = 0
+    for base in VALID:
+        for method in ("exact", "series", "integrator"):
+            for jx in (1e160, 1e308):
+                cfg = json.loads(json.dumps(base))
+                cfg["model"]["j"] = [jx, 1, 1]
+                cfg["evolution"]["method"] = method
+                path = tmp_path / f"cfg{runs}.json"
+                path.write_text(json.dumps(cfg), encoding="utf-8")
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rc, err = _run(["evolve", "--config", str(path), "--out", str(tmp_path / f"run{runs}")])
+                assert rc in (0, 3) and err.count("\n") == (rc == 3), (cfg, err)
+                assert not caught, (cfg, [str(w.message) for w in caught])
+                runs += 1
+    assert runs == 24
 
 
 def test_manifest_config_reruns_byte_for_byte(tmp_path):

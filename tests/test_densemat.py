@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,20 @@ def test_eig_rejects_nonsquare():
 def test_eig_rejects_nonhermitian():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eig_guard_does_not_overflow():
+    """||A||_F and A/2 + A†/2 stay finite for entries near the largest double: a defect of 1e150 on
+    entries of 1e160 is rejected, and a Hermitian matrix is diagonalized or rejected as numerics,
+    with no warning either way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="defect 1.000e\\+150"):
+            hermitian_eig(np.array([[1e160, 1e150], [0.0, 1e160]]))
+        w, _ = hermitian_eig(np.full((2, 2), 1e300))
+        assert np.max(np.abs(w - [0.0, 2e300])) <= 1e-15 * 2e300
+        with pytest.raises(NumericalError, match="non-finite eigenvalues"):
+            hermitian_eig(np.array([[1e308, 1.5e308], [1.5e308, -1e308]]))
 
 
 def test_eig_zero_matrix():

@@ -276,3 +276,14 @@ def test_fig2_rows_keep_twice_negativity_below_concurrence(tmp_path):
     for path in csvs:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert np.all(2.0 * data[:, 1] <= data[:, 2] + 1e-14), path.name
+
+
+def test_separable_samples_of_a_product_trajectory_write_zero_negativity():
+    """Every sample of a product trajectory with lambda* >= 0 has negativity 0.0, never -0.0."""
+    s = SpinMagnitude(1)
+    traj = sample_trajectory(
+        spin_star_hamiltonian(ExchangeCoupling(1.0, 0.5, 1.0), s), product_basis_initial("uud", s), EvolutionSpec(10.0, 400)
+    )
+    separable = traj.cne >= 0.0
+    assert 0 < np.count_nonzero(separable) < len(traj)
+    assert all(repr(n) == "0.0" for n in traj.negativity[separable].tolist())
