@@ -66,9 +66,6 @@ BOUNDARY_TOL = 1e-6
 # min_duration = 3 * spacing rounds twice on its way back to min_duration / 3
 RESOLUTION_ULPS = 8.0
 
-P_LABELS = ("p0", "p1", "p2", "p3", "p4", "p5", "p6")
-
-
 # ---------------------------------------------------------------------------
 # transition detection
 

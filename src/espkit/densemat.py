@@ -1,18 +1,17 @@
 """Minimal dense complex-matrix layer for operators up to 32x32.
 
-Provides the Hermitian eigendecomposition (LAPACK through
-``np.linalg.eigh``, one call per connected block of the matrix's nonzero
-pattern).  Matrices are plain contiguous ``complex128`` arrays.
+The one place espkit symmetrizes (:func:`hermitian_part`) and
+diagonalizes (:func:`hermitian_eig`, one ``np.linalg.eigh`` per matrix).
+Matrices are plain contiguous ``complex128`` arrays.
 
-Diagonalizing block by block keeps the exact zeros of a block-structured
+The eigendecomposition keeps the exact zeros of a block-structured
 matrix in its eigenvectors, and so in every propagator and propagated
 factor :class:`espkit.dynamics.SpectralPropagator` builds from them.  The
 spin-star Hamiltonian conserves the parity (-1)^(S-m) σz^A σz^B and
 always splits this way; a parity-definite initial factor then stays
 parity-definite, and its reduced states stay X-shaped with off-X entries
-that are exactly 0.0 (see
-:mod:`espkit.monotones`).  A dense matrix forms one block and gets what
-``np.linalg.eigh`` returns.
+that are exactly 0.0 (see :mod:`espkit.monotones`).  A dense matrix
+forms one block and gets what ``np.linalg.eigh`` returns.
 """
 
 from __future__ import annotations
@@ -54,16 +53,29 @@ def connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
     return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """A/2 + A†/2 of a matrix or of each matrix of a stack.
+
+    Halving is exact, so this rounds as (A + A†)/2 would, but it cannot
+    overflow for entries near the largest double.
+    """
+    half = a / 2.0
+    return half + half.conj().swapaxes(-1, -2)
+
+
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """(w, V) with A = V diag(w) V†, as ``np.linalg.eigh`` returns, one ``eigh`` per connected block.
+    """(w, V) with A = V diag(w) V†, as ``np.linalg.eigh`` returns, from one ``eigh`` call.
 
     The Hermiticity defect must stay below ``1e-12 * max(1, ||A||_F)``;
     both are taken on A / max|A|, so neither overflows for entries near
-    the largest double.  The input is then symmetrized to A/2 + A†/2,
-    which rounds as (A + A†)/2 would but cannot overflow, and split into
-    the connected blocks of its nonzero pattern.  Each block is
-    diagonalized on its own, so eigenvectors are exactly zero off their
-    block; eigenvalues come back ascending across blocks.
+    the largest double.  The Hermitian part of the input is permuted into
+    the block-diagonal order of the connected blocks of its nonzero
+    pattern, diagonalized at once, and its rows put back in the input's
+    order.  Every Householder reflector of the tridiagonal reduction of a
+    contiguous block-diagonal matrix stays inside one block, so the
+    tridiagonal matrix has exact zero off-diagonals at the block
+    boundaries and the tridiagonal solver splits there: eigenvectors are
+    exactly zero off their block.  Eigenvalues come back ascending.
 
     Raises
     ------
@@ -83,23 +95,14 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     defect = scale * max_abs(unit - unit.conj().T)  # Python floats: inf past the largest double, without a warning
     if defect > max(HERMITICITY_RTOL, HERMITICITY_RTOL * scale * float(np.linalg.norm(unit))):
         raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
-    half = m / 2.0
-    sym = np.ascontiguousarray(half + half.conj().T)
-    blocks = connected_blocks(sym != 0)
-    perm = np.concatenate(blocks)
-    permuted = sym[np.ix_(perm, perm)]  # block diagonal, blocks in order
-    w = np.empty(m.shape[0])
-    v = np.zeros_like(sym)
-    start = 0
-    for block in blocks:
-        cut = slice(start, start + block.size)
-        try:
-            w[cut], v[cut, cut] = np.linalg.eigh(permuted[cut, cut])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Hermitian eigensolver failed: {exc}") from None
-        start += block.size
-    v[perm] = v.copy()  # rows back to the input's order
+    sym = hermitian_part(m)
+    perm = np.concatenate(connected_blocks(sym != 0))
+    try:
+        w, permuted = np.linalg.eigh(sym[np.ix_(perm, perm)])  # block diagonal, blocks in order
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from None
     if not np.all(np.isfinite(w)):
         raise NumericalError("Hermitian eigensolver returned non-finite eigenvalues")
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    v = np.empty_like(permuted)
+    v[perm] = permuted  # rows back to the input's order
+    return w, v

@@ -19,8 +19,8 @@ states is factored by eigendecomposition, dropping the negative mass.
 A truncation is not a state, and its negativity is defined as
 max(0, -lambda*), as for a state.
 
-The spectrum of H comes block by block (:func:`espkit.densemat.hermitian_eig`),
-so B(t) keeps the exact zeros of the parity sectors H conserves.  A
+The eigenvectors of H (:func:`espkit.densemat.hermitian_eig`) keep the
+exact zeros of its blocks, and B(t) those of the parity sectors H conserves.  A
 parity-definite B0, such as a z-basis product configuration or a Bell
 mixture with the environment in one m level, yields reduced states that
 are exactly X-shaped, and :mod:`espkit.monotones` evaluates those in
@@ -34,18 +34,10 @@ from typing import Union
 
 import numpy as np
 
-from .densemat import as_complex_matrix, hermitian_eig
+from .densemat import as_complex_matrix, hermitian_eig, max_abs
 from .errors import DimensionError, NumericalError
-from .hilbert import (
-    PAULI_Y,
-    DensityOperator,
-    Ket,
-    SpinMagnitude,
-    pair_factor,
-    spin_operators,
-    trace_out_c,
-)
-from .monotones import batches, check_clip, negativity_and_count, pair_monotones, psd_factor
+from .hilbert import DensityOperator, Ket, SpinMagnitude, pair_factor, trace_out_c
+from .monotones import CLIP_BUDGET, YY_SIGNS, batches, check_clip, negativity_and_count, pair_monotones, psd_factor
 
 INTEGRATOR_STEP = 1e-4
 # largest |tr rho_AB - 1| a trajectory may show: exact propagation keeps it
@@ -124,15 +116,23 @@ class SpectralPropagator:
     """Exact evolution under a fixed Hermitian generator.
 
     Diagonalizes once, H = V diag(w) V†; every unitary is V diag(exp(-i w t)) V†.
+    Times with eps max|w| |t| >= 1 raise :class:`NumericalError`.
     """
 
     def __init__(self, h):
         self.h = as_complex_matrix(h)
         self.w, self.v = hermitian_eig(self.h)
 
+    def _check_phases(self, t_abs: float) -> None:
+        """The rounding error of the largest phase w t, near eps |w t|, must stay below 1 rad."""
+        w_abs = max_abs(self.w)
+        if float(np.finfo(np.float64).eps) * w_abs * t_abs >= 1.0:  # Python floats: inf without a warning
+            raise NumericalError(f"phases w t have no correct bit: max|w| = {w_abs:.3e} at |t| up to {t_abs:g}")
+
     def unitary(self, t: float) -> np.ndarray:
         if t == 0.0:
             return np.eye(self.h.shape[0], dtype=np.complex128)
+        self._check_phases(abs(float(t)))
         return (self.v * np.exp(-1j * self.w * float(t))) @ self.v.conj().T
 
     def evolve_matrix(self, rho: np.ndarray, t: float) -> np.ndarray:
@@ -146,6 +146,7 @@ class SpectralPropagator:
         B(t) B(t)† = rho(t) for B0 B0† = rho0.  At t = 0 the stack holds
         ``b0`` itself.
         """
+        self._check_phases(max_abs(times))
         phases = np.exp(-1j * np.multiply.outer(times, self.w))
         out = self.v @ (phases[:, :, None] * (self.v.conj().T @ b0))
         out[times == 0.0] = b0
@@ -277,21 +278,17 @@ def integrate_vonneumann(h, rho0: InitialState, t: float) -> DensityOperator:
     return DensityOperator(_rk4(_generator(h), rho0.matrix, float(t), INTEGRATOR_STEP), rho0.dims, validate=False)
 
 
-def time_reversal_unitary(s: SpinMagnitude) -> np.ndarray:
-    """Unitary part of the all-spin flip on environment ⊗ A ⊗ B.
-
-    exp(-i pi Sy) on the environment and sigma_y on each qubit; composing
-    with complex conjugation in the product basis realizes the antiunitary
-    spin flip (the global phase is irrelevant at the density-matrix level).
-    """
-    _, sy, _ = spin_operators(s)
-    return np.kron(SpectralPropagator(sy).unitary(np.pi), np.kron(PAULI_Y, PAULI_Y))
-
-
 def time_reversed_state(rho: DensityOperator, s: SpinMagnitude) -> DensityOperator:
-    """Theta rho* Theta†: the all-spin-flipped, conjugated state."""
-    theta = time_reversal_unitary(s)
-    return DensityOperator(theta @ rho.matrix.conj() @ theta.conj().T, rho.dims, validate=False)
+    """Theta rho* Theta†: the all-spin-flipped, conjugated state.
+
+    Theta = exp(-i pi Sy) ⊗ sigma_y ⊗ sigma_y is real: it maps basis index i
+    to N-1-i with sign s_i, s = kron((-1)^(S-m) over the environment levels,
+    (-1, 1, 1, -1)).  So Theta rho* Theta† = (s s^T ∘ rho*)[::-1, ::-1],
+    exactly; two flips return rho bit for bit.
+    """
+    signs = np.kron((-1.0) ** np.arange(s.dim), YY_SIGNS[:, 0])
+    flipped = (np.outer(signs, signs) * rho.matrix.conj())[::-1, ::-1]
+    return DensityOperator(flipped, rho.dims, validate=False)
 
 
 def reduced_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, times: np.ndarray, method: str, order: int = 3):
@@ -336,23 +333,26 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
     trace/Hermiticity deviations of the reduced states (for the factor
     methods the trace deviation is the norm drift of B(t)) and the largest
     negative eigenvalue mass a factor dropped: 0.0 for a state built with
-    its factor.  A trace deviation beyond ``DRIFT_BUDGET`` raises
-    :class:`NumericalError`.
+    its factor.  A trace deviation beyond ``DRIFT_BUDGET``, a clip beyond
+    ``CLIP_BUDGET`` and an overflow raise :class:`NumericalError`.
     """
     h, rho0 = _checked_initial(h, initial)
     times = spec.time_grid()
+    window = f"[{times[0]:g}, {times[-1]:g}]"
     try:
         mono = pair_monotones(reduced_batches(h, rho0, times, spec.method))
     except NumericalError as exc:
         if spec.method != "series":
             raise
+        raise NumericalError(f"the three-term series truncation overflowed on {window}: {exc}") from None
+    if mono.max_clip > CLIP_BUDGET:  # reduced_batches checked B0's clip: only a series truncation gets here
         raise NumericalError(
-            f"the three-term series truncation is not positive on [{times[0]:g}, {times[-1]:g}]: {exc}; "
-            'use method "exact" or a smaller t_max'
-        ) from None
+            f"the three-term series truncation is not positive on {window}: its factors clipped "
+            f'{mono.max_clip:.3e} of spectral mass (budget {CLIP_BUDGET:g}); use method "exact" or a smaller t_max'
+        )
     if not mono.max_trace_deviation <= DRIFT_BUDGET:  # NaN fails too
         raise NumericalError(
-            f"reduced states drift {mono.max_trace_deviation:.3e} from unit trace on [{times[0]:g}, {times[-1]:g}], "
+            f"reduced states drift {mono.max_trace_deviation:.3e} from unit trace on {window}, "
             f"beyond the {DRIFT_BUDGET:g} budget"
         )
     meta = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densemat import as_complex_matrix, max_abs
+from .densemat import as_complex_matrix, hermitian_part, max_abs
 from .errors import DimensionError
 
 TRACE_TOL = 1e-12
@@ -143,7 +143,7 @@ def validate_density_matrix(m: np.ndarray) -> None:
     defect = max_abs(m - m.conj().T)
     if defect > HERM_TOL:
         raise ValueError(f"Hermiticity defect {defect:.3e}")
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    w = np.linalg.eigvalsh(hermitian_part(m))
     if w[0] < -PSD_TOL:
         raise ValueError(f"minimum eigenvalue {w[0]:.3e} below PSD tolerance")
 

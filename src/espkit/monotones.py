@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .densemat import hermitian_part
 from .errors import NumericalError
 from .hilbert import as_pair_matrix, transpose_b
 
@@ -103,11 +104,6 @@ def _lapack(fn, stack, **kwargs):
         raise NumericalError(f"two-qubit eigensolver failed: {exc}") from None
 
 
-def _hermitian_part(stack: np.ndarray) -> np.ndarray:
-    """(A + A†)/2: LAPACK reads one triangle, this averages the roundoff of both."""
-    return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
-
-
 def _x_pt_eigenvalues(red: np.ndarray) -> np.ndarray:
     """The lower eigenvalue of each 2x2 block of the Hermitian part of each partial transpose of an X-shaped stack.
 
@@ -134,7 +130,7 @@ def pt_min(red: np.ndarray) -> np.ndarray:
     ``eigvalsh``.
     """
     if np.any(red[..., OFF_X[0], OFF_X[1]]):
-        w = _lapack(np.linalg.eigvalsh, _hermitian_part(transpose_b(red)))
+        w = _lapack(np.linalg.eigvalsh, hermitian_part(transpose_b(red)))
     else:
         w = _check_finite(_x_pt_eigenvalues(red))
     return np.min(w, axis=-1)
@@ -192,7 +188,7 @@ def psd_factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = V diag(w) V† is the eigendecomposition of the Hermitian part;
     the dropped mass is sum(max(-w, 0)), and 0.0 - x keeps a zero sum at +0.0, not -0.0.
     """
-    w, v = _lapack(np.linalg.eigh, _hermitian_part(stack))
+    w, v = _lapack(np.linalg.eigh, hermitian_part(stack))
     return v * np.sqrt(np.maximum(w, 0.0))[..., None, :], 0.0 - np.sum(np.minimum(w, 0.0), axis=-1)
 
 
@@ -214,15 +210,13 @@ def pair_monotones(parts) -> PairMonotones:
     """The quantifiers of each state of (rho_AB, L, clip) batches, rho_AB = L L† of shape (T, 4, 4).
 
     The concurrence is :func:`wootters` of L; ``clip`` is the negative mass
-    dropped to make L, a scalar or one entry per state.  Raises
-    :class:`NumericalError` when any clip exceeds ``CLIP_BUDGET``.
+    dropped to make L, a scalar or one entry per state.  The largest clip
+    is reported as ``max_clip``, for the caller to hold against ``CLIP_BUDGET``.
     """
     lam, conc, clip, trace_dev, herm_dev = (
         np.concatenate(column) for column in zip(*(_batch_columns(*part) for part in parts))
     )
-    max_clip = float(np.max(clip))
-    check_clip(max_clip)
-    return PairMonotones(lam, conc, max_clip, float(np.max(trace_dev)), float(np.max(herm_dev)))
+    return PairMonotones(lam, conc, float(np.max(clip)), float(np.max(trace_dev)), float(np.max(herm_dev)))
 
 
 def cne(rho) -> tuple[float, int]:

@@ -552,7 +552,7 @@ def test_symmetry_suite_product_state():
 
 
 def test_symmetry_suite_diagonalizes_each_hamiltonian_once(monkeypatch):
-    """H(J), H(-J) and the environment Sy: three eigendecompositions."""
+    """H(J) and H(-J): two eigendecompositions; the spin flip is a signed reversal, with none."""
     calls = []
 
     def counted(a):
@@ -561,7 +561,7 @@ def test_symmetry_suite_diagonalizes_each_hamiltonian_once(monkeypatch):
 
     monkeypatch.setattr(dynamics, "hermitian_eig", counted)
     assert symmetry_suite(ExchangeCoupling(1, 1, 1), HALF, product_basis_initial("uud", HALF)).passed
-    assert calls == [(8, 8), (8, 8), (2, 2)]
+    assert calls == [(8, 8), (8, 8)]
 
 
 def test_symmetry_suite_death_birth_mirror():

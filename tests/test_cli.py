@@ -357,14 +357,25 @@ def test_detect_malformed_csv(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("s_c, code", [(0.5, 0), (1.0, 3)])
-def test_evolve_with_a_coupling_of_1e308_prints_no_warning(tmp_path, s_c, code):
-    """At S = 1/2 the run completes; at S = 1 the spectrum of H overflows and the run exits 3 with one line."""
+@pytest.mark.parametrize("s_c, cause", [(0.5, "no correct bit"), (1.0, "non-finite eigenvalues")])
+def test_evolve_with_a_coupling_of_1e308_prints_no_warning(tmp_path, s_c, cause):
+    """The run exits 3 with one line: at S = 1/2 the phases w t carry no correct bit, at S = 1 the
+    spectrum of H overflows."""
     cfg = write_config(tmp_path, dict(BASE_CONFIG, model={"j": [1e308, 1, 1], "s_c": s_c}))
     proc = _run_cli(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")])
-    assert proc.returncode == code
-    assert proc.stderr.count("\n") == code // 3, proc.stderr
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1 and cause in proc.stderr, proc.stderr
     assert "Warning" not in proc.stderr
+
+
+def test_series_that_overflows_exits_3_saying_so(tmp_path, capsys):
+    """A series truncation at a coupling of 1e308 overflowed; it was not found to be non-positive."""
+    cfg = dict(BASE_CONFIG, model={"j": [1e308, 1, 1], "s_c": 0.5})
+    cfg["evolution"] = dict(BASE_CONFIG["evolution"], method="series")
+    assert main(["evolve", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerics error: ")
+    assert "overflow" in err and "not positive" not in err
 
 
 def test_detect_non_increasing_times_exits_2_without_traceback(tmp_path):

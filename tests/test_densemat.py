@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from espkit.cli import MIXED_J, PRODUCT_CASES
 from espkit.densemat import connected_blocks, hermitian_eig
 from espkit.dynamics import SpectralPropagator
 from espkit.errors import DimensionError, NumericalError
@@ -96,16 +97,21 @@ def block_hermitian(rng, sizes) -> tuple[np.ndarray, list[np.ndarray]]:
     return h, [np.sort(idx) for idx in blocks]
 
 
+def assert_zero_off_blocks(v, blocks):
+    """Each block's rows are nonzero in exactly block-size columns, and those columns are exactly 0.0 elsewhere."""
+    for idx in blocks:
+        outside = np.setdiff1d(np.arange(v.shape[0]), idx)
+        cols = np.flatnonzero(np.any(v[idx] != 0, axis=0))
+        assert cols.size == idx.size
+        assert np.all(v[np.ix_(outside, cols)] == 0.0)
+
+
 def test_eig_diagonalizes_each_block_on_its_own(rng):
     for sizes in ((8, 8), (1, 3, 4, 4, 3, 1), (5, 2, 9), (32,)):
         h, blocks = block_hermitian(rng, sizes)
         assert [b.tolist() for b in connected_blocks(h != 0)] == sorted(b.tolist() for b in blocks)
         w, v = hermitian_eig(h)
-        for idx in blocks:
-            outside = np.setdiff1d(np.arange(h.shape[0]), idx)
-            cols = np.flatnonzero(np.any(v[idx] != 0, axis=0))
-            assert cols.size == idx.size
-            assert np.all(v[np.ix_(outside, cols)] == 0.0)  # exact zeros across blocks
+        assert_zero_off_blocks(v, blocks)
         assert np.linalg.norm(h @ v - v * w) <= 1e-14 * np.linalg.norm(h)
         assert np.all(np.diff(w) >= 0)
 
@@ -121,13 +127,38 @@ def test_eig_of_a_dense_matrix_is_lapack_eigh(rng):
         assert np.array_equal(v, v_lapack)
 
 
+def test_eig_calls_eigh_once_per_matrix(monkeypatch, rng):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    matrices = [block_hermitian(rng, sizes)[0] for sizes in ((8, 8), (1, 3, 4, 4, 3, 1), (32,))]
+    matrices.append(spin_star_hamiltonian(MIXED_J, SpinMagnitude(3)))
+    for h in matrices:
+        hermitian_eig(h)
+    assert calls == [h.shape for h in matrices]
+
+
 def test_spin_star_hamiltonian_splits_into_parity_blocks():
-    """Two 8x8 parity blocks at S = 3/2; more when Jx = Jy."""
+    """Two 8x8 parity blocks at S = 3/2; more when Jx = Jy.  Every repro Hamiltonian at S = 1/2, 1 and
+    3/2 has eigenvectors that are exactly zero off their block."""
     s = SpinMagnitude(3)
     sizes = {(1.0, 0.5, 1.0): [8, 8], (-0.5, -0.5, -1.0): [1, 3, 4, 4, 3, 1]}
     for j, expected in sizes.items():
         blocks = connected_blocks(spin_star_hamiltonian(ExchangeCoupling(*j), s) != 0)
         assert sorted(b.size for b in blocks) == sorted(expected)
+    couplings = {j for _, j, _ in PRODUCT_CASES} | {MIXED_J}
+    assert len(couplings) == 5
+    for j in couplings:
+        for two_s in (1, 2, 3):
+            h = spin_star_hamiltonian(j, SpinMagnitude(two_s))
+            blocks = connected_blocks(h != 0)
+            assert len(blocks) >= 2
+            assert_zero_off_blocks(hermitian_eig(h)[1], blocks)
 
 
 def test_exp_at_zero_is_identity(rng):

@@ -16,14 +16,14 @@ from espkit.dynamics import (
     sample_trajectory,
     time_reversed_state,
 )
-from espkit.errors import DimensionError
-from espkit.hilbert import SpinMagnitude, partial_trace_c
-from espkit.model import ExchangeCoupling, spin_star_hamiltonian
+from espkit.errors import DimensionError, NumericalError
+from espkit.hilbert import PAULI_Y, SpinMagnitude, partial_trace_c, spin_operators
+from espkit.model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from espkit.monotones import negativity
-from espkit.states import BellKind, bell_ket, esp_weighting, mixed_initial, product_basis_initial
+from espkit.states import BellKind, bell_ket, esp_weighting, mixed_initial, product_basis_initial, product_initial
 from espkit.hilbert import DensityOperator, SystemDims, basis_ket_c
 
-from conftest import hermitian_eigvals
+from conftest import hermitian_eigvals, spectral_exp_skew
 
 
 INTEGRATOR_TOL = 1e-12  # RK4 at the default 1e-4 step against exact evolution
@@ -293,6 +293,38 @@ def test_time_reversal_closure():
     flipped = time_reversed_state(rho_t, s)
     rho_back = evolve_exact(h, flipped, 2.0)
     assert abs(negativity(partial_trace_c(rho_back)) - n0) <= 1e-8
+
+
+def test_propagator_rejects_phases_with_no_correct_bit():
+    """eps max|w| |t| >= 1 raises, also where that product overflows, and without a warning; below it, it evolves."""
+    prop = SpectralPropagator(np.diag([1e200, -1e200]))
+    b0 = np.eye(2, dtype=np.complex128)
+    for t in (1e200, 1.0 / (np.finfo(np.float64).eps * 1e200)):
+        with pytest.raises(NumericalError, match="no correct bit"):
+            prop.unitary(t)
+        with pytest.raises(NumericalError, match="no correct bit"):
+            prop.evolve_factor(b0, np.array([0.0, -t]))
+    t_ok = 0.5 / (np.finfo(np.float64).eps * 1e200)
+    assert np.allclose(np.abs(prop.unitary(t_ok)), np.eye(2))
+    assert prop.evolve_factor(b0, np.array([t_ok])).shape == (1, 2, 2)
+
+
+def test_time_reversal_is_the_spin_flip_and_an_exact_involution(rng):
+    """Theta = exp(-i pi Sy) ⊗ sigma_y ⊗ sigma_y, built by diagonalization, agrees with the signed
+    reversal to 1e-15 for S = 0 to 3/2, on real and complex states; two flips return rho bit for bit."""
+    for two_s in (0, 1, 2, 3):
+        s = SpinMagnitude(two_s)
+        theta = np.kron(spectral_exp_skew(spin_operators(s)[1], np.pi), np.kron(PAULI_Y, PAULI_Y))
+        b = rng.normal(size=(4 * s.dim, 3)) + 1j * rng.normal(size=(4 * s.dim, 3))
+        states = [
+            product_basis_initial("uud", s),
+            product_initial(ProductSpinSpec(theta_a=1.1, phi_a=np.pi / 4, theta_b=0.4), s),
+            DensityOperator.from_factor(b / np.linalg.norm(b), SystemDims.for_spin(s)),
+        ]
+        for rho in states:
+            flipped = time_reversed_state(rho, s)
+            assert np.max(np.abs(flipped.matrix - theta @ rho.matrix.conj() @ theta.conj().T)) <= 1e-15
+            assert np.array_equal(time_reversed_state(flipped, s).matrix, rho.matrix)
 
 
 def test_evolution_spec_validation():
