@@ -39,6 +39,7 @@ from .dynamics import (
     SpectralPropagator,
     Trajectory,
     _checked_initial,
+    evaluation_times,
     reduced_batches,
     sample_trajectory,
     time_reversed_state,
@@ -223,9 +224,12 @@ def fit_short_time(
 def _cne_sampler(h, initial, method: str, order: int = 3) -> Callable[[np.ndarray], np.ndarray]:
     """dt array -> lambda* array of the reduced states :func:`reduced_batches` yields for it."""
     h, rho0 = _checked_initial(h, initial)
-    return lambda dts: np.concatenate(
-        [pt_min(red) for red, _, _ in reduced_batches(h, rho0, np.asarray(dts, dtype=np.float64), method, order)]
-    )
+
+    def sample(dts):
+        evaluated, gather = evaluation_times(h, rho0, np.asarray(dts, dtype=np.float64))
+        return np.concatenate([pt_min(red) for red, _, _ in reduced_batches(h, rho0, evaluated, method, order)])[gather]
+
+    return sample
 
 
 def exact_cne_function(h, initial) -> Callable[[np.ndarray], np.ndarray]:
@@ -561,8 +565,9 @@ def symmetry_suite(
     the negativity grids mirror, and any death under J appears as a birth
     under -J at the mirrored time.  Time reversal: evolving the flipped
     conjugate of rho(t) for another t restores the initial negativity.
-    dt² symmetry: N(dt) = N(-dt) near t = 0.  H(J), H(-J) and the
-    environment's Sy are each diagonalized once.
+    dt² symmetry: N(dt) = N(-dt) near t = 0, exactly for a real
+    preparation (:func:`espkit.dynamics.evaluation_times`).  H(J) and
+    H(-J) are each diagonalized once.
     """
     h, initial = _checked_initial(spin_star_hamiltonian(j, s), initial)
     prop = SpectralPropagator(h)

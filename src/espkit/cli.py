@@ -14,9 +14,11 @@ Subcommands
     Regression targets ``table1``/``table2`` (fitted-versus-analytic
     short-time coefficients) and ``fig2``/``fig4``/``fig5`` (trajectory
     curve families with structural checks).  Writes per-row or per-curve
-    CSVs and a pass/fail JSON; exits 1 when a check fails.  ``--tol-rel``
-    (finite, > 0) defaults to 1e-3 for table1 and 1e-2 otherwise;
-    ``--gnuplot-script`` plots a figure target's curves.
+    CSVs and a pass/fail JSON, whose ``headroom`` map gives each curve's
+    ``threshold_headroom`` and ``threshold_headroom_t`` as ``evolve``'s
+    manifest does, at the default threshold; exits 1 when a check fails.
+    ``--tol-rel`` (finite, > 0) defaults to 1e-3 for table1 and 1e-2
+    otherwise; ``--gnuplot-script`` plots a figure target's curves.
 
 ``espkit detect --traj trajectory.csv [--threshold X] [--min-duration T]``
     Transition events (kind, times, duration, near-zero trajectory label
@@ -392,14 +394,20 @@ def write_json(path: Path | str | None, payload: dict) -> None:
 # evolve / detect / fit commands
 
 
+def threshold_headroom(traj: Trajectory, threshold: float) -> dict:
+    """min_t |lambda*(t) + threshold|, how close lambda* comes to the detection
+    threshold -threshold, and the first sample time where it occurs."""
+    headroom = np.abs(traj.cne + threshold)
+    closest = int(np.argmin(headroom))
+    return {"threshold_headroom": float(headroom[closest]), "threshold_headroom_t": float(traj.times[closest])}
+
+
 def cmd_evolve(args) -> int:
     cfg = load_config(args.config, args.set or [])
     traj = sample_trajectory(spin_star_hamiltonian(cfg.j, cfg.s), cfg.initial, cfg.evolution)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", traj)
-    headroom = np.abs(traj.cne + cfg.threshold)  # how close lambda* comes to the detection threshold -threshold
-    closest = int(np.argmin(headroom))
     manifest = {
         "tool": "espkit",
         "version": __version__,
@@ -408,8 +416,7 @@ def cmd_evolve(args) -> int:
             "max_trace_deviation": traj.meta["max_trace_deviation"],
             "max_hermiticity_deviation": traj.meta["max_hermiticity_deviation"],
             "max_psd_clip": traj.meta["max_psd_clip"],
-            "threshold_headroom": float(headroom[closest]),
-            "threshold_headroom_t": float(traj.times[closest]),
+            **threshold_headroom(traj, cfg.threshold),
         },
         "samples": len(traj),
     }
@@ -664,6 +671,8 @@ def cmd_repro(args) -> int:
         write_trajectory_csv(out / name, traj)
     results = report["checks"].values() if "checks" in report else report["rows"]
     report.update(target=args.target, passed=all(r["passed"] for r in results), tol_rel=tol)
+    if curves:
+        report["headroom"] = {name: threshold_headroom(traj, ENTANGLED_THRESHOLD) for name, traj in curves.items()}
     write_json(out / f"{args.target}_report.json", report)
     if args.gnuplot_script and curves:  # negativity against t for each curve
         plots = ", \\\n".join(f"  '{name}' using 1:2 with lines title '{name[:-4]}'" for name in sorted(curves))

@@ -2,7 +2,9 @@
 
 The one place espkit symmetrizes (:func:`hermitian_part`) and
 diagonalizes (:func:`hermitian_eig`, one ``np.linalg.eigh`` per matrix).
-Matrices are plain contiguous ``complex128`` arrays.
+Matrices are plain contiguous ``complex128`` arrays; the eigenvectors of
+one whose imaginary part is exactly 0, such as every spin-star
+Hamiltonian, are real ``float64``.
 
 The eigendecomposition keeps the exact zeros of a block-structured
 matrix in its eigenvectors, and so in every propagator and propagated
@@ -66,6 +68,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) with A = V diag(w) V†, as ``np.linalg.eigh`` returns, from one ``eigh`` call.
 
+    V is real (float64) when the imaginary part of A is exactly 0: the call
+    then takes the real part, so A = V diag(w) Vᵀ with V real.
+
     The Hermiticity defect must stay below ``1e-12 * max(1, ||A||_F)``;
     both are taken on A / max|A|, so neither overflows for entries near
     the largest double.  The Hermitian part of the input is permuted into
@@ -95,7 +100,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     defect = scale * max_abs(unit - unit.conj().T)  # Python floats: inf past the largest double, without a warning
     if defect > max(HERMITICITY_RTOL, HERMITICITY_RTOL * scale * float(np.linalg.norm(unit))):
         raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
-    sym = hermitian_part(m)
+    sym = hermitian_part(m if np.any(m.imag) else m.real)
     perm = np.concatenate(connected_blocks(sym != 0))
     try:
         w, permuted = np.linalg.eigh(sym[np.ix_(perm, perm)])  # block diagonal, blocks in order

@@ -5,8 +5,17 @@ for every sample time; the commutator-series truncation feeds the analytic
 short-time validators; fourth-order Runge-Kutta on the propagator,
 composed by binary powering of its one-step matrix, provides an
 independent cross-check that never diagonalizes the Hamiltonian.  Every
-sample time is propagated from t = 0 on its own, so negative times run
-the propagators backwards and no error carries from one sample to the next.
+sample time is propagated from t = 0 on its own, so no error carries from
+one sample to the next.
+
+When H and rho0 are both real (imaginary parts exactly 0), as for every
+spin-star Hamiltonian and every z-basis, Bell-mixture and purified
+preparation, rho(-t) = conj(rho(t)): the spectral V is real, the RK4 step
+satisfies T(-dt) = conj(T(dt)) and the series terms alternate real and
+imaginary.  lambda*, N and C are then even in t, and
+:func:`evaluation_times` has each distinct |t| evaluated once and its
+values copied to -t.  Only a complex preparation runs the propagators
+backwards for its negative times.
 
 Trajectories and the short-time lambda* samplers of :mod:`espkit.analysis`
 take every reduced state from :func:`reduced_batches`, CHUNK sample times
@@ -52,10 +61,14 @@ InitialState = Union[DensityOperator, Ket]
 class EvolutionSpec:
     """Sampling plan for a trajectory.
 
-    The grid is ``n_steps + 1`` evenly spaced times on [0, t_max], or on
-    [-t_max, t_max] when ``emit_negative_times`` is set (the near-past
-    branch used by the time-symmetry checks).  A spacing that is a normal
-    double makes a grid of fewer than 2**50 steps finite and strictly increasing.
+    The grid is ``n_steps + 1`` evenly spaced times: ``np.linspace(0,
+    t_max, n_steps + 1)``, or, when ``emit_negative_times`` is set (the
+    near-past branch used by the time-symmetry checks), t_k = t_max ((2k -
+    n) / n) on [-t_max, t_max] with n = ``n_steps``.  That grid is exactly
+    symmetric, t_k = -t_{n-k} bit for bit, with both ends exactly ±t_max
+    and every time within 2 ulps of t_max of ``np.linspace``.  A spacing
+    that is a normal double makes a grid of fewer than 2**50 steps finite
+    and strictly increasing.
     """
 
     t_max: float
@@ -81,7 +94,9 @@ class EvolutionSpec:
         return -self.t_max if self.emit_negative_times else 0.0
 
     def time_grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.t_max, self.n_steps + 1)
+        if not self.emit_negative_times:
+            return np.linspace(0.0, self.t_max, self.n_steps + 1)
+        return self.t_max * ((2 * np.arange(self.n_steps + 1) - self.n_steps) / self.n_steps)
 
 
 @dataclass(frozen=True)
@@ -173,6 +188,18 @@ def _checked_initial(h, rho0: InitialState) -> tuple[np.ndarray | SpectralPropag
 def _generator(h: np.ndarray | SpectralPropagator) -> np.ndarray:
     """The Hamiltonian matrix of a checked ``h``."""
     return h.h if isinstance(h, SpectralPropagator) else h
+
+
+def evaluation_times(h, rho0: DensityOperator, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The times to evaluate, and the gather that maps values at them back onto ``times``.
+
+    A real H and rho0 make lambda*, N and C even in t, so each distinct
+    |t| is evaluated once, ascending; otherwise ``times`` themselves, with
+    an identity gather.  ``h`` and ``rho0`` come checked by :func:`_checked_initial`.
+    """
+    if np.any(_generator(h).imag) or np.any(rho0.matrix.imag):
+        return times, np.arange(times.shape[0])
+    return np.unique(np.abs(times), return_inverse=True)
 
 
 def evolve_exact(h, rho0: InitialState, t: float) -> DensityOperator:
@@ -334,13 +361,16 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
     methods the trace deviation is the norm drift of B(t)) and the largest
     negative eigenvalue mass a factor dropped: 0.0 for a state built with
     its factor.  A trace deviation beyond ``DRIFT_BUDGET``, a clip beyond
-    ``CLIP_BUDGET`` and an overflow raise :class:`NumericalError`.
+    ``CLIP_BUDGET`` and an overflow raise :class:`NumericalError`.  Only
+    the times :func:`evaluation_times` picks are evaluated; conjugation
+    leaves every one of these figures unchanged.
     """
     h, rho0 = _checked_initial(h, initial)
     times = spec.time_grid()
     window = f"[{times[0]:g}, {times[-1]:g}]"
+    evaluated, gather = evaluation_times(h, rho0, times)
     try:
-        mono = pair_monotones(reduced_batches(h, rho0, times, spec.method))
+        mono = pair_monotones(reduced_batches(h, rho0, evaluated, spec.method))
     except NumericalError as exc:
         if spec.method != "series":
             raise
@@ -360,5 +390,6 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
         "max_hermiticity_deviation": mono.max_hermiticity_deviation,
         "max_psd_clip": mono.max_clip,
     }
-    neg, count = negativity_and_count(mono.cne)
-    return Trajectory(times, mono.cne, neg, mono.concurrence, count.astype(np.int64), meta)
+    lam = mono.cne[gather]
+    neg, count = negativity_and_count(lam)
+    return Trajectory(times, lam, neg, mono.concurrence[gather], count.astype(np.int64), meta)

@@ -22,6 +22,8 @@ from .hilbert import (
 )
 
 PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
+# sigma_a ⊗ I + I ⊗ sigma_a for a = x, y, z: the two-qubit side of every exchange term
+_PAIR_SUMS = tuple(np.kron(pauli, ID2) + np.kron(ID2, pauli) for pauli in PAULI)
 
 # Validity window of the leading-order immediate-concurrence formulas: keeps
 # the quadratic residual below ~1% of the linear term for |J| <= 3.
@@ -89,16 +91,17 @@ class ProductSpinSpec:
 def spin_star_hamiltonian(j: ExchangeCoupling, s: SpinMagnitude) -> np.ndarray:
     """Central-spin exchange Hamiltonian sum_a J_a S_a (sigma_a^A + sigma_a^B).
 
-    Hermitian, dimension 4(2S+1), symmetric under swapping A and B.  Built
-    as sum_a J_a kron(S_a, sigma_a ⊗ I + I ⊗ sigma_a): three Kronecker
-    products, whose zero pattern is exact.
+    Hermitian, dimension 4(2S+1), symmetric under swapping A and B, and
+    real, since Sy ⊗ sigma_y is a product of two imaginary matrices.  Built
+    as sum_a J_a kron(S_a, sigma_a ⊗ I + I ⊗ sigma_a), one Kronecker
+    product per nonzero coupling, whose zero pattern is exact.
     """
     dims = SystemDims.for_spin(s)
     h = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for coupling, s_op, pauli in zip(j.as_array(), spin_operators(s), PAULI):
+    for coupling, s_op, pair in zip(j.as_array(), spin_operators(s), _PAIR_SUMS):
         if coupling == 0.0:
             continue
-        h += coupling * np.kron(s_op, np.kron(pauli, ID2) + np.kron(ID2, pauli))
+        h += coupling * np.kron(s_op, pair)
     return h
 
 

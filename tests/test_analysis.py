@@ -31,7 +31,7 @@ from espkit.errors import GuardViolation, ResolutionError, WindowError
 from espkit.hilbert import DensityOperator, SpinMagnitude, SystemDims, basis_ket_c, trace_out_c
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 from espkit.monotones import CHUNK, cne
-from espkit.states import BellKind, bell_ket, esp_weighting, mixed_initial, product_basis_initial
+from espkit.states import BellKind, bell_ket, esp_weighting, mixed_initial, product_basis_initial, pure_initial
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
 HALF = SpinMagnitude(1)
@@ -549,6 +549,36 @@ def test_symmetry_suite_product_state():
     assert report.coupling_negation_grid <= 1e-10
     assert report.time_reversal_closure <= 1e-8
     assert report.dt2_symmetry <= 1e-8
+
+
+def test_symmetry_suite_dt2_is_exact_for_real_preparations():
+    """Real H and rho0 make lambda* even in t by construction: N(dt) = N(-dt) bit for bit."""
+    w9 = esp_weighting("W9", 0.01)
+    cases = [
+        (ExchangeCoupling(1, 1, 1), HALF, product_basis_initial("uud", HALF)),
+        (MIXED_J, HALF, mixed_initial(w9, HALF)),
+        (MIXED_J, w9.matched_spin(), pure_initial(w9, w9.matched_spin())),
+    ]
+    for j, s, initial in cases:
+        report = symmetry_suite(j, s, initial, t_max=1.0, n_steps=400)
+        assert report.passed and report.dt2_symmetry == 0.0
+
+
+def test_sampler_evaluates_each_abs_dt_once(monkeypatch):
+    """A real preparation's lambda*(dt) sampler propagates each distinct |dt| once and gathers it back."""
+    counts = []
+    evolve_factor = SpectralPropagator.evolve_factor
+
+    def spied(self, b0, times):
+        counts.append(times.tolist())
+        return evolve_factor(self, b0, times)
+
+    monkeypatch.setattr(SpectralPropagator, "evolve_factor", spied)
+    h = spin_star_hamiltonian(MIXED_J, HALF)
+    sampler = exact_cne_function(h, mixed_initial(esp_weighting("W9", 0.01), HALF))
+    lam = sampler(np.array([1e-2, -1e-3, 1e-3, -1e-2, 0.0]))
+    assert counts == [[0.0, 1e-3, 1e-2]]
+    assert lam[0] == lam[3] and lam[1] == lam[2]
 
 
 def test_symmetry_suite_diagonalizes_each_hamiltonian_once(monkeypatch):

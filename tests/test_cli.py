@@ -90,6 +90,22 @@ def test_manifest_reports_threshold_headroom(tmp_path):
     assert invariants["threshold_headroom"] == float(np.min(np.abs(traj.cne + 1e-9)))
 
 
+def test_cli_imports_only_numpy_beyond_the_standard_library():
+    """A fresh ``import espkit.cli`` adds no third-party top-level module but numpy: the startup
+    time of every command rests on it (scipy, which is installed, costs far more to import)."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import espkit.cli\n"
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names))))\n"
+    )
+    src = str(Path(espkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert set(done.stdout.split()) == {"espkit", "numpy"}
+
+
 @pytest.mark.parametrize("method", ["exact", "integrator"])
 def test_factor_methods_report_no_clip_and_norm_drift(tmp_path, method):
     """exact and integrator sample rho_AB = L L†: nothing to clip, and the trace drift is B's norm drift."""
@@ -578,6 +594,25 @@ def test_repro_gnuplot_script(figure_outputs, target, curves):
         assert rows.pop(12)["label_expected"] == "local_min_t=0.11+-0.02"
     assert [(r["weighting"], r["epsilon"], r["label_expected"]) for r in rows] == table
     assert all(r["passed"] for r in rows)
+
+
+def test_figure_reports_give_each_curve_its_threshold_headroom(figure_outputs):
+    """A top-level ``headroom`` map: each curve CSV -> min_t |lambda* + 1e-9| and its first time, as
+    evolve's manifest gives them.  The closest is fig2's udd curve at J = (1, 1, 1), S = 1/2: 1.309e-11 at t = 2.1."""
+    for target, out in figure_outputs.items():
+        report = json.loads((out / f"{target}_report.json").read_text())
+        assert "headroom" not in report.get("checks", {})
+        assert set(report["headroom"]) == {p.name for p in out.glob("*.csv")}
+        for name, entry in report["headroom"].items():
+            traj = read_trajectory_csv(out / name)
+            headroom = np.abs(traj.cne + 1e-9)
+            assert entry["threshold_headroom"] == float(np.min(headroom)), name
+            assert entry["threshold_headroom_t"] == float(traj.times[np.argmin(headroom)]), name
+    fig2 = json.loads((figure_outputs["fig2"] / "fig2_report.json").read_text())["headroom"]
+    closest = fig2["fig2_udd_J1_1_1_sc1half.csv"]
+    assert abs(closest["threshold_headroom"] - 1.309e-11) <= 1e-3 * 1.309e-11
+    assert closest["threshold_headroom_t"] == 2.1
+    assert min(entry["threshold_headroom"] for entry in fig2.values()) == closest["threshold_headroom"]
 
 
 def test_fig4_label_does_not_move_with_the_grid():

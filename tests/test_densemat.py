@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from espkit.cli import MIXED_J, PRODUCT_CASES
-from espkit.densemat import connected_blocks, hermitian_eig
+from espkit.densemat import connected_blocks, hermitian_eig, hermitian_part
 from espkit.dynamics import SpectralPropagator
 from espkit.errors import DimensionError, NumericalError
 from espkit.hilbert import PAULI_Y, PAULI_Z, SpinMagnitude
@@ -143,6 +143,48 @@ def test_eig_calls_eigh_once_per_matrix(monkeypatch, rng):
     assert calls == [h.shape for h in matrices]
 
 
+def repro_hamiltonians() -> list[np.ndarray]:
+    """The Hamiltonians of every repro target: the PRODUCT_CASES couplings and MIXED_J at S = 1/2, 1 and 3/2."""
+    couplings = sorted({j for _, j, _ in PRODUCT_CASES} | {MIXED_J}, key=str)
+    return [spin_star_hamiltonian(j, SpinMagnitude(two_s)) for j in couplings for two_s in (1, 2, 3)]
+
+
+def test_eig_of_a_real_matrix_has_real_eigenvectors(monkeypatch):
+    """Every repro H has an imaginary part of exactly 0, and gets float64 eigenvectors from one eigh call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.dtype)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    matrices = repro_hamiltonians()
+    assert len(matrices) == 15  # five couplings, three spins
+    for h in matrices:
+        assert h.dtype == np.complex128 and not np.any(h.imag)
+        w, v = hermitian_eig(h)
+        assert v.dtype == np.float64
+        assert np.linalg.norm(h @ v - v * w) <= 1e-14 * np.linalg.norm(h)
+        assert np.max(np.abs(v.T @ v - np.eye(h.shape[0]))) <= 1e-14
+    assert calls == [np.float64] * len(matrices)
+
+
+def test_eig_of_a_complex_matrix_is_unchanged(rng):
+    """A complex Hermitian input is diagonalized as before real inputs took their real part: bit for bit,
+    the complex eigh of its Hermitian part in block-diagonal order, with the rows put back."""
+    for sizes in ((8, 8), (1, 3, 4, 4, 3, 1), (16,)):
+        h = block_hermitian(rng, sizes)[0]
+        sym = hermitian_part(h)
+        perm = np.concatenate(connected_blocks(sym != 0))
+        w_ref, permuted = np.linalg.eigh(sym[np.ix_(perm, perm)])
+        v_ref = np.empty_like(permuted)
+        v_ref[perm] = permuted
+        w, v = hermitian_eig(h)
+        assert v.dtype == np.complex128
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
 def test_spin_star_hamiltonian_splits_into_parity_blocks():
     """Two 8x8 parity blocks at S = 3/2; more when Jx = Jy.  Every repro Hamiltonian at S = 1/2, 1 and
     3/2 has eigenvectors that are exactly zero off their block."""
@@ -151,14 +193,10 @@ def test_spin_star_hamiltonian_splits_into_parity_blocks():
     for j, expected in sizes.items():
         blocks = connected_blocks(spin_star_hamiltonian(ExchangeCoupling(*j), s) != 0)
         assert sorted(b.size for b in blocks) == sorted(expected)
-    couplings = {j for _, j, _ in PRODUCT_CASES} | {MIXED_J}
-    assert len(couplings) == 5
-    for j in couplings:
-        for two_s in (1, 2, 3):
-            h = spin_star_hamiltonian(j, SpinMagnitude(two_s))
-            blocks = connected_blocks(h != 0)
-            assert len(blocks) >= 2
-            assert_zero_off_blocks(hermitian_eig(h)[1], blocks)
+    for h in repro_hamiltonians():
+        blocks = connected_blocks(h != 0)
+        assert len(blocks) >= 2
+        assert_zero_off_blocks(hermitian_eig(h)[1], blocks)
 
 
 def test_exp_at_zero_is_identity(rng):

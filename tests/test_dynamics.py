@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from espkit import densemat, dynamics
+from espkit.cli import FIG5_CASES, MIXED_J, MIXED_SPEC
 from espkit.dynamics import (
     EvolutionSpec,
     SpectralPropagator,
     Trajectory,
+    _checked_initial,
     _rk4,
     evolve_exact,
     evolve_series,
     integrate_vonneumann,
+    reduced_batches,
     sample_trajectory,
     time_reversed_state,
 )
@@ -20,7 +23,15 @@ from espkit.errors import DimensionError, NumericalError
 from espkit.hilbert import PAULI_Y, SpinMagnitude, partial_trace_c, spin_operators
 from espkit.model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from espkit.monotones import negativity
-from espkit.states import BellKind, bell_ket, esp_weighting, mixed_initial, product_basis_initial, product_initial
+from espkit.states import (
+    BellKind,
+    bell_ket,
+    esp_weighting,
+    mixed_initial,
+    product_basis_initial,
+    product_initial,
+    pure_initial,
+)
 from espkit.hilbert import DensityOperator, SystemDims, basis_ket_c
 
 from conftest import hermitian_eigvals, spectral_exp_skew
@@ -325,6 +336,110 @@ def test_time_reversal_is_the_spin_flip_and_an_exact_involution(rng):
             flipped = time_reversed_state(rho, s)
             assert np.max(np.abs(flipped.matrix - theta @ rho.matrix.conj() @ theta.conj().T)) <= 1e-15
             assert np.array_equal(time_reversed_state(flipped, s).matrix, rho.matrix)
+
+
+SYMMETRIC_WINDOWS = sorted(
+    {(MIXED_SPEC.t_max, MIXED_SPEC.n_steps)}  # fig4
+    | {(spec.t_max, spec.n_steps) for _, _, spec, _, _ in FIG5_CASES}
+    # the benchmark's evolve windows and their smoke sizes, its smoke fig4 and fig5 windows, and an odd n
+    | {(0.5, 200), (0.05, 100), (0.5, 40), (0.05, 20), (1.5, 300), (1.0, 300), (3.0, 1200), (3.0, 1201)}
+)
+
+
+@pytest.mark.parametrize("t_max, n_steps", SYMMETRIC_WINDOWS)
+def test_symmetric_window_is_exactly_symmetric(t_max, n_steps):
+    """t_k = -t_{n-k} bit for bit, the ends are exactly ±t_max, and every time lies within 2 ulps of
+    t_max of np.linspace, which is not symmetric.  An odd n has no t = 0 sample."""
+    t = EvolutionSpec(t_max=t_max, n_steps=n_steps, emit_negative_times=True).time_grid()
+    assert t.shape == (n_steps + 1,)
+    assert np.array_equal(t, -t[::-1])
+    assert t[0] == -t_max and t[-1] == t_max
+    assert np.all(np.diff(t) > 0)
+    assert np.max(np.abs(t - np.linspace(-t_max, t_max, n_steps + 1))) <= 2 * np.spacing(t_max)
+    assert (0.0 in t) == (n_steps % 2 == 0)
+
+
+def test_forward_window_is_linspace():
+    for t_max, n_steps in ((10.0, 2000), (6.0, 1200), (0.3, 3000)):
+        t = EvolutionSpec(t_max=t_max, n_steps=n_steps).time_grid()
+        assert np.array_equal(t, np.linspace(0.0, t_max, n_steps + 1))
+
+
+def real_preparations():
+    """(H, rho0) of mixed W9 (X-shaped reduced states), pure W9 (LAPACK path) and uud at S = 1: all real."""
+    half, w9 = SpinMagnitude(1), esp_weighting("W9", 0.01)
+    one = SpinMagnitude(2)
+    return [
+        (spin_star_hamiltonian(MIXED_J, half), mixed_initial(w9, half)),
+        (spin_star_hamiltonian(MIXED_J, w9.matched_spin()), pure_initial(w9, w9.matched_spin()).to_density()),
+        (spin_star_hamiltonian(ExchangeCoupling(1, 1, 1), one), product_basis_initial("uud", one)),
+    ]
+
+
+def complex_preparation():
+    """A product state with phi_A = pi/4 at J = (1, 0.5, 1), S = 1: rho0 is complex, so not time-even."""
+    s = SpinMagnitude(2)
+    spec = ProductSpinSpec(theta_a=np.pi / 2, phi_a=np.pi / 4, theta_b=np.pi / 2)
+    return spin_star_hamiltonian(ExchangeCoupling(1, 0.5, 1), s), product_initial(spec, s)
+
+
+@pytest.mark.parametrize("method", ["exact", "series", "integrator"])
+def test_real_preparations_reduce_to_conjugates_at_minus_t(method):
+    """For real H and rho0, each method's rho_AB at -t is conj of its rho_AB at t, bit for bit, when
+    every time is evaluated: the mirrored values are the values a full evaluation computes."""
+    t = EvolutionSpec(t_max=0.5, n_steps=40, emit_negative_times=True).time_grid()
+    for h, rho0 in real_preparations():
+        assert not np.any(h.imag) and not np.any(rho0.matrix.imag)
+        red = np.concatenate([r for r, _, _ in reduced_batches(*_checked_initial(h, rho0), t, method)])
+        assert np.array_equal(red[::-1], red.conj())
+
+
+def test_real_preparations_evaluate_each_abs_t_once(monkeypatch):
+    """n = 1200 on [-T, T]: a real preparation propagates its 601 distinct |t|, a complex one all 1201 times."""
+    counts = []
+    evolve_factor = SpectralPropagator.evolve_factor
+
+    def spied(self, b0, times):
+        counts.append(len(times))
+        return evolve_factor(self, b0, times)
+
+    monkeypatch.setattr(SpectralPropagator, "evolve_factor", spied)
+    spec = EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True)
+    for h, rho0 in real_preparations():
+        counts.clear()
+        sample_trajectory(h, rho0, spec)
+        assert sum(counts) == 601
+    h, rho0 = complex_preparation()
+    counts.clear()
+    traj = sample_trajectory(h, rho0, spec)
+    assert sum(counts) == 1201
+    lam_plus, lam_minus = traj.cne[traj.times == 0.1][0], traj.cne[traj.times == -0.1][0]
+    assert abs(lam_plus + 4.65e-5) <= 1e-7 and abs(lam_minus + 3.22e-5) <= 1e-7
+
+
+def test_integrator_powers_each_abs_t_once(monkeypatch):
+    """The RK4 increment of a real preparation is formed once per distinct |t|, never at a negative time."""
+    times = []
+    increment = dynamics._rk4_increment
+
+    def spied(h, t_final, max_step):
+        times.append(t_final)
+        return increment(h, t_final, max_step)
+
+    monkeypatch.setattr(dynamics, "_rk4_increment", spied)
+    h, rho0 = real_preparations()[0]
+    sample_trajectory(h, rho0, EvolutionSpec(t_max=0.1, n_steps=20, method="integrator", emit_negative_times=True))
+    assert len(times) == 11 and min(times) == 0.0
+
+
+@pytest.mark.parametrize("method", ["exact", "series", "integrator"])
+def test_real_trajectories_are_palindromes(method):
+    """lambda*, N and C of a real preparation read the same reversed, bit for bit, on a symmetric window."""
+    spec = EvolutionSpec(t_max=0.002 if method == "series" else 0.5, n_steps=40, method=method, emit_negative_times=True)
+    for h, rho0 in real_preparations():
+        traj = sample_trajectory(h, rho0, spec)
+        for column in (traj.cne, traj.negativity, traj.concurrence, traj.negative_count):
+            assert np.array_equal(column, column[::-1])
 
 
 def test_evolution_spec_validation():

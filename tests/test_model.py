@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from espkit.hilbert import SpinMagnitude, SystemDims, qubit_ket, spin_operators
+from espkit.hilbert import ID2, PAULI_X, PAULI_Y, PAULI_Z, SpinMagnitude, SystemDims, qubit_ket, spin_operators
 from espkit.model import (
     ExchangeCoupling,
     ProductSpinSpec,
@@ -45,11 +45,25 @@ def test_isotropic_coupling_conserves_total_z():
 
 
 @pytest.mark.parametrize("two_s", [1, 2, 3])
-@pytest.mark.parametrize("j", [(1.0, 0.5, 1.0), (-0.5, -0.5, -1.0), (0.3, -0.7, 1.1), (0.0, 0.0, 1.0)])
+@pytest.mark.parametrize(
+    "j",
+    # the last four: the other fig2 couplings, and one whose Jy is zero
+    [(1.0, 0.5, 1.0), (-0.5, -0.5, -1.0), (0.3, -0.7, 1.1), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, -0.5, 1.0), (1.0, 0.0, 1.0)],
+)
 def test_hamiltonian_is_the_embedded_sum_bit_for_bit(j, two_s):
-    """Three Kronecker products give the nine-embed, three-product construction exactly."""
+    """One Kronecker product per coupling, with sigma_a ⊗ I + I ⊗ sigma_a built once, gives exactly
+    the nine-embed, three-product construction and the nine-Kronecker-product formula
+    sum_a J_a kron(S_a, kron(sigma_a, I) + kron(I, sigma_a)); H is real."""
     j, s = ExchangeCoupling(*j), SpinMagnitude(two_s)
-    assert np.array_equal(spin_star_hamiltonian(j, s), embedded_spin_star_hamiltonian(j, s))
+    nine_krons = sum(
+        c * np.kron(s_op, np.kron(pauli, ID2) + np.kron(ID2, pauli))
+        for c, s_op, pauli in zip(j.as_array(), spin_operators(s), (PAULI_X, PAULI_Y, PAULI_Z))
+        if c != 0.0
+    )
+    h = spin_star_hamiltonian(j, s)
+    assert np.array_equal(h, embedded_spin_star_hamiltonian(j, s))
+    assert np.array_equal(h, nine_krons)
+    assert not np.any(h.imag)
 
 
 def test_hamiltonian_symmetric_under_qubit_swap():
