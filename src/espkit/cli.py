@@ -319,10 +319,68 @@ def load_config(path: str, overrides: list[str]) -> RunConfig:
 # serialization helpers
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    columns = (traj.times, traj.negativity, traj.concurrence, traj.cne, traj.negative_count)
-    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
-    path.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+def _reprs(column: np.ndarray) -> list[str]:
+    return list(map(repr, column.tolist()))
+
+
+def _mirrored(column: np.ndarray, cells) -> list[str]:
+    """``cells(column)``, formatting only the first half of a column that reads the same reversed, bit for bit."""
+    n = column.shape[0]
+    raw = np.ascontiguousarray(column).view(np.uint8).reshape(n, column.itemsize)  # each value's bytes, any dtype
+    if not np.array_equal(raw[: n // 2], raw[: n - n // 2 - 1 : -1]):
+        return cells(column)
+    head = cells(column[: n - n // 2])
+    return head + head[: n // 2][::-1]
+
+
+def format_grid(times: np.ndarray) -> list[str]:
+    """The ``repr`` of each time; a float grid symmetric about 0 formats its positive half once.
+
+    On a strictly increasing grid with t == -t[::-1], every time but a
+    middle 0.0 is nonzero, so each negative cell is its mirror's behind a '-'.
+    """
+    n = times.shape[0]
+    if times.dtype.kind != "f" or not np.array_equal(times, -times[::-1]):
+        return _reprs(times)
+    upper = _reprs(times[n - n // 2 :])
+    return ["-" + cell for cell in reversed(upper)] + _reprs(times[n // 2 : n - n // 2]) + upper
+
+
+def _negativity_cells(traj: Trajectory, cne_cells: list[str]) -> list[str]:
+    """N's cells: where N > 0 and N == -lambda*, lambda*'s cell without its '-'; elsewhere ``repr(N)``."""
+    neg, lam = traj.negativity, traj.cne
+    if neg.dtype.kind != "f" or lam.dtype.kind != "f":  # 3 and -3.0 print as '3' and '-3.0'
+        return _reprs(neg)
+
+    def cells(head):
+        strip = ((head > 0) & (head == -lam[: head.shape[0]])).tolist()
+        return [cell[1:] if s else repr(v) for s, cell, v in zip(strip, cne_cells, head.tolist())]
+
+    return _mirrored(neg, cells)
+
+
+def write_trajectory_csv(path: Path, traj: Trajectory, *, time_cells: list[str] | None = None) -> None:
+    """``traj`` as CSV: the header, then per sample ``",".join(map(repr, row))`` of
+    (t, N, C, lambda*, count), byte for byte for columns of one length and any
+    dtype, formatting each distinct cell once by structure, with no sort:
+
+    - a column whose values' bytes read the same reversed formats its first
+      half and mirrors it (lambda*, N, C and the count of a real preparation
+      on a symmetric window);
+    - where N > 0 and N == -lambda*, as N = 0.0 - min(lambda*, 0) gives, N's
+      cell is lambda*'s without its '-';
+    - the time column is ``time_cells``, the caller's :func:`format_grid` of
+      ``traj.times`` shared by the curves on one grid, or else formatted here.
+    """
+    cne = _mirrored(traj.cne, _reprs)
+    columns = (
+        format_grid(traj.times) if time_cells is None else time_cells,
+        _negativity_cells(traj, cne),
+        _mirrored(traj.concurrence, _reprs),
+        cne,
+        _mirrored(traj.negative_count, _reprs),
+    )
+    path.write_text("\n".join([CSV_HEADER, *map(",".join, zip(*columns)), ""]), encoding="utf-8")
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
@@ -667,8 +725,12 @@ def cmd_repro(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     tol = args.tol_rel if args.tol_rel is not None else {"table1": 1e-3}.get(args.target, 1e-2)
     report, curves = _REPRO_TARGETS[args.target](out, tol)
+    grids = {}  # each distinct time grid's cells, formatted once for this call's curves
     for name, traj in curves.items():
-        write_trajectory_csv(out / name, traj)
+        key = (traj.times.dtype.str, traj.times.tobytes())
+        if key not in grids:
+            grids[key] = format_grid(traj.times)
+        write_trajectory_csv(out / name, traj, time_cells=grids[key])
     results = report["checks"].values() if "checks" in report else report["rows"]
     report.update(target=args.target, passed=all(r["passed"] for r in results), tol_rel=tol)
     if curves:

@@ -199,7 +199,10 @@ def evaluation_times(h, rho0: DensityOperator, times: np.ndarray) -> tuple[np.nd
     """
     if np.any(_generator(h).imag) or np.any(rho0.matrix.imag):
         return times, np.arange(times.shape[0])
-    return np.unique(np.abs(times), return_inverse=True)
+    t_abs = np.abs(times)
+    if np.all(t_abs[1:] > t_abs[:-1]):  # a [0, t_max] window: already distinct and ascending, no sort
+        return t_abs, np.arange(times.shape[0])
+    return np.unique(t_abs, return_inverse=True)
 
 
 def evolve_exact(h, rho0: InitialState, t: float) -> DensityOperator:

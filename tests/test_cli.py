@@ -641,6 +641,31 @@ def test_figure_csvs_round_trip_bit_for_bit(figure_outputs, tmp_path):
         assert copy.read_bytes() == path.read_bytes(), path.name
 
 
+def test_repro_formats_each_distinct_grid_once(tmp_path, monkeypatch):
+    """fig2's 24 curves share one time grid, fig4's 15 one and fig5's 20 two: repro formats each grid once
+    per call, and every curve is written with its own grid's cells."""
+    formatted, written = [], []
+    format_grid, write = cli.format_grid, cli.write_trajectory_csv
+
+    def spied_format(times):
+        formatted.append(times)
+        return format_grid(times)
+
+    def spied_write(path, traj, *, time_cells=None):
+        written.append(path.name)
+        assert time_cells == list(map(repr, traj.times.tolist())), path.name
+        write(path, traj, time_cells=time_cells)
+
+    monkeypatch.setattr(cli, "format_grid", spied_format)
+    monkeypatch.setattr(cli, "write_trajectory_csv", spied_write)
+    for target, grids, curves in (("fig2", 1, 24), ("fig4", 1, 15), ("fig5", 2, 20)):
+        formatted.clear()
+        written.clear()
+        assert main(["repro", target, "--out", str(tmp_path / target)]) == 0
+        assert (len(formatted), len(written)) == (grids, curves), target
+        assert len({(t.size, t.tobytes()) for t in formatted}) == grids, target
+
+
 def test_repro_table_writes_no_gnuplot_script(tmp_path):
     out = tmp_path / "t1"
     assert main(["repro", "table1", "--out", str(out), "--gnuplot-script"]) == 0

@@ -3,8 +3,9 @@
 Configs mutated from valid ones and CSVs with broken rows go through
 ``espkit.cli.main`` in process: no exception may escape, the exit code is
 0, 1, 2 or 3, and a failing run prints exactly one line on stderr.  The same
-CSVs compare the numpy reader with the per-line reference of ``conftest``, and
-a last test feeds each manifest's ``config`` back to ``evolve``.
+CSVs compare the numpy reader with the per-line reference of ``conftest``.
+Adversarial trajectories check that the writer prints each value's ``repr``,
+and a last test feeds each manifest's ``config`` back to ``evolve``.
 """
 
 import contextlib
@@ -16,10 +17,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from espkit.cli import CSV_HEADER, main, read_trajectory_csv
+from espkit.cli import CSV_HEADER, format_grid, main, read_trajectory_csv, write_trajectory_csv
+from espkit.dynamics import Trajectory
 from espkit.errors import ConfigError
 
 from conftest import reference_read_trajectory_csv, trajectory_columns
@@ -208,6 +211,130 @@ def test_numpy_reader_matches_per_line_reference(text):
         assert got[1].endswith("numbers take ASCII digits and no '_'"), got
     else:
         assert got == expected
+
+
+# the trajectory writer's adversaries: each structure it reuses, and near misses of it
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e16, -1e16, 1e-05, -1e-05, 0.1, -0.5]
+ELEMENTS = {
+    np.float64: st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(allow_nan=False, allow_infinity=False)),
+    np.float32: st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-45, -1e-40, 1e16, 1e-05, -1e-05, 0.1]),
+        st.floats(width=32, allow_nan=False, allow_infinity=False),
+    ),
+    np.int64: st.integers(-4, 4),
+}
+COUNT_ELEMENTS = {np.int64: st.integers(0, 4), np.int8: st.integers(0, 4), np.float64: st.sampled_from([0.0, -0.0, 1.0, 4.0])}
+
+
+@st.composite
+def shaped_columns(draw, n, elements=ELEMENTS):
+    """n values of one dtype: random, [a, b] repeated, a palindrome, or a palindrome one ulp or one zero's sign off."""
+    dtype = draw(st.sampled_from(list(elements)))
+    shape = draw(st.sampled_from(["random", "periodic", "palindrome", "ulp", "zero"]))
+    if shape == "random":
+        return np.array(draw(st.lists(elements[dtype], min_size=n, max_size=n)), dtype=dtype)
+    if shape == "periodic":
+        return np.array(draw(st.lists(elements[dtype], min_size=2, max_size=2)) * n, dtype=dtype)[:n]
+    half = draw(st.lists(elements[dtype], min_size=(n + 1) // 2, max_size=(n + 1) // 2))
+    column = np.array(half + half[: n // 2][::-1], dtype=dtype)
+    i = draw(st.integers(0, n // 2 - 1))
+    if shape == "ulp" and np.issubdtype(dtype, np.integer):
+        column[i] += 1
+    elif shape == "ulp":
+        column[i] = np.nextafter(column[i], dtype(draw(st.sampled_from([-np.inf, np.inf]))))
+    elif shape == "zero" and not np.issubdtype(dtype, np.integer):
+        column[i], column[n - 1 - i] = -0.0, 0.0
+    return column
+
+
+@st.composite
+def time_grids(draw, n):
+    """n increasing times of one dtype: symmetric about 0, with a 0.0 or -0.0 middle when n is odd, that grid
+    one step off at one time, or any."""
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    positive = {
+        np.float64: st.floats(5e-324, 1e300),
+        np.float32: st.floats(float(np.finfo(np.float32).smallest_subnormal), 2.0**100, width=32),
+        np.int64: st.integers(1, 10**6),
+    }[dtype]
+    upper = sorted(draw(st.lists(positive, min_size=n, max_size=n, unique=True)))
+    shape = draw(st.sampled_from(["symmetric", "nudged", "any"]))
+    if shape != "any":
+        middle = [draw(st.sampled_from([0.0, -0.0]))] if n % 2 else []
+        grid = np.array([-x for x in upper[: n // 2][::-1]] + middle + upper[: n // 2], dtype=dtype)
+        if shape == "nudged":
+            i = draw(st.integers(0, n - 1))
+            toward = draw(st.sampled_from([-np.inf, np.inf]))
+            grid[i] = grid[i] + 1 if dtype == np.int64 else np.nextafter(grid[i], dtype(toward))
+        return grid
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return np.array(sorted(x * s for x, s in zip(upper, signs)), dtype=dtype)
+
+
+@st.composite
+def writer_columns(draw):
+    """(t, lambda*, N, C, count) of 2 to 9 samples; N is 0.0 - min(lambda*, 0), -lambda*, that one ulp off, or free."""
+    n = draw(st.integers(2, 9))
+    lam = draw(shaped_columns(n))
+    relation = draw(st.sampled_from(["derived", "negated", "ulp", "free"]))
+    if relation == "free":
+        neg = draw(shaped_columns(n))
+    else:
+        neg = -lam if relation == "negated" else 0.0 - np.minimum(lam, 0)
+        if relation == "ulp":
+            i = draw(st.integers(0, n - 1))
+            neg = neg.astype(np.float64)
+            neg[i] = np.nextafter(neg[i], draw(st.sampled_from([-np.inf, np.inf])))
+        if draw(st.booleans()):
+            neg = neg.astype(np.float64)
+    return draw(time_grids(n)), lam, neg, draw(shaped_columns(n)), draw(shaped_columns(n, COUNT_ELEMENTS))
+
+
+def _example(t, lam, neg, conc, count, dtype=np.float64):
+    return tuple(np.array(c, dtype=d) for c, d in zip((t, lam, neg, conc, count), (dtype, dtype, dtype, dtype, np.int64)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(writer_columns())
+# N < 0 where lambda* = -N > 0: no '-' to strip
+@example(_example([-1.0, 0.0, 1.0], [0.5, 0.25, 0.5], [-0.5, -0.25, -0.5], [0.0, 0.0, 0.0], [0, 0, 0]))
+# palindromes under ==, not bit for bit: 0.0 and -0.0 print differently
+@example(_example([-2.0, -1.0, 1.0, 2.0], [0.0, -0.0, 0.0, -0.0], [0.0] * 4, [-0.0, 0.0, 0.0, 0.0], [0, 1, 1, 0]))
+# one ulp off a palindrome; N one ulp off -lambda*
+@example(
+    _example([0.0, 0.5, 1.0], [-0.1, -0.2, -0.1], [0.1, 0.2, np.nextafter(0.1, 1)], [0.3, 0.1, np.nextafter(0.3, 1)], [1] * 3)
+)
+# a grid symmetric but for one ulp
+@example(_example([-1.0, -0.5, np.nextafter(0.5, 1), 1.0], [0.0] * 4, [0.0] * 4, [0.0] * 4, [0] * 4))
+# a -0.0 middle; subnormals, exponent forms and counts 0 to 4
+@example(
+    _example(
+        [-1e16, -1e-05, -0.0, 1e-05, 1e16],
+        [5e-324, -5e-324, 1e-310, -5e-324, 5e-324],
+        [0.0, 5e-324, 0.0, 5e-324, 0.0],
+        [1e16, 1e-05, 0.1, 1e-05, 1e16],
+        [0, 1, 2, 3, 4],
+    )
+)
+# [a, b, a, b] in float32: a palindrome to a 64-bit view
+@example(_example([-2.0, -1.0, 1.0, 2.0], [0.1, 0.2, 0.1, 0.2], [0.0] * 4, [-0.1, -0.2, -0.1, -0.2], [0, 0, 0, 0], np.float32))
+# integer lambda* and times, float N: '3.0' is not '-3' without its '-'
+@example((np.arange(-2, 3), np.array([-3, 2, 0, 2, -3]), np.array([3.0, 0, 0, 0, 3.0]), np.array([1, 0, 1, 0, 1]), np.zeros(5, np.int8)))
+def test_writer_prints_the_repr_of_every_value(columns):
+    """write_trajectory_csv, with or without a shared grid's cells, prints ",".join(map(repr, row)) for every
+    sample, whatever structure the columns have or nearly have."""
+    t, lam, neg, conc, count = columns
+    try:
+        traj = Trajectory(t, lam, neg, conc, count)
+    except ValueError:  # a perturbation left the finite, increasing domain
+        assume(False)
+    rows = zip(*(c.tolist() for c in (t, neg, conc, lam, count)))
+    expected = "".join(f"{row}\n" for row in [CSV_HEADER, *(",".join(map(repr, r)) for r in rows)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traj.csv"
+        for cells in (None, format_grid(t)):
+            write_trajectory_csv(path, traj, time_cells=cells)
+            assert path.read_text(encoding="utf-8") == expected
 
 
 def test_huge_couplings_exit_cleanly(tmp_path):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from espkit import densemat, dynamics
+from espkit import analysis, densemat, dynamics
 from espkit.cli import FIG5_CASES, MIXED_J, MIXED_SPEC
 from espkit.dynamics import (
     EvolutionSpec,
@@ -415,6 +415,30 @@ def test_real_preparations_evaluate_each_abs_t_once(monkeypatch):
     assert sum(counts) == 1201
     lam_plus, lam_minus = traj.cne[traj.times == 0.1][0], traj.cne[traj.times == -0.1][0]
     assert abs(lam_plus + 4.65e-5) <= 1e-7 and abs(lam_minus + 3.22e-5) <= 1e-7
+
+
+def test_evaluation_times_is_the_unique_abs_t_bit_for_bit(monkeypatch):
+    """evaluation_times of a real preparation gives np.unique(|t|, return_inverse=True) bit for bit, whether
+    it skips the sort (forward windows) or not (symmetric windows, the formula check's unsorted dts)."""
+    seen = []
+
+    def spied(h, rho0, times):
+        seen.append(times)
+        return dynamics.evaluation_times(h, rho0, times)
+
+    monkeypatch.setattr(analysis, "evaluation_times", spied)
+    analysis.validate_formula("mixed_W6", {"j": MIXED_J, "epsilon": 0.01, "s": SpinMagnitude(1)})
+    (dts,) = seen
+    assert np.any(np.diff(dts) < 0) and np.unique(dts).size < dts.size
+    forward = [EvolutionSpec(t_max=t, n_steps=n).time_grid() for t, n in ((10.0, 2000), (0.3, 3000), (1e-3, 1))]
+    symmetric = [EvolutionSpec(t_max=t, n_steps=n, emit_negative_times=True).time_grid() for t, n in ((1.0, 1200), (0.5, 41))]
+    assert [len(t) % 2 for t in symmetric] == [1, 0]
+    h, rho0 = _checked_initial(*real_preparations()[0])
+    for times in [*forward, *symmetric, dts]:
+        got = dynamics.evaluation_times(h, rho0, times)
+        expected = np.unique(np.abs(times), return_inverse=True)
+        for a, b in zip(got, expected, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_integrator_powers_each_abs_t_once(monkeypatch):
