@@ -47,7 +47,7 @@ from .dynamics import (
 from .errors import GuardViolation, ResolutionError, WindowError
 from .hilbert import DensityOperator, Ket, SpinMagnitude, trace_out_c
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
-from .monotones import ENTANGLED_THRESHOLD, negativity, negativity_and_count, pt_min
+from .monotones import ENTANGLED_THRESHOLD, batch_pt_min, negativity, negativity_and_count
 from .states import (
     BellKind,
     bell_initial,
@@ -227,7 +227,7 @@ def _cne_sampler(h, initial, method: str, order: int = 3) -> Callable[[np.ndarra
 
     def sample(dts):
         evaluated, gather = evaluation_times(h, rho0, np.asarray(dts, dtype=np.float64))
-        return np.concatenate([pt_min(red) for red, _, _ in reduced_batches(h, rho0, evaluated, method, order)])[gather]
+        return np.concatenate([batch_pt_min(red, l) for red, l, _ in reduced_batches(h, rho0, evaluated, method, order)])[gather]
 
     return sample
 

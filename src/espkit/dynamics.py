@@ -22,18 +22,21 @@ take every reduced state from :func:`reduced_batches`, CHUNK sample times
 per batch.  The exact and integrator methods propagate the initial
 ensemble factor B0 (rho0 = B0 B0†, one column per pure component) and
 regroup each B(t) into the factor L of rho_AB = L L†, which is positive
-by construction and never diagonalized.  The series truncation of the
-equation of motion for rho has no positive factor: each of its reduced
-states is factored by eigendecomposition, dropping the negative mass.
-A truncation is not a state, and its negativity is defined as
+by construction and never diagonalized; they yield L alone.  The series
+truncation of the equation of motion for rho has no positive factor: it
+yields each reduced truncation rho_AB, with the factor that
+eigendecomposition makes of it by dropping the negative mass.  A
+truncation is not a state, and its negativity is defined as
 max(0, -lambda*), as for a state.
 
 The eigenvectors of H (:func:`espkit.densemat.hermitian_eig`) keep the
 exact zeros of its blocks, and B(t) those of the parity sectors H conserves.  A
 parity-definite B0, such as a z-basis product configuration or a Bell
-mixture with the environment in one m level, yields reduced states that
-are exactly X-shaped, and :mod:`espkit.monotones` evaluates those in
-closed form; a purified weighting is not parity-definite and takes LAPACK.
+mixture with the environment in one m level, yields factors whose every
+column sits on {00, 11} or on {01, 10}, so the reduced states are exactly
+X-shaped; :mod:`espkit.monotones` evaluates such a batch in closed form
+from L and never forms rho_AB.  A purified weighting is not
+parity-definite: its batches form rho_AB = L L† and take LAPACK.
 """
 
 from __future__ import annotations
@@ -111,6 +114,9 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        lengths = [len(c) for c in (self.times, self.cne, self.negativity, self.concurrence, self.negative_count)]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"columns t, cne, negativity, concurrence, negative_count differ in length: {lengths}")
         if len(self.times) < 2:
             raise ValueError(f"need at least two samples, got {len(self.times)}")
         columns = (self.times, self.cne, self.negativity, self.concurrence)
@@ -322,13 +328,16 @@ def time_reversed_state(rho: DensityOperator, s: SpinMagnitude) -> DensityOperat
 
 
 def reduced_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, times: np.ndarray, method: str, order: int = 3):
-    """Yield (rho_AB, L, clip) for each batch of at most CHUNK ``times``, rho_AB = L L† a (T, 4, 4) stack.
+    """Yield (rho_AB, L, clip) for each batch of at most CHUNK ``times``: the (T, 4, k) factors L of the reduced states.
 
     ``exact`` takes B(t) from the spectrum of H, ``integrator`` as
     B0 + P(t) B0 with P(t) the RK4 increment of :func:`_rk4_increment`;
-    both regroup B(t) into L, and ``clip`` is the negative mass dropped if
-    B0 had to be made.  The ``series`` truncation to ``order`` terms has no
-    factor of its own: :func:`psd_factor` makes L and clip from its rho_AB.
+    both regroup B(t) into L, whose states are L L†, and yield rho_AB as
+    None: :mod:`espkit.monotones` forms L L† only for a batch that is not
+    X-shaped.  ``clip`` is the negative mass dropped if B0 had to be made.
+    The ``series`` truncation to ``order`` terms has no factor of its own:
+    it yields its own (T, 4, 4) rho_AB, whose lambda* is that of the
+    truncation, and :func:`psd_factor` makes L and clip from it.
     ``h`` and ``rho0`` come checked by :func:`_checked_initial`; a
     propagator ``h`` lends ``exact`` its spectrum.
     """
@@ -351,8 +360,7 @@ def reduced_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, t
             b0 + np.stack([_rk4_increment(h, float(t), INTEGRATOR_STEP) for t in ts]) @ b0 for ts in batches(times)
         )
     for b in factors:
-        l = pair_factor(b, dim_c)
-        yield l @ l.conj().swapaxes(-1, -2), l, clip
+        yield None, pair_factor(b, dim_c), clip
 
 
 def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajectory:

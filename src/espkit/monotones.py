@@ -14,26 +14,36 @@ rho = L L†, the gamma values are the singular values of L^T (σy⊗σy) L,
 so no matrix square root is taken.  Both are local-unitary invariants
 and, for two qubits, vanish together.
 
-The batched entry point :func:`pair_monotones` takes (rho_AB, L, clip)
-batches: lambda* from rho_AB (:func:`pt_min`), the concurrence from the
-factor L (:func:`wootters`).  A bare matrix has no factor: the per-matrix
-:func:`concurrence` makes one with :func:`psd_factor`.  :func:`cne` and
-:func:`negativity` wrap :func:`pt_min`, so trajectories, the short-time
-lambda* samplers and the per-matrix calls all share these two functions.
+The batched entry point :func:`pair_monotones` takes the (rho_AB, L, clip)
+batches of :func:`espkit.dynamics.reduced_batches`.  A batch of the
+factor methods has rho_AB None: its states are L L†, and everything is
+taken from L.  A series batch keeps its truncation rho_AB, whose lambda*
+(:func:`pt_min`) is that of the non-positive truncation, and takes the
+concurrence from its clipped factor L (:func:`wootters`).
+:func:`batch_pt_min` takes lambda* alone, for the short-time samplers.  A
+bare matrix has no factor: :func:`cne` and :func:`negativity` wrap
+:func:`pt_min`, and the per-matrix :func:`concurrence` makes a factor
+with :func:`psd_factor`.
 
 X-shaped states, whose entries off the diagonal and the anti-diagonal are
 exactly 0.0, have closed forms (Yu and Eberly, Quantum Inf. Comput. 7,
-459 (2007)): the partial transpose splits into two 2x2 blocks, and
+459 (2007)) in the diagonal rho_ii and the coherences |rho_03|, |rho_12|:
+the partial transpose splits into two 2x2 blocks, and
 C = 2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) with
-||L_i|| = sqrt(rho_ii) the row norms of L.  Each function decides once per
-batch on its own input: :func:`pt_min` on the off-X entries of rho_AB
-(the partial transpose keeps them off the X), :func:`wootters` on whether
-every column of L sits on {00, 11} or on {01, 10}.  A batch with any nonzero off-X entry takes
-LAPACK (``eigvalsh``, then QR and SVD for the concurrence).  Parity-definite
-initial states keep the spin-star reduced states X-shaped: the z-basis
-product configurations and Bell mixtures with the environment in one m
-level.  The purified weightings of fig5 and ``evolve`` are not
-parity-definite and take LAPACK.
+||L_i|| = sqrt(rho_ii) the row norms of L.  A factor batch is decided once,
+on L: when every column sits on {00, 11} or on {01, 10}, rho_ii = ||L_i||²
+and rho_03, rho_12 are row products of L, lambda* and C follow from these
+six numbers, and rho_AB is never formed.  Any other factor batch forms
+rho_AB = L L† and takes LAPACK (``eigvalsh``, then QR and SVD for the
+concurrence).  A bare matrix is decided on its off-X entries (the partial
+transpose keeps them off the X).  Parity-definite initial states keep the
+spin-star reduced states X-shaped: the z-basis product configurations and
+Bell mixtures with the environment in one m level.  The purified
+weightings of fig5 and ``evolve`` are not parity-definite and take LAPACK.
+
+numpy reduces slowly over trailing axes of length 2 to 4, so the closed
+forms take such sums and extrema elementwise, and the sums over the
+columns of L as one matrix-vector product over its flattened rows.
 """
 
 from __future__ import annotations
@@ -69,7 +79,9 @@ class PairMonotones:
     ``max_hermiticity_deviation`` are the worst |tr rho - 1| and
     max|rho - rho†| over the stack; for a factor, tr(L L†) is its squared
     Frobenius norm, so the first measures the norm drift of the propagated
-    factor.
+    factor.  An X-shaped factor batch contributes 0.0 Hermiticity drift:
+    its closed forms read rho_ij and rho_ji as one number, so the state
+    they evaluate is exactly Hermitian.
     """
 
     cne: np.ndarray
@@ -85,11 +97,7 @@ def batches(stack: np.ndarray) -> list[np.ndarray]:
 
 
 def _check_finite(stack: np.ndarray) -> np.ndarray:
-    """``stack`` itself; raises :class:`NumericalError` if any entry is not finite.
-
-    The closed forms check their output: a non-finite input entry of an
-    X-shaped state reaches it.
-    """
+    """``stack`` itself; raises :class:`NumericalError` if any entry is not finite."""
     if not np.all(np.isfinite(stack)):
         raise NumericalError("two-qubit matrix has non-finite entries")
     return stack
@@ -104,22 +112,73 @@ def _lapack(fn, stack, **kwargs):
         raise NumericalError(f"two-qubit eigensolver failed: {exc}") from None
 
 
-def _x_pt_eigenvalues(red: np.ndarray) -> np.ndarray:
-    """The lower eigenvalue of each 2x2 block of the Hermitian part of each partial transpose of an X-shaped stack.
+def _gram(l: np.ndarray) -> np.ndarray:
+    """rho = L L† for each factor of a stack."""
+    return l @ l.conj().swapaxes(-1, -2)
+
+
+def _x_factor(l: np.ndarray) -> bool:
+    """Whether every column of every factor of a (T, 4, k) stack sits on {00, 11} or on {01, 10}.
+
+    Each rho = L L† is then X-shaped.  A non-finite entry counts as nonzero.
+    """
+    nonzero = l != 0
+    return not np.any((nonzero[..., 0, :] | nonzero[..., 3, :]) & (nonzero[..., 1, :] | nonzero[..., 2, :]))
+
+
+def _factor_x_entries(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_ii, (|rho_03|, |rho_12|)) of rho = L L† for each factor of an X-shaped (T, 4, k) stack.
+
+    rho_ii = ||L_i||² and rho_03, rho_12 are row products of L; each sum
+    over the k columns is one matrix-vector product over the flattened rows.
+    A non-finite entry of L makes its row norm non-finite and raises
+    :class:`NumericalError`; |rho_03| <= ||L_0|| ||L_3|| and |rho_12| <=
+    ||L_1|| ||L_2|| are then finite too.
+    """
+    t, k = l.shape[0], l.shape[-1]
+    ones = np.ones(k)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry is reported below, as one error
+        diag = (np.square(l.real) + np.square(l.imag)).reshape(-1, k) @ ones
+        coherence = (l[:, :2, :] * l[:, :1:-1, :].conj()).reshape(-1, k) @ ones  # rho_03, rho_12
+    return _check_finite(diag).reshape(t, 4), np.abs(coherence).reshape(t, 2)
+
+
+def _matrix_x_entries(red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_ii, (|rho_03|, |rho_12|)) of the Hermitian part of each matrix of an X-shaped (T, 4, 4) stack."""
+    diag = np.diagonal(red, axis1=-2, axis2=-1).real
+    anti = np.diagonal(red[..., ::-1], axis1=-2, axis2=-1)  # rho_03, rho_12, rho_21, rho_30
+    return diag, 0.5 * np.abs(anti[..., :2] + anti[..., :1:-1].conj())
+
+
+def _x_pt_min(diag: np.ndarray, coherence: np.ndarray) -> np.ndarray:
+    """lambda* of each X-shaped state of a stack, from its (T, 4) diagonal and (T, 2) coherences |rho_03|, |rho_12|.
 
     rho^{T_B} keeps the diagonal and swaps the anti-diagonal pairs: its
     blocks are [[rho_00, rho_12], [rho_21, rho_33]] on {00, 11} and
     [[rho_11, rho_03], [rho_30, rho_22]] on {01, 10}, and a block
     [[a, c], [c*, d]] has eigenvalues (a + d)/2 ± hypot((a - d)/2, |c|).
-    The hypot is never negative, so the upper eigenvalues are never below
-    the lower ones and are not formed.
+    The hypot is never negative, so lambda* is the smaller of the two
+    lower eigenvalues.
     """
-    diag = np.diagonal(red, axis1=-2, axis2=-1).real
-    anti = np.diagonal(red[..., ::-1], axis1=-2, axis2=-1)  # rho_03, rho_12, rho_21, rho_30
-    head, tail = diag[..., :2], diag[..., :1:-1]  # (rho_00, rho_11) and (rho_33, rho_22)
-    coherence = 0.5 * np.abs(anti[..., 1::-1] + anti[..., 2:].conj())  # |rho_12| and |rho_03|, Hermitian part
-    mean = 0.5 * (head + tail)
-    return mean - np.hypot(0.5 * (head - tail), coherence)
+    d0, d1, d2, d3 = diag.T
+    c03, c12 = coherence.T
+    return np.minimum(0.5 * (d0 + d3) - np.hypot(0.5 * (d0 - d3), c12), 0.5 * (d1 + d2) - np.hypot(0.5 * (d1 - d2), c03))
+
+
+def _x_concurrence(diag: np.ndarray, coherence: np.ndarray) -> np.ndarray:
+    """2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) of each X-shaped state of a stack.
+
+    ||L_i|| = sqrt(rho_ii) are the row norms of L, so nothing negative is
+    square-rooted even where rho is rank deficient.
+    """
+    n0, n1, n2, n3 = np.sqrt(diag).T
+    c03, c12 = coherence.T
+    return 2.0 * np.maximum(0.0, np.maximum(c03 - n1 * n2, c12 - n0 * n3))
+
+
+def _lapack_pt_min(red: np.ndarray) -> np.ndarray:
+    """lambda* of each matrix of a stack from ``eigvalsh``, whose eigenvalues ascend."""
+    return _lapack(np.linalg.eigvalsh, hermitian_part(transpose_b(red)))[..., 0]
 
 
 def pt_min(red: np.ndarray) -> np.ndarray:
@@ -130,10 +189,21 @@ def pt_min(red: np.ndarray) -> np.ndarray:
     ``eigvalsh``.
     """
     if np.any(red[..., OFF_X[0], OFF_X[1]]):
-        w = _lapack(np.linalg.eigvalsh, hermitian_part(transpose_b(red)))
-    else:
-        w = _check_finite(_x_pt_eigenvalues(red))
-    return np.min(w, axis=-1)
+        return _lapack_pt_min(red)
+    return _check_finite(_x_pt_min(*_matrix_x_entries(red)))
+
+
+def batch_pt_min(red: np.ndarray | None, l: np.ndarray) -> np.ndarray:
+    """lambda* alone of one (rho_AB, L, clip) batch of :func:`espkit.dynamics.reduced_batches`.
+
+    :func:`pt_min` of rho_AB when the batch has one; else the closed form
+    on L for an X-shaped batch, and ``eigvalsh`` of L L† for any other.
+    """
+    if red is not None:
+        return pt_min(red)
+    if _x_factor(l):
+        return _x_pt_min(*_factor_x_entries(l))
+    return _lapack_pt_min(_gram(l))
 
 
 def negativity_and_count(lam):
@@ -146,32 +216,15 @@ def negativity_and_count(lam):
     return 0.0 - np.minimum(lam, 0.0), lam < -NEGATIVE_COUNT_TOL
 
 
-def _x_concurrence(l: np.ndarray) -> np.ndarray:
-    """2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) for each factor of a stack.
+def _lapack_concurrence(l: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of rho = L L† for each factor of a (T, 4, k) stack, from LAPACK.
 
-    ||L_i|| = sqrt(rho_ii) are the row norms of L, so nothing negative is
-    square-rooted even where rho is rank deficient.
+    The singular values s1 >= s2 >= ... of L^T (σy⊗σy) L are the gamma
+    values; there are min(k, 4) of them and the missing ones are zero, so
+    C = max(0, s1 - s2 - s3 - s4).  A factor wider than four columns is
+    first reduced to the 4x4 factor R† of the same state, from one batched
+    QR decomposition L† = Q R.
     """
-    norms = np.sqrt(np.sum((l * l.conj()).real, axis=-1))
-    coherence = np.abs(np.sum(l[..., :2, :] * l[..., :1:-1, :].conj(), axis=-1))  # |rho_03| and |rho_12|
-    gap = coherence - norms[..., 1::-1] * norms[..., 2:]
-    return 2.0 * np.maximum(0.0, np.max(gap, axis=-1))
-
-
-def wootters(l: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of rho = L L† for each factor of a (T, 4, k) stack.
-
-    When every column of every factor sits on {00, 11} or on {01, 10},
-    rho is X-shaped and the closed form of :func:`_x_concurrence` applies.
-    Otherwise the singular values s1 >= s2 >= ... of L^T (σy⊗σy) L are the
-    gamma values; there are min(k, 4) of them and the missing ones are
-    zero, so C = max(0, s1 - s2 - s3 - s4).  A factor wider than four
-    columns is first reduced to the 4x4 factor R† of the same state, from
-    one batched QR decomposition L† = Q R.
-    """
-    nonzero = l != 0
-    if not np.any((nonzero[..., 0, :] | nonzero[..., 3, :]) & (nonzero[..., 1, :] | nonzero[..., 2, :])):
-        return _check_finite(_x_concurrence(l))
     if l.shape[-1] > 4:
         l = _lapack(np.linalg.qr, l.conj().swapaxes(-1, -2), mode="r").conj().swapaxes(-1, -2)
     tau = np.swapaxes(l, -1, -2) @ (YY_SIGNS * l[..., ::-1, :])  # L^T (σy⊗σy) L
@@ -182,6 +235,17 @@ def wootters(l: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, conc)
 
 
+def wootters(l: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of rho = L L† for each factor of a (T, 4, k) stack.
+
+    An X-shaped batch takes the closed form of :func:`_x_concurrence`, any
+    other :func:`_lapack_concurrence`.
+    """
+    if _x_factor(l):
+        return _x_concurrence(*_factor_x_entries(l))
+    return _lapack_concurrence(l)
+
+
 def psd_factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor L = V sqrt(max(w, 0)) of each matrix of a stack, and the mass it drops.
 
@@ -189,7 +253,7 @@ def psd_factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the dropped mass is sum(max(-w, 0)), and 0.0 - x keeps a zero sum at +0.0, not -0.0.
     """
     w, v = _lapack(np.linalg.eigh, hermitian_part(stack))
-    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :], 0.0 - np.sum(np.minimum(w, 0.0), axis=-1)
+    return v * np.sqrt(np.maximum(w, 0.0))[..., None, :], 0.0 - np.minimum(w, 0.0) @ np.ones(w.shape[-1])
 
 
 def check_clip(clip: float) -> None:
@@ -198,25 +262,37 @@ def check_clip(clip: float) -> None:
         raise NumericalError(f"PSD repair clipped {clip:.3e} of spectral mass (budget {CLIP_BUDGET})")
 
 
-def _batch_columns(red: np.ndarray, l: np.ndarray, clip) -> tuple[np.ndarray, ...]:
-    """Per-state columns of one batch: lambda*, concurrence, clip, trace and Hermiticity drift."""
-    conc = wootters(l)
-    trace_dev = np.abs(np.trace(red, axis1=-2, axis2=-1).real - 1.0)
-    herm_dev = np.max(np.abs(red - red.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    return (pt_min(red), conc, np.broadcast_to(clip, conc.shape), trace_dev, herm_dev)
+def _batch_columns(red: np.ndarray | None, l: np.ndarray, clip) -> tuple:
+    """lambda* and concurrence of each state of one batch, and the batch's largest clip, trace and Hermiticity drift."""
+    if red is None and _x_factor(l):
+        diag, coherence = _factor_x_entries(l)
+        lam, conc = _x_pt_min(diag, coherence), _x_concurrence(diag, coherence)
+        herm_dev = 0.0
+    else:
+        if red is None:
+            red = _gram(l)
+            lam, conc = _lapack_pt_min(red), _lapack_concurrence(l)
+        else:
+            lam, conc = pt_min(red), wootters(l)
+        diag = np.diagonal(red, axis1=-2, axis2=-1).real
+        herm_dev = np.max(np.abs(red - red.conj().swapaxes(-1, -2)))
+    d0, d1, d2, d3 = diag.T
+    return lam, conc, np.max(clip), np.max(np.abs((d0 + d1) + (d2 + d3) - 1.0)), herm_dev  # np.trace's order
 
 
 def pair_monotones(parts) -> PairMonotones:
-    """The quantifiers of each state of (rho_AB, L, clip) batches, rho_AB = L L† of shape (T, 4, 4).
+    """The quantifiers of each state of the (rho_AB, L, clip) batches of :func:`espkit.dynamics.reduced_batches`.
 
-    The concurrence is :func:`wootters` of L; ``clip`` is the negative mass
-    dropped to make L, a scalar or one entry per state.  The largest clip
-    is reported as ``max_clip``, for the caller to hold against ``CLIP_BUDGET``.
+    rho_AB is None for a factor batch, whose states are L L†, and the
+    series truncation otherwise; the concurrence is that of L L†.  ``clip``
+    is the negative mass dropped to make L, a scalar or one entry per state.
+    The largest clip is reported as ``max_clip``, for the caller to hold
+    against ``CLIP_BUDGET``.
     """
-    lam, conc, clip, trace_dev, herm_dev = (
-        np.concatenate(column) for column in zip(*(_batch_columns(*part) for part in parts))
+    lam, conc, clip, trace_dev, herm_dev = zip(*(_batch_columns(*part) for part in parts))
+    return PairMonotones(
+        np.concatenate(lam), np.concatenate(conc), float(np.max(clip)), float(np.max(trace_dev)), float(np.max(herm_dev))
     )
-    return PairMonotones(lam, conc, float(np.max(clip)), float(np.max(trace_dev)), float(np.max(herm_dev)))
 
 
 def cne(rho) -> tuple[float, int]:

@@ -112,10 +112,15 @@ class MonotoneSample(NamedTuple):
 def monotone_sample(rho, factor=None) -> MonotoneSample:
     """Bundle cne, negativity and concurrence for one density matrix, through the batched entry point.
 
-    The concurrence comes from ``factor`` (rho = factor factor†) when given, else from :func:`psd_factor`.
+    Given ``factor`` (rho = factor factor†), all three come from it, as for a batch of the factor
+    methods; else lambda* comes from ``rho`` and the concurrence from its :func:`psd_factor`, as for
+    a series batch.
     """
-    red = as_pair_matrix(rho)[None]
-    out = pair_monotones([(red, *psd_factor(red)) if factor is None else (red, factor[None], 0.0)])
+    if factor is None:
+        red = as_pair_matrix(rho)[None]
+        out = pair_monotones([(red, *psd_factor(red))])
+    else:
+        out = pair_monotones([(None, factor[None], 0.0)])
     neg, count = negativity_and_count(out.cne[0])
     return MonotoneSample(float(out.cne[0]), float(neg), float(out.concurrence[0]), int(count))
 

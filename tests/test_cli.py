@@ -299,6 +299,17 @@ def test_short_or_non_finite_csv_exits_2(tmp_path, capsys, rows):
     assert err.count("\n") == 1 and str(path) in err
 
 
+def test_trajectory_of_unequal_columns_exits_2(tmp_path, capsys, monkeypatch):
+    """The reader maps Trajectory's ValueError for columns of unequal length to exit 2 with one line."""
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([CSV_HEADER, "0.0,0.0,0.0,0.0,0", "0.5,0.0,0.0,0.0,0", "1.0,0.0,0.0,0.0,0"]) + "\n")
+    real = cli.Trajectory
+    monkeypatch.setattr(cli, "Trajectory", lambda t, lam, neg, conc, count: real(t, lam[:-1], neg, conc, count[:-1]))
+    assert main(["detect", "--traj", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and "[3, 2, 3, 3, 2]" in err
+
+
 def test_pure_weighting_spin_mismatch_is_config_error(tmp_path):
     bad = json.loads(json.dumps(BASE_CONFIG))
     bad["state"]["kind"] = "pure_weighting"  # W9 needs s_c = 1, not 1/2

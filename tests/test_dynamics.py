@@ -385,13 +385,16 @@ def complex_preparation():
 
 @pytest.mark.parametrize("method", ["exact", "series", "integrator"])
 def test_real_preparations_reduce_to_conjugates_at_minus_t(method):
-    """For real H and rho0, each method's rho_AB at -t is conj of its rho_AB at t, bit for bit, when
-    every time is evaluated: the mirrored values are the values a full evaluation computes."""
+    """For real H and rho0, each method's reduced state at -t is conj of its state at t, bit for bit,
+    when every time is evaluated: the mirrored values are the values a full evaluation computes.  The
+    factor methods yield L, so L(-t) = conj(L(t)); ``series`` yields its truncation rho_AB."""
     t = EvolutionSpec(t_max=0.5, n_steps=40, emit_negative_times=True).time_grid()
     for h, rho0 in real_preparations():
         assert not np.any(h.imag) and not np.any(rho0.matrix.imag)
-        red = np.concatenate([r for r, _, _ in reduced_batches(*_checked_initial(h, rho0), t, method)])
-        assert np.array_equal(red[::-1], red.conj())
+        parts = list(reduced_batches(*_checked_initial(h, rho0), t, method))
+        assert all((red is None) == (method != "series") for red, _, _ in parts)
+        state = np.concatenate([l if red is None else red for red, l, _ in parts])
+        assert np.array_equal(state[::-1], state.conj())
 
 
 def test_real_preparations_evaluate_each_abs_t_once(monkeypatch):
@@ -486,6 +489,15 @@ def test_evolution_spec_validation():
         with pytest.raises(ValueError):
             EvolutionSpec(n_steps=10, **bad)
     assert EvolutionSpec(t_max=1.0, n_steps=4, emit_negative_times=True).start == -1.0
+
+
+def test_trajectory_columns_share_one_length():
+    """A short lambda* or a short count raises, naming the five lengths; nothing is dropped silently."""
+    t = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match=r"differ in length: \[3, 2, 3, 3, 3\]"):
+        Trajectory(t, t[:2], t, t, np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError, match=r"differ in length: \[3, 3, 3, 3, 1\]"):
+        Trajectory(t, t, t, t, np.zeros(1, dtype=np.int64))
 
 
 def test_trajectory_needs_two_finite_samples():

@@ -1,11 +1,23 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
+from espkit import monotones
 from espkit.dynamics import reduced_batches
 from espkit.errors import NumericalError
 from espkit.hilbert import PAULI_Y, SpinMagnitude
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
-from espkit.monotones import YY_SIGNS, cne, concurrence, negativity, negativity_and_count, pair_monotones, pt_min
+from espkit.monotones import (
+    YY_SIGNS,
+    batch_pt_min,
+    cne,
+    concurrence,
+    negativity,
+    negativity_and_count,
+    pair_monotones,
+    pt_min,
+    wootters,
+)
 from espkit.states import BellKind, bell_ket, bell_mixture, esp_weighting, pure_initial
 
 from conftest import custom_weighting, hermitian_eigvals, monotone_sample, random_two_qubit_dm, random_unitary
@@ -177,33 +189,133 @@ def shifted_x_factor(rng, target: float) -> np.ndarray:
     return shifted / np.linalg.norm(shifted)
 
 
+def diagonal_x_factor(rng, columns: int) -> np.ndarray:
+    """A trace-one (4, k) factor whose every column has one nonzero entry: rho is diagonal, both coherences 0."""
+    l = np.zeros((4, columns), dtype=complex)
+    l[rng.integers(4, size=columns), np.arange(columns)] = rng.standard_normal(columns) + 1j * rng.standard_normal(columns)
+    return l / np.linalg.norm(l)
+
+
 def x_factor_cases(rng) -> list[np.ndarray]:
-    cases = [random_x_factor(rng, k) for k in range(1, 9) for _ in range(6)]
+    cases = [random_x_factor(rng, k) for k in range(1, 17) for _ in range(4)]
     cases += [random_x_factor(rng, k, sectors=(sector,)) for k in (1, 2, 3) for sector in (0, 1)]  # rank <= 2
+    cases += [diagonal_x_factor(rng, k) for k in (1, 2, 3, 5, 8)]
     for target in (0.0, 1e-9, -1e-9):
         cases += [shifted_x_factor(rng, target + rng.uniform(-1e-12, 1e-12)) for _ in range(8)]
     return cases
 
 
-def test_x_closed_forms_match_the_lapack_path(rng):
-    """The X-shaped closed forms agree with eigvalsh and QR/SVD to 1e-15.  One dense state appended
-    to a batch sends the whole batch down the LAPACK path, so both paths see the same X states."""
-    dense = random_two_qubit_dm(rng)
-    dense_factor = np.linalg.cholesky(dense)
+def padded(l: np.ndarray, width: int) -> np.ndarray:
+    """``l`` with zero columns appended up to ``width``: the same state L L†."""
+    out = np.zeros((4, max(width, l.shape[1])), dtype=complex)
+    out[:, : l.shape[1]] = l
+    return out
+
+
+def lapack_spy(monkeypatch) -> list:
+    """The LAPACK routines espkit's monotones call from now on, in order."""
+    calls = []
+    real_lapack = monotones._lapack
+    monkeypatch.setattr(monotones, "_lapack", lambda fn, *a, **k: calls.append(fn) or real_lapack(fn, *a, **k))
+    return calls
+
+
+def test_x_closed_forms_match_the_lapack_path(rng, monkeypatch):
+    """The factor-only entry (no rho_AB) on an X-shaped batch agrees with eigvalsh and QR/SVD to 1e-15,
+    over widths 1..16, rank-deficient factors, zero coherences and lambda* near 0 and ±1e-9.  One dense
+    factor appended to a batch sends the whole batch, lambda* and C alike, down the LAPACK path, so
+    both paths see the same X states."""
+    dense_factor = np.linalg.cholesky(random_two_qubit_dm(rng))
+    calls = lapack_spy(monkeypatch)
     near_threshold = 0
     for l in x_factor_cases(rng):
-        red = (l @ l.conj().T)[None]
-        assert np.all(np.delete(red[0].ravel(), [0, 3, 5, 6, 9, 10, 12, 15]) == 0.0)  # off-X entries exactly 0.0
-        closed = pair_monotones([(red, l[None], 0.0)])
-        wide = np.zeros((4, max(4, l.shape[1])), dtype=complex)
-        wide[:, : l.shape[1]] = l
-        dense_wide = np.zeros_like(wide)
-        dense_wide[:, :4] = dense_factor
-        lapack = pair_monotones([(np.stack([red[0], dense]), np.stack([wide, dense_wide]), 0.0)])
+        red = l @ l.conj().T
+        assert np.all(np.delete(red.ravel(), [0, 3, 5, 6, 9, 10, 12, 15]) == 0.0)  # off-X entries exactly 0.0
+        closed = pair_monotones([(None, l[None], 0.0)])
+        assert np.array_equal(batch_pt_min(None, l[None]), closed.cne)
+        assert closed.max_hermiticity_deviation == 0.0
+        assert not calls
+        width = max(4, l.shape[1])
+        lapack = pair_monotones([(None, np.stack([padded(l, width), padded(dense_factor, width)]), 0.0)])
+        assert {np.linalg.eigvalsh, np.linalg.svd} <= set(calls)
+        calls.clear()
         assert abs(closed.cne[0] - lapack.cne[0]) <= 1e-15
         assert abs(closed.concurrence[0] - lapack.concurrence[0]) <= 1e-15
+        assert abs(closed.max_trace_deviation - abs(np.trace(red).real - 1.0)) <= 1e-15
+        assert abs(pt_min(red[None])[0] - lapack.cne[0]) <= 1e-15  # the bare-matrix closed form
         near_threshold += min(abs(abs(closed.cne[0]) - x) for x in (0.0, 1e-9)) <= 2e-12
     assert near_threshold >= 24
+
+
+def test_one_column_off_the_x_sends_the_batch_to_lapack(rng, monkeypatch):
+    """A batch of X factors whose last factor has one column on both sectors takes eigvalsh for lambda*
+    and SVD for C, for every factor of the batch, and forms rho_AB = L L† for it."""
+    l = random_x_factor(rng, 3)
+    off = l.copy()
+    off[1, 0] = 0.3 if off[0, 0] != 0 else 0.3j  # column 0 now reaches both {00, 11} and {01, 10}
+    off /= np.linalg.norm(off)
+    calls = lapack_spy(monkeypatch)
+    grams = []
+    real_gram = monotones._gram
+    monkeypatch.setattr(monotones, "_gram", lambda m: grams.append(m.shape) or real_gram(m))
+    mixed = pair_monotones([(None, np.stack([l, l, off]), 0.0)])
+    assert calls == [np.linalg.eigvalsh, np.linalg.svd] and grams == [(3, 4, 3)]
+    closed = pair_monotones([(None, l[None], 0.0)])
+    assert abs(mixed.cne[0] - closed.cne[0]) <= 1e-15 and abs(mixed.concurrence[0] - closed.concurrence[0]) <= 1e-15
+    rho = off @ off.conj().T
+    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    assert abs(mixed.cne[2] - np.linalg.eigvalsh(pt)[0]) <= 1e-15
+    gammas = np.linalg.svd(off.T @ np.kron(PAULI_Y, PAULI_Y) @ off, compute_uv=False)  # the 3 nonzero gamma values
+    assert abs(mixed.concurrence[2] - max(0.0, gammas[0] - gammas[1] - gammas[2])) <= 1e-15
+    calls.clear()
+    assert np.array_equal(batch_pt_min(None, np.stack([l, l, off])), mixed.cne)
+    assert calls == [np.linalg.eigvalsh]  # lambda* alone pays for no QR or SVD
+
+
+@pytest.mark.parametrize("width", [1, 4, 6])
+def test_non_finite_factor_entries_raise(rng, width):
+    """A NaN or inf in an X-shaped factor raises NumericalError on the closed-form path, as on LAPACK's."""
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        l = random_x_factor(rng, width)
+        row = int(np.flatnonzero(l[:, 0])[0])
+        l[row, 0] = bad
+        for run in (
+            lambda: pair_monotones([(None, np.stack([random_x_factor(rng, width), l]), 0.0)]),
+            lambda: batch_pt_min(None, l[None]),
+            lambda: wootters(l[None]),
+        ):
+            with pytest.raises(NumericalError, match="non-finite"):
+                run()
+
+
+def _x_oracle(l: np.ndarray) -> tuple:
+    """lambda* and C of rho = L L† at 50 digits, from the two 2x2 blocks of rho^{T_B} and the X concurrence."""
+    with mp.workdps(50):
+        m = [[mp.mpc(complex(x)) for x in row] for row in l]
+        rho = [[mp.fsum(m[i][k] * mp.conj(m[j][k]) for k in range(l.shape[1])) for j in range(4)] for i in range(4)]
+        d = [mp.re(rho[i][i]) for i in range(4)]
+        lower = [
+            (a + b) / 2 - mp.sqrt(((a - b) / 2) ** 2 + abs(c) ** 2)
+            for a, b, c in ((d[0], d[3], rho[1][2]), (d[1], d[2], rho[0][3]))
+        ]
+        conc = 2 * max(0, abs(rho[0][3]) - mp.sqrt(d[1] * d[2]), abs(rho[1][2]) - mp.sqrt(d[0] * d[3]))
+        return min(lower), conc
+
+
+def test_x_closed_forms_match_50_digits():
+    """Twenty seeded X factors of widths 1..16, entangled and separable: lambda* and C of the factor-only
+    entry lie within 1e-15 of a 50-digit evaluation of the same blocks."""
+    rng = np.random.default_rng(2007)
+    factors = [random_x_factor(rng, int(k)) for k in rng.integers(1, 17, size=16)]
+    factors += [shifted_x_factor(rng, target) for target in (0.0, 1e-9, -1e-9, 0.1)]
+    out = pair_monotones([(None, np.stack([padded(l, 16) for l in factors]), 0.0)])
+    entangled = 0
+    for l, lam, conc in zip(factors, out.cne, out.concurrence):
+        lam_mp, conc_mp = _x_oracle(l)
+        assert abs(lam - float(lam_mp)) <= 1e-15
+        assert abs(conc - float(conc_mp)) <= 1e-15
+        entangled += lam < -1e-9
+    assert 4 <= entangled <= 16
 
 
 def _series_states() -> list[np.ndarray]:

@@ -117,7 +117,7 @@ def test_factor_methods_never_form_rho(monkeypatch, method, kind):
 
 @pytest.mark.parametrize("kind", ["product", "product_env", "mixed", "pure"])
 def test_exact_sampler_is_the_trajectory_path(kind):
-    """The short-time lambda* sampler and the exact trajectory take rho_AB from the same batches, bit for bit."""
+    """The short-time lambda* sampler and the exact trajectory take their states from the same batches, bit for bit."""
     h, initial = state_case(kind)
     spec = EvolutionSpec(t_max=0.7, n_steps=2 * CHUNK + 9, emit_negative_times=True)  # three batches
     traj = sample_trajectory(h, initial, spec)
@@ -127,17 +127,21 @@ def test_exact_sampler_is_the_trajectory_path(kind):
 @pytest.mark.parametrize("kind,lapack", [("product", False), ("mixed", False), ("product_env", True), ("pure", True)])
 @pytest.mark.parametrize("method", ["exact", "integrator"])
 def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
-    """Parity-definite states (a z-basis product, a Bell mixture with the environment in one m level)
-    stay exactly X-shaped and never reach LAPACK; general angles and the purified W13 weighting do."""
+    """Parity-definite states (a z-basis product, fig4's Bell mixture W9 at S = 1/2) stay exactly
+    X-shaped and are sampled from their factors alone: no eigvalsh, SVD or QR, and no (T, 4, 4)
+    rho_AB = L L†.  General angles and the purified W13 weighting form rho_AB and take LAPACK."""
     h, initial = state_case(kind)
     calls = []
-    real_lapack = monotones._lapack
-    monkeypatch.setattr(monotones, "_lapack", lambda fn, *a, **k: calls.append(fn) or real_lapack(fn, *a, **k))
+    for name in ("eigvalsh", "svd", "qr"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    real_gram = monotones._gram
+    monkeypatch.setattr(monotones, "_gram", lambda l: calls.append("rho_AB") or real_gram(l))
     sample_trajectory(h, initial, EvolutionSpec(t_max=2.0, n_steps=2 * CHUNK + 9, method=method))
     exact_cne_function(h, initial)(np.linspace(-0.01, 0.01, 5))
     assert bool(calls) == lapack
     if lapack:
-        assert {np.linalg.eigvalsh, np.linalg.svd} <= set(calls)
+        assert {"eigvalsh", "svd", "rho_AB"} <= set(calls)
 
 
 def unnormalized(rho, scale):
