@@ -35,8 +35,9 @@ parity-definite B0, such as a z-basis product configuration or a Bell
 mixture with the environment in one m level, yields factors whose every
 column sits on {00, 11} or on {01, 10}, so the reduced states are exactly
 X-shaped; :mod:`espkit.monotones` evaluates such a batch in closed form
-from L and never forms rho_AB.  A purified weighting is not
-parity-definite: its batches form rho_AB = L L† and take LAPACK.
+from L and never forms rho_AB.  A purified weighting is parity-definite
+only when it pairs one alpha with one beta Bell state (fig5's W2-W5); the
+batches of any other form rho_AB = L L† and take LAPACK.
 """
 
 from __future__ import annotations

@@ -38,8 +38,11 @@ rho_AB = L L† and takes LAPACK (``eigvalsh``, then QR and SVD for the
 concurrence).  A bare matrix is decided on its off-X entries (the partial
 transpose keeps them off the X).  Parity-definite initial states keep the
 spin-star reduced states X-shaped: the z-basis product configurations and
-Bell mixtures with the environment in one m level.  The purified
-weightings of fig5 and ``evolve`` are not parity-definite and take LAPACK.
+Bell mixtures with the environment in one m level.  A purified
+weighting pairs its Bell components with successive m levels, whose
+parities alternate: it is parity-definite only when it pairs one alpha
+with one beta state (fig5's W2-W5), and the others, those of ``evolve``
+included, take LAPACK.
 
 numpy reduces slowly over trailing axes of length 2 to 4, so the closed
 forms take such sums and extrema elementwise, and the sums over the
