@@ -252,7 +252,7 @@ def test_one_column_off_the_x_sends_the_batch_to_lapack(rng, monkeypatch):
     and SVD for C, for every factor of the batch, and forms rho_AB = L L† for it."""
     l = random_x_factor(rng, 3)
     off = l.copy()
-    off[1, 0] = 0.3 if off[0, 0] != 0 else 0.3j  # column 0 now reaches both {00, 11} and {01, 10}
+    off[1 if off[0, 0] != 0 else 0, 0] = 0.3  # column 0 now reaches both {00, 11} and {01, 10}
     off /= np.linalg.norm(off)
     calls = lapack_spy(monkeypatch)
     grams = []
