@@ -196,17 +196,25 @@ def pt_min(red: np.ndarray) -> np.ndarray:
     return _check_finite(_x_pt_min(*_matrix_x_entries(red)))
 
 
-def batch_pt_min(red: np.ndarray | None, l: np.ndarray) -> np.ndarray:
-    """lambda* alone of one (rho_AB, L, clip) batch of :func:`espkit.dynamics.reduced_batches`.
+def _batch_pt_min(red: np.ndarray | None, l: np.ndarray) -> tuple:
+    """lambda* of one (rho_AB, L) batch, and the (rho_ii, coherences) or the rho_AB it was read from.
 
-    :func:`pt_min` of rho_AB when the batch has one; else the closed form
-    on L for an X-shaped batch, and ``eigvalsh`` of L L† for any other.
+    The batch's one X decision: an X-shaped factor batch takes the closed
+    form on L, any other factor batch forms rho_AB = L L† for ``eigvalsh``,
+    and a series batch takes :func:`pt_min` of its own rho_AB.
     """
     if red is not None:
-        return pt_min(red)
+        return pt_min(red), red
     if _x_factor(l):
-        return _x_pt_min(*_factor_x_entries(l))
-    return _lapack_pt_min(_gram(l))
+        entries = _factor_x_entries(l)
+        return _x_pt_min(*entries), entries
+    red = _gram(l)
+    return _lapack_pt_min(red), red
+
+
+def batch_pt_min(red: np.ndarray | None, l: np.ndarray) -> np.ndarray:
+    """lambda* alone of one (rho_AB, L, clip) batch of :func:`espkit.dynamics.reduced_batches`."""
+    return _batch_pt_min(red, l)[0]
 
 
 def negativity_and_count(lam):
@@ -267,18 +275,14 @@ def check_clip(clip: float) -> None:
 
 def _batch_columns(red: np.ndarray | None, l: np.ndarray, clip) -> tuple:
     """lambda* and concurrence of each state of one batch, and the batch's largest clip, trace and Hermiticity drift."""
-    if red is None and _x_factor(l):
-        diag, coherence = _factor_x_entries(l)
-        lam, conc = _x_pt_min(diag, coherence), _x_concurrence(diag, coherence)
-        herm_dev = 0.0
+    lam, states = _batch_pt_min(red, l)
+    if isinstance(states, tuple):  # X-shaped: (rho_ii, coherences) from L
+        diag, coherence = states
+        conc, herm_dev = _x_concurrence(diag, coherence), 0.0
     else:
-        if red is None:
-            red = _gram(l)
-            lam, conc = _lapack_pt_min(red), _lapack_concurrence(l)
-        else:
-            lam, conc = pt_min(red), wootters(l)
-        diag = np.diagonal(red, axis1=-2, axis2=-1).real
-        herm_dev = np.max(np.abs(red - red.conj().swapaxes(-1, -2)))
+        conc = _lapack_concurrence(l) if red is None else wootters(l)
+        diag = np.diagonal(states, axis1=-2, axis2=-1).real
+        herm_dev = np.max(np.abs(states - states.conj().swapaxes(-1, -2)))
     d0, d1, d2, d3 = diag.T
     return lam, conc, np.max(clip), np.max(np.abs((d0 + d1) + (d2 + d3) - 1.0)), herm_dev  # np.trace's order
 

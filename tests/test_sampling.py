@@ -128,10 +128,13 @@ def test_exact_sampler_is_the_trajectory_path(kind):
 @pytest.mark.parametrize("method", ["exact", "integrator"])
 def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
     """Parity-definite states (a z-basis product, fig4's Bell mixture W9 at S = 1/2) stay exactly
-    X-shaped and are sampled from their factors alone: no eigvalsh, SVD or QR, and no (T, 4, 4)
-    rho_AB = L L†.  General angles and the purified W13 weighting form rho_AB and take LAPACK."""
+    X-shaped and are sampled from their factors alone: monotones runs no LAPACK routine (eigh
+    included), nothing calls eigvalsh, SVD or QR, and no (T, 4, 4) rho_AB = L L† is formed.
+    General angles and the purified W13 weighting form rho_AB and take LAPACK."""
     h, initial = state_case(kind)
     calls = []
+    real_lapack = monotones._lapack
+    monkeypatch.setattr(monotones, "_lapack", lambda fn, *a, **k: calls.append(fn) or real_lapack(fn, *a, **k))
     for name in ("eigvalsh", "svd", "qr"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
@@ -141,7 +144,7 @@ def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
     exact_cne_function(h, initial)(np.linspace(-0.01, 0.01, 5))
     assert bool(calls) == lapack
     if lapack:
-        assert {"eigvalsh", "svd", "rho_AB"} <= set(calls)
+        assert {np.linalg.eigvalsh, np.linalg.svd, "eigvalsh", "svd", "rho_AB"} <= set(calls)
 
 
 def unnormalized(rho, scale):
