@@ -15,6 +15,7 @@ from .dynamics import (
     evolve_exact,
     evolve_series,
     integrate_vonneumann,
+    sample_trajectories,
     sample_trajectory,
     time_reversed_state,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "evolve_exact",
     "evolve_series",
     "integrate_vonneumann",
+    "sample_trajectories",
     "sample_trajectory",
     "time_reversed_state",
     "DensityOperator",

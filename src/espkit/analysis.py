@@ -55,7 +55,6 @@ from .states import (
     mixed_initial,
     product_basis_initial,
     product_initial,
-    pure_initial,
 )
 
 DEFAULT_FIT_WINDOW = (1e-3, 1e-2)
@@ -610,28 +609,3 @@ def symmetry_suite(
         and (event_dev is None or event_dev <= 3.0 * traj.spacing)
     )
     return SymmetryReport(u_dev, grid_dev, closure_dev, dt2_dev, event_dev, passed)
-
-
-# ---------------------------------------------------------------------------
-# configuration builders shared with the command-line layer
-
-
-def build_product_trajectory(
-    state: str, j: ExchangeCoupling, s: SpinMagnitude, spec: EvolutionSpec
-) -> Trajectory:
-    return sample_trajectory(spin_star_hamiltonian(j, s), product_basis_initial(state, s), spec)
-
-
-def build_mixed_trajectory(
-    weighting_id: str, epsilon: float, j: ExchangeCoupling, s: SpinMagnitude, spec: EvolutionSpec
-) -> Trajectory:
-    w = esp_weighting(weighting_id, epsilon)
-    return sample_trajectory(spin_star_hamiltonian(j, s), mixed_initial(w, s), spec)
-
-
-def build_pure_trajectory(
-    weighting_id: str, epsilon: float, j: ExchangeCoupling, spec: EvolutionSpec
-) -> Trajectory:
-    w = esp_weighting(weighting_id, epsilon)
-    s = w.matched_spin()
-    return sample_trajectory(spin_star_hamiltonian(j, s), pure_initial(w, s), spec)

@@ -58,16 +58,13 @@ from .analysis import (
     MIN_FIT_POINTS,
     WEIGHTING_LABELS,
     WEIGHTING_TABLE_SIGNS,
-    build_mixed_trajectory,
-    build_product_trajectory,
-    build_pure_trajectory,
     check_fit_window,
     classify_trajectory,
     detect_transitions,
     exact_cne_function,
     fit_short_time,
 )
-from .dynamics import EvolutionSpec, Trajectory, sample_trajectory
+from .dynamics import EvolutionSpec, SpectralPropagator, Trajectory, sample_trajectories, sample_trajectory
 from .errors import ConfigError, EspkitError, GuardViolation, NumericalError, ResolutionError, WindowError
 from .hilbert import DensityOperator, Ket, SpinMagnitude
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
@@ -521,7 +518,9 @@ def cmd_fit(args) -> int:
 
 # ---------------------------------------------------------------------------
 # repro targets: each is one loop over a case table and returns its report entries
-# and the curves it sampled, {CSV name: trajectory}, for cmd_repro to write
+# and the curves it sampled, {CSV name: trajectory}, for cmd_repro to write.  Each
+# takes its spin-star propagators from ``propagator(j, s)``, which cmd_repro builds
+# once per distinct (J, S) per call
 
 # z-basis product state, coupling, environment spin (table1, fig2)
 PRODUCT_CASES = tuple(
@@ -564,6 +563,19 @@ def write_rows_csv(path: Path, rows: list[dict]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _sample_groups(propagator, cases) -> list[Trajectory]:
+    """The trajectory of each (J, S, initial state, spec) case, in order; the cases that
+    share J, S and spec are sampled as one group on one spectrum."""
+    groups: dict[tuple, list[int]] = {}
+    for k, (j, s, _, spec) in enumerate(cases):
+        groups.setdefault((j, s, spec), []).append(k)
+    out = [None] * len(cases)
+    for (j, s, spec), members in groups.items():
+        for k, traj in zip(members, sample_trajectories(propagator(j, s), [cases[k][2] for k in members], spec)):
+            out[k] = traj
+    return out
+
+
 def _label_row(curves: dict, target: str, wid: str, eps: float, traj: Trajectory, expected: str, dwell: float) -> dict:
     """A label row: ``traj`` classified with dwells of at least ``dwell``, filed in ``curves`` by the sign of ``eps``."""
     curves[f"{target}_{wid}_{'plus' if eps > 0 else 'minus'}.csv"] = traj
@@ -571,7 +583,7 @@ def _label_row(curves: dict, target: str, wid: str, eps: float, traj: Trajectory
     return {"weighting": wid, "epsilon": eps, "label": label, "label_expected": expected, "passed": label == expected}
 
 
-def repro_table1(out: Path, tol_rel: float) -> tuple[dict, dict]:
+def repro_table1(out: Path, tol_rel: float, propagator) -> tuple[dict, dict]:
     rows = []
     for state, j, s in PRODUCT_CASES:
         formula, params = FORMULAS[f"product_{state}"], {"j": j, "s": s}
@@ -579,7 +591,7 @@ def repro_table1(out: Path, tol_rel: float) -> tuple[dict, dict]:
             expected = formula.coefficients(params).c2
         except GuardViolation:
             continue
-        fit = fit_short_time(exact_cne_function(*formula.build(params)))
+        fit = fit_short_time(exact_cne_function(propagator(j, s), formula.initial(params)))
         rows.append(
             {
                 "state": state,
@@ -597,14 +609,14 @@ def repro_table1(out: Path, tol_rel: float) -> tuple[dict, dict]:
     return {"rows": rows}, {}
 
 
-def repro_table2(out: Path, tol_rel: float) -> tuple[dict, dict]:
+def repro_table2(out: Path, tol_rel: float, propagator) -> tuple[dict, dict]:
     rows = []
     # the label column is fig4's: the same cases, curves and expected labels
-    labels = repro_fig4(out, tol_rel)[0]["rows"]
+    labels = repro_fig4(out, tol_rel, propagator)[0]["rows"]
     for (wid, eps), labelled in zip(MIXED_CASES, labels):
         formula, params = FORMULAS[f"mixed_{wid}"], {"j": MIXED_J, "s": HALF, "epsilon": eps}
         exp = formula.coefficients(params)
-        fit = fit_short_time(exact_cne_function(*formula.build(params)), max_power=6)
+        fit = fit_short_time(exact_cne_function(propagator(MIXED_J, HALF), formula.initial(params)), max_power=6)
         c0, c2, c4 = (fit.coefficient(p) for p in (0, 2, 4))
         # the quartic of W6 at positive switch carries an O(1)-in-epsilon
         # remainder beyond the tabulated 1/epsilon leading term
@@ -637,9 +649,10 @@ def _j_tag(j: ExchangeCoupling) -> str:
     return "_".join(("m" if x < 0 else "") + f"{abs(x):g}".replace(".", "p") for x in (j.jx, j.jy, j.jz))
 
 
-def repro_fig2(out: Path, tol_rel: float) -> tuple[dict, dict]:
+def repro_fig2(out: Path, tol_rel: float, propagator) -> tuple[dict, dict]:
     spec = EvolutionSpec(t_max=10.0, n_steps=2000)
-    trajectories = {(state, j, s): build_product_trajectory(state, j, s, spec) for state, j, s in PRODUCT_CASES}
+    cases = [(j, s, product_basis_initial(state, s), spec) for state, j, s in PRODUCT_CASES]
+    trajectories = dict(zip(PRODUCT_CASES, _sample_groups(propagator, cases)))
     checks = {}
 
     # reversing the in-plane y exchange swaps the all-up and up-down-down curves
@@ -651,8 +664,8 @@ def repro_fig2(out: Path, tol_rel: float) -> tuple[dict, dict]:
     checks["y_negation_swaps_configurations"] = {"max_deviation": swap_dev, "passed": swap_dev <= 1e-8}
 
     # isotropic in-plane exchange: the all-up curve grows slower than dt²
-    h = spin_star_hamiltonian(ExchangeCoupling(1.0, 1.0, 1.0), HALF)
-    c2 = fit_short_time(exact_cne_function(h, product_basis_initial("uuu", HALF))).coefficient(2)
+    prop = propagator(ExchangeCoupling(1.0, 1.0, 1.0), HALF)
+    c2 = fit_short_time(exact_cne_function(prop, product_basis_initial("uuu", HALF))).coefficient(2)
     checks["isotropic_all_up_quadratic_suppressed"] = {"c2": c2, "passed": abs(c2) <= 1e-6}
 
     # finite-duration transitions around t = 4 for the S=1 curves
@@ -671,25 +684,35 @@ def repro_fig2(out: Path, tol_rel: float) -> tuple[dict, dict]:
     return {"checks": checks}, curves
 
 
-def repro_fig4(out: Path, tol_rel: float) -> tuple[dict, dict]:
+def repro_fig4(out: Path, tol_rel: float, propagator) -> tuple[dict, dict]:
     curves = {}
+    initials = [mixed_initial(esp_weighting(wid, eps), HALF) for wid, eps in MIXED_CASES]
+    trajectories = sample_trajectories(propagator(MIXED_J, HALF), initials, MIXED_SPEC)
     rows = [
-        _label_row(curves, "fig4", wid, eps, build_mixed_trajectory(wid, eps, MIXED_J, HALF, MIXED_SPEC), WEIGHTING_LABELS[wid], MIXED_DWELL)
-        for wid, eps in MIXED_CASES
+        _label_row(curves, "fig4", wid, eps, traj, WEIGHTING_LABELS[wid], MIXED_DWELL)
+        for (wid, eps), traj in zip(MIXED_CASES, trajectories)
     ]
     return {"rows": rows}, curves
 
 
-def repro_fig5(out: Path, tol_rel: float) -> tuple[dict, dict]:
+def _pure_case(wid: str, eps: float, spec: EvolutionSpec) -> tuple:
+    """(J, S, initial state, spec) of a purified weighting at its matched environment spin."""
+    w = esp_weighting(wid, eps)
+    return MIXED_J, w.matched_spin(), pure_initial(w, w.matched_spin()), spec
+
+
+def repro_fig5(out: Path, tol_rel: float, propagator) -> tuple[dict, dict]:
     curves = {}
+    trajectories = _sample_groups(propagator, [_pure_case(wid, eps, spec) for wid, eps, spec, _, _ in FIG5_CASES])
     rows = [
-        _label_row(curves, "fig5", wid, eps, build_pure_trajectory(wid, eps, MIXED_J, spec), expected, dwell)
-        for wid, eps, spec, dwell, expected in FIG5_CASES
+        _label_row(curves, "fig5", wid, eps, traj, expected, dwell)
+        for (wid, eps, _, dwell, expected), traj in zip(FIG5_CASES, trajectories)
     ]
 
     # positive local negativity minimum of W4 at negative switch, reported
     # after the twelve impenetrable rows
-    traj = build_pure_trajectory("W4", -1e-2, MIXED_J, EvolutionSpec(t_max=0.3, n_steps=3000))
+    j, s, initial, spec = _pure_case("W4", -1e-2, EvolutionSpec(t_max=0.3, n_steps=3000))
+    traj = sample_trajectory(propagator(j, s), initial, spec)
     n = traj.negativity
     interior = np.arange(1, len(n) - 1)
     minima = interior[(n[interior] < n[interior - 1]) & (n[interior] <= n[interior + 1])]
@@ -724,7 +747,9 @@ def cmd_repro(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tol = args.tol_rel if args.tol_rel is not None else {"table1": 1e-3}.get(args.target, 1e-2)
-    report, curves = _REPRO_TARGETS[args.target](out, tol)
+    # one spectrum per distinct (J, S), for this call only
+    propagator = functools.cache(lambda j, s: SpectralPropagator(spin_star_hamiltonian(j, s)))
+    report, curves = _REPRO_TARGETS[args.target](out, tol, propagator)
     grids = {}  # each distinct time grid's cells, formatted once for this call's curves
     for name, traj in curves.items():
         key = (traj.times.dtype.str, traj.times.tobytes())

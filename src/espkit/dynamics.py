@@ -18,11 +18,18 @@ values copied to -t.  Only a complex preparation runs the propagators
 backwards for its negative times.
 
 Trajectories and the short-time lambda* samplers of :mod:`espkit.analysis`
-take every reduced state from :func:`reduced_batches`, CHUNK sample times
-per batch.  The exact and integrator methods propagate the initial
-ensemble factor B0 (rho0 = B0 B0†, one column per pure component) and
-regroup each B(t) into the factor L of rho_AB = L L†, which is positive
-by construction and never diagonalized; they yield L alone.  The series
+take every reduced state from :func:`group_batches`, CHUNK sample times
+per batch.  :func:`sample_trajectories` samples every initial state that
+shares one H and one grid as a group: H is diagonalized once, and each
+batch's phase table exp(-iwt) (or each time's RK4 increment) is computed
+once for the group; each state then takes its own B(t), reduced factor,
+X decision and monotones from it, one state at a time, so the working set
+is one state's batch.  :func:`sample_trajectory` and
+:func:`reduced_batches` are the one-state cases.  The exact and
+integrator methods propagate the initial ensemble factor B0 (rho0 =
+B0 B0†, one column per pure component) and regroup each B(t) into the
+factor L of rho_AB = L L†, which is positive by construction and never
+diagonalized; they yield L alone.  The series
 truncation of the equation of motion for rho has no positive factor: it
 yields each reduced truncation rho_AB, with the factor that
 eigendecomposition makes of it by dropping the negative mass.  A
@@ -50,7 +57,7 @@ import numpy as np
 from .densemat import as_complex_matrix, hermitian_eig, max_abs
 from .errors import DimensionError, NumericalError
 from .hilbert import DensityOperator, Ket, SpinMagnitude, pair_factor, trace_out_c
-from .monotones import CLIP_BUDGET, YY_SIGNS, batches, check_clip, negativity_and_count, pair_monotones, psd_factor
+from .monotones import CLIP_BUDGET, YY_SIGNS, batch_columns, batches, check_clip, join_columns, negativity_and_count, psd_factor
 
 INTEGRATOR_STEP = 1e-4
 # largest |tr rho_AB - 1| a trajectory may show: exact propagation keeps it
@@ -162,17 +169,10 @@ class SpectralPropagator:
         u = self.unitary(float(t))
         return u @ rho @ u.conj().T
 
-    def evolve_factor(self, b0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """B(t) = V (e^{-iwt} ∘ V† B0) for every t, as a (T, n, r) stack.
-
-        B(t) B(t)† = rho(t) for B0 B0† = rho0.  At t = 0 the stack holds
-        ``b0`` itself.
-        """
+    def phases(self, times: np.ndarray) -> np.ndarray:
+        """The (T, n) table exp(-i w t) for every t: B(t) = V (phases ∘ V† B0) for B0 B0† = rho0."""
         self._check_phases(max_abs(times))
-        phases = np.exp(-1j * np.multiply.outer(times, self.w))
-        out = self.v @ (phases[:, :, None] * (self.v.conj().T @ b0))
-        out[times == 0.0] = b0
-        return out
+        return np.exp(-1j * np.multiply.outer(times, self.w))
 
 
 def _checked_initial(h, rho0: InitialState) -> tuple[np.ndarray | SpectralPropagator, DensityOperator]:
@@ -328,66 +328,119 @@ def time_reversed_state(rho: DensityOperator, s: SpinMagnitude) -> DensityOperat
     return DensityOperator(flipped, rho.dims, validate=False)
 
 
-def reduced_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, times: np.ndarray, method: str, order: int = 3):
-    """Yield (rho_AB, L, clip) for each batch of at most CHUNK ``times``: the (T, 4, k) factors L of the reduced states.
+def group_batches(h: np.ndarray | SpectralPropagator, rho0s: list[DensityOperator], times: np.ndarray, method: str, order: int = 3):
+    """Yield, for each batch of at most CHUNK ``times``, an iterator of one (rho_AB, L, clip) per state of ``rho0s``.
 
-    ``exact`` takes B(t) from the spectrum of H, ``integrator`` as
-    B0 + P(t) B0 with P(t) the RK4 increment of :func:`_rk4_increment`;
-    both regroup B(t) into L, whose states are L L†, and yield rho_AB as
-    None: :mod:`espkit.monotones` forms L L† only for a batch that is not
+    L is the (T, 4, k) factor of the batch's reduced states.  ``exact``
+    takes B(t) = V (e^{-iwt} ∘ c) from the spectrum of H, with c = V† B0
+    formed once per state; ``integrator`` takes B(t) = B0 + P(t) B0 with
+    P(t) the RK4 increment of :func:`_rk4_increment`.  Both regroup B(t)
+    into L, whose states are L L†, and yield rho_AB as None:
+    :mod:`espkit.monotones` forms L L† only for a batch that is not
     X-shaped.  ``clip`` is the negative mass dropped if B0 had to be made.
     The ``series`` truncation to ``order`` terms has no factor of its own:
     it yields its own (T, 4, 4) rho_AB, whose lambda* is that of the
     truncation, and :func:`psd_factor` makes L and clip from it.
-    ``h`` and ``rho0`` come checked by :func:`_checked_initial`; a
-    propagator ``h`` lends ``exact`` its spectrum.
+
+    The states share H, its spectrum and each batch's phase table (or
+    each time's RK4 increment), computed once per batch for the group;
+    each state's B(t) and L are made only as the batch's iterator reaches
+    it, so one state's batch is held at a time.  Consume each iterator
+    before the next batch.  ``h`` and ``rho0s`` come checked by
+    :func:`_checked_initial`; a propagator ``h`` lends ``exact`` its spectrum.
     """
-    dim_c = rho0.dims.dim_c
+    dims = [rho0.dims.dim_c for rho0 in rho0s]
     prop, h = (h, h.h) if isinstance(h, SpectralPropagator) else (None, h)
     if method == "series":
-        terms = _series_terms(h, rho0.matrix, order)
+        terms = [_series_terms(h, rho0.matrix, order) for rho0 in rho0s]
         for ts in batches(times):
-            red = trace_out_c(_series_stack(terms, ts), dim_c)
-            yield red, *psd_factor(red)
+            reds = (trace_out_c(_series_stack(t, ts), dim_c) for t, dim_c in zip(terms, dims))
+            yield ((red, *psd_factor(red)) for red in reds)
         return
     # the constructors give exact factors; a bare matrix is factored once, dropping negative dust
-    b0, clip = (rho0.factor, 0.0) if rho0.factor is not None else psd_factor(rho0.matrix)
-    check_clip(float(clip))
+    b0s, clips = zip(*((rho0.factor, 0.0) if rho0.factor is not None else psd_factor(rho0.matrix) for rho0 in rho0s))
+    for clip in clips:
+        check_clip(float(clip))
     if method == "exact":
         prop = prop or SpectralPropagator(h)
-        factors = (prop.evolve_factor(b0, ts) for ts in batches(times))
+        vh = prop.v.conj().T
+        coefficients = [vh @ b0 for b0 in b0s]
+
+        def evolved(ts):
+            phases, at_zero = prop.phases(ts)[:, :, None], ts == 0.0
+            for b0, c in zip(b0s, coefficients):
+                b = prop.v @ (phases * c)
+                b[at_zero] = b0
+                yield b
+
     else:
-        factors = (
-            b0 + np.stack([_rk4_increment(h, float(t), INTEGRATOR_STEP) for t in ts]) @ b0 for ts in batches(times)
-        )
-    for b in factors:
-        yield None, pair_factor(b, dim_c), clip
+
+        def evolved(ts):
+            increments = np.stack([_rk4_increment(h, float(t), INTEGRATOR_STEP) for t in ts])
+            return (b0 + increments @ b0 for b0 in b0s)
+
+    for ts in batches(times):
+        yield ((None, pair_factor(b, dim_c), clip) for b, dim_c, clip in zip(evolved(ts), dims, clips))
 
 
-def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajectory:
-    """Evolve, trace out the environment and record the monotones per time.
+def reduced_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, times: np.ndarray, method: str, order: int = 3):
+    """Yield (rho_AB, L, clip) for each batch of at most CHUNK ``times``: :func:`group_batches` of ``rho0`` alone."""
+    return (part for parts in group_batches(h, [rho0], times, method, order) for part in parts)
+
+
+def sample_trajectories(h, initials, spec: EvolutionSpec) -> list[Trajectory]:
+    """Evolve each initial state under one H, trace out the environment and record the monotones per time.
 
     ``h`` is the Hamiltonian, or a :class:`SpectralPropagator` of it whose
-    spectrum ``exact`` then reuses.  Metadata records the maximum
-    trace/Hermiticity deviations of the reduced states (for the factor
-    methods the trace deviation is the norm drift of B(t)) and the largest
-    negative eigenvalue mass a factor dropped: 0.0 for a state built with
-    its factor.  A trace deviation beyond ``DRIFT_BUDGET``, a clip beyond
+    spectrum ``exact`` then reuses; a bare ``h`` is diagonalized once for
+    all the states.  The states whose :func:`evaluation_times` agree are
+    sampled as one group of :func:`group_batches`, batch by batch, so each
+    batch's phase table or RK4 increments serve every state in it; each
+    trajectory is that of its state sampled alone, bit for bit.
+
+    Each trajectory's metadata records the maximum trace/Hermiticity
+    deviations of its reduced states (for the factor methods the trace
+    deviation is the norm drift of B(t)) and the largest negative
+    eigenvalue mass a factor dropped: 0.0 for a state built with its
+    factor.  A trace deviation beyond ``DRIFT_BUDGET``, a clip beyond
     ``CLIP_BUDGET`` and an overflow raise :class:`NumericalError`.  Only
     the times :func:`evaluation_times` picks are evaluated; conjugation
     leaves every one of these figures unchanged.
     """
-    h, rho0 = _checked_initial(h, initial)
+    rho0s = []
+    for initial in initials:
+        h, rho0 = _checked_initial(h, initial)
+        rho0s.append(rho0)
+    if spec.method == "exact" and not isinstance(h, SpectralPropagator):
+        h = SpectralPropagator(h)
     times = spec.time_grid()
+    plans = [evaluation_times(h, rho0, times) for rho0 in rho0s]
+    groups: dict[bytes, list[int]] = {}
+    for k, (evaluated, _) in enumerate(plans):
+        groups.setdefault(evaluated.tobytes(), []).append(k)
+    columns = [[] for _ in rho0s]  # per state, the batch_columns of each of its batches
     window = f"[{times[0]:g}, {times[-1]:g}]"
-    evaluated, gather = evaluation_times(h, rho0, times)
     try:
-        mono = pair_monotones(reduced_batches(h, rho0, evaluated, spec.method))
+        for members in groups.values():
+            for parts in group_batches(h, [rho0s[k] for k in members], plans[members[0]][0], spec.method):
+                for k, part in zip(members, parts):
+                    columns[k].append(batch_columns(*part))
     except NumericalError as exc:
         if spec.method != "series":
             raise
         raise NumericalError(f"the three-term series truncation overflowed on {window}: {exc}") from None
-    if mono.max_clip > CLIP_BUDGET:  # reduced_batches checked B0's clip: only a series truncation gets here
+    return [_trajectory(times, cols, gather, window) for cols, (_, gather) in zip(columns, plans)]
+
+
+def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajectory:
+    """Evolve, trace out the environment and record the monotones per time: :func:`sample_trajectories` of ``initial`` alone."""
+    return sample_trajectories(h, [initial], spec)[0]
+
+
+def _trajectory(times: np.ndarray, columns: list, gather: np.ndarray, window: str) -> Trajectory:
+    """The trajectory on ``times`` of the :func:`batch_columns` of its evaluated times, after the budget checks."""
+    mono = join_columns(columns)
+    if mono.max_clip > CLIP_BUDGET:  # group_batches checked B0's clip: only a series truncation gets here
         raise NumericalError(
             f"the three-term series truncation is not positive on {window}: its factors clipped "
             f'{mono.max_clip:.3e} of spectral mass (budget {CLIP_BUDGET:g}); use method "exact" or a smaller t_max'

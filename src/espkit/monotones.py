@@ -15,7 +15,9 @@ so no matrix square root is taken.  Both are local-unitary invariants
 and, for two qubits, vanish together.
 
 The batched entry point :func:`pair_monotones` takes the (rho_AB, L, clip)
-batches of :func:`espkit.dynamics.reduced_batches`.  A batch of the
+batches of :func:`espkit.dynamics.reduced_batches`; :func:`batch_columns`
+evaluates one batch and :func:`join_columns` joins a state's batches, for
+the group sampler, which evaluates its states batch by batch.  A batch of the
 factor methods has rho_AB None: its states are L L†, and everything is
 taken from L.  A series batch keeps its truncation rho_AB, whose lambda*
 (:func:`pt_min`) is that of the non-positive truncation, and takes the
@@ -62,7 +64,8 @@ from .hilbert import as_pair_matrix, transpose_b
 ENTANGLED_THRESHOLD = 1e-9
 CLIP_BUDGET = 1e-9
 NEGATIVE_COUNT_TOL = 1e-12
-# matrices or sample times per batch; bounds the working set of long grids.  The
+# matrices or sample times per batch; bounds the working set of long grids to one
+# state's batch, also where a group of states shares each batch's phase table.  The
 # X-shaped closed forms cost a fixed few dozen numpy calls per batch, so a batch
 # of 256 spends about half as long per sample on them as one of 64
 CHUNK = 256
@@ -273,7 +276,7 @@ def check_clip(clip: float) -> None:
         raise NumericalError(f"PSD repair clipped {clip:.3e} of spectral mass (budget {CLIP_BUDGET})")
 
 
-def _batch_columns(red: np.ndarray | None, l: np.ndarray, clip) -> tuple:
+def batch_columns(red: np.ndarray | None, l: np.ndarray, clip) -> tuple:
     """lambda* and concurrence of each state of one batch, and the batch's largest clip, trace and Hermiticity drift."""
     lam, states = _batch_pt_min(red, l)
     if isinstance(states, tuple):  # X-shaped: (rho_ii, coherences) from L
@@ -296,7 +299,12 @@ def pair_monotones(parts) -> PairMonotones:
     The largest clip is reported as ``max_clip``, for the caller to hold
     against ``CLIP_BUDGET``.
     """
-    lam, conc, clip, trace_dev, herm_dev = zip(*(_batch_columns(*part) for part in parts))
+    return join_columns(batch_columns(*part) for part in parts)
+
+
+def join_columns(columns) -> PairMonotones:
+    """The quantifiers of consecutive batches from their :func:`batch_columns`."""
+    lam, conc, clip, trace_dev, herm_dev = zip(*columns)
     return PairMonotones(
         np.concatenate(lam), np.concatenate(conc), float(np.max(clip)), float(np.max(trace_dev)), float(np.max(herm_dev))
     )

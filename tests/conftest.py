@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from espkit.densemat import as_complex_matrix, hermitian_eig
-from espkit.dynamics import SpectralPropagator
+from espkit.dynamics import SpectralPropagator, sample_trajectory
 from espkit.errors import DimensionError
 from espkit.hilbert import ID2, PAULI_X, PAULI_Y, PAULI_Z, SystemDims, as_pair_matrix, spin_operators
 from espkit.monotones import negativity_and_count, pair_monotones, psd_factor
-from espkit.states import EspWeighting
+from espkit.model import spin_star_hamiltonian
+from espkit.states import EspWeighting, esp_weighting, pure_initial
 
 SEED = 20240917
 
@@ -107,6 +108,13 @@ class MonotoneSample(NamedTuple):
     negativity: float
     concurrence: float
     negative_count: int
+
+
+def pure_trajectory(weighting_id: str, epsilon: float, j, spec):
+    """The trajectory of a purified weighting at its matched environment spin."""
+    w = esp_weighting(weighting_id, epsilon)
+    s = w.matched_spin()
+    return sample_trajectory(spin_star_hamiltonian(j, s), pure_initial(w, s), spec)
 
 
 def monotone_sample(rho, factor=None) -> MonotoneSample:

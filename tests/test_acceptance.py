@@ -11,9 +11,6 @@ from espkit.analysis import (
     WEIGHTING_TABLE_SIGNS,
     alpha_pair_cne,
     beta_pair_cne,
-    build_mixed_trajectory,
-    build_product_trajectory,
-    build_pure_trajectory,
     classify_trajectory,
     detect_transitions,
     env_diag_pair_cne,
@@ -23,7 +20,7 @@ from espkit.analysis import (
     truncated_cne_function,
     weighting_cne_expansion,
 )
-from espkit.dynamics import EvolutionSpec, SpectralPropagator, evolve_exact, time_reversed_state
+from espkit.dynamics import EvolutionSpec, SpectralPropagator, evolve_exact, sample_trajectory, time_reversed_state
 from espkit.errors import GuardViolation
 from espkit.hilbert import (
     SpinMagnitude,
@@ -58,6 +55,7 @@ from conftest import (
     custom_weighting,
     hermitian_eigvals,
     monotone_sample,
+    pure_trajectory,
     random_hermitian,
     random_two_qubit_dm,
     spectral_exp_skew,
@@ -121,7 +119,8 @@ def test_criterion_2_weighting_coefficients_and_labels():
                 # of the true coefficient; it carries an O(1) remainder
                 tol = 0.1 if (wid == "W6" and eps > 0) else 1e-2
                 assert abs(fit.coefficient(4) - exp.c4) <= tol * abs(exp.c4), (wid, eps, fit.coefficient(4), exp.c4)
-            traj = build_mixed_trajectory(wid, eps, MIXED_J, HALF, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
+            initial = mixed_initial(esp_weighting(wid, eps), HALF)
+            traj = sample_trajectory(spin_star_hamiltonian(MIXED_J, HALF), initial, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
             label = classify_trajectory(traj).label
             assert label == WEIGHTING_LABELS[wid], (wid, eps, label)
     print("ACCEPTANCE 2 (weighting expansions and trajectory labels): PASS")
@@ -257,14 +256,14 @@ def test_criterion_7_pure_state_recipe():
     straddling t = 0; two-component switches never cross."""
     wide = EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True)
     for wid in ("W9", "W13"):
-        traj = build_pure_trajectory(wid, +1e-2, MIXED_J, wide)
+        traj = pure_trajectory(wid, +1e-2, MIXED_J, wide)
         cls = classify_trajectory(traj)
         assert cls.label == "p6" and cls.crossed_before and cls.crossed_after, (wid, cls.label)
         events = detect_transitions(traj)
         assert any(ev.t_birth is not None and ev.t_birth < 0 for ev in events)
         assert any(ev.t_death is not None and ev.t_death > 0 for ev in events)
     for wid in ("W7", "W8", "W10", "W11", "W12", "W14"):
-        traj = build_pure_trajectory(wid, -1e-2, MIXED_J, wide)
+        traj = pure_trajectory(wid, -1e-2, MIXED_J, wide)
         cls = classify_trajectory(traj)
         assert cls.label == "p4" and cls.crossed_before and cls.crossed_after, (wid, cls.label)
 
@@ -272,12 +271,12 @@ def test_criterion_7_pure_state_recipe():
     for i in range(1, 7):
         wid = f"W{i}"
         for sgn in (+1, -1):
-            traj = build_pure_trajectory(wid, sgn * 1e-2, MIXED_J, narrow)
+            traj = pure_trajectory(wid, sgn * 1e-2, MIXED_J, narrow)
             assert detect_transitions(traj) == [], (wid, sgn)
             assert classify_trajectory(traj).label == "p3", (wid, sgn)
 
     # the negative-switch W4 preparation has a positive local minimum near t=0.11
-    traj = build_pure_trajectory("W4", -1e-2, MIXED_J, EvolutionSpec(t_max=0.3, n_steps=3000))
+    traj = pure_trajectory("W4", -1e-2, MIXED_J, EvolutionSpec(t_max=0.3, n_steps=3000))
     n = traj.negativity
     interior = np.arange(1, len(n) - 1)
     minima = interior[(n[interior] < n[interior - 1]) & (n[interior] <= n[interior + 1])]
@@ -291,7 +290,8 @@ def test_criterion_7_pure_state_recipe():
 def test_criterion_8_long_time_transition():
     """The S=1 curves show a finite-duration transition around t = 4."""
     for j, state in ((ExchangeCoupling(1, 0.5, 1), "uuu"), (ExchangeCoupling(1, -0.5, 1), "udd")):
-        traj = build_product_trajectory(state, j, SpinMagnitude(2), EvolutionSpec(t_max=6.0, n_steps=2400))
+        s = SpinMagnitude(2)
+        traj = sample_trajectory(spin_star_hamiltonian(j, s), product_basis_initial(state, s), EvolutionSpec(t_max=6.0, n_steps=2400))
         events = detect_transitions(traj)
         hits = [
             ev

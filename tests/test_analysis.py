@@ -12,9 +12,6 @@ from espkit.analysis import (
     WEIGHTING_TABLE_SIGNS,
     TransitionEvent,
     _crossing_time,
-    build_mixed_trajectory,
-    build_product_trajectory,
-    build_pure_trajectory,
     classify_trajectory,
     detect_transitions,
     exact_cne_function,
@@ -32,6 +29,8 @@ from espkit.hilbert import DensityOperator, SpinMagnitude, SystemDims, basis_ket
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 from espkit.monotones import CHUNK, cne
 from espkit.states import BellKind, bell_ket, esp_weighting, mixed_initial, product_basis_initial, pure_initial
+
+from conftest import pure_trajectory
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
 HALF = SpinMagnitude(1)
@@ -176,7 +175,8 @@ def test_run_loop_matches_per_sample_scan(first_below, runs, steps, threshold, d
 
 
 def test_detect_mixed_tfd_straddles_zero():
-    traj = build_mixed_trajectory("W10", -0.01, MIXED_J, HALF, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
+    w10 = mixed_initial(esp_weighting("W10", -0.01), HALF)
+    traj = sample_trajectory(spin_star_hamiltonian(MIXED_J, HALF), w10, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
     events = detect_transitions(traj)
     tfd = [ev for ev in events if ev.kind == "TFD"]
     assert len(tfd) == 1
@@ -187,7 +187,8 @@ def test_detect_mixed_tfd_straddles_zero():
 def test_detector_idempotent_through_serialization(tmp_path):
     from espkit.cli import read_trajectory_csv, write_trajectory_csv
 
-    traj = build_mixed_trajectory("W9", 0.01, MIXED_J, HALF, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
+    w9 = mixed_initial(esp_weighting("W9", 0.01), HALF)
+    traj = sample_trajectory(spin_star_hamiltonian(MIXED_J, HALF), w9, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, traj)
     events_a = detect_transitions(traj)
@@ -470,7 +471,8 @@ def test_classify_requires_negative_times():
     [("W9", +1, "p6"), ("W14", -1, "p4"), ("W6", +1, "p3"), ("W6", -1, "p3"), ("W10", -1, "p4"), ("W2", +1, "p6")],
 )
 def test_classify_mixed_weightings(wid, sign, expected):
-    traj = build_mixed_trajectory(wid, sign * 0.01, MIXED_J, HALF, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
+    initial = mixed_initial(esp_weighting(wid, sign * 0.01), HALF)
+    traj = sample_trajectory(spin_star_hamiltonian(MIXED_J, HALF), initial, EvolutionSpec(t_max=1.5, n_steps=1200, emit_negative_times=True))
     cls = classify_trajectory(traj)
     assert cls.label == expected
 
@@ -478,7 +480,8 @@ def test_classify_mixed_weightings(wid, sign, expected):
 def test_classify_boundary_touch_from_inside():
     # all-up product state under anisotropic in-plane exchange: lambda*(0) = 0
     # and the state is entangled at both sides near t = 0
-    traj = build_product_trajectory("uuu", ExchangeCoupling(1, 0.5, 1), HALF, EvolutionSpec(t_max=0.2, n_steps=400, emit_negative_times=True))
+    h = spin_star_hamiltonian(ExchangeCoupling(1, 0.5, 1), HALF)
+    traj = sample_trajectory(h, product_basis_initial("uuu", HALF), EvolutionSpec(t_max=0.2, n_steps=400, emit_negative_times=True))
     cls = classify_trajectory(traj)
     assert cls.label == "p2"
 
@@ -533,7 +536,7 @@ def test_classify_off_boundary_rule(cne_at, label, crossed):
 
 def test_classify_pure_recipe_labels():
     for wid, sign, expected in (("W9", +1, "p6"), ("W13", +1, "p6"), ("W7", -1, "p4"), ("W14", -1, "p4")):
-        traj = build_pure_trajectory(wid, sign * 0.01, MIXED_J, EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True))
+        traj = pure_trajectory(wid, sign * 0.01, MIXED_J, EvolutionSpec(t_max=1.0, n_steps=1200, emit_negative_times=True))
         cls = classify_trajectory(traj)
         assert cls.label == expected, (wid, cls)
 
@@ -567,13 +570,13 @@ def test_symmetry_suite_dt2_is_exact_for_real_preparations():
 def test_sampler_evaluates_each_abs_dt_once(monkeypatch):
     """A real preparation's lambda*(dt) sampler propagates each distinct |dt| once and gathers it back."""
     counts = []
-    evolve_factor = SpectralPropagator.evolve_factor
+    phases = SpectralPropagator.phases
 
-    def spied(self, b0, times):
+    def spied(self, times):
         counts.append(times.tolist())
-        return evolve_factor(self, b0, times)
+        return phases(self, times)
 
-    monkeypatch.setattr(SpectralPropagator, "evolve_factor", spied)
+    monkeypatch.setattr(SpectralPropagator, "phases", spied)
     h = spin_star_hamiltonian(MIXED_J, HALF)
     sampler = exact_cne_function(h, mixed_initial(esp_weighting("W9", 0.01), HALF))
     lam = sampler(np.array([1e-2, -1e-3, 1e-3, -1e-2, 0.0]))
@@ -603,6 +606,6 @@ def test_symmetry_suite_death_birth_mirror():
 
 def test_symmetry_y_negation_swaps_states():
     spec = EvolutionSpec(t_max=10.0, n_steps=1000)
-    a = build_product_trajectory("uuu", ExchangeCoupling(1, -1, 1), HALF, spec)
-    b = build_product_trajectory("udd", ExchangeCoupling(1, 1, 1), HALF, spec)
+    a = sample_trajectory(spin_star_hamiltonian(ExchangeCoupling(1, -1, 1), HALF), product_basis_initial("uuu", HALF), spec)
+    b = sample_trajectory(spin_star_hamiltonian(ExchangeCoupling(1, 1, 1), HALF), product_basis_initial("udd", HALF), spec)
     assert np.max(np.abs(a.negativity - b.negativity)) <= 1e-8

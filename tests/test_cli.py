@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 
 import espkit
 
-from espkit import analysis, cli
-from espkit.analysis import WEIGHTING_LABELS, build_mixed_trajectory
+from espkit import analysis, cli, dynamics
+from espkit.analysis import WEIGHTING_LABELS
 from espkit.cli import (
     CSV_HEADER,
     FIG5_CASES,
@@ -31,9 +32,10 @@ from espkit.cli import (
     resolve_config,
     write_trajectory_csv,
 )
-from espkit.dynamics import EvolutionSpec, Trajectory
+from espkit.dynamics import EvolutionSpec, SpectralPropagator, Trajectory, sample_trajectory
 from espkit.errors import ConfigError
-from espkit.states import BellKind
+from espkit.model import spin_star_hamiltonian
+from espkit.states import BellKind, esp_weighting, mixed_initial
 
 from conftest import reference_read_trajectory_csv, trajectory_columns
 
@@ -503,14 +505,8 @@ def test_integrator_beyond_its_drift_budget_exits_3_in_one_line(tmp_path, capsys
 
 
 def test_csv_roundtrip(tmp_path):
-    from espkit.analysis import build_mixed_trajectory
-    from espkit.dynamics import EvolutionSpec
-    from espkit.hilbert import SpinMagnitude
-    from espkit.model import ExchangeCoupling
-
-    traj = build_mixed_trajectory(
-        "W1", 0.01, ExchangeCoupling(-0.5, -0.5, -1.0), SpinMagnitude(1), EvolutionSpec(t_max=0.3, n_steps=60)
-    )
+    initial = mixed_initial(esp_weighting("W1", 0.01), HALF)
+    traj = sample_trajectory(spin_star_hamiltonian(MIXED_J, HALF), initial, EvolutionSpec(t_max=0.3, n_steps=60))
     path = tmp_path / "t.csv"
     write_trajectory_csv(path, traj)
     back = read_trajectory_csv(path)
@@ -548,7 +544,8 @@ def test_table2_gates_c0_at_1e_12(tmp_path, monkeypatch):
         return exp._replace(c0=exp.c0 + 1e-9)
 
     monkeypatch.setitem(analysis.FORMULAS, "mixed_W9", replace(formula, coefficients=off))
-    rows = cli.repro_table2(tmp_path, 1e-2)[0]["rows"]
+    propagator = functools.cache(lambda j, s: SpectralPropagator(spin_star_hamiltonian(j, s)))
+    rows = cli.repro_table2(tmp_path, 1e-2, propagator)[0]["rows"]
     assert {(row["weighting"], row["passed"]) for row in rows} == {(wid, wid != "W9") for wid, _ in MIXED_CASES}
     assert max(abs(row["c0_fit"] - row["c0_expected"]) for row in rows if row["weighting"] != "W9") <= 1e-14
 
@@ -632,8 +629,9 @@ def test_fig4_label_does_not_move_with_the_grid():
     Five spacings of a 120000-step grid are shorter than that touch, so a
     dwell that scaled with the grid would read it as a death and a birth (p6).
     """
+    initial = mixed_initial(esp_weighting("W6", 0.01), HALF)
     for n_steps in (1200, 120_000):
-        traj = build_mixed_trajectory("W6", 0.01, MIXED_J, HALF, replace(MIXED_SPEC, n_steps=n_steps))
+        traj = sample_trajectory(spin_star_hamiltonian(MIXED_J, HALF), initial, replace(MIXED_SPEC, n_steps=n_steps))
         assert _label_row({}, "fig4", "W6", 0.01, traj, "p3", MIXED_DWELL)["label"] == "p3", n_steps
 
 
@@ -681,3 +679,19 @@ def test_repro_table_writes_no_gnuplot_script(tmp_path):
     out = tmp_path / "t1"
     assert main(["repro", "table1", "--out", str(out), "--gnuplot-script"]) == 0
     assert not list(out.glob("*.gp"))
+
+
+def test_repro_diagonalizes_once_per_distinct_hamiltonian(tmp_path, monkeypatch):
+    """Each repro call builds one spectrum per distinct (J, S) it samples or fits: table1's 16 fits
+    use 8, table2's 15 fits and fig4's 15 curves share 1, fig2's 24 curves and its isotropic check 8,
+    and fig5's 21 curves 3.  No spectrum outlives its call: a second call diagonalizes again."""
+    shapes = []
+    hermitian_eig = dynamics.hermitian_eig
+    monkeypatch.setattr(dynamics, "hermitian_eig", lambda a: shapes.append(a.shape) or hermitian_eig(a))
+    expected = {"table1": 8, "table2": 1, "fig2": 8, "fig4": 1, "fig5": 3}
+    for call in range(2):
+        for target, count in expected.items():
+            shapes.clear()
+            assert main(["repro", target, "--out", str(tmp_path / f"{target}_{call}")]) == 0
+            assert len(shapes) == count, (target, call)
+    assert sorted(shapes) == [(8, 8), (12, 12), (16, 16)]  # fig5's S = 1/2, 1 and 3/2

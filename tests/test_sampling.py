@@ -8,7 +8,7 @@ import pytest
 
 from espkit import dynamics, monotones
 from espkit.analysis import DEFAULT_FIT_WINDOW, exact_cne_function
-from espkit.cli import main
+from espkit.cli import FIG5_CASES, HALF, main
 from espkit.dynamics import (
     EvolutionSpec,
     SpectralPropagator,
@@ -17,12 +17,12 @@ from espkit.dynamics import (
     sample_trajectory,
 )
 from espkit.errors import NumericalError
-from espkit.hilbert import DensityOperator, Ket, SpinMagnitude, pair_factor, trace_out_c
+from espkit.hilbert import DensityOperator, Ket, SpinMagnitude, SystemDims, pair_factor, trace_out_c
 from espkit.model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from espkit.monotones import CHUNK, cne, concurrence, negativity
 from espkit.states import esp_weighting, mixed_initial, product_basis_initial, product_initial, pure_initial
 
-from conftest import monotone_sample
+from conftest import monotone_sample, trajectory_columns
 
 MIXED_J = ExchangeCoupling(-0.5, -0.5, -1.0)
 CHAIN_TOL = 1e-14
@@ -124,14 +124,9 @@ def test_exact_sampler_is_the_trajectory_path(kind):
     assert np.array_equal(exact_cne_function(h, initial)(spec.time_grid()), traj.cne)
 
 
-@pytest.mark.parametrize("kind,lapack", [("product", False), ("mixed", False), ("product_env", True), ("pure", True)])
-@pytest.mark.parametrize("method", ["exact", "integrator"])
-def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
-    """Parity-definite states (a z-basis product, fig4's Bell mixture W9 at S = 1/2) stay exactly
-    X-shaped and are sampled from their factors alone: monotones runs no LAPACK routine (eigh
-    included), nothing calls eigvalsh, SVD or QR, and no (T, 4, 4) rho_AB = L L† is formed.
-    General angles and the purified W13 weighting form rho_AB and take LAPACK."""
-    h, initial = state_case(kind)
+def lapack_calls(monkeypatch) -> list:
+    """The LAPACK routines monotones runs (eigh included), every eigvalsh, SVD and QR call by name,
+    and "rho_AB" for each (T, 4, 4) rho_AB = L L† formed, in call order."""
     calls = []
     real_lapack = monotones._lapack
     monkeypatch.setattr(monotones, "_lapack", lambda fn, *a, **k: calls.append(fn) or real_lapack(fn, *a, **k))
@@ -140,11 +135,88 @@ def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
         monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
     real_gram = monotones._gram
     monkeypatch.setattr(monotones, "_gram", lambda l: calls.append("rho_AB") or real_gram(l))
+    return calls
+
+
+@pytest.mark.parametrize("kind,lapack", [("product", False), ("mixed", False), ("product_env", True), ("pure", True)])
+@pytest.mark.parametrize("method", ["exact", "integrator"])
+def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
+    """Parity-definite states (a z-basis product, fig4's Bell mixture W9 at S = 1/2) stay exactly
+    X-shaped and are sampled from their factors alone: monotones runs no LAPACK routine (eigh
+    included), nothing calls eigvalsh, SVD or QR, and no (T, 4, 4) rho_AB = L L† is formed.
+    General angles and the purified W13 weighting form rho_AB and take LAPACK."""
+    h, initial = state_case(kind)
+    calls = lapack_calls(monkeypatch)
     sample_trajectory(h, initial, EvolutionSpec(t_max=2.0, n_steps=2 * CHUNK + 9, method=method))
     exact_cne_function(h, initial)(np.linspace(-0.01, 0.01, 5))
     assert bool(calls) == lapack
     if lapack:
         assert {np.linalg.eigvalsh, np.linalg.svd, "eigvalsh", "svd", "rho_AB"} <= set(calls)
+
+
+@pytest.mark.parametrize("method", ["exact", "integrator"])
+def test_a_group_shares_each_batch_and_keeps_each_state_s_x_decision(monkeypatch, method):
+    """fig5's S = 1/2 group on its window: W3 pairs one alpha with one beta state and stays X-shaped,
+    W6 pairs two beta states and does not.  The group takes one phase table per batch (``exact``)
+    or one RK4 increment per time (``integrator``), not one per state, and forms rho_AB and calls
+    eigvalsh only for W6's batches, on W6's own factors."""
+    spec, other = (next(case[2] for case in FIG5_CASES if case[0] == wid) for wid in ("W3", "W6"))
+    assert other == spec
+    spec = replace(spec, method=method)
+    w3, w6 = (pure_initial(esp_weighting(wid, 0.01), HALF).to_density() for wid in ("W3", "W6"))
+    prop = SpectralPropagator(spin_star_hamiltonian(MIXED_J, HALF))
+    evaluated, _ = dynamics.evaluation_times(prop, w6, spec.time_grid())
+    w6_factors = [l for _, l, _ in dynamics.reduced_batches(prop, w6, evaluated, method)]
+    n_batches = len(w6_factors)
+    assert n_batches == 2 and evaluated.size == 301
+
+    shared = []
+    phases, rk4 = SpectralPropagator.phases, dynamics._rk4_increment
+    monkeypatch.setattr(SpectralPropagator, "phases", lambda self, ts: shared.append(ts.size) or phases(self, ts))
+    monkeypatch.setattr(dynamics, "_rk4_increment", lambda *a: shared.append(1) or rk4(*a))
+    gram = []
+    real_gram = monotones._gram
+    calls = lapack_calls(monkeypatch)
+    monkeypatch.setattr(monotones, "_gram", lambda l: gram.append(l) or real_gram(l))
+    trajectories = dynamics.sample_trajectories(prop, [w3, w6], spec)
+
+    assert sum(shared) == evaluated.size and len(shared) == (n_batches if method == "exact" else evaluated.size)
+    assert len(gram) == calls.count("eigvalsh") == calls.count(np.linalg.eigvalsh) == n_batches
+    assert all(np.array_equal(l, factor) for l, factor in zip(gram, w6_factors))
+    for traj, initial in zip(trajectories, (w3, w6)):
+        assert np.array_equal(traj.cne, sample_trajectory(prop, initial, spec).cne)
+
+
+def mixed_group():
+    """One H at S = 3/2 and a group of states that mixes every sampling path: the three z-basis
+    products (X-shaped); a real product at general angles over three environment levels (not
+    X-shaped); a complex product with phi_A != 0, evaluated at every time rather than at each |t|
+    once; and real mixtures of the purified weightings W11-W14 at four switches, with initial
+    factors B0 of widths 1-16 (factors L of widths 4-64)."""
+    s = SpinMagnitude(3)
+    dims = SystemDims.for_spin(s)
+    kets = [pure_initial(esp_weighting(f"W{i}", eps), s).amplitudes for eps in (0.01, -0.01, 0.02, -0.005) for i in range(11, 15)]
+    initials = [product_basis_initial(state, s) for state in ("uuu", "uud", "udd")]
+    initials.append(product_initial(ProductSpinSpec(theta_a=1.1, theta_b=2.3, env_weights=(0.5, 0.3, 0.2, 0.0)), s))
+    initials.append(product_initial(ProductSpinSpec(theta_a=np.pi / 2, phi_a=np.pi / 4, theta_b=np.pi / 2), s))
+    initials += [DensityOperator.from_factor(np.stack(kets[:r], axis=1) / np.sqrt(r), dims) for r in range(1, 17)]
+    return spin_star_hamiltonian(ExchangeCoupling(1.0, 0.5, 0.8), s), initials
+
+
+@pytest.mark.parametrize("method", ["exact", "series", "integrator"])
+def test_group_matches_each_trajectory_bit_for_bit(method):
+    """Sampled as one group, every state's lambda*, N, C, negative count and meta are those of its own
+    sample_trajectory, bit for bit."""
+    h, initials = mixed_group()
+    assert np.any(initials[4].matrix.imag) and not any(np.any(rho.matrix.imag) for rho in initials[:4] + initials[5:])
+    t_max = {"exact": 2.0, "series": 5e-4, "integrator": 0.01}[method]
+    spec = EvolutionSpec(t_max=t_max, n_steps=2 * CHUNK + 10, method=method, emit_negative_times=True)  # t = 0 too
+    group = dynamics.sample_trajectories(h, initials, spec)
+    assert len(group) == len(initials)
+    for traj, initial in zip(group, initials):
+        alone = sample_trajectory(h, initial, spec)
+        assert trajectory_columns(traj) == trajectory_columns(alone)
+        assert traj.meta == alone.meta
 
 
 def unnormalized(rho, scale):
