@@ -20,3 +20,17 @@ def test_traced_smoke_run_of_every_workload_is_correct():
     assert proc.returncode == 0, proc.stderr[-2000:]
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
+
+
+def test_traced_curves_run_replays_what_repro_samples():
+    """The traced ``curves`` run at full size, whose ``repro`` targets the smoke run skips: its replay
+    builds a propagator from the Hamiltonian matrix of each traced ``sample_trajectory`` call."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "espbench" / "run.py"),
+         "--workload", "curves", "--seconds", "1", "--trace", "1", "--seed", "5"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
+    assert summary["metrics"]["replay.samples"]["value"] > 0
