@@ -703,16 +703,15 @@ def _pure_case(wid: str, eps: float, spec: EvolutionSpec) -> tuple:
 
 def repro_fig5(out: Path, tol_rel: float, propagator) -> tuple[dict, dict]:
     curves = {}
-    cases = [_pure_case(wid, eps, spec) for wid, eps, spec, _, _ in FIG5_CASES]
-    # last, the W4 curve at negative switch whose positive local negativity minimum is checked
-    cases.append(_pure_case("W4", -1e-2, EvolutionSpec(t_max=0.3, n_steps=3000)))
-    *trajectories, w4 = _sample_groups(propagator, cases)
+    trajectories = _sample_groups(propagator, [_pure_case(wid, eps, spec) for wid, eps, spec, _, _ in FIG5_CASES])
     rows = [
         _label_row(curves, "fig5", wid, eps, traj, expected, dwell)
         for (wid, eps, _, dwell, expected), traj in zip(FIG5_CASES, trajectories)
     ]
 
-    # the W4 minimum, reported after the twelve impenetrable rows
+    # positive local negativity minimum of W4 at negative switch, reported
+    # after the twelve impenetrable rows
+    (w4,) = _sample_groups(propagator, [_pure_case("W4", -1e-2, EvolutionSpec(t_max=0.3, n_steps=3000))])
     n = w4.negativity
     interior = np.arange(1, len(n) - 1)
     minima = interior[(n[interior] < n[interior - 1]) & (n[interior] <= n[interior + 1])]
