@@ -6,14 +6,15 @@ Matrices are plain contiguous ``complex128`` arrays; the eigenvectors of
 one whose imaginary part is exactly 0, such as every spin-star
 Hamiltonian, are real ``float64``.
 
-The eigendecomposition keeps the exact zeros of a block-structured
-matrix in its eigenvectors, and so in every propagator and propagated
-factor :class:`espkit.dynamics.SpectralPropagator` builds from them.  The
-spin-star Hamiltonian conserves the parity (-1)^(S-m) σz^A σz^B and
-always splits this way; a parity-definite initial factor then stays
-parity-definite, and its reduced states stay X-shaped with off-X entries
-that are exactly 0.0 (see :mod:`espkit.monotones`).  A dense matrix
-forms one block and gets what ``np.linalg.eigh`` returns.
+The basis layout env ⊗ A ⊗ B fixes the parity (-1)^(S-m) σz^A σz^B of
+each index (:func:`basis_parity`), which the spin-star Hamiltonian
+conserves for every coupling and spin.  The eigendecomposition sorts
+the indices by parity, so it keeps the exact zeros between the two
+sectors in its eigenvectors, and so in every propagator and propagated
+factor :class:`espkit.dynamics.SpectralPropagator` builds from them; a
+parity-definite initial factor then stays parity-definite, and its
+reduced states stay X-shaped with off-X entries that are exactly 0.0
+(see :mod:`espkit.monotones`).
 """
 
 from __future__ import annotations
@@ -38,21 +39,14 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def connected_blocks(pattern: np.ndarray) -> list[np.ndarray]:
-    """Index sets, each ascending, of the connected components of a symmetric boolean n x n pattern.
+def basis_parity(n: int) -> np.ndarray:
+    """The parity (-1)^k (1, -1, -1, 1)[q] of each index i = 4k + q of the env ⊗ A ⊗ B basis, as ±1.0.
 
-    k boolean squarings of the reachability matrix cover every path of up
-    to 2^k steps, so ceil(log2(n)) of them close it; each row's first
-    reachable index then labels its component.
+    k counts the environment levels from m = S down, so this is the
+    eigenvalue of (-1)^(S-m) σz^A σz^B that every spin-star Hamiltonian
+    conserves.  Defined for any n, a multiple of 4 or not.
     """
-    n = pattern.shape[0]
-    reach = pattern | np.eye(n, dtype=bool)
-    for _ in range((n - 1).bit_length()):
-        reach = reach @ reach
-    labels = np.argmax(reach, axis=1)
-    order = np.argsort(labels, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), n]
-    return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    return np.kron((-1.0) ** np.arange(-(-n // 4)), [1.0, -1.0, -1.0, 1.0])[:n]
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -74,13 +68,16 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     The Hermiticity defect must stay below ``1e-12 * max(1, ||A||_F)``;
     both are taken on A / max|A|, so neither overflows for entries near
     the largest double.  The Hermitian part of the input is permuted into
-    the block-diagonal order of the connected blocks of its nonzero
-    pattern, diagonalized at once, and its rows put back in the input's
-    order.  Every Householder reflector of the tridiagonal reduction of a
-    contiguous block-diagonal matrix stays inside one block, so the
-    tridiagonal matrix has exact zero off-diagonals at the block
-    boundaries and the tridiagonal solver splits there: eigenvectors are
-    exactly zero off their block.  Eigenvalues come back ascending.
+    :func:`basis_parity` order, odd sector first, diagonalized at once,
+    and its rows put back in the input's order.  A fixed permutation is a
+    similarity, so any Hermitian matrix of any size is diagonalized; one
+    that conserves the parity, as every spin-star Hamiltonian does, is
+    then two contiguous blocks.  Every Householder reflector of the
+    tridiagonal reduction of a block-diagonal matrix stays inside one
+    block, so the tridiagonal matrix has exact zero off-diagonals at the
+    block boundary and the tridiagonal solver splits there: eigenvectors
+    are exactly zero off their parity sector.  Eigenvalues come back
+    ascending.
 
     Raises
     ------
@@ -101,9 +98,9 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     if defect > max(HERMITICITY_RTOL, HERMITICITY_RTOL * scale * float(np.linalg.norm(unit))):
         raise ValueError(f"matrix is not Hermitian within tolerance (defect {defect:.3e})")
     sym = hermitian_part(m if np.any(m.imag) else m.real)
-    perm = np.concatenate(connected_blocks(sym != 0))
+    perm = np.argsort(basis_parity(m.shape[0]), kind="stable")
     try:
-        w, permuted = np.linalg.eigh(sym[np.ix_(perm, perm)])  # block diagonal, blocks in order
+        w, permuted = np.linalg.eigh(sym[np.ix_(perm, perm)])  # a spin-star H: two parity blocks
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigensolver failed: {exc}") from None
     if not np.all(np.isfinite(w)):

@@ -36,13 +36,15 @@ eigendecomposition makes of it by dropping the negative mass.  A
 truncation is not a state, and its negativity is defined as
 max(0, -lambda*), as for a state.
 
-The eigenvectors of H (:func:`espkit.densemat.hermitian_eig`) keep the
-exact zeros of its blocks, and B(t) those of the parity sectors H conserves.  A
-parity-definite B0, such as a z-basis product configuration or a Bell
-mixture with the environment in one m level, yields factors whose every
-column sits on {00, 11} or on {01, 10}, so the reduced states are exactly
-X-shaped; :mod:`espkit.monotones` evaluates such a batch in closed form
-from L and never forms rho_AB.  A purified weighting is parity-definite
+H conserves the parity (-1)^(S-m) σz^A σz^B that the basis layout fixes
+(:func:`espkit.densemat.basis_parity`), and its eigenvectors
+(:func:`espkit.densemat.hermitian_eig`) are exactly 0.0 off one parity
+sector, so B(t) keeps the exact zeros of a parity-definite B0.  Such a
+B0, a z-basis product configuration or a Bell mixture with the
+environment in one m level, yields factors whose every column sits on
+{00, 11} or on {01, 10}, so the reduced states are exactly X-shaped;
+:mod:`espkit.monotones` evaluates such a batch in closed form from L and
+never forms rho_AB.  A purified weighting is parity-definite
 only when it pairs one alpha with one beta Bell state (fig5's W2-W5); the
 batches of any other form rho_AB = L L† and take LAPACK.
 """
@@ -54,10 +56,10 @@ from typing import Union
 
 import numpy as np
 
-from .densemat import as_complex_matrix, hermitian_eig, max_abs
+from .densemat import as_complex_matrix, basis_parity, hermitian_eig, max_abs
 from .errors import DimensionError, NumericalError
 from .hilbert import DensityOperator, Ket, SpinMagnitude, pair_factor, trace_out_c
-from .monotones import CLIP_BUDGET, YY_SIGNS, batch_columns, batches, check_clip, join_columns, negativity_and_count, psd_factor
+from .monotones import CLIP_BUDGET, batch_columns, batches, check_clip, join_columns, negativity_and_count, psd_factor
 
 INTEGRATOR_STEP = 1e-4
 # largest |tr rho_AB - 1| a trajectory may show: exact propagation keeps it
@@ -320,10 +322,11 @@ def time_reversed_state(rho: DensityOperator, s: SpinMagnitude) -> DensityOperat
 
     Theta = exp(-i pi Sy) ⊗ sigma_y ⊗ sigma_y is real: it maps basis index i
     to N-1-i with sign s_i, s = kron((-1)^(S-m) over the environment levels,
-    (-1, 1, 1, -1)).  So Theta rho* Theta† = (s s^T ∘ rho*)[::-1, ::-1],
-    exactly; two flips return rho bit for bit.
+    (-1, 1, 1, -1)), which is minus :func:`espkit.densemat.basis_parity`.
+    So Theta rho* Theta† = (s s^T ∘ rho*)[::-1, ::-1], exactly, and the
+    overall sign cancels in s s^T; two flips return rho bit for bit.
     """
-    signs = np.kron((-1.0) ** np.arange(s.dim), YY_SIGNS[:, 0])
+    signs = basis_parity(4 * s.dim)
     flipped = (np.outer(signs, signs) * rho.matrix.conj())[::-1, ::-1]
     return DensityOperator(flipped, rho.dims, validate=False)
 

@@ -21,11 +21,11 @@ the group sampler, which evaluates its states batch by batch.  A batch of the
 factor methods has rho_AB None: its states are L L†, and everything is
 taken from L.  A series batch keeps its truncation rho_AB, whose lambda*
 (:func:`pt_min`) is that of the non-positive truncation, and takes the
-concurrence from its clipped factor L (:func:`wootters`).
-:func:`batch_pt_min` takes lambda* alone, for the short-time samplers.  A
-bare matrix has no factor: :func:`cne` and :func:`negativity` wrap
-:func:`pt_min`, and the per-matrix :func:`concurrence` makes a factor
-with :func:`psd_factor`.
+concurrence from its clipped factor L.  :func:`batch_pt_min` takes
+lambda* alone, for the short-time samplers.  A bare matrix has no
+factor: :func:`cne` and :func:`negativity` wrap :func:`pt_min`, one
+``eigvalsh``, and the per-matrix :func:`concurrence` makes a factor with
+:func:`psd_factor` and takes its QR/SVD concurrence.
 
 X-shaped states, whose entries off the diagonal and the anti-diagonal are
 exactly 0.0, have closed forms (Yu and Eberly, Quantum Inf. Comput. 7,
@@ -33,14 +33,15 @@ exactly 0.0, have closed forms (Yu and Eberly, Quantum Inf. Comput. 7,
 the partial transpose splits into two 2x2 blocks, and
 C = 2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) with
 ||L_i|| = sqrt(rho_ii) the row norms of L.  A factor batch is decided once,
-on L: when every column sits on {00, 11} or on {01, 10}, rho_ii = ||L_i||²
-and rho_03, rho_12 are row products of L, lambda* and C follow from these
-six numbers, and rho_AB is never formed.  Any other factor batch forms
-rho_AB = L L† and takes LAPACK (``eigvalsh``, then QR and SVD for the
-concurrence).  A bare matrix is decided on its off-X entries (the partial
-transpose keeps them off the X).  Parity-definite initial states keep the
-spin-star reduced states X-shaped: the z-basis product configurations and
-Bell mixtures with the environment in one m level.  A purified
+on L, and this is espkit's only X decision: when every column sits on
+{00, 11} or on {01, 10}, rho_ii = ||L_i||² and rho_03, rho_12 are row
+products of L, lambda* and C follow from these six numbers, and rho_AB
+is never formed.  Any other batch, a series batch and a bare matrix
+included, takes LAPACK on rho_AB (``eigvalsh``, then QR and SVD for the
+concurrence), and a factor batch forms rho_AB = L L† for it.
+Parity-definite initial states keep the spin-star reduced states
+X-shaped: the z-basis product configurations and Bell mixtures with the
+environment in one m level.  A purified
 weighting pairs its Bell components with successive m levels, whose
 parities alternate: it is parity-definite only when it pairs one alpha
 with one beta state (fig5's W2-W5), and the others, those of ``evolve``
@@ -71,8 +72,6 @@ NEGATIVE_COUNT_TOL = 1e-12
 CHUNK = 256
 
 YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]  # σy⊗σy = antidiag(-1, 1, 1, -1)
-# (rows, columns) of the eight entries off the diagonal and the anti-diagonal
-OFF_X = (np.array([0, 0, 1, 1, 2, 2, 3, 3]), np.array([1, 2, 0, 3, 0, 3, 1, 2]))
 
 
 @dataclass(frozen=True)
@@ -149,13 +148,6 @@ def _factor_x_entries(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _check_finite(diag).reshape(t, 4), np.abs(coherence).reshape(t, 2)
 
 
-def _matrix_x_entries(red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rho_ii, (|rho_03|, |rho_12|)) of the Hermitian part of each matrix of an X-shaped (T, 4, 4) stack."""
-    diag = np.diagonal(red, axis1=-2, axis2=-1).real
-    anti = np.diagonal(red[..., ::-1], axis1=-2, axis2=-1)  # rho_03, rho_12, rho_21, rho_30
-    return diag, 0.5 * np.abs(anti[..., :2] + anti[..., :1:-1].conj())
-
-
 def _x_pt_min(diag: np.ndarray, coherence: np.ndarray) -> np.ndarray:
     """lambda* of each X-shaped state of a stack, from its (T, 4) diagonal and (T, 2) coherences |rho_03|, |rho_12|.
 
@@ -182,37 +174,23 @@ def _x_concurrence(diag: np.ndarray, coherence: np.ndarray) -> np.ndarray:
     return 2.0 * np.maximum(0.0, np.maximum(c03 - n1 * n2, c12 - n0 * n3))
 
 
-def _lapack_pt_min(red: np.ndarray) -> np.ndarray:
-    """lambda* of each matrix of a stack from ``eigvalsh``, whose eigenvalues ascend."""
-    return _lapack(np.linalg.eigvalsh, hermitian_part(transpose_b(red)))[..., 0]
-
-
 def pt_min(red: np.ndarray) -> np.ndarray:
-    """lambda*, the smallest eigenvalue of each partial transpose of a stack.
-
-    A batch whose matrices are all X-shaped takes the lower eigenvalues of
-    the 2x2 blocks of their partial transposes; any other batch takes
-    ``eigvalsh``.
-    """
-    if np.any(red[..., OFF_X[0], OFF_X[1]]):
-        return _lapack_pt_min(red)
-    return _check_finite(_x_pt_min(*_matrix_x_entries(red)))
+    """lambda*, the smallest eigenvalue of each partial transpose of a stack: the first that ``eigvalsh`` returns."""
+    return _lapack(np.linalg.eigvalsh, hermitian_part(transpose_b(red)))[..., 0]
 
 
 def _batch_pt_min(red: np.ndarray | None, l: np.ndarray) -> tuple:
     """lambda* of one (rho_AB, L) batch, and the (rho_ii, coherences) or the rho_AB it was read from.
 
-    The batch's one X decision: an X-shaped factor batch takes the closed
-    form on L, any other factor batch forms rho_AB = L L† for ``eigvalsh``,
-    and a series batch takes :func:`pt_min` of its own rho_AB.
+    The one X decision of espkit: an X-shaped factor batch takes the
+    closed form on L; any other batch takes :func:`pt_min` of its rho_AB,
+    L L† for a factor batch and its own truncation for a series batch.
     """
-    if red is not None:
-        return pt_min(red), red
-    if _x_factor(l):
+    if red is None and _x_factor(l):
         entries = _factor_x_entries(l)
         return _x_pt_min(*entries), entries
-    red = _gram(l)
-    return _lapack_pt_min(red), red
+    red = _gram(l) if red is None else red
+    return pt_min(red), red
 
 
 def batch_pt_min(red: np.ndarray | None, l: np.ndarray) -> np.ndarray:
@@ -249,17 +227,6 @@ def _lapack_concurrence(l: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, conc)
 
 
-def wootters(l: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of rho = L L† for each factor of a (T, 4, k) stack.
-
-    An X-shaped batch takes the closed form of :func:`_x_concurrence`, any
-    other :func:`_lapack_concurrence`.
-    """
-    if _x_factor(l):
-        return _x_concurrence(*_factor_x_entries(l))
-    return _lapack_concurrence(l)
-
-
 def psd_factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor L = V sqrt(max(w, 0)) of each matrix of a stack, and the mass it drops.
 
@@ -283,7 +250,7 @@ def batch_columns(red: np.ndarray | None, l: np.ndarray, clip) -> tuple:
         diag, coherence = states
         conc, herm_dev = _x_concurrence(diag, coherence), 0.0
     else:
-        conc = _lapack_concurrence(l) if red is None else wootters(l)
+        conc = _lapack_concurrence(l)
         diag = np.diagonal(states, axis1=-2, axis2=-1).real
         herm_dev = np.max(np.abs(states - states.conj().swapaxes(-1, -2)))
     d0, d1, d2, d3 = diag.T
@@ -329,4 +296,4 @@ def concurrence(rho) -> float:
     """
     factor, clip = psd_factor(as_pair_matrix(rho)[None])
     check_clip(float(clip[0]))
-    return float(wootters(factor)[0])
+    return float(_lapack_concurrence(factor)[0])

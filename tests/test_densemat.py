@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from espkit.cli import MIXED_J, PRODUCT_CASES
-from espkit.densemat import connected_blocks, hermitian_eig, hermitian_part
+from espkit.densemat import basis_parity, hermitian_eig, hermitian_part
 from espkit.dynamics import SpectralPropagator
 from espkit.errors import DimensionError, NumericalError
-from espkit.hilbert import PAULI_Y, PAULI_Z, SpinMagnitude
+from espkit.hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinMagnitude
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 
 from conftest import charpoly_eigvals, expm_taylor, hermitian_eigvals, random_hermitian, spectral_exp_skew
@@ -70,9 +70,11 @@ def test_eig_guard_does_not_overflow():
 
 
 def test_eig_zero_matrix():
+    """Every basis is an eigenbasis of 0: LAPACK returns the identity on the parity-sorted matrix,
+    so the eigenvectors are the unit vectors in basis_parity order, exactly."""
     w, v = hermitian_eig(np.zeros((5, 5)))
-    assert np.allclose(w, 0.0)
-    assert np.allclose(v, np.eye(5))
+    assert np.array_equal(w, np.zeros(5))
+    assert np.array_equal(v, np.eye(5)[:, np.argsort(basis_parity(5), kind="stable")])
 
 
 def test_eig_failures_are_numerical_errors(monkeypatch):
@@ -87,44 +89,34 @@ def test_eig_failures_are_numerical_errors(monkeypatch):
         hermitian_eig(np.eye(3))
 
 
-def block_hermitian(rng, sizes) -> tuple[np.ndarray, list[np.ndarray]]:
+def block_hermitian(rng, sizes) -> np.ndarray:
     """A Hermitian matrix made of dense random blocks of the given sizes on shuffled index sets."""
     perm = rng.permutation(sum(sizes))
     h = np.zeros((perm.size, perm.size), dtype=complex)
-    blocks = np.split(perm, np.cumsum(sizes)[:-1])
-    for idx in blocks:
+    for idx in np.split(perm, np.cumsum(sizes)[:-1]):
         h[np.ix_(idx, idx)] = random_hermitian(rng, idx.size)
-    return h, [np.sort(idx) for idx in blocks]
+    return h
 
 
-def assert_zero_off_blocks(v, blocks):
-    """Each block's rows are nonzero in exactly block-size columns, and those columns are exactly 0.0 elsewhere."""
-    for idx in blocks:
-        outside = np.setdiff1d(np.arange(v.shape[0]), idx)
-        cols = np.flatnonzero(np.any(v[idx] != 0, axis=0))
-        assert cols.size == idx.size
-        assert np.all(v[np.ix_(outside, cols)] == 0.0)
-
-
-def test_eig_diagonalizes_each_block_on_its_own(rng):
-    for sizes in ((8, 8), (1, 3, 4, 4, 3, 1), (5, 2, 9), (32,)):
-        h, blocks = block_hermitian(rng, sizes)
-        assert [b.tolist() for b in connected_blocks(h != 0)] == sorted(b.tolist() for b in blocks)
+def test_eig_is_exact_where_the_parity_does_not_fit(rng, monkeypatch):
+    """Sorting by basis_parity is a similarity, so it diagonalizes what the parity does not split: dense
+    Hermitian matrices of sizes that are and are not multiples of 4, and a spin-star H plus a transverse
+    field on A, each from one eigh call, with residual <= 1e-14 ||H||, orthogonality defect <= 1e-14 and
+    ascending eigenvalues."""
+    s = SpinMagnitude(2)
+    tilted = spin_star_hamiltonian(MIXED_J, s) + 0.3 * np.kron(np.eye(s.dim), np.kron(PAULI_X, np.eye(2)))
+    odd = basis_parity(tilted.shape[0]) < 0
+    assert np.any(tilted[np.ix_(odd, ~odd)])
+    matrices = [random_hermitian(rng, n) for n in (2, 3, 5, 6, 16, 32)] + [tilted]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    for h in matrices:
         w, v = hermitian_eig(h)
-        assert_zero_off_blocks(v, blocks)
         assert np.linalg.norm(h @ v - v * w) <= 1e-14 * np.linalg.norm(h)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(h.shape[0]))) <= 1e-14
         assert np.all(np.diff(w) >= 0)
-
-
-def test_eig_of_a_dense_matrix_is_lapack_eigh(rng):
-    """A dense Hermitian matrix forms one block and gets exactly what np.linalg.eigh returns."""
-    for n in (4, 16, 32):
-        h = random_hermitian(rng, n)
-        assert len(connected_blocks(h != 0)) == 1
-        w, v = hermitian_eig(h)
-        w_lapack, v_lapack = np.linalg.eigh(h)
-        assert np.array_equal(w, w_lapack)
-        assert np.array_equal(v, v_lapack)
+    assert calls == [h.shape for h in matrices]
 
 
 def test_eig_calls_eigh_once_per_matrix(monkeypatch, rng):
@@ -136,7 +128,7 @@ def test_eig_calls_eigh_once_per_matrix(monkeypatch, rng):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    matrices = [block_hermitian(rng, sizes)[0] for sizes in ((8, 8), (1, 3, 4, 4, 3, 1), (32,))]
+    matrices = [block_hermitian(rng, sizes) for sizes in ((8, 8), (1, 3, 4, 4, 3, 1), (32,))]
     matrices.append(spin_star_hamiltonian(MIXED_J, SpinMagnitude(3)))
     for h in matrices:
         hermitian_eig(h)
@@ -172,11 +164,11 @@ def test_eig_of_a_real_matrix_has_real_eigenvectors(monkeypatch):
 
 def test_eig_of_a_complex_matrix_is_unchanged(rng):
     """A complex Hermitian input is diagonalized as before real inputs took their real part: bit for bit,
-    the complex eigh of its Hermitian part in block-diagonal order, with the rows put back."""
+    the complex eigh of its Hermitian part in basis_parity order, with the rows put back."""
     for sizes in ((8, 8), (1, 3, 4, 4, 3, 1), (16,)):
-        h = block_hermitian(rng, sizes)[0]
+        h = block_hermitian(rng, sizes)
         sym = hermitian_part(h)
-        perm = np.concatenate(connected_blocks(sym != 0))
+        perm = np.argsort(basis_parity(h.shape[0]), kind="stable")
         w_ref, permuted = np.linalg.eigh(sym[np.ix_(perm, perm)])
         v_ref = np.empty_like(permuted)
         v_ref[perm] = permuted
@@ -186,17 +178,17 @@ def test_eig_of_a_complex_matrix_is_unchanged(rng):
 
 
 def test_spin_star_hamiltonian_splits_into_parity_blocks():
-    """Two 8x8 parity blocks at S = 3/2; more when Jx = Jy.  Every repro Hamiltonian at S = 1/2, 1 and
-    3/2 has eigenvectors that are exactly zero off their block."""
-    s = SpinMagnitude(3)
-    sizes = {(1.0, 0.5, 1.0): [8, 8], (-0.5, -0.5, -1.0): [1, 3, 4, 4, 3, 1]}
-    for j, expected in sizes.items():
-        blocks = connected_blocks(spin_star_hamiltonian(ExchangeCoupling(*j), s) != 0)
-        assert sorted(b.size for b in blocks) == sorted(expected)
-    for h in repro_hamiltonians():
-        blocks = connected_blocks(h != 0)
-        assert len(blocks) >= 2
-        assert_zero_off_blocks(hermitian_eig(h)[1], blocks)
+    """Every repro Hamiltonian, and 20 seeded couplings of random signs with |J_i| in [0.3, 1.5], at
+    S = 1/2, 1 and 3/2: H is exactly 0.0 between the two basis_parity sectors, and each of its
+    eigenvectors is exactly 0.0 off one sector."""
+    rng = np.random.default_rng(1998)
+    couplings = [ExchangeCoupling(*(rng.choice([-1.0, 1.0], 3) * rng.uniform(0.3, 1.5, 3))) for _ in range(20)]
+    matrices = repro_hamiltonians() + [spin_star_hamiltonian(j, SpinMagnitude(two_s)) for j in couplings for two_s in (1, 2, 3)]
+    for h in matrices:
+        odd = basis_parity(h.shape[0]) < 0
+        assert np.all(h[np.ix_(odd, ~odd)] == 0.0)
+        v = hermitian_eig(h)[1]
+        assert np.all(np.all(v[odd] == 0.0, axis=0) | np.all(v[~odd] == 0.0, axis=0))
 
 
 def test_exp_at_zero_is_identity(rng):

@@ -16,7 +16,6 @@ from espkit.monotones import (
     negativity_and_count,
     pair_monotones,
     pt_min,
-    wootters,
 )
 from espkit.states import BellKind, bell_ket, bell_mixture, esp_weighting, pure_initial
 
@@ -226,9 +225,10 @@ def test_x_closed_forms_match_the_lapack_path(rng, monkeypatch):
     factor appended to a batch sends the whole batch, lambda* and C alike, down the LAPACK path, so
     both paths see the same X states."""
     dense_factor = np.linalg.cholesky(random_two_qubit_dm(rng))
+    cases = x_factor_cases(rng)  # built with cne, which takes eigvalsh
     calls = lapack_spy(monkeypatch)
     near_threshold = 0
-    for l in x_factor_cases(rng):
+    for l in cases:
         red = l @ l.conj().T
         assert np.all(np.delete(red.ravel(), [0, 3, 5, 6, 9, 10, 12, 15]) == 0.0)  # off-X entries exactly 0.0
         closed = pair_monotones([(None, l[None], 0.0)])
@@ -242,7 +242,8 @@ def test_x_closed_forms_match_the_lapack_path(rng, monkeypatch):
         assert abs(closed.cne[0] - lapack.cne[0]) <= 1e-15
         assert abs(closed.concurrence[0] - lapack.concurrence[0]) <= 1e-15
         assert abs(closed.max_trace_deviation - abs(np.trace(red).real - 1.0)) <= 1e-15
-        assert abs(pt_min(red[None])[0] - lapack.cne[0]) <= 1e-15  # the bare-matrix closed form
+        assert abs(pt_min(red[None])[0] - lapack.cne[0]) <= 1e-15  # the bare matrix takes eigvalsh
+        calls.clear()
         near_threshold += min(abs(abs(closed.cne[0]) - x) for x in (0.0, 1e-9)) <= 2e-12
     assert near_threshold >= 24
 
@@ -272,6 +273,27 @@ def test_one_column_off_the_x_sends_the_batch_to_lapack(rng, monkeypatch):
     assert calls == [np.linalg.eigvalsh]  # lambda* alone pays for no QR or SVD
 
 
+def test_a_bare_x_matrix_takes_one_lapack_call_per_quantifier(rng, monkeypatch):
+    """A bare 4x4 matrix has no factor and no X decision: on an X-shaped state, cne and negativity
+    each take one eigvalsh and concurrence one eigh and one SVD.  lambda* and N agree with the closed
+    forms on the factor to 1e-15; C to 2e-15, because the factor that eigh makes of rho moves it by
+    up to 1.2e-15 here (the LAPACK concurrence of the original factor agrees to 1e-15)."""
+    cases = x_factor_cases(rng)
+    calls = lapack_spy(monkeypatch)
+    for l in cases:
+        rho = l @ l.conj().T
+        closed = pair_monotones([(None, l[None], 0.0)])
+        calls.clear()
+        assert abs(cne(rho)[0] - closed.cne[0]) <= 1e-15
+        assert calls == [np.linalg.eigvalsh]
+        calls.clear()
+        assert abs(negativity(rho) - negativity_and_count(closed.cne[0])[0]) <= 1e-15
+        assert calls == [np.linalg.eigvalsh]
+        calls.clear()
+        assert abs(concurrence(rho) - closed.concurrence[0]) <= 2e-15
+        assert calls == [np.linalg.eigh, np.linalg.svd]
+
+
 @pytest.mark.parametrize("width", [1, 4, 6])
 def test_non_finite_factor_entries_raise(rng, width):
     """A NaN or inf in an X-shaped factor raises NumericalError on the closed-form path, as on LAPACK's."""
@@ -282,7 +304,6 @@ def test_non_finite_factor_entries_raise(rng, width):
         for run in (
             lambda: pair_monotones([(None, np.stack([random_x_factor(rng, width), l]), 0.0)]),
             lambda: batch_pt_min(None, l[None]),
-            lambda: wootters(l[None]),
         ):
             with pytest.raises(NumericalError, match="non-finite"):
                 run()
