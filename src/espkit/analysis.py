@@ -17,8 +17,10 @@ coefficients (c0, c2, c4) of lambda*(dt) = c0 + c2 dt² + c4 dt⁴ (even in
 dt by the local time-even symmetry; None leaves an order out), which
 ``repro table1``/``table2`` and :func:`validate_formula` all read.  The
 lambda*(dt) samplers map an array of times to lambda* of the reduced
-states that :func:`espkit.dynamics.reduced_batches` yields, as trajectories
-do.  The fits, validators and symmetry checks call a sampler once.
+states that trajectories sample: the exact one reads the factors of
+:func:`espkit.dynamics.group_batches`, and the truncated one the
+commutator-series matrices of :func:`espkit.dynamics.series_batches`.
+The fits, validators and symmetry checks call a sampler once.
 
 Trajectory taxonomy near t = 0 uses labels p0..p6: p1/p2 touch the
 entanglement boundary from outside/inside, p3/p5 stay on one side, p4 is a
@@ -40,14 +42,16 @@ from .dynamics import (
     Trajectory,
     _checked_initial,
     evaluation_times,
-    reduced_batches,
+    group_batches,
+    initial_factor,
     sample_trajectory,
+    series_batches,
     time_reversed_state,
 )
 from .errors import GuardViolation, ResolutionError, WindowError
 from .hilbert import DensityOperator, Ket, SpinMagnitude, trace_out_c
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
-from .monotones import ENTANGLED_THRESHOLD, batch_pt_min, negativity, negativity_and_count
+from .monotones import ENTANGLED_THRESHOLD, batch_pt_min, negativity, negativity_and_count, pt_min
 from .states import (
     BellKind,
     bell_initial,
@@ -220,20 +224,25 @@ def fit_short_time(
     return ShortTimeFit(powers, coeffs, residual, parity)
 
 
-def _cne_sampler(h, initial, method: str, order: int = 3) -> Callable[[np.ndarray], np.ndarray]:
-    """dt array -> lambda* array of the reduced states :func:`reduced_batches` yields for it."""
-    h, rho0 = _checked_initial(h, initial)
+def _cne_sampler(h, rho0: DensityOperator, batch_values) -> Callable[[np.ndarray], np.ndarray]:
+    """dt array -> lambda* array, from the lambda* of each batch ``batch_values`` yields for the evaluated times."""
 
     def sample(dts):
         evaluated, gather = evaluation_times(h, rho0, np.asarray(dts, dtype=np.float64))
-        return np.concatenate([batch_pt_min(red, l) for red, l, _ in reduced_batches(h, rho0, evaluated, method, order)])[gather]
+        return np.concatenate(list(batch_values(evaluated)))[gather]
 
     return sample
 
 
 def exact_cne_function(h, initial) -> Callable[[np.ndarray], np.ndarray]:
-    """lambda*(dt) sampler from exact evolution: on a trajectory's grid, bit for bit its ``cne``."""
-    return _cne_sampler(h, initial, "exact")
+    """lambda*(dt) sampler from exact evolution: on a trajectory's grid, bit for bit its ``cne``.
+
+    H is diagonalized and the initial state factored once, here, for every call.
+    """
+    h, rho0 = _checked_initial(h, initial)
+    prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
+    b0s, dim_c = [initial_factor(rho0)[0]], rho0.dims.dim_c
+    return _cne_sampler(prop, rho0, lambda ts: (batch_pt_min(l) for (l,) in group_batches(prop, b0s, dim_c, ts, "exact")))
 
 
 def truncated_cne_function(h, initial, order: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -241,7 +250,8 @@ def truncated_cne_function(h, initial, order: int) -> Callable[[np.ndarray], np.
 
     The truncated states are not positive: only their partial-transpose spectrum is taken.
     """
-    return _cne_sampler(h, initial, "series", order)
+    h, rho0 = _checked_initial(h, initial)
+    return _cne_sampler(h, rho0, lambda ts: map(pt_min, series_batches(h, rho0, ts, order)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,24 +17,21 @@ imaginary.  lambda*, N and C are then even in t, and
 values copied to -t.  Only a complex preparation runs the propagators
 backwards for its negative times.
 
-Trajectories and the short-time lambda* samplers of :mod:`espkit.analysis`
-take every reduced state from :func:`group_batches`, CHUNK sample times
-per batch.  :func:`sample_trajectories` samples every initial state that
-shares one H and one grid as a group: H is diagonalized once, and each
-batch's phase table exp(-iwt) (or each time's RK4 increment) is computed
-once for the group; each state then takes its own B(t), reduced factor,
-X decision and monotones from it, one state at a time, so the working set
-is one state's batch.  :func:`sample_trajectory` and
-:func:`reduced_batches` are the one-state cases.  The exact and
-integrator methods propagate the initial ensemble factor B0 (rho0 =
-B0 B0†, one column per pure component) and regroup each B(t) into the
-factor L of rho_AB = L L†, which is positive by construction and never
-diagonalized; they yield L alone.  The series
-truncation of the equation of motion for rho has no positive factor: it
-yields each reduced truncation rho_AB, with the factor that
-eigendecomposition makes of it by dropping the negative mass.  A
-truncation is not a state, and its negativity is defined as
-max(0, -lambda*), as for a state.
+The exact and integrator methods propagate the initial ensemble factor
+B0 (rho0 = B0 B0†, one column per pure component, from
+:func:`initial_factor`) and regroup each B(t) into the factor L of
+rho_AB = L L†, which is positive by construction and never diagonalized.
+:func:`group_batches` yields L, CHUNK sample times per batch, for every
+initial state that shares one H and one grid: H is diagonalized once, and
+each batch's phase table exp(-iwt) (or each time's RK4 increment) is
+computed once for the group; each state then takes its own B(t), L, X
+decision and monotones from it, one state at a time, so the working set
+is one state's batch.  Trajectories (:func:`sample_trajectories`, and
+:func:`sample_trajectory` for one state) and the exact short-time lambda*
+sampler of :mod:`espkit.analysis` read it.  The series truncation of the
+equation of motion for rho is not a state and has no positive factor:
+:func:`series_batches` yields each reduced truncation rho_AB itself, and
+its negativity is defined as max(0, -lambda*), as for a state.
 
 H conserves the parity (-1)^(S-m) σz^A σz^B that the basis layout fixes
 (:func:`espkit.densemat.basis_parity`), and its eigenvectors
@@ -59,7 +56,7 @@ import numpy as np
 from .densemat import as_complex_matrix, basis_parity, hermitian_eig, max_abs
 from .errors import DimensionError, NumericalError
 from .hilbert import DensityOperator, Ket, SpinMagnitude, pair_factor, trace_out_c
-from .monotones import CLIP_BUDGET, batch_columns, batches, check_clip, join_columns, negativity_and_count, psd_factor
+from .monotones import CLIP_BUDGET, batch_columns, batches, check_clip, matrix_columns, negativity_and_count, psd_factor
 
 INTEGRATOR_STEP = 1e-4
 # largest |tr rho_AB - 1| a trajectory may show: exact propagation keeps it
@@ -331,41 +328,39 @@ def time_reversed_state(rho: DensityOperator, s: SpinMagnitude) -> DensityOperat
     return DensityOperator(flipped, rho.dims, validate=False)
 
 
-def group_batches(h: np.ndarray | SpectralPropagator, rho0s: list[DensityOperator], times: np.ndarray, method: str, order: int = 3):
-    """Yield, for each batch of at most CHUNK ``times``, an iterator of one (rho_AB, L, clip) per state of ``rho0s``.
+def initial_factor(rho0: DensityOperator) -> tuple[np.ndarray, float]:
+    """B0 with rho0 = B0 B0†, and the negative mass dropped to make it.
 
-    L is the (T, 4, k) factor of the batch's reduced states.  ``exact``
-    takes B(t) = V (e^{-iwt} ∘ c) from the spectrum of H, with c = V† B0
-    formed once per state; ``integrator`` takes B(t) = B0 + P(t) B0 with
-    P(t) the RK4 increment of :func:`_rk4_increment`.  Both regroup B(t)
-    into L, whose states are L L†, and yield rho_AB as None:
-    :mod:`espkit.monotones` forms L L† only for a batch that is not
-    X-shaped.  ``clip`` is the negative mass dropped if B0 had to be made.
-    The ``series`` truncation to ``order`` terms has no factor of its own:
-    it yields its own (T, 4, 4) rho_AB, whose lambda* is that of the
-    truncation, and :func:`psd_factor` makes L and clip from it.
+    The constructors give exact factors, with clip 0.0; a bare matrix is
+    factored by :func:`psd_factor`, dropping its negative dust, and a clip
+    beyond ``CLIP_BUDGET`` raises :class:`NumericalError`.
+    """
+    if rho0.factor is not None:
+        return rho0.factor, 0.0
+    b0, clip = psd_factor(rho0.matrix)
+    check_clip(float(clip))
+    return b0, float(clip)
+
+
+def group_batches(h: np.ndarray | SpectralPropagator, b0s: list[np.ndarray], dim_c: int, times: np.ndarray, method: str):
+    """Yield, for each batch of at most CHUNK ``times``, an iterator of one (T, 4, k) factor L per initial factor of ``b0s``.
+
+    Each B0 of ``b0s`` factors an initial state rho0 = B0 B0† whose
+    environment has dimension ``dim_c``, and L factors its reduced states
+    rho_AB = L L†.  ``exact`` takes B(t) = V (e^{-iwt} ∘ c) from the
+    spectrum of H, with c = V† B0 formed once per state; ``integrator``
+    takes B(t) = B0 + P(t) B0 with P(t) the RK4 increment of
+    :func:`_rk4_increment`.  Both regroup B(t) into L.
 
     The states share H, its spectrum and each batch's phase table (or
     each time's RK4 increment), computed once per batch for the group;
     each state's B(t) and L are made only as the batch's iterator reaches
     it, so one state's batch is held at a time.  Consume each iterator
-    before the next batch.  ``h`` and ``rho0s`` come checked by
-    :func:`_checked_initial`; a propagator ``h`` lends ``exact`` its spectrum.
+    before the next batch.  ``h`` comes checked by :func:`_checked_initial`;
+    a propagator ``h`` lends ``exact`` its spectrum.
     """
-    dims = [rho0.dims.dim_c for rho0 in rho0s]
-    prop, h = (h, h.h) if isinstance(h, SpectralPropagator) else (None, h)
-    if method == "series":
-        terms = [_series_terms(h, rho0.matrix, order) for rho0 in rho0s]
-        for ts in batches(times):
-            reds = (trace_out_c(_series_stack(t, ts), dim_c) for t, dim_c in zip(terms, dims))
-            yield ((red, *psd_factor(red)) for red in reds)
-        return
-    # the constructors give exact factors; a bare matrix is factored once, dropping negative dust
-    b0s, clips = zip(*((rho0.factor, 0.0) if rho0.factor is not None else psd_factor(rho0.matrix) for rho0 in rho0s))
-    for clip in clips:
-        check_clip(float(clip))
     if method == "exact":
-        prop = prop or SpectralPropagator(h)
+        prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
         vh = prop.v.conj().T
         coefficients = [vh @ b0 for b0 in b0s]
 
@@ -377,18 +372,25 @@ def group_batches(h: np.ndarray | SpectralPropagator, rho0s: list[DensityOperato
                 yield b
 
     else:
+        h = _generator(h)
 
         def evolved(ts):
             increments = np.stack([_rk4_increment(h, float(t), INTEGRATOR_STEP) for t in ts])
             return (b0 + increments @ b0 for b0 in b0s)
 
     for ts in batches(times):
-        yield ((None, pair_factor(b, dim_c), clip) for b, dim_c, clip in zip(evolved(ts), dims, clips))
+        yield (pair_factor(b, dim_c) for b in evolved(ts))
 
 
-def reduced_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, times: np.ndarray, method: str, order: int = 3):
-    """Yield (rho_AB, L, clip) for each batch of at most CHUNK ``times``: :func:`group_batches` of ``rho0`` alone."""
-    return (part for parts in group_batches(h, [rho0], times, method, order) for part in parts)
+def series_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, times: np.ndarray, order: int = 3):
+    """Yield the (T, 4, 4) reduced commutator-series truncations to ``order`` terms, for each batch of at most CHUNK ``times``.
+
+    A truncation is not a state and has no factor: the monotones take its
+    lambda* from the matrix itself.  ``h`` and ``rho0`` come checked by
+    :func:`_checked_initial`; a propagator ``h`` lends its matrix.
+    """
+    terms = _series_terms(_generator(h), rho0.matrix, order)
+    return (trace_out_c(_series_stack(terms, ts), rho0.dims.dim_c) for ts in batches(times))
 
 
 def sample_trajectories(h, initials, spec: EvolutionSpec) -> list[Trajectory]:
@@ -399,39 +401,46 @@ def sample_trajectories(h, initials, spec: EvolutionSpec) -> list[Trajectory]:
     all the states.  The states whose :func:`evaluation_times` agree are
     sampled as one group of :func:`group_batches`, batch by batch, so each
     batch's phase table or RK4 increments serve every state in it; each
-    trajectory is that of its state sampled alone, bit for bit.
+    trajectory is that of its state sampled alone, bit for bit.  The
+    ``series`` truncation of each state is sampled from
+    :func:`series_batches`.
 
     Each trajectory's metadata records the maximum trace/Hermiticity
     deviations of its reduced states (for the factor methods the trace
     deviation is the norm drift of B(t)) and the largest negative
-    eigenvalue mass a factor dropped: 0.0 for a state built with its
-    factor.  A trace deviation beyond ``DRIFT_BUDGET``, a clip beyond
-    ``CLIP_BUDGET`` and an overflow raise :class:`NumericalError`.  Only
-    the times :func:`evaluation_times` picks are evaluated; conjugation
-    leaves every one of these figures unchanged.
+    eigenvalue mass a factor dropped: that of B0 for the factor methods,
+    0.0 for a state built with its factor, and that of the truncations'
+    factors for ``series``.  A trace deviation beyond ``DRIFT_BUDGET``, a
+    clip beyond ``CLIP_BUDGET`` and an overflow raise
+    :class:`NumericalError`.  Only the times :func:`evaluation_times`
+    picks are evaluated; conjugation leaves every one of these figures
+    unchanged.
     """
     rho0s = []
     for initial in initials:
         h, rho0 = _checked_initial(h, initial)
         rho0s.append(rho0)
+    times = spec.time_grid()
+    window = f"[{times[0]:g}, {times[-1]:g}]"
+    plans = [evaluation_times(h, rho0, times) for rho0 in rho0s]
+    if spec.method == "series":
+        try:
+            columns = [[matrix_columns(red) for red in series_batches(h, rho0, ts)] for rho0, (ts, _) in zip(rho0s, plans)]
+        except NumericalError as exc:
+            raise NumericalError(f"the three-term series truncation overflowed on {window}: {exc}") from None
+        return [_trajectory(times, cols, gather, window) for cols, (_, gather) in zip(columns, plans)]
     if spec.method == "exact" and not isinstance(h, SpectralPropagator):
         h = SpectralPropagator(h)
-    times = spec.time_grid()
-    plans = [evaluation_times(h, rho0, times) for rho0 in rho0s]
+    factors = [initial_factor(rho0) for rho0 in rho0s]
     groups: dict[bytes, list[int]] = {}
     for k, (evaluated, _) in enumerate(plans):
         groups.setdefault(evaluated.tobytes(), []).append(k)
-    columns = [[] for _ in rho0s]  # per state, the batch_columns of each of its batches
-    window = f"[{times[0]:g}, {times[-1]:g}]"
-    try:
-        for members in groups.values():
-            for parts in group_batches(h, [rho0s[k] for k in members], plans[members[0]][0], spec.method):
-                for k, part in zip(members, parts):
-                    columns[k].append(batch_columns(*part))
-    except NumericalError as exc:
-        if spec.method != "series":
-            raise
-        raise NumericalError(f"the three-term series truncation overflowed on {window}: {exc}") from None
+    columns = [[] for _ in rho0s]  # per state, the batch_columns and B0 clip of each of its batches
+    for members in groups.values():
+        b0s, dim_c = [factors[k][0] for k in members], rho0s[members[0]].dims.dim_c
+        for ls in group_batches(h, b0s, dim_c, plans[members[0]][0], spec.method):
+            for k, l in zip(members, ls):
+                columns[k].append((*batch_columns(l), factors[k][1]))
     return [_trajectory(times, cols, gather, window) for cols, (_, gather) in zip(columns, plans)]
 
 
@@ -441,23 +450,19 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
 
 
 def _trajectory(times: np.ndarray, columns: list, gather: np.ndarray, window: str) -> Trajectory:
-    """The trajectory on ``times`` of the :func:`batch_columns` of its evaluated times, after the budget checks."""
-    mono = join_columns(columns)
-    if mono.max_clip > CLIP_BUDGET:  # group_batches checked B0's clip: only a series truncation gets here
+    """The trajectory on ``times`` of the (lambda*, C, trace drift, Hermiticity drift, clip) of each batch of its evaluated times."""
+    lam, conc, trace_dev, herm_dev, clip = zip(*columns)
+    clip, trace_dev = float(np.max(clip)), float(np.max(trace_dev))
+    if clip > CLIP_BUDGET:  # initial_factor checked B0's clip: only a series truncation gets here
         raise NumericalError(
             f"the three-term series truncation is not positive on {window}: its factors clipped "
-            f'{mono.max_clip:.3e} of spectral mass (budget {CLIP_BUDGET:g}); use method "exact" or a smaller t_max'
+            f'{clip:.3e} of spectral mass (budget {CLIP_BUDGET:g}); use method "exact" or a smaller t_max'
         )
-    if not mono.max_trace_deviation <= DRIFT_BUDGET:  # NaN fails too
+    if not trace_dev <= DRIFT_BUDGET:  # NaN fails too
         raise NumericalError(
-            f"reduced states drift {mono.max_trace_deviation:.3e} from unit trace on {window}, "
-            f"beyond the {DRIFT_BUDGET:g} budget"
+            f"reduced states drift {trace_dev:.3e} from unit trace on {window}, beyond the {DRIFT_BUDGET:g} budget"
         )
-    meta = {
-        "max_trace_deviation": mono.max_trace_deviation,
-        "max_hermiticity_deviation": mono.max_hermiticity_deviation,
-        "max_psd_clip": mono.max_clip,
-    }
-    lam = mono.cne[gather]
+    meta = {"max_trace_deviation": trace_dev, "max_hermiticity_deviation": float(np.max(herm_dev)), "max_psd_clip": clip}
+    lam = np.concatenate(lam)[gather]
     neg, count = negativity_and_count(lam)
-    return Trajectory(times, lam, neg, mono.concurrence[gather], count.astype(np.int64), meta)
+    return Trajectory(times, lam, neg, np.concatenate(conc)[gather], count.astype(np.int64), meta)

@@ -14,18 +14,17 @@ rho = L L†, the gamma values are the singular values of L^T (σy⊗σy) L,
 so no matrix square root is taken.  Both are local-unitary invariants
 and, for two qubits, vanish together.
 
-The batched entry point :func:`pair_monotones` takes the (rho_AB, L, clip)
-batches of :func:`espkit.dynamics.reduced_batches`; :func:`batch_columns`
-evaluates one batch and :func:`join_columns` joins a state's batches, for
-the group sampler, which evaluates its states batch by batch.  A batch of the
-factor methods has rho_AB None: its states are L L†, and everything is
-taken from L.  A series batch keeps its truncation rho_AB, whose lambda*
-(:func:`pt_min`) is that of the non-positive truncation, and takes the
-concurrence from its clipped factor L.  :func:`batch_pt_min` takes
-lambda* alone, for the short-time samplers.  A bare matrix has no
-factor: :func:`cne` and :func:`negativity` wrap :func:`pt_min`, one
-``eigvalsh``, and the per-matrix :func:`concurrence` makes a factor with
-:func:`psd_factor` and takes its QR/SVD concurrence.
+The batched entry points take the factor L of each batch of states
+rho_AB = L L† that :func:`espkit.dynamics.group_batches` yields:
+:func:`batch_columns` takes lambda*, the concurrence and the drifts from
+L, and :func:`batch_pt_min` lambda* alone, for the short-time samplers.
+A stack of matrices that need not be states, such as the series
+truncations, goes to :func:`matrix_columns`: lambda* of the matrices
+themselves, and the concurrence and clip of the factor :func:`psd_factor`
+makes of them.  A bare matrix has no factor: :func:`cne` and
+:func:`negativity` wrap :func:`pt_min`, one ``eigvalsh``, and the
+per-matrix :func:`concurrence` makes a factor with :func:`psd_factor` and
+takes its QR/SVD concurrence.
 
 X-shaped states, whose entries off the diagonal and the anti-diagonal are
 exactly 0.0, have closed forms (Yu and Eberly, Quantum Inf. Comput. 7,
@@ -36,9 +35,9 @@ C = 2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) with
 on L, and this is espkit's only X decision: when every column sits on
 {00, 11} or on {01, 10}, rho_ii = ||L_i||² and rho_03, rho_12 are row
 products of L, lambda* and C follow from these six numbers, and rho_AB
-is never formed.  Any other batch, a series batch and a bare matrix
-included, takes LAPACK on rho_AB (``eigvalsh``, then QR and SVD for the
-concurrence), and a factor batch forms rho_AB = L L† for it.
+is never formed.  Any other factor batch forms rho_AB = L L† and takes
+LAPACK on it (``eigvalsh``, then QR and SVD for the concurrence); a stack
+of matrices and a bare matrix always take LAPACK.
 Parity-definite initial states keep the spin-star reduced states
 X-shaped: the z-basis product configurations and Bell mixtures with the
 environment in one m level.  A purified
@@ -53,8 +52,6 @@ columns of L as one matrix-vector product over its flattened rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,28 +69,6 @@ NEGATIVE_COUNT_TOL = 1e-12
 CHUNK = 256
 
 YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]  # σy⊗σy = antidiag(-1, 1, 1, -1)
-
-
-@dataclass(frozen=True)
-class PairMonotones:
-    """The quantifiers of a stack of states, one entry per state.
-
-    ``max_clip`` is the largest negative-eigenvalue mass dropped to factor
-    a state, the spectral dust the concurrence factor leaves out (0.0 for
-    states given as factors).  ``max_trace_deviation`` and
-    ``max_hermiticity_deviation`` are the worst |tr rho - 1| and
-    max|rho - rho†| over the stack; for a factor, tr(L L†) is its squared
-    Frobenius norm, so the first measures the norm drift of the propagated
-    factor.  An X-shaped factor batch contributes 0.0 Hermiticity drift:
-    its closed forms read rho_ij and rho_ji as one number, so the state
-    they evaluate is exactly Hermitian.
-    """
-
-    cne: np.ndarray
-    concurrence: np.ndarray
-    max_clip: float
-    max_trace_deviation: float
-    max_hermiticity_deviation: float
 
 
 def batches(stack: np.ndarray) -> list[np.ndarray]:
@@ -179,23 +154,22 @@ def pt_min(red: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.eigvalsh, hermitian_part(transpose_b(red)))[..., 0]
 
 
-def _batch_pt_min(red: np.ndarray | None, l: np.ndarray) -> tuple:
-    """lambda* of one (rho_AB, L) batch, and the (rho_ii, coherences) or the rho_AB it was read from.
+def _batch_pt_min(l: np.ndarray) -> tuple:
+    """lambda* of the states L L† of one factor batch, and the (rho_ii, coherences) or the rho_AB it was read from.
 
-    The one X decision of espkit: an X-shaped factor batch takes the
-    closed form on L; any other batch takes :func:`pt_min` of its rho_AB,
-    L L† for a factor batch and its own truncation for a series batch.
+    The one X decision of espkit: an X-shaped batch takes the closed form
+    on L; any other batch forms rho_AB = L L† and takes :func:`pt_min`.
     """
-    if red is None and _x_factor(l):
+    if _x_factor(l):
         entries = _factor_x_entries(l)
         return _x_pt_min(*entries), entries
-    red = _gram(l) if red is None else red
+    red = _gram(l)
     return pt_min(red), red
 
 
-def batch_pt_min(red: np.ndarray | None, l: np.ndarray) -> np.ndarray:
-    """lambda* alone of one (rho_AB, L, clip) batch of :func:`espkit.dynamics.reduced_batches`."""
-    return _batch_pt_min(red, l)[0]
+def batch_pt_min(l: np.ndarray) -> np.ndarray:
+    """lambda* alone of the states L L† of one factor batch of :func:`espkit.dynamics.group_batches`."""
+    return _batch_pt_min(l)[0]
 
 
 def negativity_and_count(lam):
@@ -243,38 +217,43 @@ def check_clip(clip: float) -> None:
         raise NumericalError(f"PSD repair clipped {clip:.3e} of spectral mass (budget {CLIP_BUDGET})")
 
 
-def batch_columns(red: np.ndarray | None, l: np.ndarray, clip) -> tuple:
-    """lambda* and concurrence of each state of one batch, and the batch's largest clip, trace and Hermiticity drift."""
-    lam, states = _batch_pt_min(red, l)
+def _trace_drift(diag: np.ndarray) -> float:
+    """The largest |tr rho - 1| of a stack, from its (T, 4) diagonal, summed in ``np.trace``'s order."""
+    d0, d1, d2, d3 = diag.T
+    return np.max(np.abs((d0 + d1) + (d2 + d3) - 1.0))
+
+
+def _matrix_drifts(red: np.ndarray) -> tuple:
+    """The largest |tr rho - 1| and max|rho - rho†| of a stack of matrices."""
+    return _trace_drift(np.diagonal(red, axis1=-2, axis2=-1).real), np.max(np.abs(red - red.conj().swapaxes(-1, -2)))
+
+
+def batch_columns(l: np.ndarray) -> tuple:
+    """(lambda*, C, trace drift, Hermiticity drift) of the states L L† of one factor batch.
+
+    lambda* and C hold one entry per state; the drifts are the batch's
+    largest |tr rho - 1| and max|rho - rho†|.  tr(L L†) is the squared
+    Frobenius norm of L, so the first measures the norm drift of the
+    propagated factor.  An X-shaped batch has 0.0 Hermiticity drift: its
+    closed forms read rho_ij and rho_ji as one number, so the state they
+    evaluate is exactly Hermitian.
+    """
+    lam, states = _batch_pt_min(l)
     if isinstance(states, tuple):  # X-shaped: (rho_ii, coherences) from L
         diag, coherence = states
-        conc, herm_dev = _x_concurrence(diag, coherence), 0.0
-    else:
-        conc = _lapack_concurrence(l)
-        diag = np.diagonal(states, axis1=-2, axis2=-1).real
-        herm_dev = np.max(np.abs(states - states.conj().swapaxes(-1, -2)))
-    d0, d1, d2, d3 = diag.T
-    return lam, conc, np.max(clip), np.max(np.abs((d0 + d1) + (d2 + d3) - 1.0)), herm_dev  # np.trace's order
+        return lam, _x_concurrence(diag, coherence), _trace_drift(diag), 0.0
+    return (lam, _lapack_concurrence(l), *_matrix_drifts(states))
 
 
-def pair_monotones(parts) -> PairMonotones:
-    """The quantifiers of each state of the (rho_AB, L, clip) batches of :func:`espkit.dynamics.reduced_batches`.
+def matrix_columns(red: np.ndarray) -> tuple:
+    """The :func:`batch_columns` of a stack of matrices, positive or not, and the largest mass their factors clip.
 
-    rho_AB is None for a factor batch, whose states are L L†, and the
-    series truncation otherwise; the concurrence is that of L L†.  ``clip``
-    is the negative mass dropped to make L, a scalar or one entry per state.
-    The largest clip is reported as ``max_clip``, for the caller to hold
-    against ``CLIP_BUDGET``.
+    lambda* is that of each matrix itself (:func:`pt_min`), and C that of
+    the factor :func:`psd_factor` makes of it, for the caller to hold the
+    clip against ``CLIP_BUDGET``.
     """
-    return join_columns(batch_columns(*part) for part in parts)
-
-
-def join_columns(columns) -> PairMonotones:
-    """The quantifiers of consecutive batches from their :func:`batch_columns`."""
-    lam, conc, clip, trace_dev, herm_dev = zip(*columns)
-    return PairMonotones(
-        np.concatenate(lam), np.concatenate(conc), float(np.max(clip)), float(np.max(trace_dev)), float(np.max(herm_dev))
-    )
+    l, clip = psd_factor(red)
+    return (pt_min(red), _lapack_concurrence(l), *_matrix_drifts(red), np.max(clip))
 
 
 def cne(rho) -> tuple[float, int]:

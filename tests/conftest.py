@@ -11,7 +11,7 @@ from espkit.densemat import as_complex_matrix, hermitian_eig
 from espkit.dynamics import SpectralPropagator, sample_trajectory
 from espkit.errors import DimensionError
 from espkit.hilbert import ID2, PAULI_X, PAULI_Y, PAULI_Z, SystemDims, as_pair_matrix, spin_operators
-from espkit.monotones import negativity_and_count, pair_monotones, psd_factor
+from espkit.monotones import batch_columns, matrix_columns, negativity_and_count
 from espkit.model import spin_star_hamiltonian
 from espkit.states import EspWeighting, esp_weighting, pure_initial
 
@@ -118,19 +118,16 @@ def pure_trajectory(weighting_id: str, epsilon: float, j, spec):
 
 
 def monotone_sample(rho, factor=None) -> MonotoneSample:
-    """Bundle cne, negativity and concurrence for one density matrix, through the batched entry point.
+    """Bundle cne, negativity and concurrence for one density matrix, through the batched entry points.
 
     Given ``factor`` (rho = factor factor†), all three come from it, as for a batch of the factor
-    methods; else lambda* comes from ``rho`` and the concurrence from its :func:`psd_factor`, as for
-    a series batch.
+    methods (:func:`batch_columns`); else lambda* comes from ``rho`` and the concurrence from the
+    factor :func:`matrix_columns` makes of it, as for a series batch.
     """
-    if factor is None:
-        red = as_pair_matrix(rho)[None]
-        out = pair_monotones([(red, *psd_factor(red))])
-    else:
-        out = pair_monotones([(None, factor[None], 0.0)])
-    neg, count = negativity_and_count(out.cne[0])
-    return MonotoneSample(float(out.cne[0]), float(neg), float(out.concurrence[0]), int(count))
+    columns = matrix_columns(as_pair_matrix(rho)[None]) if factor is None else batch_columns(factor[None])
+    lam, conc = columns[0][0], columns[1][0]
+    neg, count = negativity_and_count(lam)
+    return MonotoneSample(float(lam), float(neg), float(conc), int(count))
 
 
 def charpoly_eigvals(h: np.ndarray) -> np.ndarray:

@@ -584,6 +584,21 @@ def test_sampler_evaluates_each_abs_dt_once(monkeypatch):
     assert lam[0] == lam[3] and lam[1] == lam[2]
 
 
+def test_exact_sampler_diagonalizes_and_factors_once(monkeypatch):
+    """A sampler made on a bare H and a bare rho0 diagonalizes H and factors rho0 when it is made:
+    three calls add no eigendecomposition, and each returns the same lambda*."""
+    eigs, factors = [], []
+    monkeypatch.setattr(dynamics, "hermitian_eig", lambda a: eigs.append(a.shape) or hermitian_eig(a))
+    real_psd_factor = dynamics.psd_factor
+    monkeypatch.setattr(dynamics, "psd_factor", lambda m: factors.append(m.shape) or real_psd_factor(m))
+    initial = mixed_initial(esp_weighting("W9", 0.01), HALF)
+    sampler = exact_cne_function(spin_star_hamiltonian(MIXED_J, HALF), DensityOperator(initial.matrix, initial.dims))
+    dts = np.linspace(-0.01, 0.01, 9)
+    values = [sampler(dts) for _ in range(3)]
+    assert eigs == [(8, 8)] and factors == [(8, 8)]
+    assert all(np.array_equal(v, values[0]) for v in values)
+
+
 def test_symmetry_suite_diagonalizes_each_hamiltonian_once(monkeypatch):
     """H(J) and H(-J): two eigendecompositions; the spin flip is a signed reversal, with none."""
     calls = []

@@ -15,8 +15,10 @@ from espkit.dynamics import (
     evolve_exact,
     evolve_series,
     integrate_vonneumann,
-    reduced_batches,
+    group_batches,
+    initial_factor,
     sample_trajectory,
+    series_batches,
     time_reversed_state,
 )
 from espkit.errors import DimensionError, NumericalError
@@ -390,9 +392,15 @@ def test_real_preparations_reduce_to_conjugates_at_minus_t(method):
     t = EvolutionSpec(t_max=0.5, n_steps=40, emit_negative_times=True).time_grid()
     for h, rho0 in real_preparations():
         assert not np.any(h.imag) and not np.any(rho0.matrix.imag)
-        parts = list(reduced_batches(*_checked_initial(h, rho0), t, method))
-        assert all((red is None) == (method != "series") for red, _, _ in parts)
-        state = np.concatenate([l if red is None else red for red, l, _ in parts])
+        h, rho0 = _checked_initial(h, rho0)
+        if method == "series":
+            parts, width = list(series_batches(h, rho0, t)), 4
+        else:
+            b0 = initial_factor(rho0)[0]
+            parts = [l for (l,) in group_batches(h, [b0], rho0.dims.dim_c, t, method)]
+            width = rho0.dims.dim_c * b0.shape[1]
+        assert all(part.shape[1:] == (4, width) for part in parts)
+        state = np.concatenate(parts)
         assert np.array_equal(state[::-1], state.conj())
 
 

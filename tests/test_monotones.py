@@ -3,18 +3,18 @@ import numpy as np
 import pytest
 
 from espkit import monotones
-from espkit.dynamics import reduced_batches
+from espkit.dynamics import series_batches
 from espkit.errors import NumericalError
 from espkit.hilbert import PAULI_Y, SpinMagnitude
 from espkit.model import ExchangeCoupling, spin_star_hamiltonian
 from espkit.monotones import (
     YY_SIGNS,
+    batch_columns,
     batch_pt_min,
     cne,
     concurrence,
     negativity,
     negativity_and_count,
-    pair_monotones,
     pt_min,
 )
 from espkit.states import BellKind, bell_ket, bell_mixture, esp_weighting, pure_initial
@@ -231,20 +231,20 @@ def test_x_closed_forms_match_the_lapack_path(rng, monkeypatch):
     for l in cases:
         red = l @ l.conj().T
         assert np.all(np.delete(red.ravel(), [0, 3, 5, 6, 9, 10, 12, 15]) == 0.0)  # off-X entries exactly 0.0
-        closed = pair_monotones([(None, l[None], 0.0)])
-        assert np.array_equal(batch_pt_min(None, l[None]), closed.cne)
-        assert closed.max_hermiticity_deviation == 0.0
+        lam, conc, trace_dev, herm_dev = batch_columns(l[None])
+        assert np.array_equal(batch_pt_min(l[None]), lam)
+        assert herm_dev == 0.0
         assert not calls
         width = max(4, l.shape[1])
-        lapack = pair_monotones([(None, np.stack([padded(l, width), padded(dense_factor, width)]), 0.0)])
+        lapack_lam, lapack_conc, *_ = batch_columns(np.stack([padded(l, width), padded(dense_factor, width)]))
         assert {np.linalg.eigvalsh, np.linalg.svd} <= set(calls)
         calls.clear()
-        assert abs(closed.cne[0] - lapack.cne[0]) <= 1e-15
-        assert abs(closed.concurrence[0] - lapack.concurrence[0]) <= 1e-15
-        assert abs(closed.max_trace_deviation - abs(np.trace(red).real - 1.0)) <= 1e-15
-        assert abs(pt_min(red[None])[0] - lapack.cne[0]) <= 1e-15  # the bare matrix takes eigvalsh
+        assert abs(lam[0] - lapack_lam[0]) <= 1e-15
+        assert abs(conc[0] - lapack_conc[0]) <= 1e-15
+        assert abs(trace_dev - abs(np.trace(red).real - 1.0)) <= 1e-15
+        assert abs(pt_min(red[None])[0] - lapack_lam[0]) <= 1e-15  # the bare matrix takes eigvalsh
         calls.clear()
-        near_threshold += min(abs(abs(closed.cne[0]) - x) for x in (0.0, 1e-9)) <= 2e-12
+        near_threshold += min(abs(abs(lam[0]) - x) for x in (0.0, 1e-9)) <= 2e-12
     assert near_threshold >= 24
 
 
@@ -259,17 +259,17 @@ def test_one_column_off_the_x_sends_the_batch_to_lapack(rng, monkeypatch):
     grams = []
     real_gram = monotones._gram
     monkeypatch.setattr(monotones, "_gram", lambda m: grams.append(m.shape) or real_gram(m))
-    mixed = pair_monotones([(None, np.stack([l, l, off]), 0.0)])
+    mixed_lam, mixed_conc, *_ = batch_columns(np.stack([l, l, off]))
     assert calls == [np.linalg.eigvalsh, np.linalg.svd] and grams == [(3, 4, 3)]
-    closed = pair_monotones([(None, l[None], 0.0)])
-    assert abs(mixed.cne[0] - closed.cne[0]) <= 1e-15 and abs(mixed.concurrence[0] - closed.concurrence[0]) <= 1e-15
+    lam, conc, *_ = batch_columns(l[None])
+    assert abs(mixed_lam[0] - lam[0]) <= 1e-15 and abs(mixed_conc[0] - conc[0]) <= 1e-15
     rho = off @ off.conj().T
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    assert abs(mixed.cne[2] - np.linalg.eigvalsh(pt)[0]) <= 1e-15
+    assert abs(mixed_lam[2] - np.linalg.eigvalsh(pt)[0]) <= 1e-15
     gammas = np.linalg.svd(off.T @ np.kron(PAULI_Y, PAULI_Y) @ off, compute_uv=False)  # the 3 nonzero gamma values
-    assert abs(mixed.concurrence[2] - max(0.0, gammas[0] - gammas[1] - gammas[2])) <= 1e-15
+    assert abs(mixed_conc[2] - max(0.0, gammas[0] - gammas[1] - gammas[2])) <= 1e-15
     calls.clear()
-    assert np.array_equal(batch_pt_min(None, np.stack([l, l, off])), mixed.cne)
+    assert np.array_equal(batch_pt_min(np.stack([l, l, off])), mixed_lam)
     assert calls == [np.linalg.eigvalsh]  # lambda* alone pays for no QR or SVD
 
 
@@ -282,15 +282,15 @@ def test_a_bare_x_matrix_takes_one_lapack_call_per_quantifier(rng, monkeypatch):
     calls = lapack_spy(monkeypatch)
     for l in cases:
         rho = l @ l.conj().T
-        closed = pair_monotones([(None, l[None], 0.0)])
+        lam, conc, *_ = batch_columns(l[None])
         calls.clear()
-        assert abs(cne(rho)[0] - closed.cne[0]) <= 1e-15
+        assert abs(cne(rho)[0] - lam[0]) <= 1e-15
         assert calls == [np.linalg.eigvalsh]
         calls.clear()
-        assert abs(negativity(rho) - negativity_and_count(closed.cne[0])[0]) <= 1e-15
+        assert abs(negativity(rho) - negativity_and_count(lam[0])[0]) <= 1e-15
         assert calls == [np.linalg.eigvalsh]
         calls.clear()
-        assert abs(concurrence(rho) - closed.concurrence[0]) <= 2e-15
+        assert abs(concurrence(rho) - conc[0]) <= 2e-15
         assert calls == [np.linalg.eigh, np.linalg.svd]
 
 
@@ -302,8 +302,8 @@ def test_non_finite_factor_entries_raise(rng, width):
         row = int(np.flatnonzero(l[:, 0])[0])
         l[row, 0] = bad
         for run in (
-            lambda: pair_monotones([(None, np.stack([random_x_factor(rng, width), l]), 0.0)]),
-            lambda: batch_pt_min(None, l[None]),
+            lambda: batch_columns(np.stack([random_x_factor(rng, width), l])),
+            lambda: batch_pt_min(l[None]),
         ):
             with pytest.raises(NumericalError, match="non-finite"):
                 run()
@@ -329,9 +329,9 @@ def test_x_closed_forms_match_50_digits():
     rng = np.random.default_rng(2007)
     factors = [random_x_factor(rng, int(k)) for k in rng.integers(1, 17, size=16)]
     factors += [shifted_x_factor(rng, target) for target in (0.0, 1e-9, -1e-9, 0.1)]
-    out = pair_monotones([(None, np.stack([padded(l, 16) for l in factors]), 0.0)])
+    lams, concs, *_ = batch_columns(np.stack([padded(l, 16) for l in factors]))
     entangled = 0
-    for l, lam, conc in zip(factors, out.cne, out.concurrence):
+    for l, lam, conc in zip(factors, lams, concs):
         lam_mp, conc_mp = _x_oracle(l)
         assert abs(lam - float(lam_mp)) <= 1e-15
         assert abs(conc - float(conc_mp)) <= 1e-15
@@ -347,7 +347,7 @@ def _series_states() -> list[np.ndarray]:
     states = []
     for wid in ("W11", "W12", "W13", "W14"):
         for eps in (-0.02, -0.005, 0.005, 0.02):
-            for red, _, _ in reduced_batches(h, pure_initial(esp_weighting(wid, eps), s).to_density(), times, "series"):
+            for red in series_batches(h, pure_initial(esp_weighting(wid, eps), s).to_density(), times):
                 states.extend(red)
     return states
 

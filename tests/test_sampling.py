@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from espkit import dynamics, monotones
-from espkit.analysis import DEFAULT_FIT_WINDOW, exact_cne_function
+from espkit.analysis import DEFAULT_FIT_WINDOW, exact_cne_function, truncated_cne_function
 from espkit.cli import FIG5_CASES, HALF, main
 from espkit.dynamics import (
     EvolutionSpec,
@@ -96,7 +96,8 @@ def test_batched_path_matches_per_matrix_chain(method, kind, n_samples):
 @pytest.mark.parametrize("kind", ["product", "product_env", "mixed", "pure"])
 @pytest.mark.parametrize("method", ["exact", "integrator"])
 def test_factor_methods_never_form_rho(monkeypatch, method, kind):
-    """exact and integrator sample from the propagated factor: no full rho(t), no partial trace of one."""
+    """exact and integrator sample from the propagated factor: no full rho(t), no partial trace of one,
+    and no psd_factor, since every constructed state carries its B0."""
     h, initial = state_case(kind)
     spec = EvolutionSpec(t_max=0.5, n_steps=100, method=method, emit_negative_times=True)
     before = sample_trajectory(h, initial, spec)
@@ -107,6 +108,8 @@ def test_factor_methods_never_form_rho(monkeypatch, method, kind):
 
     monkeypatch.setattr(dynamics, "trace_out_c", forbidden)
     monkeypatch.setattr(SpectralPropagator, "evolve_matrix", forbidden)
+    monkeypatch.setattr(dynamics, "psd_factor", forbidden)
+    monkeypatch.setattr(monotones, "psd_factor", forbidden)
     with pytest.raises(AssertionError):
         sample_trajectory(h, initial, replace(spec, method="series"))  # the patch reaches the rho-stack path
     after = sample_trajectory(h, initial, spec)
@@ -138,6 +141,28 @@ def lapack_calls(monkeypatch) -> list:
     return calls
 
 
+def test_series_truncations_are_factored_once_per_batch_and_never_x_decided(monkeypatch):
+    """A series trajectory factors each batch of truncations once, with psd_factor, for the concurrence,
+    and never reaches the X decision, which only factor batches make: the uud product, X-shaped under
+    the factor methods, takes LAPACK on its truncations."""
+    h, initial = state_case("product")
+    factored = []
+    real_psd_factor = monotones.psd_factor
+    monkeypatch.setattr(monotones, "psd_factor", lambda m: factored.append(m.shape) or real_psd_factor(m))
+    monkeypatch.setattr(monotones, "_x_factor", lambda l: pytest.fail("a series batch reached the X decision"))
+    sample_trajectory(h, initial, EvolutionSpec(t_max=0.002, n_steps=2 * CHUNK + 8, method="series"))
+    assert factored == [(CHUNK, 4, 4), (CHUNK, 4, 4), (9, 4, 4)]
+
+
+def test_truncated_sampler_takes_eigvalsh_alone(monkeypatch):
+    """The series lambda*(dt) sampler takes one eigvalsh per batch of truncations: no eigh, no SVD, no QR."""
+    h, initial = state_case("pure")
+    sampler = truncated_cne_function(h, initial, 3)
+    calls = lapack_calls(monkeypatch)
+    sampler(np.linspace(0.0, 0.002, 2 * CHUNK + 9))
+    assert calls == [np.linalg.eigvalsh, "eigvalsh"] * 3
+
+
 @pytest.mark.parametrize("kind,lapack", [("product", False), ("mixed", False), ("product_env", True), ("pure", True)])
 @pytest.mark.parametrize("method", ["exact", "integrator"])
 def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
@@ -166,7 +191,7 @@ def test_a_group_shares_each_batch_and_keeps_each_state_s_x_decision(monkeypatch
     w3, w6 = (pure_initial(esp_weighting(wid, 0.01), HALF).to_density() for wid in ("W3", "W6"))
     prop = SpectralPropagator(spin_star_hamiltonian(MIXED_J, HALF))
     evaluated, _ = dynamics.evaluation_times(prop, w6, spec.time_grid())
-    w6_factors = [l for _, l, _ in dynamics.reduced_batches(prop, w6, evaluated, method)]
+    w6_factors = [l for (l,) in dynamics.group_batches(prop, [w6.factor], w6.dims.dim_c, evaluated, method)]
     n_batches = len(w6_factors)
     assert n_batches == 2 and evaluated.size == 301
 
