@@ -38,11 +38,11 @@ import numpy as np
 
 from .dynamics import (
     EvolutionSpec,
+    SectorGroup,
     SpectralPropagator,
     Trajectory,
     _checked_initial,
     evaluation_times,
-    group_batches,
     initial_factor,
     sample_trajectory,
     series_batches,
@@ -51,7 +51,7 @@ from .dynamics import (
 from .errors import GuardViolation, ResolutionError, WindowError
 from .hilbert import DensityOperator, Ket, SpinMagnitude, trace_out_c
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
-from .monotones import ENTANGLED_THRESHOLD, batch_pt_min, negativity, negativity_and_count, pt_min
+from .monotones import ENTANGLED_THRESHOLD, batch_pt_min, negativity, negativity_and_count, pt_min, x_pt_min
 from .states import (
     BellKind,
     bell_initial,
@@ -241,8 +241,11 @@ def exact_cne_function(h, initial) -> Callable[[np.ndarray], np.ndarray]:
     """
     h, rho0 = _checked_initial(h, initial)
     prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
-    b0s, dim_c = [initial_factor(rho0)[0]], rho0.dims.dim_c
-    return _cne_sampler(prop, rho0, lambda ts: (batch_pt_min(l) for (l,) in group_batches(prop, b0s, dim_c, ts, "exact")))
+    group = SectorGroup(prop, [initial_factor(rho0)[0]], rho0.dims.dim_c, "exact")
+    (x,) = group.x
+    return _cne_sampler(
+        prop, rho0, lambda ts: (x_pt_min(*entries)[0] if x else batch_pt_min(ls[0]) for entries, ls in group.batches(ts))
+    )
 
 
 def truncated_cne_function(h, initial, order: int) -> Callable[[np.ndarray], np.ndarray]:

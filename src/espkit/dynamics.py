@@ -49,14 +49,24 @@ batches of any other form rho_AB = L L† and take LAPACK.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .densemat import as_complex_matrix, basis_parity, hermitian_eig, max_abs
 from .errors import DimensionError, NumericalError
 from .hilbert import DensityOperator, Ket, SpinMagnitude, pair_factor, trace_out_c
-from .monotones import CLIP_BUDGET, batch_columns, batches, check_clip, matrix_columns, negativity_and_count, psd_factor
+from .monotones import (
+    CLIP_BUDGET,
+    MAX_NEGATIVE_COUNT,
+    batch_columns,
+    batches,
+    check_clip,
+    matrix_columns,
+    negativity_and_count,
+    psd_factor,
+    x_columns,
+)
 
 INTEGRATOR_STEP = 1e-4
 # largest |tr rho_AB - 1| a trajectory may show: exact propagation keeps it
@@ -131,6 +141,8 @@ class Trajectory:
             raise ValueError("times and monotones must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+        if not np.all((self.negative_count >= 0) & (self.negative_count <= MAX_NEGATIVE_COUNT)):
+            raise ValueError(f"negative_count must be in 0..{MAX_NEGATIVE_COUNT}")
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -169,9 +181,18 @@ class SpectralPropagator:
         return u @ rho @ u.conj().T
 
     def phases(self, times: np.ndarray) -> np.ndarray:
-        """The (T, n) table exp(-i w t) for every t: B(t) = V (phases ∘ V† B0) for B0 B0† = rho0."""
+        """The (T, n) table exp(-i w t) for every t: B(t) = V (phases ∘ V† B0) for B0 B0† = rho0.
+
+        cos and sin of -w t go straight into the real and imaginary parts:
+        bit for bit ``np.exp(-1j * np.multiply.outer(times, w))``, signed
+        zeros included, whose imaginary argument is -(w t) and real one +0.
+        """
         self._check_phases(max_abs(times))
-        return np.exp(-1j * np.multiply.outer(times, self.w))
+        angles = np.multiply.outer(times, -self.w)
+        table = np.empty(angles.shape, dtype=np.complex128)
+        np.cos(angles, out=table.real)
+        np.sin(angles, out=table.imag)
+        return table
 
 
 def _checked_initial(h, rho0: InitialState) -> tuple[np.ndarray | SpectralPropagator, DensityOperator]:
@@ -293,6 +314,45 @@ def _rk4_increment(h: np.ndarray, t_final: float, max_step: float) -> np.ndarray
     return acc
 
 
+def _rk4_increments(h: np.ndarray, times: np.ndarray, max_step: float) -> np.ndarray:
+    """The :func:`_rk4_increment` P(t) of every time at once: a (..., T, m, m) stack for a (..., m, m) ``h``.
+
+    Each time takes its own n = ceil(|t| / max_step) steps of dt = t / n,
+    and the one-step increments of all the times are powered together:
+    round b squares every time's T^(2^b) - I and folds it into the times
+    whose n has bit b set.  The complex products run as real ones on the
+    embedding [[X, -Y], [Y, X]] of X + iY, because numpy multiplies stacks
+    of small real matrices several times faster than complex ones.  P is
+    zero at t = 0.  A step count or powering that overflows raises
+    :class:`NumericalError`, naming the first such time.
+    """
+    m = h.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as one error, not as warnings
+        n_steps = np.ceil(np.abs(times) / max_step)
+        finite = np.isfinite(n_steps)
+        if not np.all(finite):
+            raise NumericalError(_RK4_OVERFLOW.format(times[~finite][0]))
+        dt = np.divide(times, n_steps, out=np.zeros_like(times), where=n_steps > 0)
+        a = (-1j * dt)[:, None, None] * h[..., None, :, :]
+        a = np.block([[a.real, -a.imag], [a.imag, a.real]])
+        eye = np.eye(2 * m)
+        step = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)  # T - I by Horner
+        acc = np.zeros_like(step)  # T^k - I for the low bits k of each n consumed so far
+        while True:
+            odd = n_steps % 2 == 1
+            acc[..., odd, :, :] = acc[..., odd, :, :] + step[..., odd, :, :] + acc[..., odd, :, :] @ step[..., odd, :, :]
+            n_steps = np.floor(n_steps / 2)
+            if not np.any(n_steps):
+                break
+            step = 2.0 * step + step @ step  # T^(2k) - I from T^k - I
+    finite = np.isfinite(acc).all(axis=(-2, -1)).reshape(-1, times.shape[0]).all(axis=0)
+    if not np.all(finite):
+        raise NumericalError(_RK4_OVERFLOW.format(times[~finite][0]))
+    p = np.empty(acc.shape[:-2] + (m, m), dtype=np.complex128)
+    p.real, p.imag = acc[..., :m, :m], acc[..., m:, :m]
+    return p
+
+
 def _rk4(h: np.ndarray, rho0: np.ndarray, t_final: float, max_step: float) -> np.ndarray:
     """U rho0 U† for the Runge-Kutta propagator U = I + P, as rho0 + P rho0 + rho0 P† + P rho0 P†."""
     if t_final == 0.0:
@@ -342,44 +402,195 @@ def initial_factor(rho0: DensityOperator) -> tuple[np.ndarray, float]:
     return b0, float(clip)
 
 
-def group_batches(h: np.ndarray | SpectralPropagator, b0s: list[np.ndarray], dim_c: int, times: np.ndarray, method: str):
-    """Yield, for each batch of at most CHUNK ``times``, an iterator of one (T, 4, k) factor L per initial factor of ``b0s``.
+def _sector_rows(h: np.ndarray) -> list[np.ndarray]:
+    """The index sets that ``h`` never couples: the two sectors of :func:`basis_parity`, or every index at once.
+
+    Every spin-star Hamiltonian conserves the parity; a matrix with an
+    entry between the sectors that is not exactly 0.0 is one sector.  Each
+    set lists its indices 4k, then 4k + 1, then their partners 4k + 3 and
+    4k + 2 in the same order: its rows j and j + n/2 meet in rho_03 or
+    rho_12, and rows of one qubit index q are adjacent.  Both sectors
+    hold n/2 indices.
+    """
+    first = np.flatnonzero(np.arange(h.shape[0]) % 4 < 2)
+    first = first[np.argsort(first % 4, kind="stable")]
+    partner = first + 3 - 2 * (first % 4)
+    parity = basis_parity(h.shape[0])[first]
+    odd, even = (np.concatenate([first[parity == sign], partner[parity == sign]]) for sign in (-1.0, 1.0))
+    if np.any(h[np.ix_(odd, even)]) or np.any(h[np.ix_(even, odd)]):
+        return [np.concatenate([first, partner])]
+    return [odd, even]
+
+
+def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start of each run of equal adjacent ``labels``, and its label: the segments of ``np.add.reduceat``."""
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    return starts, labels[starts]
+
+
+class _Sector(NamedTuple):
+    """One sector's share of a group: the sector rows of the columns of B0 it propagates, and how they sum to X entries.
+
+    The columns are each X state's columns inside the sector, then every
+    column of every other state; ``spans`` holds each state's (start,
+    stop) among them, X states first.  ``x_states`` numbers the X states
+    with columns here among all X states, and ``x_starts`` gives each
+    one's first column; ``q_runs`` and ``pair_runs`` are the
+    :func:`_runs` of the rows' qubit index and of the pairs' first one.
+    """
+
+    index: int
+    rows: np.ndarray
+    b0: np.ndarray
+    spans: list
+    n_x_columns: int
+    x_states: np.ndarray
+    x_starts: np.ndarray
+    q_runs: tuple
+    pair_runs: tuple
+
+
+class SectorGroup:
+    """A group of initial factors under one H, split by the sectors of H, and sampled batch by batch.
 
     Each B0 of ``b0s`` factors an initial state rho0 = B0 B0† whose
-    environment has dimension ``dim_c``, and L factors its reduced states
-    rho_AB = L L†.  ``exact`` takes B(t) = V (e^{-iwt} ∘ c) from the
-    spectrum of H, with c = V† B0 formed once per state; ``integrator``
-    takes B(t) = B0 + P(t) B0 with P(t) the RK4 increment of
-    :func:`_rk4_increment`.  Both regroup B(t) into L.
-
-    The states share H, its spectrum and each batch's phase table (or
-    each time's RK4 increment), computed once per batch for the group;
-    each state's B(t) and L are made only as the batch's iterator reaches
-    it, so one state's batch is held at a time.  Consume each iterator
-    before the next batch.  ``h`` comes checked by :func:`_checked_initial`;
-    a propagator ``h`` lends ``exact`` its spectrum.
+    environment has dimension ``dim_c``.  H never couples its two parity
+    sectors (:func:`_sector_rows`), so each sector's rows of B(t) follow
+    from that sector's rows of B0 alone; a column of B0 inside one sector
+    stays there, and keeps every column of the factor L of rho_AB = L L†
+    on {00, 11} or on {01, 10}.  :attr:`x` [k] is True when every column
+    of state k lies inside one sector, so that its reduced states are
+    X-shaped at every time: the decision is made once per initial column,
+    here, as are the sector blocks of V and the coefficients V_s† B0_s
+    (``exact``) or of H (``integrator``).  ``h`` comes checked by
+    :func:`_checked_initial`; a propagator ``h`` lends ``exact`` its
+    spectrum.
     """
-    if method == "exact":
-        prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
-        vh = prop.v.conj().T
-        coefficients = [vh @ b0 for b0 in b0s]
 
-        def evolved(ts):
-            phases, at_zero = prop.phases(ts)[:, :, None], ts == 0.0
-            for b0, c in zip(b0s, coefficients):
-                b = prop.v @ (phases * c)
-                b[at_zero] = b0
+    def __init__(self, h: np.ndarray | SpectralPropagator, b0s: list[np.ndarray], dim_c: int, method: str):
+        rows_by_sector = _sector_rows(_generator(h))
+        if method == "exact":
+            self.prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
+            eigen = [np.flatnonzero(np.any(self.prop.v[rows] != 0, axis=0)) for rows in rows_by_sector]
+            if sum(cols.size for cols in eigen) != self.prop.w.size:  # an eigenvector on both sectors
+                rows_by_sector, eigen = [np.concatenate(rows_by_sector)], [np.arange(self.prop.w.size)]
+        else:
+            self.blocks = np.stack([_generator(h)[np.ix_(rows, rows)] for rows in rows_by_sector])
+        widths = np.array([b.shape[1] for b in b0s])
+        owner = np.repeat(np.arange(len(b0s)), widths)
+        b0 = np.concatenate(b0s, axis=1)
+        inside = np.array([np.any(b0[rows] != 0, axis=0) for rows in rows_by_sector])  # (sectors, columns)
+        self.x = np.logical_and.reduceat(inside.sum(axis=0) <= 1, np.cumsum(widths) - widths) & (len(rows_by_sector) == 2)
+        others = np.flatnonzero(~self.x[owner])
+        self.other_spans = np.cumsum(np.concatenate([[0], widths[~self.x]]))
+        self.sectors = []
+        for k, rows in enumerate(rows_by_sector):
+            x_cols = np.flatnonzero(self.x[owner] & inside[k])
+            if not x_cols.size and not others.size:
+                continue
+            x_starts, x_owners = _runs(owner[x_cols])
+            spans = [(a, b) for a, b in zip(x_starts, [*x_starts[1:], x_cols.size])]
+            spans += [(x_cols.size + a, x_cols.size + b) for a, b in zip(self.other_spans[:-1], self.other_spans[1:])]
+            half = rows.shape[0] // 2
+            self.sectors.append(
+                _Sector(
+                    k, rows, b0[np.ix_(rows, np.concatenate([x_cols, others]))], spans, x_cols.size,
+                    np.cumsum(self.x)[x_owners] - 1, x_starts, _runs(rows % 4), _runs(rows[:half] % 4),
+                )
+            )
+        if method == "exact":
+            self.propagators = []  # per sector: V_s, V_s† B0_s taken state by state, and the eigenvalues' indices
+            for sector in self.sectors:
+                v = self.prop.v[np.ix_(sector.rows, eigen[sector.index])]
+                vh = v.conj().T
+                c = np.concatenate([vh @ sector.b0[:, a:z] for a, z in sector.spans], axis=1)
+                self.propagators.append((v, c, eigen[sector.index]))
+        self.method, self.n, self.dim_c = method, b0.shape[0], dim_c
+
+    def batches(self, times: np.ndarray):
+        """Yield ``(entries, ls)`` for each batch of at most CHUNK ``times``.
+
+        ``entries`` = (rho_ii, (|rho_03|, |rho_12|)) of the X states, as
+        (4, S, T) and (2, S, T) arrays (:func:`_x_entries`), or None
+        without X states; ``ls`` holds the (T, 4, k) factor L of each
+        other state, in the order of ``b0s``.  Per batch, ``exact`` takes
+        one phase table for the group and B_s(t) = V_s (e^{-i w_s t} ∘
+        V_s† B0_s), one product per state and sector, with B(0) = B0
+        exactly; ``integrator`` takes B_s(t) = B0_s + P_s(t) B0_s with the
+        RK4 increments of every time and sector powered at once
+        (:func:`_rk4_increments`).  Each state takes its own products, so
+        it is propagated bit for bit as it is alone.  Consume each batch
+        before the next.
+        """
+        for ts in batches(times):
+            amplitudes = list(self._evolved(ts))
+            ls = []
+            for start, stop in zip(self.other_spans[:-1], self.other_spans[1:]):
+                b = np.empty((self.n, stop - start, ts.shape[0]), dtype=np.complex128)
+                for sector, amplitude in zip(self.sectors, amplitudes):
+                    b[sector.rows] = amplitude[:, sector.n_x_columns + start : sector.n_x_columns + stop]
+                ls.append(pair_factor(b.transpose(2, 0, 1), self.dim_c))
+            yield (_x_entries(self.sectors, amplitudes, int(np.count_nonzero(self.x))) if self.x.any() else None), ls
+
+    def _evolved(self, ts: np.ndarray):
+        """Each sector's (n_s, columns, T) amplitudes B_s(t) at ``ts``, in turn."""
+        if self.method == "exact":
+            phases, at_zero = self.prop.phases(ts).T, ts == 0.0
+            for sector, (v, c, cols) in zip(self.sectors, self.propagators):
+                m = c[:, :, None] * phases[cols][:, None, :]
+                b = np.empty_like(m)
+                for a, z in sector.spans:
+                    b[:, a:z] = _sector_product(v, m[:, a:z])
+                b[:, :, at_zero] = sector.b0[:, :, None]
                 yield b
+            return
+        increments = _rk4_increments(self.blocks, ts, INTEGRATOR_STEP)
+        for sector in self.sectors:
+            p = increments[sector.index]
+            flat = p.reshape(-1, p.shape[-1])
+            b = np.empty(sector.b0.shape + ts.shape, dtype=np.complex128)
+            for a, z in sector.spans:
+                b0_state = sector.b0[:, a:z]
+                b[:, a:z] = b0_state[:, :, None] + (flat @ b0_state).reshape(p.shape[0], *b0_state.shape).transpose(1, 2, 0)
+            yield b
 
-    else:
-        h = _generator(h)
 
-        def evolved(ts):
-            increments = np.stack([_rk4_increment(h, float(t), INTEGRATOR_STEP) for t in ts])
-            return (b0 + increments @ b0 for b0 in b0s)
+def _sector_product(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """V M for a (n, n) ``v`` and a (n, ...) complex ``m``, as one product; a real V multiplies M's real and imaginary parts at once."""
+    if v.dtype.kind == "f":
+        flat = np.ascontiguousarray(m).view(np.float64).reshape(m.shape[0], -1)
+        return (v @ flat).view(np.complex128).reshape(m.shape)
+    return (v @ m.reshape(m.shape[0], -1)).reshape(m.shape)
 
-    for ts in batches(times):
-        yield (pair_factor(b, dim_c) for b in evolved(ts))
+
+def _x_entries(sectors: list, amplitudes: list, n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_ii, (|rho_03|, |rho_12|)) of every X state of a group, as (4, S, T) and (2, S, T) arrays, from its sector rows.
+
+    In each sector, |B|² summed over the rows of each qubit index q gives
+    rho_qq, and B_j B*_{j+n/2} summed over the pairs of each kind rho_03
+    or rho_12; each sum then runs over a state's columns in the sector,
+    and the two sectors add up.  Every sum is a ``np.add.reduceat`` along
+    an outer axis, so it adds whole slices in order and a state's entries
+    do not depend on the other states.
+    """
+    n_times = amplitudes[0].shape[-1]
+    diag = np.zeros((4, n_x, n_times))
+    coherence = np.zeros((2, n_x, n_times), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is reported by the monotones, as one error
+        for sector, amplitude in zip(sectors, amplitudes):
+            if not sector.n_x_columns:
+                continue
+            b, half = amplitude[:, : sector.n_x_columns], sector.rows.shape[0] // 2
+            for out, runs, terms in (
+                (diag, sector.q_runs, np.square(b.real) + np.square(b.imag)),
+                (coherence, sector.pair_runs, b[:half] * b[half:].conj()),
+            ):
+                starts, labels = runs
+                sums = np.add.reduceat(terms, starts, axis=0)
+                if sector.x_starts.size < sector.n_x_columns:
+                    sums = np.add.reduceat(sums, sector.x_starts, axis=1)
+                out[np.ix_(labels, sector.x_states)] += sums
+    return diag, np.abs(coherence)
 
 
 def series_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, times: np.ndarray, order: int = 3):
@@ -438,8 +649,15 @@ def sample_trajectories(h, initials, spec: EvolutionSpec) -> list[Trajectory]:
     columns = [[] for _ in rho0s]  # per state, the batch_columns and B0 clip of each of its batches
     for members in groups.values():
         b0s, dim_c = [factors[k][0] for k in members], rho0s[members[0]].dims.dim_c
-        for ls in group_batches(h, b0s, dim_c, plans[members[0]][0], spec.method):
-            for k, l in zip(members, ls):
+        group = SectorGroup(h, b0s, dim_c, spec.method)
+        x_members = [k for k, x in zip(members, group.x) if x]
+        other_members = [k for k, x in zip(members, group.x) if not x]
+        for entries, ls in group.batches(plans[members[0]][0]):
+            if x_members:
+                lam, conc, trace_dev = x_columns(*entries)
+                for i, k in enumerate(x_members):  # the closed forms evaluate exactly Hermitian states
+                    columns[k].append((lam[i], conc[i], trace_dev[i], 0.0, factors[k][1]))
+            for k, l in zip(other_members, ls):
                 columns[k].append((*batch_columns(l), factors[k][1]))
     return [_trajectory(times, cols, gather, window) for cols, (_, gather) in zip(columns, plans)]
 

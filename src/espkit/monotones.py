@@ -62,6 +62,7 @@ from .hilbert import as_pair_matrix, transpose_b
 ENTANGLED_THRESHOLD = 1e-9
 CLIP_BUDGET = 1e-9
 NEGATIVE_COUNT_TOL = 1e-12
+MAX_NEGATIVE_COUNT = 4  # a two-qubit partial transpose has four eigenvalues
 # matrices or sample times per batch; bounds the working set of long grids to one
 # state's batch, also where a group of states shares each batch's phase table.  The
 # X-shaped closed forms cost a fixed few dozen numpy calls per batch, so a batch
@@ -97,34 +98,11 @@ def _gram(l: np.ndarray) -> np.ndarray:
     return l @ l.conj().swapaxes(-1, -2)
 
 
-def _x_factor(l: np.ndarray) -> bool:
-    """Whether every column of every factor of a (T, 4, k) stack sits on {00, 11} or on {01, 10}.
+def x_pt_min(diag: np.ndarray, coherence: np.ndarray) -> np.ndarray:
+    """lambda* of each X-shaped state, from its diagonal rho_ii and its coherences |rho_03|, |rho_12|.
 
-    Each rho = L L† is then X-shaped.  A non-finite entry counts as nonzero.
-    """
-    nonzero = l != 0
-    return not np.any((nonzero[..., 0, :] | nonzero[..., 3, :]) & (nonzero[..., 1, :] | nonzero[..., 2, :]))
-
-
-def _factor_x_entries(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rho_ii, (|rho_03|, |rho_12|)) of rho = L L† for each factor of an X-shaped (T, 4, k) stack.
-
-    rho_ii = ||L_i||² and rho_03, rho_12 are row products of L; each sum
-    over the k columns is one matrix-vector product over the flattened rows.
-    A non-finite entry of L makes its row norm non-finite and raises
-    :class:`NumericalError`; |rho_03| <= ||L_0|| ||L_3|| and |rho_12| <=
-    ||L_1|| ||L_2|| are then finite too.
-    """
-    t, k = l.shape[0], l.shape[-1]
-    ones = np.ones(k)
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry is reported below, as one error
-        diag = (np.square(l.real) + np.square(l.imag)).reshape(-1, k) @ ones
-        coherence = (l[:, :2, :] * l[:, :1:-1, :].conj()).reshape(-1, k) @ ones  # rho_03, rho_12
-    return _check_finite(diag).reshape(t, 4), np.abs(coherence).reshape(t, 2)
-
-
-def _x_pt_min(diag: np.ndarray, coherence: np.ndarray) -> np.ndarray:
-    """lambda* of each X-shaped state of a stack, from its (T, 4) diagonal and (T, 2) coherences |rho_03|, |rho_12|.
+    ``diag`` holds the four rho_ii and ``coherence`` the two moduli along
+    its first axis; the states run along the others, and so does lambda*.
 
     rho^{T_B} keeps the diagonal and swaps the anti-diagonal pairs: its
     blocks are [[rho_00, rho_12], [rho_21, rho_33]] on {00, 11} and
@@ -133,19 +111,19 @@ def _x_pt_min(diag: np.ndarray, coherence: np.ndarray) -> np.ndarray:
     The hypot is never negative, so lambda* is the smaller of the two
     lower eigenvalues.
     """
-    d0, d1, d2, d3 = diag.T
-    c03, c12 = coherence.T
+    d0, d1, d2, d3 = diag
+    c03, c12 = coherence
     return np.minimum(0.5 * (d0 + d3) - np.hypot(0.5 * (d0 - d3), c12), 0.5 * (d1 + d2) - np.hypot(0.5 * (d1 - d2), c03))
 
 
 def _x_concurrence(diag: np.ndarray, coherence: np.ndarray) -> np.ndarray:
-    """2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) of each X-shaped state of a stack.
+    """2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) of each X-shaped state, laid out as for :func:`x_pt_min`.
 
-    ||L_i|| = sqrt(rho_ii) are the row norms of L, so nothing negative is
-    square-rooted even where rho is rank deficient.
+    ||L_i|| = sqrt(rho_ii) are the row norms of any factor L, so nothing
+    negative is square-rooted even where rho is rank deficient.
     """
-    n0, n1, n2, n3 = np.sqrt(diag).T
-    c03, c12 = coherence.T
+    n0, n1, n2, n3 = np.sqrt(diag)
+    c03, c12 = coherence
     return 2.0 * np.maximum(0.0, np.maximum(c03 - n1 * n2, c12 - n0 * n3))
 
 
@@ -154,22 +132,9 @@ def pt_min(red: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.eigvalsh, hermitian_part(transpose_b(red)))[..., 0]
 
 
-def _batch_pt_min(l: np.ndarray) -> tuple:
-    """lambda* of the states L L† of one factor batch, and the (rho_ii, coherences) or the rho_AB it was read from.
-
-    The one X decision of espkit: an X-shaped batch takes the closed form
-    on L; any other batch forms rho_AB = L L† and takes :func:`pt_min`.
-    """
-    if _x_factor(l):
-        entries = _factor_x_entries(l)
-        return _x_pt_min(*entries), entries
-    red = _gram(l)
-    return pt_min(red), red
-
-
 def batch_pt_min(l: np.ndarray) -> np.ndarray:
-    """lambda* alone of the states L L† of one factor batch of :func:`espkit.dynamics.group_batches`."""
-    return _batch_pt_min(l)[0]
+    """lambda* alone of the states L L† of one factor batch, from LAPACK on rho_AB = L L†."""
+    return pt_min(_gram(_check_finite(l)))
 
 
 def negativity_and_count(lam):
@@ -217,32 +182,41 @@ def check_clip(clip: float) -> None:
         raise NumericalError(f"PSD repair clipped {clip:.3e} of spectral mass (budget {CLIP_BUDGET})")
 
 
-def _trace_drift(diag: np.ndarray) -> float:
-    """The largest |tr rho - 1| of a stack, from its (T, 4) diagonal, summed in ``np.trace``'s order."""
-    d0, d1, d2, d3 = diag.T
-    return np.max(np.abs((d0 + d1) + (d2 + d3) - 1.0))
+def _trace_drift(diag: np.ndarray) -> np.ndarray:
+    """The largest |tr rho - 1| over the last axis of a diagonal laid out as for :func:`x_pt_min`, summed in ``np.trace``'s order."""
+    d0, d1, d2, d3 = diag
+    return np.max(np.abs((d0 + d1) + (d2 + d3) - 1.0), axis=-1)
 
 
 def _matrix_drifts(red: np.ndarray) -> tuple:
     """The largest |tr rho - 1| and max|rho - rho†| of a stack of matrices."""
-    return _trace_drift(np.diagonal(red, axis1=-2, axis2=-1).real), np.max(np.abs(red - red.conj().swapaxes(-1, -2)))
+    return _trace_drift(np.diagonal(red, axis1=-2, axis2=-1).real.T), np.max(np.abs(red - red.conj().swapaxes(-1, -2)))
 
 
 def batch_columns(l: np.ndarray) -> tuple:
-    """(lambda*, C, trace drift, Hermiticity drift) of the states L L† of one factor batch.
+    """(lambda*, C, trace drift, Hermiticity drift) of the states L L† of one factor batch, from LAPACK.
 
     lambda* and C hold one entry per state; the drifts are the batch's
     largest |tr rho - 1| and max|rho - rho†|.  tr(L L†) is the squared
     Frobenius norm of L, so the first measures the norm drift of the
-    propagated factor.  An X-shaped batch has 0.0 Hermiticity drift: its
-    closed forms read rho_ij and rho_ji as one number, so the state they
-    evaluate is exactly Hermitian.
+    propagated factor.
     """
-    lam, states = _batch_pt_min(l)
-    if isinstance(states, tuple):  # X-shaped: (rho_ii, coherences) from L
-        diag, coherence = states
-        return lam, _x_concurrence(diag, coherence), _trace_drift(diag), 0.0
-    return (lam, _lapack_concurrence(l), *_matrix_drifts(states))
+    red = _gram(_check_finite(l))
+    return (pt_min(red), _lapack_concurrence(l), *_matrix_drifts(red))
+
+
+def x_columns(diag: np.ndarray, coherence: np.ndarray) -> tuple:
+    """(lambda*, C, trace drift) of X-shaped states from their (4, S, T) diagonals and (2, S, T) coherences |rho_03|, |rho_12|.
+
+    lambda* and C come back as (S, T) arrays and the drift as each
+    state's largest |tr rho - 1| over the T times.  A non-finite diagonal
+    entry raises :class:`NumericalError`; |rho_03| <= sqrt(rho_00 rho_33)
+    and |rho_12| <= sqrt(rho_11 rho_22) are then finite too.  The closed
+    forms read rho_ij and rho_ji as one number, so the states they
+    evaluate are exactly Hermitian.
+    """
+    _check_finite(diag)
+    return x_pt_min(diag, coherence), _x_concurrence(diag, coherence), _trace_drift(diag)
 
 
 def matrix_columns(red: np.ndarray) -> tuple:

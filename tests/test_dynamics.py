@@ -15,7 +15,7 @@ from espkit.dynamics import (
     evolve_exact,
     evolve_series,
     integrate_vonneumann,
-    group_batches,
+    SectorGroup,
     initial_factor,
     sample_trajectory,
     series_batches,
@@ -388,8 +388,11 @@ def complex_preparation():
 def test_real_preparations_reduce_to_conjugates_at_minus_t(method):
     """For real H and rho0, each method's reduced state at -t is conj of its state at t, bit for bit,
     when every time is evaluated: the mirrored values are the values a full evaluation computes.  The
-    factor methods yield L, so L(-t) = conj(L(t)); ``series`` yields its truncation rho_AB."""
+    factor methods yield L of a state off the X, so L(-t) = conj(L(t)), and the diagonal and the
+    moduli |rho_03|, |rho_12| of an X-shaped one, which are even in t; ``series`` yields its
+    truncation rho_AB."""
     t = EvolutionSpec(t_max=0.5, n_steps=40, emit_negative_times=True).time_grid()
+    x_kinds = []
     for h, rho0 in real_preparations():
         assert not np.any(h.imag) and not np.any(rho0.matrix.imag)
         h, rho0 = _checked_initial(h, rho0)
@@ -397,11 +400,20 @@ def test_real_preparations_reduce_to_conjugates_at_minus_t(method):
             parts, width = list(series_batches(h, rho0, t)), 4
         else:
             b0 = initial_factor(rho0)[0]
-            parts = [l for (l,) in group_batches(h, [b0], rho0.dims.dim_c, t, method)]
+            group = SectorGroup(h, [b0], rho0.dims.dim_c, method)
+            x_kinds.append(bool(group.x[0]))
+            if group.x[0]:
+                entries = list(group.batches(t))
+                assert all(ls == [] and diag.shape[:2] == (4, 1) for (diag, _), ls in entries)
+                for column in (np.concatenate([e[k] for e, _ in entries], axis=-1) for k in (0, 1)):
+                    assert np.array_equal(column[..., ::-1], column)
+                continue
+            parts = [l for _, (l,) in group.batches(t)]
             width = rho0.dims.dim_c * b0.shape[1]
         assert all(part.shape[1:] == (4, width) for part in parts)
         state = np.concatenate(parts)
         assert np.array_equal(state[::-1], state.conj())
+    assert x_kinds == ([] if method == "series" else [True, False, True])
 
 
 def test_real_preparations_evaluate_each_abs_t_once(monkeypatch):
@@ -454,13 +466,13 @@ def test_evaluation_times_is_the_unique_abs_t_bit_for_bit(monkeypatch):
 def test_integrator_powers_each_abs_t_once(monkeypatch):
     """The RK4 increment of a real preparation is formed once per distinct |t|, never at a negative time."""
     times = []
-    increment = dynamics._rk4_increment
+    increments = dynamics._rk4_increments
 
-    def spied(h, t_final, max_step):
-        times.append(t_final)
-        return increment(h, t_final, max_step)
+    def spied(h, ts, max_step):
+        times.extend(ts)
+        return increments(h, ts, max_step)
 
-    monkeypatch.setattr(dynamics, "_rk4_increment", spied)
+    monkeypatch.setattr(dynamics, "_rk4_increments", spied)
     h, rho0 = real_preparations()[0]
     sample_trajectory(h, rho0, EvolutionSpec(t_max=0.1, n_steps=20, method="integrator", emit_negative_times=True))
     assert len(times) == 11 and min(times) == 0.0

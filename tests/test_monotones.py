@@ -16,6 +16,8 @@ from espkit.monotones import (
     negativity,
     negativity_and_count,
     pt_min,
+    x_columns,
+    x_pt_min,
 )
 from espkit.states import BellKind, bell_ket, bell_mixture, esp_weighting, pure_initial
 
@@ -219,11 +221,19 @@ def lapack_spy(monkeypatch) -> list:
     return calls
 
 
+def x_entries(*factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_ii, (|rho_03|, |rho_12|)) of rho = L L† for each X factor, as the (4, S, 1) and (2, S, 1) arrays
+    x_columns takes: S states at one time, from the row norms and row products of L."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        diag = np.array([np.sum(np.abs(l) ** 2, axis=1) for l in factors]).T
+        coherence = np.abs([[l[0] @ l[3].conj(), l[1] @ l[2].conj()] for l in factors]).T
+    return diag[:, :, None], coherence[:, :, None]
+
+
 def test_x_closed_forms_match_the_lapack_path(rng, monkeypatch):
-    """The factor-only entry (no rho_AB) on an X-shaped batch agrees with eigvalsh and QR/SVD to 1e-15,
-    over widths 1..16, rank-deficient factors, zero coherences and lambda* near 0 and ±1e-9.  One dense
-    factor appended to a batch sends the whole batch, lambda* and C alike, down the LAPACK path, so
-    both paths see the same X states."""
+    """The closed forms (no rho_AB, no LAPACK) on the diagonal and coherences of X states agree with eigvalsh
+    and QR/SVD on their factors to 1e-15, over widths 1..16, rank-deficient factors, zero coherences and
+    lambda* near 0 and ±1e-9; the trace drift is that of the state."""
     dense_factor = np.linalg.cholesky(random_two_qubit_dm(rng))
     cases = x_factor_cases(rng)  # built with cne, which takes eigvalsh
     calls = lapack_spy(monkeypatch)
@@ -231,26 +241,27 @@ def test_x_closed_forms_match_the_lapack_path(rng, monkeypatch):
     for l in cases:
         red = l @ l.conj().T
         assert np.all(np.delete(red.ravel(), [0, 3, 5, 6, 9, 10, 12, 15]) == 0.0)  # off-X entries exactly 0.0
-        lam, conc, trace_dev, herm_dev = batch_columns(l[None])
-        assert np.array_equal(batch_pt_min(l[None]), lam)
-        assert herm_dev == 0.0
+        lam, conc, trace_dev = x_columns(*x_entries(l))
+        assert lam.shape == conc.shape == (1, 1) and trace_dev.shape == (1,)
+        assert np.array_equal(x_pt_min(*x_entries(l)), lam)
         assert not calls
         width = max(4, l.shape[1])
         lapack_lam, lapack_conc, *_ = batch_columns(np.stack([padded(l, width), padded(dense_factor, width)]))
         assert {np.linalg.eigvalsh, np.linalg.svd} <= set(calls)
         calls.clear()
-        assert abs(lam[0] - lapack_lam[0]) <= 1e-15
-        assert abs(conc[0] - lapack_conc[0]) <= 1e-15
-        assert abs(trace_dev - abs(np.trace(red).real - 1.0)) <= 1e-15
+        assert abs(lam[0, 0] - lapack_lam[0]) <= 1e-15
+        assert abs(conc[0, 0] - lapack_conc[0]) <= 1e-15
+        assert abs(trace_dev[0] - abs(np.trace(red).real - 1.0)) <= 1e-15
         assert abs(pt_min(red[None])[0] - lapack_lam[0]) <= 1e-15  # the bare matrix takes eigvalsh
         calls.clear()
-        near_threshold += min(abs(abs(lam[0]) - x) for x in (0.0, 1e-9)) <= 2e-12
+        near_threshold += min(abs(abs(lam[0, 0]) - x) for x in (0.0, 1e-9)) <= 2e-12
     assert near_threshold >= 24
 
 
 def test_one_column_off_the_x_sends_the_batch_to_lapack(rng, monkeypatch):
-    """A batch of X factors whose last factor has one column on both sectors takes eigvalsh for lambda*
-    and SVD for C, for every factor of the batch, and forms rho_AB = L L† for it."""
+    """A factor batch takes eigvalsh for lambda* and SVD for C, for every factor of the batch, and forms
+    rho_AB = L L† for it: X factors and one with a column on both sectors alike, since the X states of
+    a trajectory never reach it.  Its values agree with the closed forms on the X ones to 1e-15."""
     l = random_x_factor(rng, 3)
     off = l.copy()
     off[1 if off[0, 0] != 0 else 0, 0] = 0.3  # column 0 now reaches both {00, 11} and {01, 10}
@@ -261,8 +272,8 @@ def test_one_column_off_the_x_sends_the_batch_to_lapack(rng, monkeypatch):
     monkeypatch.setattr(monotones, "_gram", lambda m: grams.append(m.shape) or real_gram(m))
     mixed_lam, mixed_conc, *_ = batch_columns(np.stack([l, l, off]))
     assert calls == [np.linalg.eigvalsh, np.linalg.svd] and grams == [(3, 4, 3)]
-    lam, conc, *_ = batch_columns(l[None])
-    assert abs(mixed_lam[0] - lam[0]) <= 1e-15 and abs(mixed_conc[0] - conc[0]) <= 1e-15
+    lam, conc, _ = x_columns(*x_entries(l))
+    assert abs(mixed_lam[0] - lam[0, 0]) <= 1e-15 and abs(mixed_conc[0] - conc[0, 0]) <= 1e-15
     rho = off @ off.conj().T
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     assert abs(mixed_lam[2] - np.linalg.eigvalsh(pt)[0]) <= 1e-15
@@ -282,8 +293,9 @@ def test_a_bare_x_matrix_takes_one_lapack_call_per_quantifier(rng, monkeypatch):
     calls = lapack_spy(monkeypatch)
     for l in cases:
         rho = l @ l.conj().T
-        lam, conc, *_ = batch_columns(l[None])
         calls.clear()
+        (lam,), (conc,), _ = x_columns(*x_entries(l))
+        assert not calls
         assert abs(cne(rho)[0] - lam[0]) <= 1e-15
         assert calls == [np.linalg.eigvalsh]
         calls.clear()
@@ -302,6 +314,7 @@ def test_non_finite_factor_entries_raise(rng, width):
         row = int(np.flatnonzero(l[:, 0])[0])
         l[row, 0] = bad
         for run in (
+            lambda: x_columns(*x_entries(random_x_factor(rng, width), l)),
             lambda: batch_columns(np.stack([random_x_factor(rng, width), l])),
             lambda: batch_pt_min(l[None]),
         ):
@@ -324,12 +337,13 @@ def _x_oracle(l: np.ndarray) -> tuple:
 
 
 def test_x_closed_forms_match_50_digits():
-    """Twenty seeded X factors of widths 1..16, entangled and separable: lambda* and C of the factor-only
-    entry lie within 1e-15 of a 50-digit evaluation of the same blocks."""
+    """Twenty seeded X factors of widths 1..16, entangled and separable: lambda* and C of the closed forms
+    lie within 1e-15 of a 50-digit evaluation of the same blocks."""
     rng = np.random.default_rng(2007)
     factors = [random_x_factor(rng, int(k)) for k in rng.integers(1, 17, size=16)]
     factors += [shifted_x_factor(rng, target) for target in (0.0, 1e-9, -1e-9, 0.1)]
-    lams, concs, *_ = batch_columns(np.stack([padded(l, 16) for l in factors]))
+    lams, concs, _ = x_columns(*x_entries(*factors))
+    lams, concs = lams[:, 0], concs[:, 0]
     entangled = 0
     for l, lam, conc in zip(factors, lams, concs):
         lam_mp, conc_mp = _x_oracle(l)

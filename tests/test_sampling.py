@@ -141,15 +141,28 @@ def lapack_calls(monkeypatch) -> list:
     return calls
 
 
+def x_decisions(monkeypatch) -> list:
+    """The X decision of each SectorGroup made from now on, one list per group: one entry per initial state."""
+    decisions = []
+    real_init = dynamics.SectorGroup.__init__
+
+    def spied(self, *args):
+        real_init(self, *args)
+        decisions.append(self.x.tolist())
+
+    monkeypatch.setattr(dynamics.SectorGroup, "__init__", spied)
+    return decisions
+
+
 def test_series_truncations_are_factored_once_per_batch_and_never_x_decided(monkeypatch):
     """A series trajectory factors each batch of truncations once, with psd_factor, for the concurrence,
-    and never reaches the X decision, which only factor batches make: the uud product, X-shaped under
-    the factor methods, takes LAPACK on its truncations."""
+    and never reaches the X decision, which only the factor methods make, per initial column: the uud
+    product, X-shaped under the factor methods, takes LAPACK on its truncations."""
     h, initial = state_case("product")
     factored = []
     real_psd_factor = monotones.psd_factor
     monkeypatch.setattr(monotones, "psd_factor", lambda m: factored.append(m.shape) or real_psd_factor(m))
-    monkeypatch.setattr(monotones, "_x_factor", lambda l: pytest.fail("a series batch reached the X decision"))
+    monkeypatch.setattr(dynamics, "SectorGroup", lambda *a: pytest.fail("a series batch reached the X decision"))
     sample_trajectory(h, initial, EvolutionSpec(t_max=0.002, n_steps=2 * CHUNK + 8, method="series"))
     assert factored == [(CHUNK, 4, 4), (CHUNK, 4, 4), (9, 4, 4)]
 
@@ -171,9 +184,11 @@ def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
     included), nothing calls eigvalsh, SVD or QR, and no (T, 4, 4) rho_AB = L L† is formed.
     General angles and the purified W13 weighting form rho_AB and take LAPACK."""
     h, initial = state_case(kind)
+    decisions = x_decisions(monkeypatch)
     calls = lapack_calls(monkeypatch)
     sample_trajectory(h, initial, EvolutionSpec(t_max=2.0, n_steps=2 * CHUNK + 9, method=method))
     exact_cne_function(h, initial)(np.linspace(-0.01, 0.01, 5))
+    assert decisions == [[not lapack]] * 2
     assert bool(calls) == lapack
     if lapack:
         assert {np.linalg.eigvalsh, np.linalg.svd, "eigvalsh", "svd", "rho_AB"} <= set(calls)
@@ -182,30 +197,34 @@ def test_only_states_off_the_x_take_lapack(monkeypatch, method, kind, lapack):
 @pytest.mark.parametrize("method", ["exact", "integrator"])
 def test_a_group_shares_each_batch_and_keeps_each_state_s_x_decision(monkeypatch, method):
     """fig5's S = 1/2 group on its window: W3 pairs one alpha with one beta state and stays X-shaped,
-    W6 pairs two beta states and does not.  The group takes one phase table per batch (``exact``)
-    or one RK4 increment per time (``integrator``), not one per state, and forms rho_AB and calls
-    eigvalsh only for W6's batches, on W6's own factors."""
+    W6 pairs two beta states and does not, as the group's one decision per initial column finds.
+    The group takes one phase table (``exact``) or one stacked RK4 powering (``integrator``) per
+    batch, not one per state or per time, and forms rho_AB and calls eigvalsh only for W6's batches,
+    on W6's own factors."""
     spec, other = (next(case[2] for case in FIG5_CASES if case[0] == wid) for wid in ("W3", "W6"))
     assert other == spec
     spec = replace(spec, method=method)
     w3, w6 = (pure_initial(esp_weighting(wid, 0.01), HALF).to_density() for wid in ("W3", "W6"))
     prop = SpectralPropagator(spin_star_hamiltonian(MIXED_J, HALF))
     evaluated, _ = dynamics.evaluation_times(prop, w6, spec.time_grid())
-    w6_factors = [l for (l,) in dynamics.group_batches(prop, [w6.factor], w6.dims.dim_c, evaluated, method)]
+    w6_group = dynamics.SectorGroup(prop, [w6.factor], w6.dims.dim_c, method)
+    w6_factors = [l for _, (l,) in w6_group.batches(evaluated)]
     n_batches = len(w6_factors)
-    assert n_batches == 2 and evaluated.size == 301
+    assert not w6_group.x[0] and n_batches == 2 and evaluated.size == 301
 
     shared = []
-    phases, rk4 = SpectralPropagator.phases, dynamics._rk4_increment
+    phases, rk4 = SpectralPropagator.phases, dynamics._rk4_increments
     monkeypatch.setattr(SpectralPropagator, "phases", lambda self, ts: shared.append(ts.size) or phases(self, ts))
-    monkeypatch.setattr(dynamics, "_rk4_increment", lambda *a: shared.append(1) or rk4(*a))
+    monkeypatch.setattr(dynamics, "_rk4_increments", lambda h, ts, step: shared.append(ts.size) or rk4(h, ts, step))
+    decisions = x_decisions(monkeypatch)
     gram = []
     real_gram = monotones._gram
     calls = lapack_calls(monkeypatch)
     monkeypatch.setattr(monotones, "_gram", lambda l: gram.append(l) or real_gram(l))
     trajectories = dynamics.sample_trajectories(prop, [w3, w6], spec)
 
-    assert sum(shared) == evaluated.size and len(shared) == (n_batches if method == "exact" else evaluated.size)
+    assert decisions == [[True, False]]
+    assert sum(shared) == evaluated.size and len(shared) == n_batches
     assert len(gram) == calls.count("eigvalsh") == calls.count(np.linalg.eigvalsh) == n_batches
     assert all(np.array_equal(l, factor) for l, factor in zip(gram, w6_factors))
     for traj, initial in zip(trajectories, (w3, w6)):
