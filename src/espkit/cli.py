@@ -68,7 +68,7 @@ from .dynamics import EvolutionSpec, SpectralPropagator, Trajectory, sample_traj
 from .errors import ConfigError, EspkitError, GuardViolation, NumericalError, ResolutionError, WindowError
 from .hilbert import DensityOperator, Ket, SpinMagnitude
 from .model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
-from .monotones import ENTANGLED_THRESHOLD
+from .monotones import ENTANGLED_THRESHOLD, MAX_NEGATIVE_COUNT
 from .states import (
     BellKind,
     EspWeighting,
@@ -81,7 +81,7 @@ from .states import (
 )
 
 CSV_HEADER = "t,negativity,concurrence,cne,negative_count"
-MAX_NEGATIVE_COUNT = 4  # a two-qubit partial transpose has four eigenvalues
+_COUNT_CELLS = np.array([str(k) for k in range(MAX_NEGATIVE_COUNT + 1)])  # the repr of each count Trajectory admits
 _CSV_ROW = np.dtype([(name, np.int64 if name == "negative_count" else np.float64) for name in CSV_HEADER.split(",")])
 # whitespace to str.strip() but not inside a float() or int() cell, where numpy's parser would skip them
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
@@ -356,6 +356,11 @@ def _negativity_cells(traj: Trajectory, cne_cells: list[str]) -> list[str]:
     return _mirrored(neg, cells)
 
 
+def _count_cells(counts: np.ndarray) -> list[str]:
+    """The count column's cells: an integer count in 0..MAX_NEGATIVE_COUNT from a table, any other by ``repr``."""
+    return _COUNT_CELLS[counts].tolist() if counts.dtype.kind in "iu" else _mirrored(counts, _reprs)
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory, *, time_cells: list[str] | None = None) -> None:
     """``traj`` as CSV: the header, then per sample ``",".join(map(repr, row))`` of
     (t, N, C, lambda*, count), byte for byte for columns of one length and any
@@ -367,7 +372,9 @@ def write_trajectory_csv(path: Path, traj: Trajectory, *, time_cells: list[str] 
     - where N > 0 and N == -lambda*, as N = 0.0 - min(lambda*, 0) gives, N's
       cell is lambda*'s without its '-';
     - the time column is ``time_cells``, the caller's :func:`format_grid` of
-      ``traj.times`` shared by the curves on one grid, or else formatted here.
+      ``traj.times`` shared by the curves on one grid, or else formatted here;
+    - an integer count, which :class:`Trajectory` holds to 0..MAX_NEGATIVE_COUNT,
+      takes its cell from a table.
     """
     cne = _mirrored(traj.cne, _reprs)
     columns = (
@@ -375,7 +382,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory, *, time_cells: list[str] 
         _negativity_cells(traj, cne),
         _mirrored(traj.concurrence, _reprs),
         cne,
-        _mirrored(traj.negative_count, _reprs),
+        _count_cells(traj.negative_count),
     )
     path.write_text("\n".join([CSV_HEADER, *map(",".join, zip(*columns)), ""]), encoding="utf-8")
 

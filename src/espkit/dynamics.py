@@ -162,6 +162,7 @@ class SpectralPropagator:
     def __init__(self, h):
         self.h = as_complex_matrix(h)
         self.w, self.v = hermitian_eig(self.h)
+        self.sectors = _spectral_sectors(self.h, self.v)
 
     def _check_phases(self, t_abs: float) -> None:
         """The rounding error of the largest phase w t, near eps |w t|, must stay below 1 rad."""
@@ -315,42 +316,39 @@ def _rk4_increment(h: np.ndarray, t_final: float, max_step: float) -> np.ndarray
 
 
 def _rk4_increments(h: np.ndarray, times: np.ndarray, max_step: float) -> np.ndarray:
-    """The :func:`_rk4_increment` P(t) of every time at once: a (..., T, m, m) stack for a (..., m, m) ``h``.
+    """The :func:`_rk4_increment` P(t) of every time at once: a (T, ..., m, m) stack for a (..., m, m) ``h``.
 
     Each time takes its own n = ceil(|t| / max_step) steps of dt = t / n,
     and the one-step increments of all the times are powered together:
-    round b squares every time's T^(2^b) - I and folds it into the times
-    whose n has bit b set.  The complex products run as real ones on the
-    embedding [[X, -Y], [Y, X]] of X + iY, because numpy multiplies stacks
-    of small real matrices several times faster than complex ones.  P is
+    round b folds every time's T^(2^b) - I into the times whose n has bit
+    b set, then squares it for the times with higher bits left.  P is
     zero at t = 0.  A step count or powering that overflows raises
     :class:`NumericalError`, naming the first such time.
     """
-    m = h.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # reported as one error, not as warnings
         n_steps = np.ceil(np.abs(times) / max_step)
         finite = np.isfinite(n_steps)
         if not np.all(finite):
             raise NumericalError(_RK4_OVERFLOW.format(times[~finite][0]))
         dt = np.divide(times, n_steps, out=np.zeros_like(times), where=n_steps > 0)
-        a = (-1j * dt)[:, None, None] * h[..., None, :, :]
-        a = np.block([[a.real, -a.imag], [a.imag, a.real]])
-        eye = np.eye(2 * m)
+        a = (-1j * dt).reshape(-1, *[1] * h.ndim) * h
+        eye = np.eye(h.shape[-1])
         step = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)  # T - I by Horner
         acc = np.zeros_like(step)  # T^k - I for the low bits k of each n consumed so far
         while True:
-            odd = n_steps % 2 == 1
-            acc[..., odd, :, :] = acc[..., odd, :, :] + step[..., odd, :, :] + acc[..., odd, :, :] @ step[..., odd, :, :]
+            odd = np.flatnonzero(n_steps % 2 == 1)
+            acc_odd, step_odd = acc[odd], step[odd]
+            acc[odd] = acc_odd + step_odd + acc_odd @ step_odd
             n_steps = np.floor(n_steps / 2)
-            if not np.any(n_steps):
+            left = np.flatnonzero(n_steps)
+            if not left.size:
                 break
-            step = 2.0 * step + step @ step  # T^(2k) - I from T^k - I
-    finite = np.isfinite(acc).all(axis=(-2, -1)).reshape(-1, times.shape[0]).all(axis=0)
+            step_left = step[left]
+            step[left] = 2.0 * step_left + step_left @ step_left  # T^(2k) - I from T^k - I
+    finite = np.isfinite(acc).reshape(times.shape[0], -1).all(axis=1)
     if not np.all(finite):
         raise NumericalError(_RK4_OVERFLOW.format(times[~finite][0]))
-    p = np.empty(acc.shape[:-2] + (m, m), dtype=np.complex128)
-    p.real, p.imag = acc[..., :m, :m], acc[..., m:, :m]
-    return p
+    return acc
 
 
 def _rk4(h: np.ndarray, rho0: np.ndarray, t_final: float, max_step: float) -> np.ndarray:
@@ -402,30 +400,54 @@ def initial_factor(rho0: DensityOperator) -> tuple[np.ndarray, float]:
     return b0, float(clip)
 
 
-def _sector_rows(h: np.ndarray) -> list[np.ndarray]:
+class _SectorRows(NamedTuple):
+    """One sector's basis indices in :func:`_sector_rows` order, and the 0/1 selectors that sum its rows to X entries.
+
+    ``q_select`` [q, j] is 1.0 where row j has qubit index q, and
+    ``pair_select`` [0 or 1, j] where pair j is (4k, 4k + 3) or
+    (4k + 1, 4k + 2); both are None on one set of every index, where no
+    state is X-shaped.
+    """
+
+    rows: np.ndarray
+    q_select: np.ndarray | None
+    pair_select: np.ndarray | None
+
+
+def _sector_rows(h: np.ndarray) -> list[_SectorRows]:
     """The index sets that ``h`` never couples: the two sectors of :func:`basis_parity`, or every index at once.
 
-    Every spin-star Hamiltonian conserves the parity; a matrix with an
-    entry between the sectors that is not exactly 0.0 is one sector.  Each
-    set lists its indices 4k, then 4k + 1, then their partners 4k + 3 and
-    4k + 2 in the same order: its rows j and j + n/2 meet in rho_03 or
-    rho_12, and rows of one qubit index q are adjacent.  Both sectors
-    hold n/2 indices.
+    Every spin-star Hamiltonian conserves the parity.  A matrix with an
+    entry between the sectors that is not exactly 0.0, or whose size is
+    not a multiple of 4, is one set, in index order.  A sector lists its
+    indices 4k and 4k + 1, then their partners 4k + 3 and 4k + 2 in the
+    same order, so that its rows j and j + n/2 meet in rho_03 or rho_12.
+    Both sectors hold n/2 indices.
     """
-    first = np.flatnonzero(np.arange(h.shape[0]) % 4 < 2)
-    first = first[np.argsort(first % 4, kind="stable")]
-    partner = first + 3 - 2 * (first % 4)
-    parity = basis_parity(h.shape[0])[first]
-    odd, even = (np.concatenate([first[parity == sign], partner[parity == sign]]) for sign in (-1.0, 1.0))
-    if np.any(h[np.ix_(odd, even)]) or np.any(h[np.ix_(even, odd)]):
-        return [np.concatenate([first, partner])]
-    return [odd, even]
+    n = h.shape[0]
+    if n % 4 == 0:
+        parity = basis_parity(n).tolist()
+        firsts = [[i for i in range(n) if i % 4 < 2 and parity[i] == sign] for sign in (-1.0, 1.0)]
+        odd, even = (np.array(first + [i + 3 - 2 * (i % 4) for i in first]) for first in firsts)
+        if not (np.any(h[np.ix_(odd, even)]) or np.any(h[np.ix_(even, odd)])):
+            return [_SectorRows(rows, np.eye(4)[:, rows % 4], np.eye(2)[:, rows[: n // 4] % 4]) for rows in (odd, even)]
+    return [_SectorRows(np.arange(n), None, None)]
 
 
-def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The start of each run of equal adjacent ``labels``, and its label: the segments of ``np.add.reduceat``."""
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))
-    return starts, labels[starts]
+def _spectral_sectors(h: np.ndarray, v: np.ndarray) -> list[tuple]:
+    """(rows, eigenvector indices, V_s) of each sector of :func:`_sector_rows`: the block of V that propagates it.
+
+    :func:`espkit.densemat.hermitian_eig` keeps each eigenvector of a
+    parity-conserving H exactly 0.0 off its sector; should one reach both
+    sectors, all of V is one block.
+    """
+    sectors = _sector_rows(h)
+    if len(sectors) == 1:
+        return [(sectors[0], sectors[0].rows, v)]
+    eigen = [np.flatnonzero(np.any(v[sector.rows] != 0, axis=0)) for sector in sectors]
+    if eigen[0].size + eigen[1].size != v.shape[1]:
+        return [(_SectorRows(np.arange(v.shape[0]), None, None), np.arange(v.shape[1]), v)]
+    return [(sector, cols, v[np.ix_(sector.rows, cols)]) for sector, cols in zip(sectors, eigen)]
 
 
 class _Sector(NamedTuple):
@@ -434,20 +456,23 @@ class _Sector(NamedTuple):
     The columns are each X state's columns inside the sector, then every
     column of every other state; ``spans`` holds each state's (start,
     stop) among them, X states first.  ``x_states`` numbers the X states
-    with columns here among all X states, and ``x_starts`` gives each
-    one's first column; ``q_runs`` and ``pair_runs`` are the
-    :func:`_runs` of the rows' qubit index and of the pairs' first one.
+    with columns here among all X states, and ``x_starts`` and ``x_stops``
+    bound each one's columns.  ``exact`` keeps the sector block V_s of V, the
+    coefficients V_s† B0_s and the indices of the sector's eigenvalues;
+    ``integrator`` keeps None.
     """
 
     index: int
-    rows: np.ndarray
+    rows: _SectorRows
     b0: np.ndarray
     spans: list
     n_x_columns: int
     x_states: np.ndarray
     x_starts: np.ndarray
-    q_runs: tuple
-    pair_runs: tuple
+    x_stops: np.ndarray
+    v: np.ndarray | None
+    coefficients: np.ndarray | None
+    eigen: np.ndarray | None
 
 
 class SectorGroup:
@@ -461,51 +486,49 @@ class SectorGroup:
     on {00, 11} or on {01, 10}.  :attr:`x` [k] is True when every column
     of state k lies inside one sector, so that its reduced states are
     X-shaped at every time: the decision is made once per initial column,
-    here, as are the sector blocks of V and the coefficients V_s† B0_s
-    (``exact``) or of H (``integrator``).  ``h`` comes checked by
+    here, as are the coefficients V_s† B0_s (``exact``, from the sector
+    blocks of V that :class:`SpectralPropagator` holds) or the sector
+    blocks of H (``integrator``).  ``h`` comes checked by
     :func:`_checked_initial`; a propagator ``h`` lends ``exact`` its
     spectrum.
     """
 
     def __init__(self, h: np.ndarray | SpectralPropagator, b0s: list[np.ndarray], dim_c: int, method: str):
-        rows_by_sector = _sector_rows(_generator(h))
         if method == "exact":
             self.prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
-            eigen = [np.flatnonzero(np.any(self.prop.v[rows] != 0, axis=0)) for rows in rows_by_sector]
-            if sum(cols.size for cols in eigen) != self.prop.w.size:  # an eigenvector on both sectors
-                rows_by_sector, eigen = [np.concatenate(rows_by_sector)], [np.arange(self.prop.w.size)]
+            blocks = self.prop.sectors
         else:
-            self.blocks = np.stack([_generator(h)[np.ix_(rows, rows)] for rows in rows_by_sector])
-        widths = np.array([b.shape[1] for b in b0s])
-        owner = np.repeat(np.arange(len(b0s)), widths)
+            blocks = [(sector, None, None) for sector in _sector_rows(_generator(h))]
+            self.blocks = np.stack([_generator(h)[np.ix_(sector.rows, sector.rows)] for sector, _, _ in blocks])
         b0 = np.concatenate(b0s, axis=1)
-        inside = np.array([np.any(b0[rows] != 0, axis=0) for rows in rows_by_sector])  # (sectors, columns)
-        self.x = np.logical_and.reduceat(inside.sum(axis=0) <= 1, np.cumsum(widths) - widths) & (len(rows_by_sector) == 2)
-        others = np.flatnonzero(~self.x[owner])
-        self.other_spans = np.cumsum(np.concatenate([[0], widths[~self.x]]))
+        bounds = np.cumsum([0] + [b.shape[1] for b in b0s]).tolist()
+        states = list(zip(bounds[:-1], bounds[1:]))  # each state's columns of b0
+        inside = [np.any(b0[sector.rows] != 0, axis=0).tolist() for sector, _, _ in blocks]  # per sector, per column
+        x = [len(blocks) == 2 and not any(inside[0][c] and inside[1][c] for c in range(a, z)) for a, z in states]
+        self.x = np.array(x, dtype=bool)
+        others = [c for (a, z), xk in zip(states, x) if not xk for c in range(a, z)]
+        self.other_spans = np.cumsum([0] + [z - a for (a, z), xk in zip(states, x) if not xk]).tolist()
         self.sectors = []
-        for k, rows in enumerate(rows_by_sector):
-            x_cols = np.flatnonzero(self.x[owner] & inside[k])
-            if not x_cols.size and not others.size:
+        for k, (sector, eigen, v) in enumerate(blocks):
+            x_cols, spans, x_states = [], [], []
+            for rank, (a, z) in enumerate((a, z) for (a, z), xk in zip(states, x) if xk):
+                cols = [c for c in range(a, z) if inside[k][c]]
+                if cols:
+                    spans.append((len(x_cols), len(x_cols) + len(cols)))
+                    x_cols += cols
+                    x_states.append(rank)
+            if not x_cols and not others:
                 continue
-            x_starts, x_owners = _runs(owner[x_cols])
-            spans = [(a, b) for a, b in zip(x_starts, [*x_starts[1:], x_cols.size])]
-            spans += [(x_cols.size + a, x_cols.size + b) for a, b in zip(self.other_spans[:-1], self.other_spans[1:])]
-            half = rows.shape[0] // 2
-            self.sectors.append(
-                _Sector(
-                    k, rows, b0[np.ix_(rows, np.concatenate([x_cols, others]))], spans, x_cols.size,
-                    np.cumsum(self.x)[x_owners] - 1, x_starts, _runs(rows % 4), _runs(rows[:half] % 4),
-                )
-            )
-        if method == "exact":
-            self.propagators = []  # per sector: V_s, V_s† B0_s taken state by state, and the eigenvalues' indices
-            for sector in self.sectors:
-                v = self.prop.v[np.ix_(sector.rows, eigen[sector.index])]
+            n_x = len(spans)
+            spans += [(len(x_cols) + a, len(x_cols) + z) for a, z in zip(self.other_spans[:-1], self.other_spans[1:])]
+            b0_s = b0[np.ix_(sector.rows, x_cols + others)]
+            c = None
+            if v is not None:  # V_s† B0_s, state by state, as each state alone takes it
                 vh = v.conj().T
-                c = np.concatenate([vh @ sector.b0[:, a:z] for a, z in sector.spans], axis=1)
-                self.propagators.append((v, c, eigen[sector.index]))
-        self.method, self.n, self.dim_c = method, b0.shape[0], dim_c
+                c = np.concatenate([vh @ b0_s[:, a:z] for a, z in spans], axis=1)
+            starts, stops = np.array(spans[:n_x], dtype=np.intp).reshape(-1, 2).T
+            self.sectors.append(_Sector(k, sector, b0_s, spans, len(x_cols), np.array(x_states, dtype=np.intp), starts, stops, v, c, eigen))
+        self.method, self.n, self.dim_c, self.n_x = method, b0.shape[0], dim_c, sum(x)
 
     def batches(self, times: np.ndarray):
         """Yield ``(entries, ls)`` for each batch of at most CHUNK ``times``.
@@ -528,25 +551,31 @@ class SectorGroup:
             for start, stop in zip(self.other_spans[:-1], self.other_spans[1:]):
                 b = np.empty((self.n, stop - start, ts.shape[0]), dtype=np.complex128)
                 for sector, amplitude in zip(self.sectors, amplitudes):
-                    b[sector.rows] = amplitude[:, sector.n_x_columns + start : sector.n_x_columns + stop]
+                    b[sector.rows.rows] = amplitude[:, sector.n_x_columns + start : sector.n_x_columns + stop]
                 ls.append(pair_factor(b.transpose(2, 0, 1), self.dim_c))
-            yield (_x_entries(self.sectors, amplitudes, int(np.count_nonzero(self.x))) if self.x.any() else None), ls
+            yield (_x_entries(self.sectors, amplitudes, self.n_x) if self.n_x else None), ls
 
     def _evolved(self, ts: np.ndarray):
         """Each sector's (n_s, columns, T) amplitudes B_s(t) at ``ts``, in turn."""
         if self.method == "exact":
             phases, at_zero = self.prop.phases(ts).T, ts == 0.0
-            for sector, (v, c, cols) in zip(self.sectors, self.propagators):
-                m = c[:, :, None] * phases[cols][:, None, :]
-                b = np.empty_like(m)
-                for a, z in sector.spans:
-                    b[:, a:z] = _sector_product(v, m[:, a:z])
+            for sector in self.sectors:
+                m = sector.coefficients[:, :, None] * phases[sector.eigen][:, None, :]
+                products = sector.spans[sector.x_starts.size :]  # the X columns at once, each other state alone
+                if sector.n_x_columns:
+                    products = [(0, sector.n_x_columns), *products]
+                if len(products) == 1:
+                    b = _sector_product(sector.v, m)
+                else:
+                    b = np.empty_like(m)
+                    for a, z in products:
+                        b[:, a:z] = _sector_product(sector.v, m[:, a:z])
                 b[:, :, at_zero] = sector.b0[:, :, None]
                 yield b
             return
         increments = _rk4_increments(self.blocks, ts, INTEGRATOR_STEP)
         for sector in self.sectors:
-            p = increments[sector.index]
+            p = increments[:, sector.index]
             flat = p.reshape(-1, p.shape[-1])
             b = np.empty(sector.b0.shape + ts.shape, dtype=np.complex128)
             for a, z in sector.spans:
@@ -566,31 +595,44 @@ def _sector_product(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _x_entries(sectors: list, amplitudes: list, n_x: int) -> tuple[np.ndarray, np.ndarray]:
     """(rho_ii, (|rho_03|, |rho_12|)) of every X state of a group, as (4, S, T) and (2, S, T) arrays, from its sector rows.
 
-    In each sector, |B|² summed over the rows of each qubit index q gives
-    rho_qq, and B_j B*_{j+n/2} summed over the pairs of each kind rho_03
-    or rho_12; each sum then runs over a state's columns in the sector,
-    and the two sectors add up.  Every sum is a ``np.add.reduceat`` along
-    an outer axis, so it adds whole slices in order and a state's entries
-    do not depend on the other states.
+    In each sector, one product with the 0/1 selector ``q_select`` sums
+    |B|² over the rows of each qubit index q into rho_qq, and one with
+    ``pair_select`` sums B_j B*_{j+n/2} over the pairs of each kind into
+    rho_03 and rho_12; both run on the real and imaginary parts at once.
+    The sums then run over each state's columns in the sector, in order
+    (:func:`_column_sums`), and the two sectors add up.  Up to S = 3/2 a row sum has at most two
+    nonzero terms, which round alike in any order, so a state's entries
+    do not depend on the other states of its group.
     """
     n_times = amplitudes[0].shape[-1]
     diag = np.zeros((4, n_x, n_times))
     coherence = np.zeros((2, n_x, n_times), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is reported by the monotones, as one error
         for sector, amplitude in zip(sectors, amplitudes):
-            if not sector.n_x_columns:
+            n_cols = sector.n_x_columns
+            if not n_cols:
                 continue
-            b, half = amplitude[:, : sector.n_x_columns], sector.rows.shape[0] // 2
-            for out, runs, terms in (
-                (diag, sector.q_runs, np.square(b.real) + np.square(b.imag)),
-                (coherence, sector.pair_runs, b[:half] * b[half:].conj()),
+            b, half = amplitude[:, :n_cols], amplitude.shape[0] // 2
+            parts = sector.rows.q_select @ np.square(b.view(np.float64)).reshape(2 * half, -1)
+            parts = parts.reshape(4, n_cols, n_times, 2)
+            pairs = (b[:half] * b[half:].conj()).view(np.float64).reshape(half, -1)
+            for out, sums in (
+                (diag, parts[..., 0] + parts[..., 1]),
+                (coherence, (sector.rows.pair_select @ pairs).view(np.complex128).reshape(2, n_cols, n_times)),
             ):
-                starts, labels = runs
-                sums = np.add.reduceat(terms, starts, axis=0)
-                if sector.x_starts.size < sector.n_x_columns:
-                    sums = np.add.reduceat(sums, sector.x_starts, axis=1)
-                out[np.ix_(labels, sector.x_states)] += sums
+                out[:, sector.x_states] += _column_sums(sums, sector.x_starts, sector.x_stops)
     return diag, np.abs(coherence)
+
+
+def _column_sums(x: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The columns [start, stop) of each run summed in order along the second axis of ``x``; ``x`` itself when each run is one column."""
+    if starts.size == x.shape[1]:
+        return x
+    out = x[:, starts]
+    for j in range(1, int(np.max(stops - starts))):
+        longer = stops - starts > j
+        out[:, longer] += x[:, starts[longer] + j]
+    return out
 
 
 def series_batches(h: np.ndarray | SpectralPropagator, rho0: DensityOperator, times: np.ndarray, order: int = 3):
@@ -610,10 +652,11 @@ def sample_trajectories(h, initials, spec: EvolutionSpec) -> list[Trajectory]:
     ``h`` is the Hamiltonian, or a :class:`SpectralPropagator` of it whose
     spectrum ``exact`` then reuses; a bare ``h`` is diagonalized once for
     all the states.  The states whose :func:`evaluation_times` agree are
-    sampled as one group of :func:`group_batches`, batch by batch, so each
-    batch's phase table or RK4 increments serve every state in it; each
-    trajectory is that of its state sampled alone, bit for bit.  The
-    ``series`` truncation of each state is sampled from
+    sampled as one :class:`SectorGroup`, batch by batch, so each batch's
+    phase table or RK4 increments serve every state in it, and the closed
+    forms of :func:`espkit.monotones.x_columns` all its X-shaped states at
+    once; each trajectory is that of its state sampled alone, bit for bit.
+    The ``series`` truncation of each state is sampled from
     :func:`series_batches`.
 
     Each trajectory's metadata records the maximum trace/Hermiticity
@@ -633,7 +676,12 @@ def sample_trajectories(h, initials, spec: EvolutionSpec) -> list[Trajectory]:
         rho0s.append(rho0)
     times = spec.time_grid()
     window = f"[{times[0]:g}, {times[-1]:g}]"
-    plans = [evaluation_times(h, rho0, times) for rho0 in rho0s]
+    plans, by_kind = [], {}
+    for rho0 in rho0s:  # evaluation_times reads a state only for whether it is complex
+        kind = bool(np.any(rho0.matrix.imag))
+        if kind not in by_kind:
+            by_kind[kind] = evaluation_times(h, rho0, times)
+        plans.append(by_kind[kind])
     if spec.method == "series":
         try:
             columns = [[matrix_columns(red) for red in series_batches(h, rho0, ts)] for rho0, (ts, _) in zip(rho0s, plans)]
