@@ -45,7 +45,6 @@ sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which picks the tree to 
 
 import numpy as np  # noqa: E402
 
-import espkit  # noqa: E402
 from espkit import cli, dynamics, monotones  # noqa: E402
 
 TARGETS = ("table1", "table2", "fig2", "fig4", "fig5")
@@ -105,7 +104,6 @@ def environment() -> dict:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": blas_threads(),
         "nproc": os.cpu_count(),
-        "espkit_file": espkit.__file__,
     }
 
 

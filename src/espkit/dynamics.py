@@ -456,10 +456,10 @@ class _Sector(NamedTuple):
     The columns are each X state's columns inside the sector, then every
     column of every other state; ``spans`` holds each state's (start,
     stop) among them, X states first.  ``x_states`` numbers the X states
-    with columns here among all X states, and ``x_starts`` and ``x_stops``
-    bound each one's columns.  ``exact`` keeps the sector block V_s of V, the
-    coefficients V_s† B0_s and the indices of the sector's eigenvalues;
-    ``integrator`` keeps None.
+    with columns here among all X states, and ``x_starts`` and
+    ``x_stops`` bound each one's columns.  ``exact`` keeps the sector
+    block V_s of V, the coefficients V_s† B0_s and the indices of the
+    sector's eigenvalues; ``integrator`` keeps None.
     """
 
     index: int
@@ -538,12 +538,14 @@ class SectorGroup:
         without X states; ``ls`` holds the (T, 4, k) factor L of each
         other state, in the order of ``b0s``.  Per batch, ``exact`` takes
         one phase table for the group and B_s(t) = V_s (e^{-i w_s t} ∘
-        V_s† B0_s), one product per state and sector, with B(0) = B0
-        exactly; ``integrator`` takes B_s(t) = B0_s + P_s(t) B0_s with the
-        RK4 increments of every time and sector powered at once
-        (:func:`_rk4_increments`).  Each state takes its own products, so
-        it is propagated bit for bit as it is alone.  Consume each batch
-        before the next.
+        V_s† B0_s), with one product per sector for the columns of all
+        the X states and one for each other state, and B(0) = B0 exactly;
+        ``integrator`` takes B_s(t) = B0_s + P_s(t) B0_s with the RK4
+        increments of every time and sector powered at once
+        (:func:`_rk4_increments`), one product per state.  A product's
+        width never decides how BLAS rounds an entry of a sector of up to
+        12 rows (S = 5/2), so each state is propagated bit for bit as it
+        is alone.  Consume each batch before the next.
         """
         for ts in batches(times):
             amplitudes = list(self._evolved(ts))
@@ -585,7 +587,7 @@ class SectorGroup:
 
 
 def _sector_product(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """V M for a (n, n) ``v`` and a (n, ...) complex ``m``, as one product; a real V multiplies M's real and imaginary parts at once."""
+    """V M for a (n, n) ``v`` and a (n, ...) complex ``m``, as one product: a real V takes M's real and imaginary parts at once."""
     if v.dtype.kind == "f":
         flat = np.ascontiguousarray(m).view(np.float64).reshape(m.shape[0], -1)
         return (v @ flat).view(np.complex128).reshape(m.shape)
@@ -600,9 +602,10 @@ def _x_entries(sectors: list, amplitudes: list, n_x: int) -> tuple[np.ndarray, n
     ``pair_select`` sums B_j B*_{j+n/2} over the pairs of each kind into
     rho_03 and rho_12; both run on the real and imaginary parts at once.
     The sums then run over each state's columns in the sector, in order
-    (:func:`_column_sums`), and the two sectors add up.  Up to S = 3/2 a row sum has at most two
-    nonzero terms, which round alike in any order, so a state's entries
-    do not depend on the other states of its group.
+    (:func:`_column_sums`), and the two sectors add up.  Up to S = 3/2 a
+    row sum has at most two nonzero terms, which round alike in any
+    order, so a state's entries do not depend on the other states of its
+    group.
     """
     n_times = amplitudes[0].shape[-1]
     diag = np.zeros((4, n_x, n_times))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from espkit import analysis, densemat, dynamics
-from espkit.cli import FIG5_CASES, MIXED_J, MIXED_SPEC
+from espkit.cli import FIG5_CASES, MIXED_J, MIXED_SPEC, main
 from espkit.dynamics import (
     EvolutionSpec,
     SpectralPropagator,
@@ -101,6 +101,30 @@ def test_rk4_powering_matches_step_loop(n, sign):
     for _ in range(n):
         rho = step @ rho @ step.conj().T
     assert np.max(np.abs(_rk4(h, rho0, t, max_step) - rho)) <= 1e-14
+
+
+def test_stacked_powering_matches_each_time_and_the_step_loop():
+    """One stacked powering of every time at once, 1 to 51 steps of either sign and t = 0 together, and
+    of the two parity blocks of H at once: each P(t) is _rk4_increment's to 1e-15 and the n plain RK4
+    steps' T^n - I to 1e-14, and exactly 0 at t = 0."""
+    s = SpinMagnitude(1)
+    h = spin_star_hamiltonian(ExchangeCoupling(0.7, -0.3, 1.2), s)
+    max_step = 1e-2
+    counts = (1, 2, 3, 7, 50, 51)
+    times = np.array([0.0] + [sign * (n - 0.5) * max_step for n in counts for sign in (1.0, -1.0)])
+    sectors = dynamics._sector_rows(h)
+    blocks = np.stack([h[np.ix_(sector.rows, sector.rows)] for sector in sectors])
+    for generator in (h, blocks):
+        stack = dynamics._rk4_increments(generator, times, max_step)
+        assert stack.shape == (times.size, *generator.shape)
+        assert not np.any(stack[0])
+        for t, p in zip(times[1:], stack[1:]):
+            n = math.ceil(abs(t) / max_step)
+            a = -1j * generator * (t / n)
+            step = sum(np.linalg.matrix_power(a, k) / math.factorial(k) for k in range(5))
+            assert np.max(np.abs(p - (np.linalg.matrix_power(step, n) - np.eye(generator.shape[-1])))) <= 1e-14
+            one = np.array([dynamics._rk4_increment(g, float(t), max_step) for g in generator.reshape(-1, *generator.shape[-2:])])
+            assert np.max(np.abs(p.reshape(one.shape) - one)) <= 1e-15
 
 
 def test_rk4_zero_time_returns_copy():
@@ -321,6 +345,21 @@ def test_propagator_rejects_phases_with_no_correct_bit():
     assert prop.phases(np.array([t_ok])).shape == (1, 2)
 
 
+def test_phase_table_is_exp_bit_for_bit_on_every_repro_grid(tmp_path, monkeypatch):
+    """The cos/sin phase table equals np.exp(-1j * outer(t, w)) byte for byte, signed zeros included,
+    on the spectrum and times of every table the repro targets make, and at t = ±0 and w = 0."""
+    seen = []
+    phases = SpectralPropagator.phases
+    monkeypatch.setattr(SpectralPropagator, "phases", lambda self, ts: seen.append((self, ts)) or phases(self, ts))
+    for target in ("table1", "table2", "fig2", "fig4", "fig5"):
+        assert main(["repro", target, "--out", str(tmp_path)]) == 0
+    prop = SpectralPropagator(np.diag([-1.5, 0.0, 2.0]))
+    seen.append((prop, np.array([-0.0, 0.0, 1e-300, -2.5, 1e5])))
+    assert len(seen) > 100
+    for prop, ts in seen:
+        assert phases(prop, ts).tobytes() == np.exp(-1j * np.multiply.outer(ts, prop.w)).tobytes()
+
+
 def test_time_reversal_is_the_spin_flip_and_an_exact_involution(rng):
     """Theta = exp(-i pi Sy) ⊗ sigma_y ⊗ sigma_y, built by diagonalization, agrees with the signed
     reversal to 1e-15 for S = 0 to 3/2, on real and complex states; two flips return rho bit for bit."""
@@ -517,6 +556,15 @@ def test_trajectory_columns_share_one_length():
         Trajectory(t, t[:2], t, t, np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError, match=r"differ in length: \[3, 3, 3, 3, 1\]"):
         Trajectory(t, t, t, t, np.zeros(1, dtype=np.int64))
+
+
+def test_trajectory_counts_lie_in_0_to_4():
+    """A negative count outside 0..MAX_NEGATIVE_COUNT, or NaN, raises, as the CSV reader's rule does."""
+    t = np.array([0.0, 0.5, 1.0])
+    for bad in (np.array([0, -1, 0]), np.array([0, 5, 4]), np.array([0.0, np.nan, 1.0])):
+        with pytest.raises(ValueError, match=r"negative_count must be in 0\.\.4"):
+            Trajectory(t, t, t, t, bad)
+    assert len(Trajectory(t, t, t, t, np.array([0, 4, 1], dtype=np.int8))) == 3
 
 
 def test_trajectory_needs_two_finite_samples():

@@ -17,7 +17,8 @@ from espkit.dynamics import (
     sample_trajectory,
 )
 from espkit.errors import NumericalError
-from espkit.hilbert import DensityOperator, Ket, SpinMagnitude, SystemDims, pair_factor, trace_out_c
+from espkit.densemat import basis_parity
+from espkit.hilbert import PAULI_X, DensityOperator, Ket, SpinMagnitude, SystemDims, pair_factor, trace_out_c
 from espkit.model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from espkit.monotones import CHUNK, cne, concurrence, negativity
 from espkit.states import esp_weighting, mixed_initial, product_basis_initial, product_initial, pure_initial
@@ -261,6 +262,79 @@ def test_group_matches_each_trajectory_bit_for_bit(method):
         alone = sample_trajectory(h, initial, spec)
         assert trajectory_columns(traj) == trajectory_columns(alone)
         assert traj.meta == alone.meta
+
+
+def seeded_sector_factors(rng, dims: SystemDims) -> tuple[list, list]:
+    """Trace-one factors B0 with complex coefficients at S = 3/2, and whether each is X-shaped.
+
+    X-shaped: widths 1-16, every column inside one parity sector, some all in one sector and some
+    with columns in both.  Not X-shaped: in-sector columns mixed with one column on both sectors."""
+    parity = basis_parity(dims.total)
+
+    def column(sectors):
+        c = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
+        return c * np.isin(parity, sectors)
+
+    factors, x = [], []
+    for width in range(1, 17):
+        for sectors in ([1.0], [-1.0], None):
+            cols = [column([rng.choice([-1.0, 1.0])] if sectors is None else sectors) for _ in range(width)]
+            factors.append(np.stack(cols, axis=1))
+            x.append(True)
+    for width in (1, 2, 5, 9):
+        cols = [column([1.0, -1.0])] + [column([rng.choice([-1.0, 1.0])]) for _ in range(width)]
+        factors.append(np.stack(cols[::-1] if width % 2 else cols, axis=1))
+        x.append(False)
+    return [b / np.linalg.norm(b) for b in factors], x
+
+
+def test_group_kernel_matches_the_lapack_path():
+    """A group of seeded factors (widths 1-16, both sectors, complex coefficients, states that mix
+    in-sector columns with one on both sectors) sampled by sector: lambda*, C and the trace drift of
+    every state agree to 1e-15 with LAPACK on the factor L(t) = regrouped V e^{-iwt} V† B0, taken time
+    by time with the full V; X states read a Hermiticity drift of exactly 0.0."""
+    rng = np.random.default_rng(30)
+    s = SpinMagnitude(3)
+    dims = SystemDims.for_spin(s)
+    prop = SpectralPropagator(spin_star_hamiltonian(ExchangeCoupling(0.8, -0.35, 1.1), s))
+    factors, x = seeded_sector_factors(rng, dims)
+    assert dynamics.SectorGroup(prop, factors, dims.dim_c, "exact").x.tolist() == x
+    spec = EvolutionSpec(t_max=3.0, n_steps=CHUNK + 40, emit_negative_times=True)  # t = 0 and two batches
+    states = [DensityOperator.from_factor(b, dims) for b in factors]
+    trajectories = dynamics.sample_trajectories(prop, states, spec)
+    times = spec.time_grid()
+    for b0, is_x, traj in zip(factors, x, trajectories):
+        l = np.stack([pair_factor(prop.unitary(float(t)) @ b0, dims.dim_c) for t in times])
+        lam, conc, _, _ = monotones.batch_columns(l)
+        assert np.max(np.abs(traj.cne - lam)) <= 1e-15
+        assert np.max(np.abs(traj.concurrence - conc)) <= 1e-15
+        drift = np.max(np.abs(np.sum(np.abs(l) ** 2, axis=(1, 2)) - 1.0))
+        assert abs(traj.meta["max_trace_deviation"] - drift) <= 1e-15
+        assert traj.meta["max_hermiticity_deviation"] == 0.0 or not is_x
+
+
+def parity_breaking_case(kind):
+    """``state_case(kind)`` with 0.3 σx on qubit A added to H: the parity sectors couple."""
+    h, initial = state_case(kind)
+    dim_c = h.shape[0] // 4
+    return h + 0.3 * np.kron(np.eye(dim_c), np.kron(PAULI_X, np.eye(2))), initial
+
+
+@pytest.mark.parametrize("kind", ["product", "mixed"])
+@pytest.mark.parametrize("method", ["exact", "integrator"])
+def test_broken_parity_matches_per_matrix_chain(monkeypatch, method, kind):
+    """An H that couples the parity sectors is one sector: the z-basis product and the Bell mixture,
+    X-shaped under a spin-star H, are sampled off the X and match the per-matrix chain at CHAIN_TOL."""
+    h, initial = parity_breaking_case(kind)
+    decisions = x_decisions(monkeypatch)
+    spec = EvolutionSpec(t_max={"exact": 2.0, "integrator": 0.01}[method], n_steps=300, method=method, emit_negative_times=True)
+    traj = sample_trajectory(h, initial, spec)
+    assert decisions == [[False]]
+    dim_c = h.shape[0] // 4
+    for k, (rho, _) in enumerate(chain_states(h, initial, spec)):
+        red = trace_out_c(rho, dim_c)
+        assert abs(traj.cne[k] - cne(red)[0]) <= CHAIN_TOL
+        assert abs(traj.concurrence[k] - concurrence(red)) <= CHAIN_TOL
 
 
 def unnormalized(rho, scale):
