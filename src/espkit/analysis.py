@@ -18,7 +18,7 @@ dt by the local time-even symmetry; None leaves an order out), which
 ``repro table1``/``table2`` and :func:`validate_formula` all read.  The
 lambda*(dt) samplers map an array of times to lambda* of the reduced
 states that trajectories sample: the exact one reads the factors of
-:func:`espkit.dynamics.group_batches`, and the truncated one the
+:class:`espkit.dynamics.SectorGroup`, and the truncated one the
 commutator-series matrices of :func:`espkit.dynamics.series_batches`.
 The fits, validators and symmetry checks call a sampler once.
 

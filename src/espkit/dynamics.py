@@ -19,31 +19,33 @@ backwards for its negative times.
 
 The exact and integrator methods propagate the initial ensemble factor
 B0 (rho0 = B0 B0†, one column per pure component, from
-:func:`initial_factor`) and regroup each B(t) into the factor L of
-rho_AB = L L†, which is positive by construction and never diagonalized.
-:func:`group_batches` yields L, CHUNK sample times per batch, for every
-initial state that shares one H and one grid: H is diagonalized once, and
-each batch's phase table exp(-iwt) (or each time's RK4 increment) is
-computed once for the group; each state then takes its own B(t), L, X
-decision and monotones from it, one state at a time, so the working set
-is one state's batch.  Trajectories (:func:`sample_trajectories`, and
-:func:`sample_trajectory` for one state) and the exact short-time lambda*
-sampler of :mod:`espkit.analysis` read it.  The series truncation of the
-equation of motion for rho is not a state and has no positive factor:
-:func:`series_batches` yields each reduced truncation rho_AB itself, and
-its negativity is defined as max(0, -lambda*), as for a state.
-
-H conserves the parity (-1)^(S-m) σz^A σz^B that the basis layout fixes
+:func:`initial_factor`) and evaluate the reduced states rho_AB = L L†
+of each B(t) without diagonalizing them as states.  H conserves the
+parity (-1)^(S-m) σz^A σz^B that the basis layout fixes
 (:func:`espkit.densemat.basis_parity`), and its eigenvectors
 (:func:`espkit.densemat.hermitian_eig`) are exactly 0.0 off one parity
-sector, so B(t) keeps the exact zeros of a parity-definite B0.  Such a
-B0, a z-basis product configuration or a Bell mixture with the
-environment in one m level, yields factors whose every column sits on
-{00, 11} or on {01, 10}, so the reduced states are exactly X-shaped;
-:mod:`espkit.monotones` evaluates such a batch in closed form from L and
-never forms rho_AB.  A purified weighting is parity-definite
-only when it pairs one alpha with one beta Bell state (fig5's W2-W5); the
-batches of any other form rho_AB = L L† and take LAPACK.
+sector, so the two sectors are the unit of sampling: a
+:class:`SectorGroup` holds every initial state that shares one H and one
+grid, splits their columns by sector once, and propagates each sector's
+rows on their own, CHUNK sample times per batch, with one phase table
+exp(-iwt) per batch for the group (``exact``) or every time's RK4
+increment of both sector blocks powered at once (``integrator``).  A
+column of B0 inside one sector stays there, so the X decision is made
+once per initial column: a state whose every column lies inside one
+sector, such as a z-basis product configuration or a Bell mixture with
+the environment in one m level, has exactly X-shaped reduced states at
+every time, and the closed forms of :mod:`espkit.monotones` evaluate all
+such states of a group together from their sector rows, never forming L
+or rho_AB.  A purified weighting is X-shaped only when it pairs one
+alpha with one beta Bell state (fig5's W2-W5); every other state, and
+every state under an H that couples the sectors, forms its L and
+rho_AB and takes LAPACK.  Trajectories (:func:`sample_trajectories`,
+and :func:`sample_trajectory` for one state) and the exact short-time
+lambda* sampler of :mod:`espkit.analysis` read the groups.  The series
+truncation of the equation of motion for rho is not a state and has no
+positive factor: :func:`series_batches` yields each reduced truncation
+rho_AB itself, and its negativity is defined as max(0, -lambda*), as for
+a state.
 """
 
 from __future__ import annotations

@@ -14,41 +14,39 @@ rho = L L†, the gamma values are the singular values of L^T (σy⊗σy) L,
 so no matrix square root is taken.  Both are local-unitary invariants
 and, for two qubits, vanish together.
 
-The batched entry points take the factor L of each batch of states
-rho_AB = L L† that :func:`espkit.dynamics.group_batches` yields:
-:func:`batch_columns` takes lambda*, the concurrence and the drifts from
-L, and :func:`batch_pt_min` lambda* alone, for the short-time samplers.
-A stack of matrices that need not be states, such as the series
-truncations, goes to :func:`matrix_columns`: lambda* of the matrices
-themselves, and the concurrence and clip of the factor :func:`psd_factor`
-makes of them.  A bare matrix has no factor: :func:`cne` and
-:func:`negativity` wrap :func:`pt_min`, one ``eigvalsh``, and the
-per-matrix :func:`concurrence` makes a factor with :func:`psd_factor` and
-takes its QR/SVD concurrence.
-
-X-shaped states, whose entries off the diagonal and the anti-diagonal are
-exactly 0.0, have closed forms (Yu and Eberly, Quantum Inf. Comput. 7,
-459 (2007)) in the diagonal rho_ii and the coherences |rho_03|, |rho_12|:
-the partial transpose splits into two 2x2 blocks, and
+The batched entry points take a batch of states sampled by
+:class:`espkit.dynamics.SectorGroup`.  X-shaped states, whose entries
+off the diagonal and the anti-diagonal are exactly 0.0, have closed
+forms (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)) in the
+diagonal rho_ii and the coherences |rho_03|, |rho_12|: the partial
+transpose splits into two 2x2 blocks, and
 C = 2 max(0, |rho_03| - ||L_1|| ||L_2||, |rho_12| - ||L_0|| ||L_3||) with
-||L_i|| = sqrt(rho_ii) the row norms of L.  A factor batch is decided once,
-on L, and this is espkit's only X decision: when every column sits on
-{00, 11} or on {01, 10}, rho_ii = ||L_i||² and rho_03, rho_12 are row
-products of L, lambda* and C follow from these six numbers, and rho_AB
-is never formed.  Any other factor batch forms rho_AB = L L† and takes
-LAPACK on it (``eigvalsh``, then QR and SVD for the concurrence); a stack
-of matrices and a bare matrix always take LAPACK.
-Parity-definite initial states keep the spin-star reduced states
-X-shaped: the z-basis product configurations and Bell mixtures with the
-environment in one m level.  A purified
-weighting pairs its Bell components with successive m levels, whose
-parities alternate: it is parity-definite only when it pairs one alpha
-with one beta state (fig5's W2-W5), and the others, those of ``evolve``
-included, take LAPACK.
+||L_i|| = sqrt(rho_ii) the row norms of any factor L.
+:func:`x_columns` takes lambda*, C and the trace drift of every X state
+of a group at once from these six numbers, as states × times arrays,
+and :func:`x_pt_min` lambda* alone; the group reads them from the
+sector rows of its propagated factors, and neither L nor rho_AB is
+formed.  Whether a state is X-shaped is decided once per initial
+column, by :class:`espkit.dynamics.SectorGroup`: the z-basis product
+configurations and Bell mixtures with the environment in one m level
+are, and a purified weighting only when it pairs one alpha with one
+beta state (fig5's W2-W5), since its Bell components pair with
+successive m levels, whose parities alternate.
 
-numpy reduces slowly over trailing axes of length 2 to 4, so the closed
-forms take such sums and extrema elementwise, and the sums over the
-columns of L as one matrix-vector product over its flattened rows.
+Every other state comes as the factor L of each batch of its states
+rho_AB = L L†: :func:`batch_columns` forms rho_AB and takes lambda*,
+the concurrence and the drifts from LAPACK (``eigvalsh``, then QR and
+SVD for the concurrence), and :func:`batch_pt_min` lambda* alone, for
+the short-time samplers.  A stack of matrices that need not be states,
+such as the series truncations, goes to :func:`matrix_columns`: lambda*
+of the matrices themselves, and the concurrence and clip of the factor
+:func:`psd_factor` makes of them.  A bare matrix has no factor:
+:func:`cne` and :func:`negativity` wrap :func:`pt_min`, one
+``eigvalsh``, and the per-matrix :func:`concurrence` makes a factor with
+:func:`psd_factor` and takes its QR/SVD concurrence.
+
+numpy reduces slowly over axes of length 2 to 4, so the closed forms
+unpack such axes and take their sums and extrema elementwise.
 """
 
 from __future__ import annotations
@@ -64,9 +62,10 @@ CLIP_BUDGET = 1e-9
 NEGATIVE_COUNT_TOL = 1e-12
 MAX_NEGATIVE_COUNT = 4  # a two-qubit partial transpose has four eigenvalues
 # matrices or sample times per batch; bounds the working set of long grids to one
-# state's batch, also where a group of states shares each batch's phase table.  The
-# X-shaped closed forms cost a fixed few dozen numpy calls per batch, so a batch
-# of 256 spends about half as long per sample on them as one of 64
+# group's batch, in which the group shares the phase table or the stacked RK4
+# powering and its X-shaped states share every product and closed form.  Those
+# cost a fixed few dozen numpy calls per batch and sector, so a batch of 256
+# spends about half as long per sample on them as one of 64
 CHUNK = 256
 
 YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]  # σy⊗σy = antidiag(-1, 1, 1, -1)
