@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 
 HERMITICITY_RTOL = 1e-12
+_QUBIT_PARITY = np.array([1.0, -1.0, -1.0, 1.0])  # σz^A σz^B on 00, 01, 10, 11
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -46,7 +47,7 @@ def basis_parity(n: int) -> np.ndarray:
     eigenvalue of (-1)^(S-m) σz^A σz^B that every spin-star Hamiltonian
     conserves.  Defined for any n, a multiple of 4 or not.
     """
-    return np.kron((-1.0) ** np.arange(-(-n // 4)), [1.0, -1.0, -1.0, 1.0])[:n]
+    return (((-1.0) ** np.arange(-(-n // 4)))[:, None] * _QUBIT_PARITY).ravel()[:n]
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

@@ -428,10 +428,10 @@ def _sector_rows(h: np.ndarray) -> list[_SectorRows]:
     """
     n = h.shape[0]
     if n % 4 == 0:
-        parity = basis_parity(n).tolist()
-        firsts = [[i for i in range(n) if i % 4 < 2 and parity[i] == sign] for sign in (-1.0, 1.0)]
-        odd, even = (np.array(first + [i + 3 - 2 * (i % 4) for i in first]) for first in firsts)
-        if not (np.any(h[np.ix_(odd, even)]) or np.any(h[np.ix_(even, odd)])):
+        first = np.flatnonzero(np.arange(n) % 4 < 2)  # 4k and 4k + 1
+        parity = basis_parity(n)[first]
+        odd, even = (np.concatenate([f, f + 3 - 2 * (f % 4)]) for f in (first[parity < 0], first[parity > 0]))
+        if not (np.any(h[odd[:, None], even]) or np.any(h[even[:, None], odd])):
             return [_SectorRows(rows, np.eye(4)[:, rows % 4], np.eye(2)[:, rows[: n // 4] % 4]) for rows in (odd, even)]
     return [_SectorRows(np.arange(n), None, None)]
 
@@ -449,7 +449,7 @@ def _spectral_sectors(h: np.ndarray, v: np.ndarray) -> list[tuple]:
     eigen = [np.flatnonzero(np.any(v[sector.rows] != 0, axis=0)) for sector in sectors]
     if eigen[0].size + eigen[1].size != v.shape[1]:
         return [(_SectorRows(np.arange(v.shape[0]), None, None), np.arange(v.shape[1]), v)]
-    return [(sector, cols, v[np.ix_(sector.rows, cols)]) for sector, cols in zip(sectors, eigen)]
+    return [(sector, cols, v[sector.rows[:, None], cols]) for sector, cols in zip(sectors, eigen)]
 
 
 class _Sector(NamedTuple):
