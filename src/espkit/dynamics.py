@@ -600,9 +600,11 @@ def _x_entries(sectors: list, amplitudes: list, n_x: int) -> tuple[np.ndarray, n
     """(rho_ii, (|rho_03|, |rho_12|)) of every X state of a group, as (4, S, T) and (2, S, T) arrays, from its sector rows.
 
     In each sector, one product with the 0/1 selector ``q_select`` sums
-    |B|² over the rows of each qubit index q into rho_qq, and one with
-    ``pair_select`` sums B_j B*_{j+n/2} over the pairs of each kind into
-    rho_03 and rho_12; both run on the real and imaginary parts at once.
+    the real |B|² over the rows of each qubit index q into rho_qq, and one
+    with ``pair_select`` sums B_j B*_{j+n/2}, real and imaginary parts at
+    once, over the pairs of each kind into rho_03 and rho_12.  The
+    diagonal's products are made before the coherences' start, which
+    keeps a group's peak memory per batch down.
     The sums then run over each state's columns in the sector, in order
     (:func:`_column_sums`), and the two sectors add up.  Up to S = 3/2 a
     row sum has at most two nonzero terms, which round alike in any
@@ -618,14 +620,13 @@ def _x_entries(sectors: list, amplitudes: list, n_x: int) -> tuple[np.ndarray, n
             if not n_cols:
                 continue
             b, half = amplitude[:, :n_cols], amplitude.shape[0] // 2
-            parts = sector.rows.q_select @ np.square(b.view(np.float64)).reshape(2 * half, -1)
-            parts = parts.reshape(4, n_cols, n_times, 2)
+            squares = np.square(b.real)
+            squares += np.square(b.imag)
+            sums = (sector.rows.q_select @ squares.reshape(2 * half, -1)).reshape(4, n_cols, n_times)
+            diag[:, sector.x_states] += _column_sums(sums, sector.x_starts, sector.x_stops)
             pairs = (b[:half] * b[half:].conj()).view(np.float64).reshape(half, -1)
-            for out, sums in (
-                (diag, parts[..., 0] + parts[..., 1]),
-                (coherence, (sector.rows.pair_select @ pairs).view(np.complex128).reshape(2, n_cols, n_times)),
-            ):
-                out[:, sector.x_states] += _column_sums(sums, sector.x_starts, sector.x_stops)
+            sums = (sector.rows.pair_select @ pairs).view(np.complex128).reshape(2, n_cols, n_times)
+            coherence[:, sector.x_states] += _column_sums(sums, sector.x_starts, sector.x_stops)
     return diag, np.abs(coherence)
 
 
