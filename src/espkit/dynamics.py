@@ -500,8 +500,9 @@ class SectorGroup:
             self.prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
             blocks = self.prop.sectors
         else:
-            blocks = [(sector, None, None) for sector in _sector_rows(_generator(h))]
-            self.blocks = np.stack([_generator(h)[np.ix_(sector.rows, sector.rows)] for sector, _, _ in blocks])
+            h = _generator(h)
+            blocks = [(sector, None, None) for sector in _sector_rows(h)]
+            self.blocks = np.stack([h[np.ix_(sector.rows, sector.rows)] for sector, _, _ in blocks])
         b0 = np.concatenate(b0s, axis=1)
         bounds = np.cumsum([0] + [b.shape[1] for b in b0s]).tolist()
         states = list(zip(bounds[:-1], bounds[1:]))  # each state's columns of b0
