@@ -2,12 +2,12 @@
 
 Run from a checkout, with one BLAS thread (set here before numpy loads):
 
-    python3 benchmarks/layers.py --label 30
+    python3 benchmarks/layers.py --label 31
 
 The ``espkit`` on ``PYTHONPATH`` is measured, else the ``src/`` next to
 this script, so one copy of this file times another tree:
 
-    PYTHONPATH=/path/to/other/checkout/src python3 benchmarks/layers.py --label 29
+    PYTHONPATH=/path/to/other/checkout/src python3 benchmarks/layers.py --label 30
 
 Every unit runs once per round, the units interleaved in a fixed order,
 and each reports the minimum over the rounds (min-of-k), with the median
@@ -16,11 +16,13 @@ beside it.  The units are each ``espkit repro`` target and the three
 and each group that ``repro fig2``, ``fig4`` and ``fig5`` samples
 through ``dynamics.sample_trajectories``, alone.  The layers are timed in
 separate rounds of the same calls, by wrapping the functions that make
-up each layer (sector products, X closed forms, LAPACK monotones, phase
-table, RK4 powering, CSV writer); a layer reads null on a tree that
-lacks all of its functions.  Wrapping adds about a microsecond per call,
-so the layer rounds are kept apart from the unit rounds.  No totals are
-recorded: a sum of minima is no round anyone ran.
+up each layer (Hamiltonian build, diagonalization, sector setup, sector
+products, X closed forms, LAPACK monotones, phase table, RK4 powering,
+CSV writer); a layer reads null on a tree that lacks all of its
+functions.  Each layer counts its own functions' time, so a call that
+spans two layers counts in both.  Wrapping adds about a microsecond per
+call, so the layer rounds are kept apart from the unit rounds.  No
+totals are recorded: a sum of minima is no round anyone ran.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, which picks the tree to 
 
 import numpy as np  # noqa: E402
 
-from espkit import cli, dynamics, monotones  # noqa: E402
+from espkit import cli, densemat, dynamics, model, monotones  # noqa: E402
 
 TARGETS = ("table1", "table2", "fig2", "fig4", "fig5")
 # the dimension-16 purified weighting the benchmark's curves workload evolves
@@ -60,9 +62,19 @@ EVOLVE_GRIDS = {
 }
 # (module, attribute) of the functions each layer spends its time in; a name one tree lacks is skipped
 LAYERS = {
+    "hamiltonian_build": [(model, "spin_star_hamiltonian")],
+    "diagonalization": [(densemat, "hermitian_eig")],
+    "sector_setup": [
+        (dynamics, "_sector_layout"),
+        (dynamics, "_parity_sectors"),
+        *([(dynamics.SectorGroup, "__init__")] if hasattr(dynamics, "SectorGroup") else []),
+        (dynamics, "_sector_rows"),
+        (dynamics, "_spectral_sectors"),
+    ],
     "sector_products": [(dynamics, "_sector_product")],
     "x_closed_forms": [
         (dynamics, "_x_entries"),
+        (dynamics, "_add_x_entries"),
         (monotones, "x_columns"),
         (monotones, "x_pt_min"),
         (monotones, "_x_factor"),

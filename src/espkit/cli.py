@@ -476,7 +476,6 @@ def cmd_evolve(args) -> int:
         "config": cfg.to_json(),
         "invariants": {
             "max_trace_deviation": traj.meta["max_trace_deviation"],
-            "max_hermiticity_deviation": traj.meta["max_hermiticity_deviation"],
             "max_psd_clip": traj.meta["max_psd_clip"],
             **threshold_headroom(traj, cfg.threshold),
         },

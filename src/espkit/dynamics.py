@@ -24,12 +24,14 @@ of each B(t) without diagonalizing them as states.  H conserves the
 parity (-1)^(S-m) σz^A σz^B that the basis layout fixes
 (:func:`espkit.densemat.basis_parity`), and its eigenvectors
 (:func:`espkit.densemat.hermitian_eig`) are exactly 0.0 off one parity
-sector, so the two sectors are the unit of sampling: a
-:class:`SectorGroup` holds every initial state that shares one H and one
-grid, splits their columns by sector once, and propagates each sector's
-rows on their own, CHUNK sample times per batch, with one phase table
-exp(-iwt) per batch for the group (``exact``) or every time's RK4
-increment of both sector blocks powered at once (``integrator``).  A
+sector, so the two sectors are the unit of sampling.  Their rows depend
+on the dimension alone and are laid out once per dimension
+(:func:`_sector_layout`).  A :class:`SectorGroup` holds every initial
+state that shares one H and one grid, splits their columns by sector
+once, and propagates each sector's rows on their own, CHUNK sample times
+per batch, with one phase table exp(-iwt) per batch for the group and
+one product per sector (``exact``) or every time's RK4 increment of
+both sector blocks powered at once (``integrator``).  A
 column of B0 inside one sector stays there, so the X decision is made
 once per initial column: a state whose every column lies inside one
 sector, such as a z-basis product configuration or a Bell mixture with
@@ -50,6 +52,7 @@ a state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -164,7 +167,12 @@ class SpectralPropagator:
     def __init__(self, h):
         self.h = as_complex_matrix(h)
         self.w, self.v = hermitian_eig(self.h)
-        self.sectors = _spectral_sectors(self.h, self.v)
+        self.rows = _parity_sectors(self.h)
+        on = np.any(self.v[self.rows] != 0, axis=1)  # per sector, per eigenvector
+        if len(on) == 2 and np.any(on[0] & on[1]):  # an eigenvector on both sectors: all of V is one block
+            self.rows, on = np.arange(self.h.shape[0])[None], np.ones((1, self.h.shape[0]), dtype=bool)
+        # (eigenvector indices, V_s) of each sector: hermitian_eig keeps each eigenvector exactly 0.0 off its sector
+        self.sectors = [(eigen, self.v[r[:, None], eigen]) for r, eigen in zip(self.rows, map(np.flatnonzero, on))]
 
     def _check_phases(self, t_abs: float) -> None:
         """The rounding error of the largest phase w t, near eps |w t|, must stay below 1 rad."""
@@ -285,46 +293,19 @@ def evolve_series(h, rho0: InitialState, dt: float, order: int = 3) -> np.ndarra
     return _series_stack(_series_terms(_generator(h), rho0.matrix, order), np.array([float(dt)]))[0]
 
 
-def _rk4_increment(h: np.ndarray, t_final: float, max_step: float) -> np.ndarray:
-    """P = U - I for the fourth-order Runge-Kutta propagator U of dU/dt = -i h U over ``t_final``.
-
-    n = ceil(|t_final| / max_step) steps of dt = t_final / n land exactly on
-    ``t_final``.  One step of the linear equation is the fixed matrix
-    T = I + E with E = sum_{1<=k<=4} (-i h dt)^k / k!, so the n steps are
-    U = T^n, taken by binary powering in O(log n) matrix products.  Only
-    the increments E and T^n - I are formed: I + E in double precision
-    would round away the low bits of E in every step.  P is zero at
-    ``t_final`` = 0.  A step count or powering that overflows raises :class:`NumericalError`.
-    """
-    acc = np.zeros_like(h)  # T^m - I for the low bits m of n_steps consumed so far
-    if t_final == 0.0:
-        return acc
-    n_steps = np.ceil(abs(t_final) / max_step)
-    if not np.isfinite(n_steps):
-        raise NumericalError(_RK4_OVERFLOW.format(t_final))
-    n_steps = int(n_steps)
-    a = (-1j * (t_final / n_steps)) * h
-    eye = np.eye(h.shape[0], dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one error, not as warnings
-        step = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)  # T - I by Horner
-        while n_steps:
-            if n_steps & 1:
-                acc = acc + step + acc @ step
-            step = 2.0 * step + step @ step  # T^(2k) - I from T^k - I
-            n_steps >>= 1
-    if not np.all(np.isfinite(acc)):
-        raise NumericalError(_RK4_OVERFLOW.format(t_final))
-    return acc
-
-
 def _rk4_increments(h: np.ndarray, times: np.ndarray, max_step: float) -> np.ndarray:
-    """The :func:`_rk4_increment` P(t) of every time at once: a (T, ..., m, m) stack for a (..., m, m) ``h``.
+    """P = U - I for the RK4 propagator U of dU/dt = -i h U over each of ``times``: a (T, ..., m, m) stack for a (..., m, m) ``h``.
 
-    Each time takes its own n = ceil(|t| / max_step) steps of dt = t / n,
-    and the one-step increments of all the times are powered together:
-    round b folds every time's T^(2^b) - I into the times whose n has bit
-    b set, then squares it for the times with higher bits left.  P is
-    zero at t = 0.  A step count or powering that overflows raises
+    Each time t takes its own n = ceil(|t| / max_step) steps of dt = t /
+    n, which land exactly on t.  One step of the linear equation is the
+    fixed matrix T = I + E with E = sum_{1<=k<=4} (-i h dt)^k / k!, so the
+    n steps are U = T^n, taken by binary powering in O(log n) matrix
+    products.  Only the increments E and T^n - I are formed: I + E in
+    double precision would round away the low bits of E in every step.
+    The one-step increments of all the times are powered together: round
+    b folds every time's T^(2^b) - I into the times whose n has bit b
+    set, then squares it for the times with higher bits left.  P is zero
+    at t = 0.  A step count or powering that overflows raises
     :class:`NumericalError`, naming the first such time.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported as one error, not as warnings
@@ -355,9 +336,7 @@ def _rk4_increments(h: np.ndarray, times: np.ndarray, max_step: float) -> np.nda
 
 def _rk4(h: np.ndarray, rho0: np.ndarray, t_final: float, max_step: float) -> np.ndarray:
     """U rho0 U† for the Runge-Kutta propagator U = I + P, as rho0 + P rho0 + rho0 P† + P rho0 P†."""
-    if t_final == 0.0:
-        return rho0.copy()
-    p = _rk4_increment(h, t_final, max_step)
+    p = _rk4_increments(h, np.array([t_final]), max_step)[0]
     half = rho0 + p @ rho0  # (I + P) rho0
     return half + half @ p.conj().T
 
@@ -402,76 +381,62 @@ def initial_factor(rho0: DensityOperator) -> tuple[np.ndarray, float]:
     return b0, float(clip)
 
 
-class _SectorRows(NamedTuple):
-    """One sector's basis indices in :func:`_sector_rows` order, and the 0/1 selectors that sum its rows to X entries.
+class _SectorLayout(NamedTuple):
+    """The two parity sectors of dimension n, a multiple of 4, and the 0/1 selectors that sum their rows to X entries.
 
-    ``q_select`` [q, j] is 1.0 where row j has qubit index q, and
-    ``pair_select`` [0 or 1, j] where pair j is (4k, 4k + 3) or
-    (4k + 1, 4k + 2); both are None on one set of every index, where no
-    state is X-shaped.
+    ``rows`` [s] lists sector s's indices 4k and 4k + 1, then their
+    partners 4k + 3 and 4k + 2 in the same order, so that its rows j and
+    j + n/2 meet in rho_03 or rho_12; the odd sector of
+    :func:`basis_parity` comes first.  ``q_select`` [s][q, j] is 1.0 where
+    row j has qubit index q, ``pair_select`` [s][0 or 1, j] where pair j
+    is (4k, 4k + 3) or (4k + 1, 4k + 2), and ``between`` marks the entries
+    of an n x n matrix that join the two sectors.
     """
 
     rows: np.ndarray
-    q_select: np.ndarray | None
-    pair_select: np.ndarray | None
+    q_select: tuple
+    pair_select: tuple
+    between: np.ndarray
 
 
-def _sector_rows(h: np.ndarray) -> list[_SectorRows]:
-    """The index sets that ``h`` never couples: the two sectors of :func:`basis_parity`, or every index at once.
-
-    Every spin-star Hamiltonian conserves the parity.  A matrix with an
-    entry between the sectors that is not exactly 0.0, or whose size is
-    not a multiple of 4, is one set, in index order.  A sector lists its
-    indices 4k and 4k + 1, then their partners 4k + 3 and 4k + 2 in the
-    same order, so that its rows j and j + n/2 meet in rho_03 or rho_12.
-    Both sectors hold n/2 indices.
-    """
-    n = h.shape[0]
-    if n % 4 == 0:
-        first = np.flatnonzero(np.arange(n) % 4 < 2)  # 4k and 4k + 1
-        parity = basis_parity(n)[first]
-        odd, even = (np.concatenate([f, f + 3 - 2 * (f % 4)]) for f in (first[parity < 0], first[parity > 0]))
-        if not (np.any(h[odd[:, None], even]) or np.any(h[even[:, None], odd])):
-            return [_SectorRows(rows, np.eye(4)[:, rows % 4], np.eye(2)[:, rows[: n // 4] % 4]) for rows in (odd, even)]
-    return [_SectorRows(np.arange(n), None, None)]
+@functools.cache
+def _sector_layout(n: int) -> _SectorLayout | None:
+    """The read-only :class:`_SectorLayout` of dimension ``n``, built once per n; None when 4 does not divide n."""
+    if n % 4:
+        return None
+    parity = basis_parity(n)
+    first = np.flatnonzero(np.arange(n) % 4 < 2)  # 4k and 4k + 1
+    rows = np.stack([np.concatenate([f, f + 3 - 2 * (f % 4)]) for f in (first[parity[first] < 0], first[parity[first] > 0])])
+    q_select, pair_select = tuple(np.eye(4)[:, r % 4] for r in rows), tuple(np.eye(2)[:, r[: n // 4] % 4] for r in rows)
+    layout = _SectorLayout(rows, q_select, pair_select, parity[:, None] != parity)
+    for a in (layout.rows, layout.between, *layout.q_select, *layout.pair_select):
+        a.flags.writeable = False
+    return layout
 
 
-def _spectral_sectors(h: np.ndarray, v: np.ndarray) -> list[tuple]:
-    """(rows, eigenvector indices, V_s) of each sector of :func:`_sector_rows`: the block of V that propagates it.
-
-    :func:`espkit.densemat.hermitian_eig` keeps each eigenvector of a
-    parity-conserving H exactly 0.0 off its sector; should one reach both
-    sectors, all of V is one block.
-    """
-    sectors = _sector_rows(h)
-    if len(sectors) == 1:
-        return [(sectors[0], sectors[0].rows, v)]
-    eigen = [np.flatnonzero(np.any(v[sector.rows] != 0, axis=0)) for sector in sectors]
-    if eigen[0].size + eigen[1].size != v.shape[1]:
-        return [(_SectorRows(np.arange(v.shape[0]), None, None), np.arange(v.shape[1]), v)]
-    return [(sector, cols, v[sector.rows[:, None], cols]) for sector, cols in zip(sectors, eigen)]
+def _parity_sectors(h: np.ndarray) -> np.ndarray:
+    """The (2, n/2) rows of :func:`_sector_layout` if ``h`` is exactly 0.0 between them, as every spin-star H is; else all (1, n) as one set."""
+    layout = _sector_layout(h.shape[0])
+    return layout.rows if layout is not None and not np.any(h[layout.between]) else np.arange(h.shape[0])[None]
 
 
 class _Sector(NamedTuple):
-    """One sector's share of a group: the sector rows of the columns of B0 it propagates, and how they sum to X entries.
+    """One sector's share of a group: the sector rows ``b0`` of the columns of B0 it propagates, and how they sum to X entries.
 
-    The columns are each X state's columns inside the sector, then every
-    column of every other state; ``spans`` holds each state's (start,
-    stop) among them, X states first.  ``x_states`` numbers the X states
-    with columns here among all X states, and ``x_starts`` and
-    ``x_stops`` bound each one's columns.  ``exact`` keeps the sector
-    block V_s of V, the coefficients V_s† B0_s and the indices of the
-    sector's eigenvalues; ``integrator`` keeps None.
+    The first ``n_x_columns`` columns are the X states' columns inside the
+    sector, and every column of every other state follows; state k here
+    holds the columns [``edges`` [k], ``edges`` [k + 1]), X states first,
+    and ``x_states`` numbers the X states here among all X states.
+    ``exact`` keeps the sector block V_s of V, the coefficients V_s† B0_s
+    and the indices of the sector's eigenvalues; ``integrator`` keeps None.
     """
 
     index: int
-    rows: _SectorRows
+    rows: np.ndarray
     b0: np.ndarray
-    spans: list
+    edges: np.ndarray
     n_x_columns: int
     x_states: np.ndarray
-    x_starts: np.ndarray
-    x_stops: np.ndarray
     v: np.ndarray | None
     coefficients: np.ndarray | None
     eigen: np.ndarray | None
@@ -482,162 +447,158 @@ class SectorGroup:
 
     Each B0 of ``b0s`` factors an initial state rho0 = B0 B0† whose
     environment has dimension ``dim_c``.  H never couples its two parity
-    sectors (:func:`_sector_rows`), so each sector's rows of B(t) follow
-    from that sector's rows of B0 alone; a column of B0 inside one sector
-    stays there, and keeps every column of the factor L of rho_AB = L L†
-    on {00, 11} or on {01, 10}.  :attr:`x` [k] is True when every column
-    of state k lies inside one sector, so that its reduced states are
-    X-shaped at every time: the decision is made once per initial column,
-    here, as are the coefficients V_s† B0_s (``exact``, from the sector
-    blocks of V that :class:`SpectralPropagator` holds) or the sector
-    blocks of H (``integrator``).  ``h`` comes checked by
-    :func:`_checked_initial`; a propagator ``h`` lends ``exact`` its
-    spectrum.
+    sectors (:func:`_parity_sectors`), so each sector's rows of B(t)
+    follow from that sector's rows of B0 alone; a column of B0 inside one
+    sector stays there, and keeps every column of the factor L of rho_AB
+    = L L† on {00, 11} or on {01, 10}.  :attr:`x` [k] is True when every
+    column of state k lies inside one sector, so that its reduced states
+    are X-shaped at every time: the decision is made once per initial
+    column, here, as are the coefficients V_s† B0_s (``exact``, from the
+    sector blocks of V that :class:`SpectralPropagator` holds, state by
+    state as each state alone takes them) or the sector blocks of H
+    (``integrator``).  ``h`` comes checked by :func:`_checked_initial`; a
+    propagator ``h`` lends ``exact`` its spectrum.
     """
 
     def __init__(self, h: np.ndarray | SpectralPropagator, b0s: list[np.ndarray], dim_c: int, method: str):
         if method == "exact":
             self.prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
-            blocks = self.prop.sectors
+            rows, blocks = self.prop.rows, self.prop.sectors
         else:
             h = _generator(h)
-            blocks = [(sector, None, None) for sector in _sector_rows(h)]
-            self.blocks = np.stack([h[np.ix_(sector.rows, sector.rows)] for sector, _, _ in blocks])
+            rows = _parity_sectors(h)
+            blocks = [(None, None)] * len(rows)
+            self.blocks = h[rows[:, :, None], rows[:, None, :]]
         b0 = np.concatenate(b0s, axis=1)
-        bounds = np.cumsum([0] + [b.shape[1] for b in b0s]).tolist()
-        states = list(zip(bounds[:-1], bounds[1:]))  # each state's columns of b0
-        inside = [np.any(b0[sector.rows] != 0, axis=0).tolist() for sector, _, _ in blocks]  # per sector, per column
-        x = [len(blocks) == 2 and not any(inside[0][c] and inside[1][c] for c in range(a, z)) for a, z in states]
-        self.x = np.array(x, dtype=bool)
-        others = [c for (a, z), xk in zip(states, x) if not xk for c in range(a, z)]
-        self.other_spans = np.cumsum([0] + [z - a for (a, z), xk in zip(states, x) if not xk]).tolist()
+        widths = np.array([b.shape[1] for b in b0s])
+        state = np.repeat(np.arange(len(b0s)), widths)  # each column's state
+        inside = np.any(b0[rows] != 0, axis=1)  # per sector, per column
+        self.x = (len(rows) == 2) & (np.bincount(state, weights=inside[0] & inside[-1], minlength=len(b0s)) == 0)
+        x_column, x_rank = self.x[state], np.cumsum(self.x) - 1
+        others = np.flatnonzero(~x_column)
+        self.other_spans = np.concatenate([[0], np.cumsum(widths[~self.x])])
         self.sectors = []
-        for k, (sector, eigen, v) in enumerate(blocks):
-            x_cols, spans, x_states = [], [], []
-            for rank, (a, z) in enumerate((a, z) for (a, z), xk in zip(states, x) if xk):
-                cols = [c for c in range(a, z) if inside[k][c]]
-                if cols:
-                    spans.append((len(x_cols), len(x_cols) + len(cols)))
-                    x_cols += cols
-                    x_states.append(rank)
-            if not x_cols and not others:
+        for k, (eigen, v) in enumerate(blocks):
+            x_cols = np.flatnonzero(x_column & inside[k])
+            if not x_cols.size and not others.size:
                 continue
-            n_x = len(spans)
-            spans += [(len(x_cols) + a, len(x_cols) + z) for a, z in zip(self.other_spans[:-1], self.other_spans[1:])]
-            b0_s = b0[np.ix_(sector.rows, x_cols + others)]
+            owner = state[x_cols]
+            x_states = np.flatnonzero(np.bincount(owner, minlength=len(b0s)))  # the X states with columns here
+            edges = np.concatenate([np.searchsorted(owner, x_states), x_cols.size + self.other_spans])
+            b0_s = b0[rows[k][:, None], np.concatenate([x_cols, others])]
             c = None
-            if v is not None:  # V_s† B0_s, state by state, as each state alone takes it
+            if v is not None:
                 vh = v.conj().T
-                c = np.concatenate([vh @ b0_s[:, a:z] for a, z in spans], axis=1)
-            starts, stops = np.array(spans[:n_x], dtype=np.intp).reshape(-1, 2).T
-            self.sectors.append(_Sector(k, sector, b0_s, spans, len(x_cols), np.array(x_states, dtype=np.intp), starts, stops, v, c, eigen))
-        self.method, self.n, self.dim_c, self.n_x = method, b0.shape[0], dim_c, sum(x)
+                c = np.concatenate([vh @ b0_s[:, a:z] for a, z in zip(edges[:-1], edges[1:])], axis=1)
+            self.sectors.append(_Sector(k, rows[k], b0_s, edges, x_cols.size, x_rank[x_states], v, c, eigen))
+        self.method, self.n, self.dim_c, self.n_x = method, b0.shape[0], dim_c, int(np.sum(self.x))
 
     def batches(self, times: np.ndarray):
         """Yield ``(entries, ls)`` for each batch of at most CHUNK ``times``.
 
         ``entries`` = (rho_ii, (|rho_03|, |rho_12|)) of the X states, as
-        (4, S, T) and (2, S, T) arrays (:func:`_x_entries`), or None
+        (4, S, T) and (2, S, T) arrays (:func:`_add_x_entries`), or None
         without X states; ``ls`` holds the (T, 4, k) factor L of each
         other state, in the order of ``b0s``.  Per batch, ``exact`` takes
         one phase table for the group and B_s(t) = V_s (e^{-i w_s t} ∘
-        V_s† B0_s), with one product per sector for the columns of all
-        the X states and one for each other state, and B(0) = B0 exactly;
+        V_s† B0_s), with one product per sector for all the columns of
+        the group (:func:`_sector_product`) and B(0) = B0 exactly;
         ``integrator`` takes B_s(t) = B0_s + P_s(t) B0_s with the RK4
         increments of every time and sector powered at once
-        (:func:`_rk4_increments`), one product per state.  A product's
-        width never decides how BLAS rounds an entry of a sector of up to
-        12 rows (S = 5/2), so each state is propagated bit for bit as it
-        is alone.  Consume each batch before the next.
+        (:func:`_rk4_increments`), one product per state.  Each sector's
+        amplitudes are reduced to their X entries and their share of the
+        other states' L before the next sector is propagated.  Consume
+        each batch before the next.
         """
+        layout = _sector_layout(self.n)
         for ts in batches(times):
-            amplitudes = list(self._evolved(ts))
-            ls = []
-            for start, stop in zip(self.other_spans[:-1], self.other_spans[1:]):
-                b = np.empty((self.n, stop - start, ts.shape[0]), dtype=np.complex128)
-                for sector, amplitude in zip(self.sectors, amplitudes):
-                    b[sector.rows.rows] = amplitude[:, sector.n_x_columns + start : sector.n_x_columns + stop]
-                ls.append(pair_factor(b.transpose(2, 0, 1), self.dim_c))
-            yield (_x_entries(self.sectors, amplitudes, self.n_x) if self.n_x else None), ls
+            shared = self.prop.phases(ts).T if self.method == "exact" else _rk4_increments(self.blocks, ts, INTEGRATOR_STEP)
+            diag = np.zeros((4, self.n_x, ts.shape[0]))
+            coherence = np.zeros((2, self.n_x, ts.shape[0]), dtype=np.complex128)
+            off_x = np.empty((self.n, self.other_spans[-1], ts.shape[0]), dtype=np.complex128)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is reported by the monotones, as one error
+                for sector in self.sectors:
+                    b = self._evolved(sector, ts, shared)
+                    if sector.n_x_columns:
+                        _add_x_entries(sector, b[:, : sector.n_x_columns], layout, diag, coherence)
+                    off_x[sector.rows] = b[:, sector.n_x_columns :]
+            ls = [pair_factor(off_x[:, a:z].transpose(2, 0, 1), self.dim_c) for a, z in zip(self.other_spans[:-1], self.other_spans[1:])]
+            yield ((diag, np.abs(coherence)) if self.n_x else None), ls
 
-    def _evolved(self, ts: np.ndarray):
-        """Each sector's (n_s, columns, T) amplitudes B_s(t) at ``ts``, in turn."""
+    def _evolved(self, sector: _Sector, ts: np.ndarray, shared: np.ndarray) -> np.ndarray:
+        """The sector's (n_s, columns, T) amplitudes B_s(t) at ``ts``, from the batch's phase table or RK4 increments ``shared``.
+
+        A product with the complex P_s(t) rounds a column by the product's
+        width, so ``integrator`` takes one per state, as the state alone does.
+        """
         if self.method == "exact":
-            phases, at_zero = self.prop.phases(ts).T, ts == 0.0
-            for sector in self.sectors:
-                m = sector.coefficients[:, :, None] * phases[sector.eigen][:, None, :]
-                products = sector.spans[sector.x_starts.size :]  # the X columns at once, each other state alone
-                if sector.n_x_columns:
-                    products = [(0, sector.n_x_columns), *products]
-                if len(products) == 1:
-                    b = _sector_product(sector.v, m)
-                else:
-                    b = np.empty_like(m)
-                    for a, z in products:
-                        b[:, a:z] = _sector_product(sector.v, m[:, a:z])
-                b[:, :, at_zero] = sector.b0[:, :, None]
-                yield b
-            return
-        increments = _rk4_increments(self.blocks, ts, INTEGRATOR_STEP)
-        for sector in self.sectors:
-            p = increments[:, sector.index]
-            flat = p.reshape(-1, p.shape[-1])
-            b = np.empty(sector.b0.shape + ts.shape, dtype=np.complex128)
-            for a, z in sector.spans:
-                b0_state = sector.b0[:, a:z]
-                b[:, a:z] = b0_state[:, :, None] + (flat @ b0_state).reshape(p.shape[0], *b0_state.shape).transpose(1, 2, 0)
-            yield b
+            b = _sector_product(sector.v, sector.coefficients[:, :, None] * shared[sector.eigen][:, None, :])
+            b[:, :, ts == 0.0] = sector.b0[:, :, None]
+            return b
+        p = shared[:, sector.index]
+        products = [p.reshape(-1, p.shape[-1]) @ sector.b0[:, a:z] for a, z in zip(sector.edges[:-1], sector.edges[1:])]
+        product = np.concatenate(products, axis=1).reshape(p.shape[0], *sector.b0.shape)
+        return np.add(sector.b0[:, :, None], product.transpose(1, 2, 0), order="C")
 
 
 def _sector_product(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """V M for a (n, n) ``v`` and a (n, ...) complex ``m``, as one product: a real V takes M's real and imaginary parts at once."""
+    """V M for a (n, n) ``v`` and a (n, ...) complex ``m``, from real products on the float view of M alone.
+
+    A real V takes M's real and imaginary parts in one product; a complex
+    V takes two, V.real M and V.imag M, and combines their parts.  A real
+    product with V of 2, 4, 6 or 8 rows, the sector blocks of every
+    dimension up to the 16 that ``espkit.cli.MAX_S_C`` allows, rounds
+    each column of M alike whatever its width, which a complex one
+    (zgemm) does not: a state sampled in a group is then propagated bit
+    for bit as it is alone.  Above that bound it is not so (with 12 rows,
+    at S = 5/2, a last column can round differently), and a group and a
+    lone run may differ at roundoff.
+    """
+    flat = np.ascontiguousarray(m).view(np.float64).reshape(m.shape[0], -1)
     if v.dtype.kind == "f":
-        flat = np.ascontiguousarray(m).view(np.float64).reshape(m.shape[0], -1)
         return (v @ flat).view(np.complex128).reshape(m.shape)
-    return (v @ m.reshape(m.shape[0], -1)).reshape(m.shape)
+    re = (np.ascontiguousarray(v.real) @ flat).view(np.complex128)  # Vr Mr + i Vr Mi
+    im = (np.ascontiguousarray(v.imag) @ flat).view(np.complex128)  # Vi Mr + i Vi Mi
+    out = np.empty_like(re)
+    np.subtract(re.real, im.imag, out=out.real)
+    np.add(re.imag, im.real, out=out.imag)
+    return out.reshape(m.shape)
 
 
-def _x_entries(sectors: list, amplitudes: list, n_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rho_ii, (|rho_03|, |rho_12|)) of every X state of a group, as (4, S, T) and (2, S, T) arrays, from its sector rows.
+def _add_x_entries(sector: _Sector, b: np.ndarray, layout: _SectorLayout, diag: np.ndarray, coherence: np.ndarray) -> None:
+    """Add one sector's share of rho_ii and of (rho_03, rho_12) of each X state of a group to ``diag`` and ``coherence``.
 
-    In each sector, one product with the 0/1 selector ``q_select`` sums
-    the real |B|² over the rows of each qubit index q into rho_qq, and one
+    ``b`` holds the sector's (n_s, columns, T) amplitudes of the X
+    columns.  One product with the 0/1 selector ``q_select`` sums the
+    real |B|² over the rows of each qubit index q into rho_qq, and one
     with ``pair_select`` sums B_j B*_{j+n/2}, real and imaginary parts at
     once, over the pairs of each kind into rho_03 and rho_12.  The
     diagonal's products are made before the coherences' start, which
-    keeps a group's peak memory per batch down.
-    The sums then run over each state's columns in the sector, in order
-    (:func:`_column_sums`), and the two sectors add up.  Up to S = 3/2 a
-    row sum has at most two nonzero terms, which round alike in any
-    order, so a state's entries do not depend on the other states of its
-    group.
+    keeps a group's peak memory per batch down.  The sums then run over
+    each state's columns in the sector, in order (:func:`_column_sums`),
+    and the two sectors add up in turn.  Up to S = 3/2 a row sum has at
+    most two nonzero terms, which round alike in any order, so a state's
+    entries do not depend on the other states of its group.
     """
-    n_times = amplitudes[0].shape[-1]
-    diag = np.zeros((4, n_x, n_times))
-    coherence = np.zeros((2, n_x, n_times), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is reported by the monotones, as one error
-        for sector, amplitude in zip(sectors, amplitudes):
-            n_cols = sector.n_x_columns
-            if not n_cols:
-                continue
-            b, half = amplitude[:, :n_cols], amplitude.shape[0] // 2
-            squares = np.square(b.real)
-            squares += np.square(b.imag)
-            sums = (sector.rows.q_select @ squares.reshape(2 * half, -1)).reshape(4, n_cols, n_times)
-            diag[:, sector.x_states] += _column_sums(sums, sector.x_starts, sector.x_stops)
-            pairs = (b[:half] * b[half:].conj()).view(np.float64).reshape(half, -1)
-            sums = (sector.rows.pair_select @ pairs).view(np.complex128).reshape(2, n_cols, n_times)
-            coherence[:, sector.x_states] += _column_sums(sums, sector.x_starts, sector.x_stops)
-    return diag, np.abs(coherence)
+    q_select, pair_select = layout.q_select[sector.index], layout.pair_select[sector.index]
+    (n_rows, n_cols, n_times), half = b.shape, b.shape[0] // 2
+    starts, widths = sector.edges[: sector.x_states.size], np.diff(sector.edges[: sector.x_states.size + 1])
+    squares = np.square(b.real)
+    squares += np.square(b.imag)
+    sums = (q_select @ squares.reshape(n_rows, -1)).reshape(4, n_cols, n_times)
+    diag[:, sector.x_states] += _column_sums(sums, starts, widths)
+    pairs = (b[:half] * b[half:].conj()).view(np.float64).reshape(half, -1)
+    sums = (pair_select @ pairs).view(np.complex128).reshape(2, n_cols, n_times)
+    coherence[:, sector.x_states] += _column_sums(sums, starts, widths)
 
 
-def _column_sums(x: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The columns [start, stop) of each run summed in order along the second axis of ``x``; ``x`` itself when each run is one column."""
+def _column_sums(x: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The runs of ``widths`` columns from ``starts`` summed in order along the second axis of ``x``; ``x`` itself for runs of one."""
     if starts.size == x.shape[1]:
         return x
     out = x[:, starts]
-    for j in range(1, int(np.max(stops - starts))):
-        longer = stops - starts > j
+    for j in range(1, int(np.max(widths))):
+        longer = widths > j
         out[:, longer] += x[:, starts[longer] + j]
     return out
 
@@ -662,16 +623,16 @@ def sample_trajectories(h, initials, spec: EvolutionSpec) -> list[Trajectory]:
     sampled as one :class:`SectorGroup`, batch by batch, so each batch's
     phase table or RK4 increments serve every state in it, and the closed
     forms of :func:`espkit.monotones.x_columns` all its X-shaped states at
-    once; each trajectory is that of its state sampled alone, bit for bit.
+    once; each trajectory is that of its state sampled alone, bit for bit,
+    up to dimension 16 (:func:`_sector_product`).
     The ``series`` truncation of each state is sampled from
     :func:`series_batches`.
 
-    Each trajectory's metadata records the maximum trace/Hermiticity
-    deviations of its reduced states (for the factor methods the trace
-    deviation is the norm drift of B(t)) and the largest negative
-    eigenvalue mass a factor dropped: that of B0 for the factor methods,
-    0.0 for a state built with its factor, and that of the truncations'
-    factors for ``series``.  A trace deviation beyond ``DRIFT_BUDGET``, a
+    Each trajectory's metadata records the maximum trace deviation of its
+    reduced states (for the factor methods the norm drift of B(t)) and
+    the largest negative eigenvalue mass a factor dropped: that of B0 for
+    the factor methods, 0.0 for a state built with its factor, and that
+    of the truncations' factors for ``series``.  A trace deviation beyond ``DRIFT_BUDGET``, a
     clip beyond ``CLIP_BUDGET`` and an overflow raise
     :class:`NumericalError`.  Only the times :func:`evaluation_times`
     picks are evaluated; conjugation leaves every one of these figures
@@ -710,8 +671,8 @@ def sample_trajectories(h, initials, spec: EvolutionSpec) -> list[Trajectory]:
         for entries, ls in group.batches(plans[members[0]][0]):
             if x_members:
                 lam, conc, trace_dev = x_columns(*entries)
-                for i, k in enumerate(x_members):  # the closed forms evaluate exactly Hermitian states
-                    columns[k].append((lam[i], conc[i], trace_dev[i], 0.0, factors[k][1]))
+                for i, k in enumerate(x_members):
+                    columns[k].append((lam[i], conc[i], trace_dev[i], factors[k][1]))
             for k, l in zip(other_members, ls):
                 columns[k].append((*batch_columns(l), factors[k][1]))
     return [_trajectory(times, cols, gather, window) for cols, (_, gather) in zip(columns, plans)]
@@ -723,8 +684,8 @@ def sample_trajectory(h, initial: InitialState, spec: EvolutionSpec) -> Trajecto
 
 
 def _trajectory(times: np.ndarray, columns: list, gather: np.ndarray, window: str) -> Trajectory:
-    """The trajectory on ``times`` of the (lambda*, C, trace drift, Hermiticity drift, clip) of each batch of its evaluated times."""
-    lam, conc, trace_dev, herm_dev, clip = zip(*columns)
+    """The trajectory on ``times`` of the (lambda*, C, trace drift, clip) of each batch of its evaluated times."""
+    lam, conc, trace_dev, clip = zip(*columns)
     clip, trace_dev = float(np.max(clip)), float(np.max(trace_dev))
     if clip > CLIP_BUDGET:  # initial_factor checked B0's clip: only a series truncation gets here
         raise NumericalError(
@@ -735,7 +696,7 @@ def _trajectory(times: np.ndarray, columns: list, gather: np.ndarray, window: st
         raise NumericalError(
             f"reduced states drift {trace_dev:.3e} from unit trace on {window}, beyond the {DRIFT_BUDGET:g} budget"
         )
-    meta = {"max_trace_deviation": trace_dev, "max_hermiticity_deviation": float(np.max(herm_dev)), "max_psd_clip": clip}
+    meta = {"max_trace_deviation": trace_dev, "max_psd_clip": clip}
     lam = np.concatenate(lam)[gather]
     neg, count = negativity_and_count(lam)
     return Trajectory(times, lam, neg, np.concatenate(conc)[gather], count.astype(np.int64), meta)

@@ -187,21 +187,20 @@ def _trace_drift(diag: np.ndarray) -> np.ndarray:
     return np.max(np.abs((d0 + d1) + (d2 + d3) - 1.0), axis=-1)
 
 
-def _matrix_drifts(red: np.ndarray) -> tuple:
-    """The largest |tr rho - 1| and max|rho - rho†| of a stack of matrices."""
-    return _trace_drift(np.diagonal(red, axis1=-2, axis2=-1).real.T), np.max(np.abs(red - red.conj().swapaxes(-1, -2)))
+def _matrix_drift(red: np.ndarray) -> np.ndarray:
+    """The largest |tr rho - 1| of a stack of matrices."""
+    return _trace_drift(np.diagonal(red, axis1=-2, axis2=-1).real.T)
 
 
 def batch_columns(l: np.ndarray) -> tuple:
-    """(lambda*, C, trace drift, Hermiticity drift) of the states L L† of one factor batch, from LAPACK.
+    """(lambda*, C, trace drift) of the states L L† of one factor batch, from LAPACK.
 
-    lambda* and C hold one entry per state; the drifts are the batch's
-    largest |tr rho - 1| and max|rho - rho†|.  tr(L L†) is the squared
-    Frobenius norm of L, so the first measures the norm drift of the
-    propagated factor.
+    lambda* and C hold one entry per state; the drift is the batch's
+    largest |tr rho - 1|.  tr(L L†) is the squared Frobenius norm of L,
+    so it measures the norm drift of the propagated factor.
     """
     red = _gram(_check_finite(l))
-    return (pt_min(red), _lapack_concurrence(l), *_matrix_drifts(red))
+    return pt_min(red), _lapack_concurrence(l), _matrix_drift(red)
 
 
 def x_columns(diag: np.ndarray, coherence: np.ndarray) -> tuple:
@@ -226,7 +225,7 @@ def matrix_columns(red: np.ndarray) -> tuple:
     clip against ``CLIP_BUDGET``.
     """
     l, clip = psd_factor(red)
-    return (pt_min(red), _lapack_concurrence(l), *_matrix_drifts(red), np.max(clip))
+    return pt_min(red), _lapack_concurrence(l), _matrix_drift(red), np.max(clip)
 
 
 def cne(rho) -> tuple[float, int]:

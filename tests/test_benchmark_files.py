@@ -8,7 +8,17 @@ ROOT = Path(__file__).resolve().parents[1]
 UNITS = {f"repro {t}" for t in ("table1", "table2", "fig2", "fig4", "fig5")} | {
     f"evolve {m}" for m in ("exact", "series", "integrator")
 }
-LAYERS = {"sector_products", "x_closed_forms", "lapack_monotones", "phase_table", "rk4_powering", "csv_writer"}
+LAYERS = {
+    "hamiltonian_build",
+    "diagonalization",
+    "sector_setup",
+    "sector_products",
+    "x_closed_forms",
+    "lapack_monotones",
+    "phase_table",
+    "rk4_powering",
+    "csv_writer",
+}
 
 
 def test_committed_benchmark_files_hold_every_unit_and_layer():
@@ -16,7 +26,7 @@ def test_committed_benchmark_files_hold_every_unit_and_layer():
     every repro target, evolve and fig2/fig4/fig5 sampling group (min-of-k and median); and records each layer,
     null where the measured tree lacks its functions."""
     paths = sorted(ROOT.glob("BENCH_*.json"))
-    assert {"BENCH_29.json", "BENCH_30.json"} <= {p.name for p in paths}
+    assert {"BENCH_29.json", "BENCH_30.json", "BENCH_31.json"} <= {p.name for p in paths}
     for path in paths:
         data = json.loads(path.read_text(encoding="utf-8"))
         assert data["label"] == path.stem.removeprefix("BENCH_") and data["rounds"] >= 1

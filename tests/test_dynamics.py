@@ -105,15 +105,14 @@ def test_rk4_powering_matches_step_loop(n, sign):
 
 def test_stacked_powering_matches_each_time_and_the_step_loop():
     """One stacked powering of every time at once, 1 to 51 steps of either sign and t = 0 together, and
-    of the two parity blocks of H at once: each P(t) is _rk4_increment's to 1e-15 and the n plain RK4
-    steps' T^n - I to 1e-14, and exactly 0 at t = 0."""
+    of the two parity blocks of H at once: each P(t) is the n plain RK4 steps' T^n - I to 1e-14, and
+    exactly 0 at t = 0."""
     s = SpinMagnitude(1)
     h = spin_star_hamiltonian(ExchangeCoupling(0.7, -0.3, 1.2), s)
     max_step = 1e-2
     counts = (1, 2, 3, 7, 50, 51)
     times = np.array([0.0] + [sign * (n - 0.5) * max_step for n in counts for sign in (1.0, -1.0)])
-    sectors = dynamics._sector_rows(h)
-    blocks = np.stack([h[np.ix_(sector.rows, sector.rows)] for sector in sectors])
+    blocks = np.stack([h[np.ix_(rows, rows)] for rows in dynamics._parity_sectors(h)])
     for generator in (h, blocks):
         stack = dynamics._rk4_increments(generator, times, max_step)
         assert stack.shape == (times.size, *generator.shape)
@@ -123,8 +122,24 @@ def test_stacked_powering_matches_each_time_and_the_step_loop():
             a = -1j * generator * (t / n)
             step = sum(np.linalg.matrix_power(a, k) / math.factorial(k) for k in range(5))
             assert np.max(np.abs(p - (np.linalg.matrix_power(step, n) - np.eye(generator.shape[-1])))) <= 1e-14
-            one = np.array([dynamics._rk4_increment(g, float(t), max_step) for g in generator.reshape(-1, *generator.shape[-2:])])
-            assert np.max(np.abs(p.reshape(one.shape) - one)) <= 1e-15
+
+
+@pytest.mark.parametrize("half", [2, 4, 6, 8])
+def test_sector_product_rounds_each_column_as_alone(half):
+    """_sector_product of a slice of columns is that slice of the full-width product, bit for bit, for
+    a real and a complex V of n/2 = 2-8 rows (n <= 16, as cli.MAX_S_C allows) and batches of 1-19,
+    89, 255 and 256 times: every single column, the last one included, and runs of several. A group
+    then propagates each of its states as the state alone."""
+    rng = np.random.default_rng(half)
+    n_cols = 42
+    slices = [(c, c + 1) for c in range(n_cols)] + [(0, 3), (5, 21), (n_cols - 2, n_cols), (0, n_cols - 1)]
+    for v in (rng.standard_normal((half, half)), rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))):
+        for n_times in [*range(1, 20), 89, 255, 256]:
+            m = rng.standard_normal((half, n_cols, n_times)) + 1j * rng.standard_normal((half, n_cols, n_times))
+            full = dynamics._sector_product(v, m)
+            assert np.max(np.abs(full - np.einsum("ij,jct->ict", v, m))) <= 1e-13
+            for a, z in slices:
+                assert np.array_equal(dynamics._sector_product(v, m[:, a:z]), full[:, a:z]), (v.dtype, n_times, a, z)
 
 
 def test_rk4_zero_time_returns_copy():
