@@ -22,11 +22,11 @@ B0 (rho0 = B0 B0†, one column per pure component, from
 :func:`initial_factor`) and evaluate the reduced states rho_AB = L L†
 of each B(t) without diagonalizing them as states.  H conserves the
 parity (-1)^(S-m) σz^A σz^B that the basis layout fixes
-(:func:`espkit.densemat.basis_parity`), and its eigenvectors
-(:func:`espkit.densemat.hermitian_eig`) are exactly 0.0 off one parity
-sector, so the two sectors are the unit of sampling.  Their rows depend
-on the dimension alone and are laid out once per dimension
-(:func:`_sector_layout`).  A :class:`SectorGroup` holds every initial
+(:func:`basis_parity`), so H is two blocks, one per parity sector, each
+diagonalized on its own (:func:`_sector_blocks`): its eigenvectors are
+exactly 0.0 off their sector, and the two sectors are the unit of
+sampling.  Their rows depend on the dimension alone and are laid out once
+per dimension (:func:`_sector_layout`).  A :class:`SectorGroup` holds every initial
 state that shares one H and one grid, splits their columns by sector
 once, and propagates each sector's rows on their own, CHUNK sample times
 per batch, with one phase table exp(-iwt) per batch for the group and
@@ -58,7 +58,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .densemat import as_complex_matrix, basis_parity, hermitian_eig, max_abs
+from .densemat import as_complex_matrix, hermitian_eig, max_abs
 from .errors import DimensionError, NumericalError
 from .hilbert import DensityOperator, Ket, SpinMagnitude, pair_factor, trace_out_c
 from .monotones import (
@@ -78,6 +78,7 @@ INTEGRATOR_STEP = 1e-4
 # near 1e-15; RK4 drifts about 4e-12 by |t| = 1e5 and 4e-10 by 1e7
 DRIFT_BUDGET = 1e-9
 _RK4_OVERFLOW = 'RK4 propagator over t = {:g} overflowed; use method "exact"'
+_QUBIT_PARITY = np.array([1.0, -1.0, -1.0, 1.0])  # σz^A σz^B on 00, 01, 10, 11
 
 InitialState = Union[DensityOperator, Ket]
 
@@ -161,18 +162,21 @@ class SpectralPropagator:
     """Exact evolution under a fixed Hermitian generator.
 
     Diagonalizes once, H = V diag(w) V†; every unitary is V diag(exp(-i w t)) V†.
-    Times with eps max|w| |t| >= 1 raise :class:`NumericalError`.
+    The sector blocks of H (:func:`_sector_blocks`) are diagonalized
+    together, H_s = V_s diag(w_s) V_s†: ``rows`` [s] and ``v_s`` [s] hold
+    sector s's rows and eigenvectors, and w and V list sector 0's
+    eigenpairs, then sector 1's, each V_s on its rows and exactly 0.0 off
+    them.  Times with eps max|w| |t| >= 1 raise :class:`NumericalError`.
     """
 
     def __init__(self, h):
         self.h = as_complex_matrix(h)
-        self.w, self.v = hermitian_eig(self.h)
-        self.rows = _parity_sectors(self.h)
-        on = np.any(self.v[self.rows] != 0, axis=1)  # per sector, per eigenvector
-        if len(on) == 2 and np.any(on[0] & on[1]):  # an eigenvector on both sectors: all of V is one block
-            self.rows, on = np.arange(self.h.shape[0])[None], np.ones((1, self.h.shape[0]), dtype=bool)
-        # (eigenvector indices, V_s) of each sector: hermitian_eig keeps each eigenvector exactly 0.0 off its sector
-        self.sectors = [(eigen, self.v[r[:, None], eigen]) for r, eigen in zip(self.rows, map(np.flatnonzero, on))]
+        self.rows, blocks = _sector_blocks(self.h)
+        w_s, self.v_s = hermitian_eig(blocks)
+        self.w = w_s.ravel()
+        columns = np.arange(self.w.size).reshape(w_s.shape)  # of V, sector by sector
+        self.v = np.zeros(self.h.shape, dtype=self.v_s.dtype)
+        self.v[self.rows[:, :, None], columns[:, None, :]] = self.v_s
 
     def _check_phases(self, t_abs: float) -> None:
         """The rounding error of the largest phase w t, near eps |w t|, must stay below 1 rad."""
@@ -192,7 +196,7 @@ class SpectralPropagator:
         return u @ rho @ u.conj().T
 
     def phases(self, times: np.ndarray) -> np.ndarray:
-        """The (T, n) table exp(-i w t) for every t: B(t) = V (phases ∘ V† B0) for B0 B0† = rho0.
+        """The (T, n) table exp(-i w t) for every t, sector after sector: B(t) = V (phases ∘ V† B0) for B0 B0† = rho0.
 
         cos and sin of -w t go straight into the real and imaginary parts:
         bit for bit ``np.exp(-1j * np.multiply.outer(times, w))``, signed
@@ -358,7 +362,7 @@ def time_reversed_state(rho: DensityOperator, s: SpinMagnitude) -> DensityOperat
 
     Theta = exp(-i pi Sy) ⊗ sigma_y ⊗ sigma_y is real: it maps basis index i
     to N-1-i with sign s_i, s = kron((-1)^(S-m) over the environment levels,
-    (-1, 1, 1, -1)), which is minus :func:`espkit.densemat.basis_parity`.
+    (-1, 1, 1, -1)), which is minus :func:`basis_parity`.
     So Theta rho* Theta† = (s s^T ∘ rho*)[::-1, ::-1], exactly, and the
     overall sign cancels in s s^T; two flips return rho bit for bit.
     """
@@ -379,6 +383,16 @@ def initial_factor(rho0: DensityOperator) -> tuple[np.ndarray, float]:
     b0, clip = psd_factor(rho0.matrix)
     check_clip(float(clip))
     return b0, float(clip)
+
+
+def basis_parity(n: int) -> np.ndarray:
+    """The parity (-1)^k (1, -1, -1, 1)[q] of each index i = 4k + q of the env ⊗ A ⊗ B basis, as ±1.0.
+
+    k counts the environment levels from m = S down, so this is the
+    eigenvalue of (-1)^(S-m) σz^A σz^B that every spin-star Hamiltonian
+    conserves.  Defined for any n, a multiple of 4 or not.
+    """
+    return (((-1.0) ** np.arange(-(-n // 4)))[:, None] * _QUBIT_PARITY).ravel()[:n]
 
 
 class _SectorLayout(NamedTuple):
@@ -414,10 +428,16 @@ def _sector_layout(n: int) -> _SectorLayout | None:
     return layout
 
 
-def _parity_sectors(h: np.ndarray) -> np.ndarray:
-    """The (2, n/2) rows of :func:`_sector_layout` if ``h`` is exactly 0.0 between them, as every spin-star H is; else all (1, n) as one set."""
+def _sector_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each sector of ``h`` and its (k, m, m) stack of sector blocks.
+
+    The (2, n/2) rows of :func:`_sector_layout` if ``h`` is exactly 0.0
+    between them, as every spin-star H is; else all (1, n) rows as one
+    block, for an H that couples the sectors or an n that 4 does not divide.
+    """
     layout = _sector_layout(h.shape[0])
-    return layout.rows if layout is not None and not np.any(h[layout.between]) else np.arange(h.shape[0])[None]
+    rows = layout.rows if layout is not None and not np.any(h[layout.between]) else np.arange(h.shape[0])[None]
+    return rows, h[rows[:, :, None], rows[:, None, :]]
 
 
 class _Sector(NamedTuple):
@@ -427,8 +447,8 @@ class _Sector(NamedTuple):
     sector, and every column of every other state follows; state k here
     holds the columns [``edges`` [k], ``edges`` [k + 1]), X states first,
     and ``x_states`` numbers the X states here among all X states.
-    ``exact`` keeps the sector block V_s of V, the coefficients V_s† B0_s
-    and the indices of the sector's eigenvalues; ``integrator`` keeps None.
+    ``exact`` keeps the sector's eigenvectors V_s and the coefficients
+    V_s† B0_s; ``integrator`` keeps None.
     """
 
     index: int
@@ -439,7 +459,6 @@ class _Sector(NamedTuple):
     x_states: np.ndarray
     v: np.ndarray | None
     coefficients: np.ndarray | None
-    eigen: np.ndarray | None
 
 
 class SectorGroup:
@@ -447,28 +466,25 @@ class SectorGroup:
 
     Each B0 of ``b0s`` factors an initial state rho0 = B0 B0† whose
     environment has dimension ``dim_c``.  H never couples its two parity
-    sectors (:func:`_parity_sectors`), so each sector's rows of B(t)
+    sectors (:func:`_sector_blocks`), so each sector's rows of B(t)
     follow from that sector's rows of B0 alone; a column of B0 inside one
     sector stays there, and keeps every column of the factor L of rho_AB
     = L L† on {00, 11} or on {01, 10}.  :attr:`x` [k] is True when every
     column of state k lies inside one sector, so that its reduced states
     are X-shaped at every time: the decision is made once per initial
     column, here, as are the coefficients V_s† B0_s (``exact``, from the
-    sector blocks of V that :class:`SpectralPropagator` holds, state by
-    state as each state alone takes them) or the sector blocks of H
-    (``integrator``).  ``h`` comes checked by :func:`_checked_initial`; a
+    sector eigenvectors that :class:`SpectralPropagator` holds) or the
+    sector blocks of H (``integrator``).  ``h`` comes checked by :func:`_checked_initial`; a
     propagator ``h`` lends ``exact`` its spectrum.
     """
 
     def __init__(self, h: np.ndarray | SpectralPropagator, b0s: list[np.ndarray], dim_c: int, method: str):
         if method == "exact":
             self.prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
-            rows, blocks = self.prop.rows, self.prop.sectors
+            rows, blocks = self.prop.rows, self.prop.v_s
         else:
-            h = _generator(h)
-            rows = _parity_sectors(h)
-            blocks = [(None, None)] * len(rows)
-            self.blocks = h[rows[:, :, None], rows[:, None, :]]
+            rows, self.blocks = _sector_blocks(_generator(h))
+            blocks = [None] * len(rows)
         b0 = np.concatenate(b0s, axis=1)
         widths = np.array([b.shape[1] for b in b0s])
         state = np.repeat(np.arange(len(b0s)), widths)  # each column's state
@@ -478,7 +494,7 @@ class SectorGroup:
         others = np.flatnonzero(~x_column)
         self.other_spans = np.concatenate([[0], np.cumsum(widths[~self.x])])
         self.sectors = []
-        for k, (eigen, v) in enumerate(blocks):
+        for k, v in enumerate(blocks):
             x_cols = np.flatnonzero(x_column & inside[k])
             if not x_cols.size and not others.size:
                 continue
@@ -486,11 +502,8 @@ class SectorGroup:
             x_states = np.flatnonzero(np.bincount(owner, minlength=len(b0s)))  # the X states with columns here
             edges = np.concatenate([np.searchsorted(owner, x_states), x_cols.size + self.other_spans])
             b0_s = b0[rows[k][:, None], np.concatenate([x_cols, others])]
-            c = None
-            if v is not None:
-                vh = v.conj().T
-                c = np.concatenate([vh @ b0_s[:, a:z] for a, z in zip(edges[:-1], edges[1:])], axis=1)
-            self.sectors.append(_Sector(k, rows[k], b0_s, edges, x_cols.size, x_rank[x_states], v, c, eigen))
+            c = None if v is None else _sector_product(v.conj().T, b0_s)
+            self.sectors.append(_Sector(k, rows[k], b0_s, edges, x_cols.size, x_rank[x_states], v, c))
         self.method, self.n, self.dim_c, self.n_x = method, b0.shape[0], dim_c, int(np.sum(self.x))
 
     def batches(self, times: np.ndarray):
@@ -500,7 +513,7 @@ class SectorGroup:
         (4, S, T) and (2, S, T) arrays (:func:`_add_x_entries`), or None
         without X states; ``ls`` holds the (T, 4, k) factor L of each
         other state, in the order of ``b0s``.  Per batch, ``exact`` takes
-        one phase table for the group and B_s(t) = V_s (e^{-i w_s t} ∘
+        one phase table for the group, sector by sector, and B_s(t) = V_s (e^{-i w_s t} ∘
         V_s† B0_s), with one product per sector for all the columns of
         the group (:func:`_sector_product`) and B(0) = B0 exactly;
         ``integrator`` takes B_s(t) = B0_s + P_s(t) B0_s with the RK4
@@ -512,7 +525,10 @@ class SectorGroup:
         """
         layout = _sector_layout(self.n)
         for ts in batches(times):
-            shared = self.prop.phases(ts).T if self.method == "exact" else _rk4_increments(self.blocks, ts, INTEGRATOR_STEP)
+            if self.method == "exact":
+                shared = self.prop.phases(ts).reshape(ts.shape[0], len(self.prop.rows), -1)
+            else:
+                shared = _rk4_increments(self.blocks, ts, INTEGRATOR_STEP)
             diag = np.zeros((4, self.n_x, ts.shape[0]))
             coherence = np.zeros((2, self.n_x, ts.shape[0]), dtype=np.complex128)
             off_x = np.empty((self.n, self.other_spans[-1], ts.shape[0]), dtype=np.complex128)
@@ -526,16 +542,16 @@ class SectorGroup:
             yield ((diag, np.abs(coherence)) if self.n_x else None), ls
 
     def _evolved(self, sector: _Sector, ts: np.ndarray, shared: np.ndarray) -> np.ndarray:
-        """The sector's (n_s, columns, T) amplitudes B_s(t) at ``ts``, from the batch's phase table or RK4 increments ``shared``.
+        """The sector's (n_s, columns, T) amplitudes B_s(t) at ``ts``, from the batch's (T, sectors, ...) phases or RK4 increments ``shared``.
 
         A product with the complex P_s(t) rounds a column by the product's
         width, so ``integrator`` takes one per state, as the state alone does.
         """
+        p = shared[:, sector.index]
         if self.method == "exact":
-            b = _sector_product(sector.v, sector.coefficients[:, :, None] * shared[sector.eigen][:, None, :])
+            b = _sector_product(sector.v, sector.coefficients[:, :, None] * p.T[:, None, :])
             b[:, :, ts == 0.0] = sector.b0[:, :, None]
             return b
-        p = shared[:, sector.index]
         products = [p.reshape(-1, p.shape[-1]) @ sector.b0[:, a:z] for a, z in zip(sector.edges[:-1], sector.edges[1:])]
         product = np.concatenate(products, axis=1).reshape(p.shape[0], *sector.b0.shape)
         return np.add(sector.b0[:, :, None], product.transpose(1, 2, 0), order="C")

@@ -595,12 +595,13 @@ def test_exact_sampler_diagonalizes_and_factors_once(monkeypatch):
     sampler = exact_cne_function(spin_star_hamiltonian(MIXED_J, HALF), DensityOperator(initial.matrix, initial.dims))
     dts = np.linspace(-0.01, 0.01, 9)
     values = [sampler(dts) for _ in range(3)]
-    assert eigs == [(8, 8)] and factors == [(8, 8)]
+    assert eigs == [(2, 4, 4)] and factors == [(8, 8)]
     assert all(np.array_equal(v, values[0]) for v in values)
 
 
 def test_symmetry_suite_diagonalizes_each_hamiltonian_once(monkeypatch):
-    """H(J) and H(-J): two eigendecompositions; the spin flip is a signed reversal, with none."""
+    """H(J) and H(-J): two eigendecompositions, each of one stack of sector blocks; the spin flip is a
+    signed reversal, with none."""
     calls = []
 
     def counted(a):
@@ -609,7 +610,7 @@ def test_symmetry_suite_diagonalizes_each_hamiltonian_once(monkeypatch):
 
     monkeypatch.setattr(dynamics, "hermitian_eig", counted)
     assert symmetry_suite(ExchangeCoupling(1, 1, 1), HALF, product_basis_initial("uud", HALF)).passed
-    assert calls == [(8, 8), (8, 8)]
+    assert calls == [(2, 4, 4), (2, 4, 4)]
 
 
 def test_symmetry_suite_death_birth_mirror():

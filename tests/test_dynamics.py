@@ -112,7 +112,8 @@ def test_stacked_powering_matches_each_time_and_the_step_loop():
     max_step = 1e-2
     counts = (1, 2, 3, 7, 50, 51)
     times = np.array([0.0] + [sign * (n - 0.5) * max_step for n in counts for sign in (1.0, -1.0)])
-    blocks = np.stack([h[np.ix_(rows, rows)] for rows in dynamics._parity_sectors(h)])
+    rows, blocks = dynamics._sector_blocks(h)
+    assert rows.shape == (2, h.shape[0] // 2)
     for generator in (h, blocks):
         stack = dynamics._rk4_increments(generator, times, max_step)
         assert stack.shape == (times.size, *generator.shape)

@@ -12,12 +12,12 @@ from espkit.cli import FIG5_CASES, HALF, main
 from espkit.dynamics import (
     EvolutionSpec,
     SpectralPropagator,
+    basis_parity,
     evolve_series,
     integrate_vonneumann,
     sample_trajectory,
 )
 from espkit.errors import NumericalError
-from espkit.densemat import basis_parity
 from espkit.hilbert import PAULI_X, DensityOperator, Ket, SpinMagnitude, SystemDims, pair_factor, trace_out_c
 from espkit.model import ExchangeCoupling, ProductSpinSpec, spin_star_hamiltonian
 from espkit.monotones import CHUNK, cne, concurrence, negativity
@@ -416,6 +416,10 @@ ORACLE_SAMPLES = [
     # a rho_AB eigenvalue of 2.9e-8: eigendecomposing rho_AB to factor it
     # costs 6.6e-14 of concurrence, the closed form on the factor 5.6e-17
     ("product", "uud", None, 2, ExchangeCoupling(1.0, 0.5, 1.0), 1.046875),
+    # S = 1/2 at long times, where fig2's curves move most with the
+    # roundoff of the sector eigenvectors
+    ("product", "uuu", None, 1, ExchangeCoupling(1.0, -0.5, 1.0), 9.6),
+    ("product", "uud", None, 1, ExchangeCoupling(1.0, 0.5, 1.0), 9.295),
 ]
 
 
@@ -485,6 +489,19 @@ def test_fig2_rows_keep_twice_negativity_below_concurrence(tmp_path):
     for path in csvs:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert np.all(2.0 * data[:, 1] <= data[:, 2] + 1e-14), path.name
+
+
+@pytest.mark.parametrize("two_s", [1, 2])
+def test_fig2_udd_curves_at_j_1_m1_1_are_exactly_zero(two_s):
+    """fig2's udd state under J = (1, -1, 1) stays separable with a zero partial-transpose eigenvalue:
+    sampled with its group on fig2's grid, every row reads lambda* = N = C = 0.0 exactly, with no
+    roundoff dust from the sector eigenvectors."""
+    s = SpinMagnitude(two_s)
+    h = spin_star_hamiltonian(ExchangeCoupling(1.0, -1.0, 1.0), s)
+    initials = [product_basis_initial(state, s) for state in ("uuu", "uud", "udd")]
+    traj = dynamics.sample_trajectories(h, initials, EvolutionSpec(t_max=10.0, n_steps=2000))[2]
+    for column in (traj.cne, traj.negativity, traj.concurrence):
+        assert column.tolist() == [0.0] * 2001
 
 
 def test_separable_samples_of_a_product_trajectory_write_zero_negativity():
