@@ -103,7 +103,6 @@ MAX_S_C = 1.5  # largest environment spin: a 16-dimensional Hamiltonian
 MAX_N_STEPS = 10**7  # largest sampling grid: 10**7 + 1 times
 
 _NUMBER = (float, int)  # exact JSON types: a boolean is not a number
-_OPTIONAL_NUMBER = (float, int, type(None))
 _WEIGHTING_KEYS = {"weighting_id": (str,), "epsilon": _NUMBER}
 _KEYS = {
     "model": {"j": (list,), "s_c": _NUMBER},
@@ -117,7 +116,7 @@ _KEYS = {
         "method": (str,),
         "emit_negative_times": (bool,),
     },
-    "detection": {"threshold": _NUMBER, "min_duration": _OPTIONAL_NUMBER},
+    "detection": {"threshold": _NUMBER},
 }
 _SECTIONS = dict.fromkeys(("model", "state", "evolution", "detection"), (dict,))
 _JSON_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string", list: "array of numbers", dict: "object"}
@@ -226,12 +225,9 @@ class RunConfig:
     initial: Ket | DensityOperator
     evolution: EvolutionSpec
     threshold: float = ENTANGLED_THRESHOLD
-    min_duration: float | None = None
 
     def __post_init__(self):
         detection_threshold(self.threshold)
-        if self.min_duration is not None:
-            positive_number(self.min_duration, "min_duration")
 
     def to_json(self) -> dict:
         """Every setting, defaults included, as a config that parses back to this one."""
@@ -247,7 +243,7 @@ class RunConfig:
             "model": {"j": [self.j.jx, self.j.jy, self.j.jz], "s_c": self.s.s},
             "state": {"kind": self.kind, **state},
             "evolution": asdict(self.evolution),
-            "detection": {"threshold": self.threshold, "min_duration": self.min_duration},
+            "detection": {"threshold": self.threshold},
         }
 
 

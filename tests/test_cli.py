@@ -217,7 +217,7 @@ def test_integer_beyond_float_range_exits_2(tmp_path, capsys, section, key):
     assert err.count("\n") == 1 and section in err
 
 
-@pytest.mark.parametrize("path", ["model.j", "model.s_c", "state.theta_a", "evolution.t_max", "detection.min_duration"])
+@pytest.mark.parametrize("path", ["model.j", "model.s_c", "state.theta_a", "evolution.t_max", "detection.threshold"])
 @pytest.mark.parametrize("number", ["1" + "0" * 400, "-1" + "0" * 400, "1e400", "NaN"])
 def test_number_out_of_float_range_names_its_path(tmp_path, capsys, path, number):
     """A 401-digit integer, a literal that overflows to infinity, or NaN is rejected while parsing, in one line."""
@@ -237,6 +237,14 @@ def test_evolution_t_min_is_an_unknown_key(tmp_path, capsys):
     cfg["evolution"]["t_min"] = -0.2
     assert main(["evolve", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == "config error: evolution.t_min: unknown key\n"
+
+
+def test_detection_min_duration_is_an_unknown_key(tmp_path, capsys):
+    """No command reads a dwell from the config: ``detect --min-duration`` sets it, and the key is refused."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["detection"] = {"threshold": 1e-9, "min_duration": 0.05}
+    assert main(["evolve", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "config error: detection.min_duration: unknown key\n"
 
 
 def test_config_and_csv_paths_that_are_directories(tmp_path, capsys):
@@ -684,7 +692,8 @@ def test_repro_table_writes_no_gnuplot_script(tmp_path):
 def test_repro_diagonalizes_once_per_distinct_hamiltonian(tmp_path, monkeypatch):
     """Each repro call builds one spectrum per distinct (J, S) it samples or fits: table1's 16 fits
     use 8, table2's 15 fits and fig4's 15 curves share 1, fig2's 24 curves and its isotropic check 8,
-    and fig5's 21 curves 3.  No spectrum outlives its call: a second call diagonalizes again."""
+    and fig5's 21 curves 3, each from one stack of its two sector blocks.  No spectrum outlives its
+    call: a second call diagonalizes again."""
     shapes = []
     hermitian_eig = dynamics.hermitian_eig
     monkeypatch.setattr(dynamics, "hermitian_eig", lambda a: shapes.append(a.shape) or hermitian_eig(a))
@@ -694,4 +703,4 @@ def test_repro_diagonalizes_once_per_distinct_hamiltonian(tmp_path, monkeypatch)
             shapes.clear()
             assert main(["repro", target, "--out", str(tmp_path / f"{target}_{call}")]) == 0
             assert len(shapes) == count, (target, call)
-    assert sorted(shapes) == [(8, 8), (12, 12), (16, 16)]  # fig5's S = 1/2, 1 and 3/2
+    assert sorted(shapes) == [(2, 4, 4), (2, 6, 6), (2, 8, 8)]  # fig5's S = 1/2, 1 and 3/2

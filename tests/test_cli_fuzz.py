@@ -38,7 +38,7 @@ VALID = (
         "model": {"j": [-0.5, -0.5, -1.0], "s_c": 0.5},
         "state": {"kind": "bell", "family": "beta", "sign": "-", "p": 0.2},
         "evolution": {"t_max": 0.01, "n_steps": 8, "method": "series", "emit_negative_times": True},
-        "detection": {"threshold": 1e-9, "min_duration": None},
+        "detection": {"threshold": 1e-9},
     },
     {
         "model": {"j": [-0.5, -0.5, -1.0], "s_c": 1.5},
@@ -63,7 +63,7 @@ VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4), st.dictionaries(st.sa
 SECTIONS = st.sampled_from(["model", "state", "evolution", "detection", "output"])
 KEYS = st.sampled_from(
     ["j", "s_c", "kind", "theta_a", "phi_b", "env", "family", "sign", "p", "weighting_id", "epsilon", "t_min",
-     "t_max", "n_steps", "method", "series_order", "emit_negative_times", "threshold", "min_duration", "extra"]
+     "t_max", "n_steps", "method", "series_order", "emit_negative_times", "threshold", "extra"]
 )
 
 
