@@ -2,12 +2,12 @@
 
 Run from a checkout, with one BLAS thread (set here before numpy loads):
 
-    python3 benchmarks/layers.py --label 31
+    python3 benchmarks/layers.py --label 32
 
 The ``espkit`` on ``PYTHONPATH`` is measured, else the ``src/`` next to
 this script, so one copy of this file times another tree:
 
-    PYTHONPATH=/path/to/other/checkout/src python3 benchmarks/layers.py --label 30
+    PYTHONPATH=/path/to/other/checkout/src python3 benchmarks/layers.py --label 31
 
 Every unit runs once per round, the units interleaved in a fixed order,
 and each reports the minimum over the rounds (min-of-k), with the median
@@ -22,7 +22,10 @@ CSV writer); a layer reads null on a tree that lacks all of its
 functions.  Each layer counts its own functions' time, so a call that
 spans two layers counts in both.  Wrapping adds about a microsecond per
 call, so the layer rounds are kept apart from the unit rounds.  No
-totals are recorded: a sum of minima is no round anyone ran.
+totals are recorded: a sum of minima is no round anyone ran.  Beside the
+pinned ``blas_threads``, ``blas_threads_default`` records the count
+OpenBLAS picks in a fresh interpreter without the pin, which is what an
+``espkit`` run gets.
 """
 
 from __future__ import annotations
@@ -34,12 +37,15 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_UNPINNED_ENV = {key: value for key, value in os.environ.items() if key not in _PINS}
+for _var in _PINS:
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +72,7 @@ LAYERS = {
     "diagonalization": [(densemat, "hermitian_eig")],
     "sector_setup": [
         (dynamics, "_sector_layout"),
+        (dynamics, "_sector_blocks"),
         (dynamics, "_parity_sectors"),
         *([(dynamics.SectorGroup, "__init__")] if hasattr(dynamics, "SectorGroup") else []),
         (dynamics, "_sector_rows"),
@@ -108,6 +115,16 @@ def blas_threads():
     return None
 
 
+def blas_threads_default():
+    """:func:`blas_threads` in a fresh interpreter that loads numpy without the thread pins of this script."""
+    code = "import json, sys; import numpy; sys.path.insert(0, sys.argv[1]); import layers; print(json.dumps(layers.blas_threads()))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+        env=_UNPINNED_ENV, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
@@ -115,6 +132,7 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": blas_threads(),
+        "blas_threads_default": blas_threads_default(),
         "nproc": os.cpu_count(),
     }
 

@@ -22,17 +22,20 @@ LAYERS = {
 
 
 def test_committed_benchmark_files_hold_every_unit_and_layer():
-    """Each file names its label, the Python, numpy and BLAS versions, the BLAS thread count and nproc; times
+    """Each file names its label, the Python, numpy and BLAS versions, the pinned BLAS thread count, the count
+    OpenBLAS picks without the pin (null where it cannot be asked) and nproc; times
     every repro target, evolve and fig2/fig4/fig5 sampling group (min-of-k and median); and records each layer,
     null where the measured tree lacks its functions."""
     paths = sorted(ROOT.glob("BENCH_*.json"))
-    assert {"BENCH_29.json", "BENCH_30.json", "BENCH_31.json"} <= {p.name for p in paths}
+    assert {"BENCH_29.json", "BENCH_30.json", "BENCH_31.json", "BENCH_32.json"} <= {p.name for p in paths}
     for path in paths:
         data = json.loads(path.read_text(encoding="utf-8"))
         assert data["label"] == path.stem.removeprefix("BENCH_") and data["rounds"] >= 1
         env = data["environment"]
         assert all(isinstance(env[key], str) and env[key] for key in ("python", "numpy", "blas"))
         assert env["blas_threads"] == 1 and env["nproc"] >= 1
+        default = env["blas_threads_default"]
+        assert default is None or (type(default) is int and default >= 1), path.name
         units = data["units"]
         groups = {name.split("[")[0] for name in units if name.startswith("sampling ")}
         assert UNITS <= set(units) and groups == {"sampling fig2", "sampling fig4", "sampling fig5"}
