@@ -22,9 +22,9 @@ B0 (rho0 = B0 B0†, one column per pure component, from
 :func:`initial_factor`) and evaluate the reduced states rho_AB = L L†
 of each B(t) without diagonalizing them as states.  H conserves the
 parity (-1)^(S-m) σz^A σz^B that the basis layout fixes
-(:func:`basis_parity`), so H is two blocks, one per parity sector, each
-diagonalized on its own (:func:`_sector_blocks`): its eigenvectors are
-exactly 0.0 off their sector, and the two sectors are the unit of
+(:func:`basis_parity`), so H is two blocks, one per parity sector
+(:func:`_sector_blocks`), diagonalized as one stack: each eigenvector is
+exactly 0.0 off its sector, and the two sectors are the unit of
 sampling.  Their rows depend on the dimension alone and are laid out once
 per dimension (:func:`_sector_layout`).  A :class:`SectorGroup` holds every initial
 state that shares one H and one grid, splits their columns by sector
@@ -472,9 +472,10 @@ class SectorGroup:
     = L L† on {00, 11} or on {01, 10}.  :attr:`x` [k] is True when every
     column of state k lies inside one sector, so that its reduced states
     are X-shaped at every time: the decision is made once per initial
-    column, here, as are the coefficients V_s† B0_s (``exact``, from the
-    sector eigenvectors that :class:`SpectralPropagator` holds) or the
-    sector blocks of H (``integrator``).  ``h`` comes checked by :func:`_checked_initial`; a
+    column, here, as are the coefficients V_s† B0_s (``exact``, one
+    product per sector with the sector eigenvectors that
+    :class:`SpectralPropagator` holds) or the sector blocks of H
+    (``integrator``).  ``h`` comes checked by :func:`_checked_initial`; a
     propagator ``h`` lends ``exact`` its spectrum.
     """
 
@@ -513,8 +514,8 @@ class SectorGroup:
         (4, S, T) and (2, S, T) arrays (:func:`_add_x_entries`), or None
         without X states; ``ls`` holds the (T, 4, k) factor L of each
         other state, in the order of ``b0s``.  Per batch, ``exact`` takes
-        one phase table for the group, sector by sector, and B_s(t) = V_s (e^{-i w_s t} ∘
-        V_s† B0_s), with one product per sector for all the columns of
+        one phase table for the group, read sector by sector, and B_s(t) =
+        V_s (e^{-i w_s t} ∘ V_s† B0_s), with one product per sector for all the columns of
         the group (:func:`_sector_product`) and B(0) = B0 exactly;
         ``integrator`` takes B_s(t) = B0_s + P_s(t) B0_s with the RK4
         increments of every time and sector powered at once
