@@ -46,13 +46,16 @@ def test_eig_eigenvalues_sorted(rng):
 
 
 def test_eig_rejects_nonsquare():
-    with pytest.raises(DimensionError):
-        hermitian_eig(np.zeros((2, 3)))
+    for shape in ((2, 3), (2, 3, 4), (3,)):
+        with pytest.raises(DimensionError):
+            hermitian_eig(np.zeros(shape))
 
 
 def test_eig_rejects_nonhermitian():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):  # one matrix of a stack is enough
+        hermitian_eig(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
 
 def test_eig_guard_does_not_overflow():
