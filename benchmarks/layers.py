@@ -116,7 +116,10 @@ def blas_threads():
 
 
 def blas_threads_default():
-    """:func:`blas_threads` in a fresh interpreter that loads numpy without the thread pins of this script."""
+    """:func:`blas_threads` in a fresh interpreter that loads numpy without the thread pins of this script.
+
+    The child imports numpy before this module, whose import sets the pins too late to matter.
+    """
     code = "import json, sys; import numpy; sys.path.insert(0, sys.argv[1]); import layers; print(json.dumps(layers.blas_threads()))"
     done = subprocess.run(
         [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],

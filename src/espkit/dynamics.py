@@ -174,7 +174,7 @@ class SpectralPropagator:
         self.rows, blocks = _sector_blocks(self.h)
         w_s, self.v_s = hermitian_eig(blocks)
         self.w = w_s.ravel()
-        columns = np.arange(self.w.size).reshape(w_s.shape)  # of V, sector by sector
+        columns = np.arange(self.w.size).reshape(w_s.shape)  # sector s's eigenpairs are columns [s] of w and V
         self.v = np.zeros(self.h.shape, dtype=self.v_s.dtype)
         self.v[self.rows[:, :, None], columns[:, None, :]] = self.v_s
 
