@@ -101,9 +101,9 @@ def block_hermitian(rng, sizes) -> np.ndarray:
 
 
 def test_eig_is_exact_where_the_parity_does_not_fit(rng, monkeypatch):
-    """Sorting by basis_parity is a similarity, so it diagonalizes what the parity does not split: dense
-    Hermitian matrices of sizes that are and are not multiples of 4, and a spin-star H plus a transverse
-    field on A, each from one eigh call, with residual <= 1e-14 ||H||, orthogonality defect <= 1e-14 and
+    """hermitian_eig diagonalizes what the parity does not split as one matrix: dense Hermitian
+    matrices of sizes that are and are not multiples of 4, and a spin-star H plus a transverse field on
+    A, each from one eigh call, with residual <= 1e-14 ||H||, orthogonality defect <= 1e-14 and
     ascending eigenvalues."""
     s = SpinMagnitude(2)
     tilted = spin_star_hamiltonian(MIXED_J, s) + 0.3 * np.kron(np.eye(s.dim), np.kron(PAULI_X, np.eye(2)))
